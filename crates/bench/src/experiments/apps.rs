@@ -69,7 +69,7 @@ pub fn e1_architecture(quick: bool) {
 
     let graph = std::sync::Arc::new(graph);
     let start = Instant::now();
-    let reports = MultiThreadExecutor::new(2)
+    let reports = WorkStealingExecutor::new(2)
         .with_quantum(128)
         .run(&graph, || Box::new(FifoStrategy));
     let wall = start.elapsed();

@@ -1,26 +1,23 @@
-//! E16 — the three scheduler layers on a skewed multi-chain workload.
+//! E16 — what the dynamic thread layer costs and buys on a skewed
+//! multi-chain workload.
 //!
 //! One hot chain (source → `K` maps → sink) carries most of the stream
-//! while several cold chains idle along beside it. Three executors run the
-//! identical graph on two worker threads:
+//! while several cold chains idle along beside it. The identical graph
+//! runs under the two drivers the scheduler ships: the plain
+//! [`SingleThreadExecutor`] (layer 2 alone — the reference), and the
+//! [`WorkStealingExecutor`] (layer-1 virtual-node groups placed whole,
+//! group ownership, idle-steal, targeted wakeups, stats-driven rebalance)
+//! at every worker count from 1 to the machine's cores. The 1-worker point
+//! prices the ownership protocol itself; the others show what the extra
+//! cores return on a graph whose work sits in one chain.
 //!
-//! * **static round-robin** — the former default split
-//!   ([`MultiThreadExecutor::run_static_round_robin`]): node ids dealt over
-//!   threads, so every edge of every chain crosses threads and each hop
-//!   pays cross-thread queue locking plus wakeup latency;
-//! * **topology** — [`MultiThreadExecutor::run`]: layer-1 virtual-node
-//!   groups from [`ExecutionPlan`], chains fused and placed whole, edges
-//!   thread-local;
-//! * **topology + stealing** — [`WorkStealingExecutor`]: the same plan with
-//!   the dynamic layer 3 on top (group ownership, idle-steal, targeted
-//!   wakeups, stats-driven rebalance).
+//! Methodology follows E15: every rep runs the pair back to back in
+//! alternating order, the per-rep throughput ratio cancels machine drift,
+//! and the median over all reps damps outliers.
 //!
-//! Methodology follows E15: every rep runs the paired variants back to
-//! back in alternating order, the per-rep throughput ratio cancels machine
-//! drift, and the median over all reps damps outliers. Acceptance:
-//! topology + stealing reaches ≥ 1.5× the static round-robin throughput.
-//!
-//! Results are written to `BENCH_sched_layers.json`.
+//! Results are written to `BENCH_sched_layers.json`. The last three-way
+//! table against the static executors this experiment used to carry is
+//! kept in EXPERIMENTS.md.
 
 use crate::{f, table};
 use pipes::prelude::*;
@@ -31,9 +28,6 @@ use std::time::Instant;
 const K: usize = 6;
 /// Cold chains riding along beside the hot one.
 const COLD_CHAINS: usize = 3;
-/// Worker threads for the headline comparison (the sweep below also runs
-/// every other count up to the machine's core count).
-const THREADS: usize = 2;
 
 fn input(n: u64) -> Vec<Element<i64>> {
     (0..n)
@@ -68,29 +62,19 @@ fn skewed_graph(
     (Arc::new(g), bufs)
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Variant {
-    StaticRoundRobin,
-    Topology,
-    Stealing,
-}
-
-/// Runs one variant on a fresh graph and returns elements/s over the whole
-/// stream (hot + cold).
-fn run_variant(variant: Variant, hot_n: u64, cold_n: u64, threads: usize) -> f64 {
+/// Runs the skewed graph on a fresh instance — `workers` work-stealing
+/// threads, or the single-thread driver for `None` — and returns
+/// elements/s over the whole stream (hot + cold).
+fn run_once(workers: Option<usize>, hot_n: u64, cold_n: u64) -> f64 {
     let (g, bufs) = skewed_graph(hot_n, cold_n);
     let total = hot_n + COLD_CHAINS as u64 * cold_n;
     let start = Instant::now();
-    match variant {
-        Variant::StaticRoundRobin => {
-            MultiThreadExecutor::new(threads)
-                .run_static_round_robin(&g, || Box::new(RoundRobinStrategy::new()));
+    match workers {
+        None => {
+            SingleThreadExecutor::new().run(&g, &mut RoundRobinStrategy::new());
         }
-        Variant::Topology => {
-            MultiThreadExecutor::new(threads).run(&g, || Box::new(RoundRobinStrategy::new()));
-        }
-        Variant::Stealing => {
-            WorkStealingExecutor::new(threads).run(&g, || Box::new(RoundRobinStrategy::new()));
+        Some(n) => {
+            WorkStealingExecutor::new(n).run(&g, || Box::new(RoundRobinStrategy::new()));
         }
     }
     let secs = start.elapsed().as_secs_f64();
@@ -114,150 +98,78 @@ pub fn e16_sched_layers(quick: bool) {
     let hot_n: u64 = if quick { 60_000 } else { 200_000 };
     let cold_n: u64 = hot_n / 10;
     let reps = if quick { 6 } else { 24 };
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
 
     // Warm up allocator and page cache off the clock.
-    run_variant(
-        Variant::Topology,
-        hot_n.min(20_000),
-        cold_n.min(2_000),
-        THREADS,
-    );
+    run_once(Some(cores), hot_n.min(20_000), cold_n.min(2_000));
 
     // Per E15: alternating-order back-to-back runs per rep; the per-rep
     // ratio cancels whatever the machine is doing at that moment, and the
     // median over reps damps single-rep outliers. Best-of throughputs are
     // reported alongside for scale.
-    let mut best = [f64::MIN; 3];
-    let mut steal_ratios = Vec::with_capacity(reps);
-    let mut topo_ratios = Vec::with_capacity(reps);
-    for rep in 0..reps {
-        let order = if rep % 2 == 0 {
-            [
-                Variant::StaticRoundRobin,
-                Variant::Topology,
-                Variant::Stealing,
-            ]
-        } else {
-            [
-                Variant::Stealing,
-                Variant::Topology,
-                Variant::StaticRoundRobin,
-            ]
-        };
-        let mut thr = [0.0f64; 3];
-        for v in order {
-            let t = run_variant(v, hot_n, cold_n, THREADS);
-            let slot = match v {
-                Variant::StaticRoundRobin => 0,
-                Variant::Topology => 1,
-                Variant::Stealing => 2,
+    let mut best_single = f64::MIN;
+    let mut rows = Vec::new();
+    let mut sweep = Vec::new();
+    for workers in 1..=cores {
+        let mut best = f64::MIN;
+        let mut ratios = Vec::with_capacity(reps);
+        for rep in 0..reps {
+            let (single, stealing) = if rep % 2 == 0 {
+                let single = run_once(None, hot_n, cold_n);
+                (single, run_once(Some(workers), hot_n, cold_n))
+            } else {
+                let stealing = run_once(Some(workers), hot_n, cold_n);
+                (run_once(None, hot_n, cold_n), stealing)
             };
-            thr[slot] = t;
-            best[slot] = best[slot].max(t);
+            best_single = best_single.max(single);
+            best = best.max(stealing);
+            ratios.push(stealing / single);
         }
-        topo_ratios.push(thr[1] / thr[0]);
-        steal_ratios.push(thr[2] / thr[0]);
-        if std::env::var_os("PIPES_E16_DEBUG").is_some() {
-            eprintln!(
-                "rep {rep:>2}: static {:.3e} topo {:.3e} steal {:.3e} (x{:.2}, x{:.2})",
-                thr[0],
-                thr[1],
-                thr[2],
-                thr[1] / thr[0],
-                thr[2] / thr[0]
-            );
-        }
+        let ratio = median(&mut ratios);
+        rows.push(vec![
+            format!("work stealing, {workers} worker(s)"),
+            f(best / 1e6, 2),
+            f(ratio, 2),
+        ]);
+        sweep.push(format!(
+            "    {{\"threads\": {workers}, \"stealing_elem_per_s\": {best:.0}, \
+             \"stealing_vs_single_median_ratio\": {ratio:.3}}}"
+        ));
     }
-    let topo_ratio = median(&mut topo_ratios);
-    let steal_ratio = median(&mut steal_ratios);
+    rows.insert(
+        0,
+        vec![
+            "single thread".into(),
+            f(best_single / 1e6, 2),
+            "1.00".into(),
+        ],
+    );
 
     table(
         &format!(
             "E16 — scheduler layers, hot {K}-op chain ({hot_n} elems) + \
-             {COLD_CHAINS} cold chains ({cold_n} elems each), {THREADS} threads"
+             {COLD_CHAINS} cold chains ({cold_n} elems each), {cores} core(s)"
         ),
-        &["executor", "Melem/s", "vs static (median)"],
-        &[
-            vec![
-                "static round-robin".into(),
-                f(best[0] / 1e6, 2),
-                "1.00".into(),
-            ],
-            vec!["topology".into(), f(best[1] / 1e6, 2), f(topo_ratio, 2)],
-            vec![
-                "topology + stealing".into(),
-                f(best[2] / 1e6, 2),
-                f(steal_ratio, 2),
-            ],
-        ],
+        &["driver", "Melem/s (best)", "vs single thread (median)"],
+        &rows,
     );
     println!(
-        "shape check: fusing chains into thread-local virtual-node groups \
-         removes the cross-thread hop every edge pays under the round-robin \
-         split; the dynamic layer (stealing + targeted wakeups) holds that \
-         gain at >= 1.5x while also absorbing runtime skew."
+        "shape check: one worker prices the group-ownership protocol against \
+         the plain single-thread driver; more workers can only return what \
+         the cold chains hold, because the hot chain is one virtual-node \
+         group and stays on one core."
     );
 
-    // Thread sweep 1 → every available core: stealing vs static at each
-    // count (fewer reps than the headline pair — the sweep is a shape, not
-    // an acceptance bar). On a single-core host this still exercises the
-    // 1- and 2-thread points.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let sweep_reps = (reps / 3).max(2);
-    let mut sweep_rows = Vec::new();
-    let mut sweep_threads: Vec<usize> = (1..=cores).collect();
-    if !sweep_threads.contains(&THREADS) {
-        sweep_threads.push(THREADS);
-    }
-    for t in sweep_threads {
-        let mut ratios = Vec::with_capacity(sweep_reps);
-        let mut best_t = [f64::MIN; 2];
-        for rep in 0..sweep_reps {
-            let order = if rep % 2 == 0 {
-                [Variant::StaticRoundRobin, Variant::Stealing]
-            } else {
-                [Variant::Stealing, Variant::StaticRoundRobin]
-            };
-            let mut thr = [0.0f64; 2];
-            for v in order {
-                let x = run_variant(v, hot_n, cold_n, t);
-                let slot = if v == Variant::StaticRoundRobin { 0 } else { 1 };
-                thr[slot] = x;
-                best_t[slot] = best_t[slot].max(x);
-            }
-            ratios.push(thr[1] / thr[0]);
-        }
-        let r = median(&mut ratios);
-        println!(
-            "  sweep {t} thread(s): static {:.2} Melem/s, stealing {:.2} Melem/s (x{r:.2})",
-            best_t[0] / 1e6,
-            best_t[1] / 1e6
-        );
-        sweep_rows.push(format!(
-            "    {{\"threads\": {t}, \"static_elem_per_s\": {:.0}, \
-             \"stealing_elem_per_s\": {:.0}, \
-             \"stealing_vs_static_median_ratio\": {r:.3}}}",
-            best_t[0], best_t[1]
-        ));
-    }
-
     let json = format!(
-        "{{\n  \"experiment\": \"sched_layers\",\n  \"threads\": {THREADS},\n  \
-         \"cores\": {cores},\n  \
+        "{{\n  \"experiment\": \"sched_layers\",\n  \"cores\": {cores},\n  \
          \"hot_chain_ops\": {K},\n  \"hot_elements\": {hot_n},\n  \
          \"cold_chains\": {COLD_CHAINS},\n  \"cold_elements\": {cold_n},\n  \
-         \"static_elem_per_s\": {:.0},\n  \
-         \"topology_elem_per_s\": {:.0},\n  \
-         \"stealing_elem_per_s\": {:.0},\n  \
-         \"topology_vs_static_median_ratio\": {topo_ratio:.3},\n  \
-         \"stealing_vs_static_median_ratio\": {steal_ratio:.3},\n  \
+         \"reps\": {reps},\n  \
+         \"single_thread_elem_per_s\": {best_single:.0},\n  \
          \"thread_sweep\": [\n{}\n  ]\n}}\n",
-        best[0],
-        best[1],
-        best[2],
-        sweep_rows.join(",\n")
+        sweep.join(",\n")
     );
     match std::fs::write("BENCH_sched_layers.json", &json) {
         Ok(()) => println!("wrote BENCH_sched_layers.json"),

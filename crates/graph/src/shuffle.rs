@@ -982,8 +982,11 @@ pub struct ShuffleGroup {
 // ---------------------------------------------------------------------------
 
 /// One live instance: its node id, input edge and output edge.
-type UnaryInstance<O> =
-    (NodeId, Arc<Edge<<O as Operator>::In>>, Arc<Edge<<O as Operator>::Out>>);
+type UnaryInstance<O> = (
+    NodeId,
+    Arc<Edge<<O as Operator>::In>>,
+    Arc<Edge<<O as Operator>::Out>>,
+);
 
 struct UnaryGroup<O: Operator> {
     instances: Vec<UnaryInstance<O>>,

@@ -105,8 +105,10 @@ pub struct Config {
     pub kernel_crates: Vec<String>,
     /// Crates the structural passes (5–7) analyze.
     pub analyzed_crates: Vec<String>,
-    /// Directories never scanned: vendored shims (foreign idiom), build
-    /// output, VCS metadata, and the lint's own seeded-violation corpus.
+    /// Directories never scanned: vendored shims (foreign idiom), the
+    /// `benchmark/` package (a cargo workspace of its own, frozen by the
+    /// benchmark contract), build output, VCS metadata, and the lint's own
+    /// seeded-violation corpus.
     pub skip_dirs: Vec<String>,
 }
 
@@ -137,6 +139,7 @@ impl Default for Config {
             skip_dirs: [
                 "crates/shims",
                 "crates/lint/tests/fixtures",
+                "benchmark",
                 "target",
                 ".git",
             ]

@@ -157,27 +157,27 @@ fn workspace_is_clean_with_zero_waivers_and_real_coverage() {
     // Coverage floor: the passes must keep seeing real code. If a parser
     // regression silently dropped every function, these would catch it.
     assert!(
-        o.stats.functions > 1000,
+        o.stats.functions > 1300,
         "only {} fns walked",
         o.stats.functions
     );
     assert!(
-        o.stats.lock_fields >= 20,
+        o.stats.lock_fields >= 25,
         "only {} lock fields",
         o.stats.lock_fields
     );
     // The metadata plane's seqlock block (crates/meta/src/nodemeta.rs)
     // alone contributes nine atomic cells, and the hot-topology work added
-    // the graph's topology epoch plus the executors' interrupt flags;
-    // losing sight of them would mean the atomic passes stopped walking
-    // those crates.
+    // the graph's topology epoch plus the work-stealing run's stop flag
+    // and rebalance epoch; losing sight of them would mean the atomic
+    // passes stopped walking those crates.
     assert!(
         o.stats.atomic_fields >= 38,
         "only {} atomic fields",
         o.stats.atomic_fields
     );
     assert!(
-        o.stats.nested_acquisitions >= 12,
+        o.stats.nested_acquisitions >= 22,
         "only {} nested acquisitions",
         o.stats.nested_acquisitions
     );
@@ -233,19 +233,16 @@ fn hot_topology_modules_stay_in_coverage() {
         steal.stats.lock_fields
     );
 
-    // crates/sched/src/executor.rs: the dynamic multi-thread executor's
-    // stop flag and the shared (epoch, partitions) cell.
+    // crates/sched/src/executor.rs: the one quantum routine and the
+    // single-thread driver. It declares no lock of its own — the stop flag
+    // is the caller's, the parker lives in steal.rs — so what is pinned is
+    // that its functions are still walked and stay clean.
     let exec = module("crates/sched/src/executor.rs");
     assert!(exec.violations.is_empty() && exec.waivers.is_empty());
     assert!(
-        exec.stats.atomic_fields >= 1,
-        "lost the executor's stop/interrupt atomics ({} atomic fields)",
-        exec.stats.atomic_fields
-    );
-    assert!(
-        exec.stats.lock_fields >= 1,
-        "lost the executor's shared partition cell ({} lock fields)",
-        exec.stats.lock_fields
+        exec.stats.functions >= 15,
+        "lost sight of the quantum routine ({} fns walked)",
+        exec.stats.functions
     );
 
     // crates/graph/src/graph.rs: the topology epoch is one of the graph's

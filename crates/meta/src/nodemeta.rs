@@ -414,6 +414,11 @@ mod tests {
                 }
             })
         };
+        // The reader loop below is over in microseconds: wait for the
+        // writer thread to be scheduled and publish once before racing it.
+        while m.snapshot().is_none() {
+            pipes_sync::thread::yield_now();
+        }
         let mut seen = 0;
         for _ in 0..10_000 {
             if let Some(s) = m.snapshot() {

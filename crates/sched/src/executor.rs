@@ -1,10 +1,11 @@
-//! Layer-2/3 executors: single-thread strategy loops and the multi-thread
-//! partitioner.
+//! The execution report, the one quantum routine every driver runs on, and
+//! the single-thread driver.
 
+use crate::steal::Parker;
 use crate::strategy::{SchedView, Strategy};
 use pipes_graph::{NodeId, QueryGraph};
 use pipes_sync::atomic::{AtomicBool, Ordering};
-use pipes_sync::{hint, thread, Arc, Mutex};
+use pipes_sync::{hint, thread};
 use std::time::{Duration, Instant};
 
 /// Measurements from one execution.
@@ -29,7 +30,9 @@ pub struct ExecutionReport {
     pub avg_queue: f64,
     /// Largest total operator state observed.
     pub peak_state: usize,
-    /// Whether execution ended because the quantum limit was hit.
+    /// Whether execution ended before the graph finished: the quantum cap
+    /// was reached, or the idle valve tripped (a long unbroken run of
+    /// quanta that moved nothing).
     pub hit_limit: bool,
     /// Virtual-node groups this worker stole from peers (always 0 outside
     /// the [`crate::WorkStealingExecutor`]).
@@ -52,31 +55,6 @@ impl ExecutionReport {
         } else {
             self.consumed as f64 / self.batches as f64
         }
-    }
-
-    /// Folds a *sequential* follow-up chunk into this report: counters
-    /// sum, peaks max, `hit_limit` ors, and the average queue is weighted
-    /// by quanta. Wall time **adds** — the chunks ran one after another on
-    /// the same thread, unlike [`ExecutionReport::merge`], which maxes
-    /// wall over concurrently running threads. Used by the dynamic
-    /// [`MultiThreadExecutor`] whose workers run in re-partitioned chunks.
-    pub fn absorb(&mut self, next: &ExecutionReport) {
-        let weighted = self.avg_queue * self.quanta as f64 + next.avg_queue * next.quanta as f64;
-        self.quanta += next.quanta;
-        self.consumed += next.consumed;
-        self.produced += next.produced;
-        self.batches += next.batches;
-        self.steals += next.steals;
-        self.wall += next.wall;
-        self.peak_queue = self.peak_queue.max(next.peak_queue);
-        self.peak_state = self.peak_state.max(next.peak_state);
-        self.peak_run = self.peak_run.max(next.peak_run);
-        self.hit_limit |= next.hit_limit;
-        self.avg_queue = if self.quanta > 0 {
-            weighted / self.quanta as f64
-        } else {
-            0.0
-        };
     }
 
     /// Aggregates per-thread reports from a multi-threaded run into one:
@@ -116,33 +94,37 @@ impl ExecutionReport {
     }
 }
 
-/// Adaptive idle waiting: spin briefly (the common case — another worker is
+/// Adaptive idle waiting: spin briefly (the common case — another thread is
 /// about to publish), then yield the core, then park with growing timeouts.
-/// Replaces both the bare `yield_now` idle loop and the former 200µs polling
-/// watchdog thread: an idle worker burns almost no CPU, yet still notices
-/// new work within a spin or at worst one bounded park timeout.
-struct Backoff {
+/// An idle thread burns almost no CPU; an `unpark` aimed at its [`Parker`]
+/// ends the park immediately (and is never lost if it races ahead), and
+/// without one it still looks again within one bounded park timeout.
+struct IdleWait {
+    /// Waits since the last progress — one per empty quantum.
     rounds: u32,
 }
 
-impl Backoff {
+impl IdleWait {
     /// Rounds spent busy-spinning (with exponentially more `spin_loop`
     /// hints each round) before yielding.
     const SPIN_ROUNDS: u32 = 6;
     /// Additional rounds spent yielding before parking.
     const YIELD_ROUNDS: u32 = 4;
-    /// First park timeout; doubles per round up to [`Backoff::MAX_PARK`].
+    /// First park timeout; doubles per round up to [`IdleWait::MAX_PARK`].
     const FIRST_PARK: Duration = Duration::from_micros(50);
-    /// Longest park timeout — bounds how stale an idle worker's view of the
-    /// stop flag and of graph completion can get.
+    /// Longest park timeout — bounds how stale an idle thread's view of the
+    /// stop flag and of graph completion can get should no wakeup arrive.
     const MAX_PARK: Duration = Duration::from_micros(1600);
+    /// The idle valve: after this many empty quanta in a row the thread
+    /// gives up on an unfinished graph (stalled, or a stuck strategy).
+    const VALVE: u32 = 10_000;
 
-    fn new() -> Self {
-        Backoff { rounds: 0 }
-    }
-
-    /// Waits a little longer than last time.
-    fn wait(&mut self) {
+    /// Waits a little longer than last time; `false`, without waiting, once
+    /// the valve trips.
+    fn wait(&mut self, parker: &Parker) -> bool {
+        if self.rounds >= Self::VALVE {
+            return false;
+        }
         if self.rounds < Self::SPIN_ROUNDS {
             for _ in 0..(1u32 << self.rounds) {
                 hint::spin_loop();
@@ -155,25 +137,132 @@ impl Backoff {
                 .saturating_mul(1 << doublings)
                 .min(Self::MAX_PARK);
             pipes_trace::instant(pipes_trace::names::PARK, [timeout.as_micros() as u64, 0, 0]);
-            thread::park_timeout(timeout);
+            parker.park(timeout);
             pipes_trace::instant(pipes_trace::names::UNPARK, [0; 3]);
         }
-        self.rounds = self.rounds.saturating_add(1);
+        self.rounds += 1;
+        true
+    }
+}
+
+/// The per-thread quantum routine both drivers run on: the strategy pick,
+/// the `QUANTUM` span around the one `step_node` call, folding each step
+/// into the [`ExecutionReport`] it owns, queue/state sampling, the quantum
+/// cap, the idle valve and the idle-wait ladder. A driver adds only its
+/// policy: which nodes it offers, what it checks between quanta, and what
+/// it tries before waiting when a quantum came up empty.
+pub(crate) struct QuantumRunner<'a> {
+    graph: &'a QueryGraph,
+    strategy: &'a mut dyn Strategy,
+    /// Quantum size, sampling period and quantum cap: the single-thread
+    /// driver's knobs, which a work-stealing run applies per worker.
+    knobs: &'a SingleThreadExecutor,
+    start: Instant,
+    report: ExecutionReport,
+    queue_samples: u64,
+    queue_sum: f64,
+    wait: IdleWait,
+}
+
+impl<'a> QuantumRunner<'a> {
+    pub(crate) fn new(
+        graph: &'a QueryGraph,
+        strategy: &'a mut dyn Strategy,
+        knobs: &'a SingleThreadExecutor,
+    ) -> Self {
+        QuantumRunner {
+            graph,
+            knobs,
+            start: Instant::now(),
+            report: ExecutionReport {
+                strategy: strategy.name().to_string(),
+                ..Default::default()
+            },
+            strategy,
+            queue_samples: 0,
+            queue_sum: 0.0,
+            wait: IdleWait { rounds: 0 },
+        }
     }
 
-    /// Progress was made: start the next idle episode from the spin phase.
-    fn reset(&mut self) {
-        self.rounds = 0;
+    /// Whether the quantum cap is reached (recorded as `hit_limit`).
+    pub(crate) fn at_cap(&mut self) -> bool {
+        let cap = self.knobs.max_quanta;
+        let capped = cap.is_some_and(|max| self.report.quanta >= max);
+        self.report.hit_limit |= capped;
+        capped
+    }
+
+    /// The strategy's pick among `nodes`; `None` if none can make progress.
+    pub(crate) fn select(&mut self, nodes: &[NodeId]) -> Option<NodeId> {
+        self.strategy.select(&SchedView::new(self.graph, nodes))
+    }
+
+    /// Runs one quantum on `id` and samples the queues of `nodes` when due.
+    /// Returns whether the quantum moved anything.
+    pub(crate) fn step(&mut self, id: NodeId, nodes: &[NodeId]) -> bool {
+        let step = {
+            // One span per strategy decision: nested NODE_STEP spans
+            // (recorded by the graph layer) reconstruct which node the
+            // quantum ran.
+            let _span = pipes_trace::span_args(
+                pipes_trace::names::QUANTUM,
+                [id as u64, self.report.quanta, 0],
+            );
+            self.graph.step_node(id, self.knobs.quantum)
+        };
+        let report = &mut self.report;
+        report.quanta += 1;
+        report.consumed += step.consumed as u64;
+        report.produced += step.produced as u64;
+        report.batches += step.batches as u64;
+        report.peak_run = report.peak_run.max(step.peak_run);
+        if report.quanta.is_multiple_of(self.knobs.sample_every) {
+            let total: usize = nodes.iter().map(|&n| self.graph.queued(n)).sum();
+            let state: usize = nodes.iter().map(|&n| self.graph.memory(n)).sum();
+            report.peak_queue = report.peak_queue.max(total);
+            report.peak_state = report.peak_state.max(state);
+            self.queue_sum += total as f64;
+            self.queue_samples += 1;
+        }
+        let progressed = step.consumed > 0 || step.produced > 0;
+        if progressed {
+            self.progressed();
+        }
+        progressed
+    }
+
+    /// Progress was made: the valve and the wait ladder start over.
+    pub(crate) fn progressed(&mut self) {
+        self.wait.rounds = 0;
+    }
+
+    /// An empty quantum — nothing selectable, or a step that moved nothing:
+    /// waits one rung of the ladder on `parker`. Returns `false` once the
+    /// idle valve trips: the thread should give up, and the report says so
+    /// through `hit_limit`.
+    pub(crate) fn idle(&mut self, parker: &Parker) -> bool {
+        let go_on = self.wait.wait(parker);
+        self.report.hit_limit |= !go_on;
+        go_on
+    }
+
+    /// Closes the report: average queue over the samples taken, wall time.
+    pub(crate) fn finish(mut self) -> ExecutionReport {
+        if self.queue_samples > 0 {
+            self.report.avg_queue = self.queue_sum / self.queue_samples as f64;
+        }
+        self.report.wall = self.start.elapsed();
+        self.report
     }
 }
 
 /// Runs one layer-2 strategy over a set of nodes until the graph finishes
 /// (or a quantum limit is reached, for unbounded sources).
 pub struct SingleThreadExecutor {
-    quantum: usize,
+    pub(crate) quantum: usize,
     sample_every: u64,
     max_quanta: Option<u64>,
-    batch_limit: Option<usize>,
 }
 
 impl Default for SingleThreadExecutor {
@@ -190,21 +279,12 @@ impl SingleThreadExecutor {
             quantum: 64,
             sample_every: 16,
             max_quanta: None,
-            batch_limit: None,
         }
     }
 
     /// Sets the per-selection message budget.
     pub fn with_quantum(mut self, quantum: usize) -> Self {
         self.quantum = quantum.max(1);
-        self
-    }
-
-    /// Caps the per-run batch size of every node this executor drives
-    /// (see [`QueryGraph::set_node_batch_limit`]). A limit of 1 reproduces
-    /// the per-message data path — useful as a benchmarking baseline.
-    pub fn with_batch_limit(mut self, limit: usize) -> Self {
-        self.batch_limit = Some(limit.max(1));
         self
     }
 
@@ -226,8 +306,10 @@ impl SingleThreadExecutor {
         self.run_nodes(graph, strategy, &nodes, None)
     }
 
-    /// Runs `strategy` over the given node subset; used by the layer-3
-    /// executor. An optional shared stop flag ends the loop early.
+    /// Runs `strategy` over the given node subset until all of it has
+    /// finished. Raising the optional `stop` flag ends the loop at the next
+    /// quantum boundary — the only bounded-shutdown handle for a graph fed
+    /// by an inexhaustible source.
     pub fn run_nodes(
         &self,
         graph: &QueryGraph,
@@ -235,392 +317,31 @@ impl SingleThreadExecutor {
         nodes: &[NodeId],
         stop: Option<&AtomicBool>,
     ) -> ExecutionReport {
-        self.run_nodes_until(graph, strategy, nodes, stop, None)
-    }
-
-    /// Like [`SingleThreadExecutor::run_nodes`], with an additional
-    /// `interrupt` predicate checked at every quantum boundary: when it
-    /// returns `true` the loop returns early with the partial report
-    /// (without setting `hit_limit`). The dynamic [`MultiThreadExecutor`]
-    /// uses this to pull workers out for a re-partition when the graph's
-    /// topology epoch moves.
-    pub fn run_nodes_until(
-        &self,
-        graph: &QueryGraph,
-        strategy: &mut dyn Strategy,
-        nodes: &[NodeId],
-        stop: Option<&AtomicBool>,
-        interrupt: Option<&dyn Fn() -> bool>,
-    ) -> ExecutionReport {
-        let start = Instant::now();
-        if let Some(limit) = self.batch_limit {
-            for &id in nodes {
-                graph.set_node_batch_limit(id, limit);
-            }
-        }
-        let mut report = ExecutionReport {
-            strategy: strategy.name().to_string(),
-            ..Default::default()
-        };
-        let mut queue_samples: u64 = 0;
-        let mut queue_sum: f64 = 0.0;
-        let mut idle_rounds = 0u32;
-        let mut backoff = Backoff::new();
+        // Nobody unparks this parker, so the ladder's parks are plain
+        // bounded timeouts: input pushed by another thread, or a raised
+        // `stop`, is noticed within one of them.
+        let parker = Parker::new();
+        let mut runner = QuantumRunner::new(graph, strategy, self);
         loop {
-            if let Some(flag) = stop {
-                // Acquire pairs with the Release store below (and the one
-                // in run_partitions): a worker that observes the stop flag
-                // also observes everything the stopping thread did before
-                // raising it, and the compiler cannot hoist the load out
-                // of the loop the way a Relaxed read could legally be.
-                if flag.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            if let Some(f) = interrupt {
-                if f() {
-                    break;
-                }
-            }
-            if nodes.iter().all(|&id| graph.is_finished(id)) {
+            // Acquire pairs with the caller's Release store: a thread that
+            // observes the stop flag also observes everything the stopping
+            // thread did before raising it, and the compiler cannot hoist
+            // the load out of the loop the way a Relaxed read could
+            // legally be.
+            if stop.is_some_and(|flag| flag.load(Ordering::Acquire))
+                || nodes.iter().all(|&id| graph.is_finished(id))
+                || runner.at_cap()
+            {
                 break;
             }
-            if let Some(max) = self.max_quanta {
-                if report.quanta >= max {
-                    report.hit_limit = true;
-                    break;
-                }
-            }
-            let view = SchedView::new(graph, nodes);
-            let Some(id) = strategy.select(&view) else {
-                // Nothing runnable here right now.
-                idle_rounds += 1;
-                match stop {
-                    None => {
-                        // Single-partition execution with no runnable node
-                        // and unfinished graph: the graph is stalled. Stay
-                        // on cheap yields so the stall is detected quickly.
-                        if idle_rounds > 1000 {
-                            break;
-                        }
-                        thread::yield_now();
-                    }
-                    Some(flag) => {
-                        // Another partition may still feed us. Each idle
-                        // worker also checks global completion itself and
-                        // releases the others — this replaces the polling
-                        // watchdog thread the multi-thread executor used
-                        // to spawn.
-                        if graph.all_finished() {
-                            flag.store(true, Ordering::Release);
-                            pipes_trace::instant(pipes_trace::names::STOP, [0; 3]);
-                            break;
-                        }
-                        backoff.wait();
-                    }
-                }
-                continue;
-            };
-            let step = {
-                // One span per strategy decision: nested NODE_STEP spans
-                // (recorded by the graph layer) reconstruct which node the
-                // quantum ran.
-                let _span = pipes_trace::span_args(
-                    pipes_trace::names::QUANTUM,
-                    [id as u64, report.quanta, 0],
-                );
-                graph.step_node(id, self.quantum)
-            };
-            report.quanta += 1;
-            report.consumed += step.consumed as u64;
-            report.produced += step.produced as u64;
-            report.batches += step.batches as u64;
-            report.peak_run = report.peak_run.max(step.peak_run);
-            if step.consumed == 0 && step.produced == 0 {
-                idle_rounds += 1;
-                if idle_rounds > 10_000 {
-                    break; // safety valve against stuck strategies
-                }
-                if let Some(flag) = stop {
-                    if graph.all_finished() {
-                        flag.store(true, Ordering::Release);
-                        pipes_trace::instant(pipes_trace::names::STOP, [0; 3]);
-                        break;
-                    }
-                    backoff.wait();
-                }
-            } else {
-                idle_rounds = 0;
-                backoff.reset();
-            }
-            if report.quanta.is_multiple_of(self.sample_every) {
-                let total: usize = nodes.iter().map(|&id| graph.queued(id)).sum();
-                let state: usize = nodes.iter().map(|&id| graph.memory(id)).sum();
-                report.peak_queue = report.peak_queue.max(total);
-                report.peak_state = report.peak_state.max(state);
-                queue_sum += total as f64;
-                queue_samples += 1;
-            }
-        }
-        report.avg_queue = if queue_samples > 0 {
-            queue_sum / queue_samples as f64
-        } else {
-            0.0
-        };
-        report.wall = start.elapsed();
-        report
-    }
-}
-
-/// Layer 3: partitions the node set over worker threads, each running its
-/// own layer-2 strategy instance.
-pub struct MultiThreadExecutor {
-    threads: usize,
-    quantum: usize,
-    sample_every: u64,
-    max_quanta_per_thread: Option<u64>,
-    batch_limit: Option<usize>,
-}
-
-impl MultiThreadExecutor {
-    /// Creates an executor with the given number of worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        MultiThreadExecutor {
-            threads,
-            quantum: 64,
-            sample_every: 16,
-            max_quanta_per_thread: None,
-            batch_limit: None,
-        }
-    }
-
-    /// Sets the per-selection message budget.
-    pub fn with_quantum(mut self, quantum: usize) -> Self {
-        self.quantum = quantum.max(1);
-        self
-    }
-
-    /// Sets how often (in quanta) each worker samples queue totals.
-    pub fn with_sample_every(mut self, every: u64) -> Self {
-        self.sample_every = every.max(1);
-        self
-    }
-
-    /// Caps quanta per thread (for unbounded sources).
-    pub fn with_max_quanta(mut self, max: u64) -> Self {
-        self.max_quanta_per_thread = Some(max);
-        self
-    }
-
-    /// Caps the per-run batch size of every node (see
-    /// [`SingleThreadExecutor::with_batch_limit`]).
-    pub fn with_batch_limit(mut self, limit: usize) -> Self {
-        self.batch_limit = Some(limit.max(1));
-        self
-    }
-
-    /// Partitions nodes topology-aware — virtual-node groups from
-    /// [`crate::ExecutionPlan::analyze`], balanced over threads by static
-    /// cost, so operator chains stay thread-local — and runs
-    /// `make_strategy()` per thread. Returns the per-thread reports.
-    ///
-    /// Topology is hot: every worker checks the graph's topology epoch at
-    /// quantum boundaries, and when a query is spliced in (or retired)
-    /// the first worker to notice re-runs the analysis and publishes
-    /// fresh partitions; each worker picks its new node list up at its
-    /// next boundary and keeps going — no stop/restart. (The
-    /// work-stealing executor does this with finer-grained hand-off; this
-    /// is the simpler whole-partition variant.)
-    pub fn run(
-        &self,
-        graph: &Arc<QueryGraph>,
-        make_strategy: impl Fn() -> Box<dyn Strategy>,
-    ) -> Vec<ExecutionReport> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let plan = crate::ExecutionPlan::analyze(graph);
-        // (epoch, partitions) the workers currently run against; the
-        // first worker observing a newer topology epoch refreshes it.
-        let parts = Arc::new(Mutex::new((
-            plan.planned_epoch(),
-            Arc::new(plan.partitions(self.threads)),
-        )));
-
-        let n_workers = self.threads;
-        let reports: Vec<ExecutionReport> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|i| {
-                    let mut strategy = make_strategy();
-                    let graph = Arc::clone(graph);
-                    let stop = Arc::clone(&stop);
-                    let parts = Arc::clone(&parts);
-                    scope.spawn(move || {
-                        pipes_trace::set_thread_name(&format!("worker-{i}"));
-                        self.dynamic_worker(i, &graph, &stop, &parts, strategy.as_mut())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        stop.store(true, Ordering::Release);
-        pipes_trace::instant(pipes_trace::names::SHUTDOWN, [n_workers as u64, 0, 0]);
-        reports
-    }
-
-    /// One dynamic worker: run the current partition until it drains, the
-    /// stop flag rises, or the topology epoch moves; then refresh the
-    /// shared partitions (first stale observer re-analyzes) and continue.
-    fn dynamic_worker(
-        &self,
-        i: usize,
-        graph: &Arc<QueryGraph>,
-        stop: &AtomicBool,
-        parts: &Mutex<(u64, Arc<Vec<Vec<NodeId>>>)>,
-        strategy: &mut dyn Strategy,
-    ) -> ExecutionReport {
-        let start = Instant::now();
-        let (mut cur_epoch, mut my_nodes) = {
-            let guard = parts.lock();
-            (guard.0, guard.1[i].clone())
-        };
-        let mut total = ExecutionReport {
-            strategy: strategy.name().to_string(),
-            ..Default::default()
-        };
-        let mut backoff = Backoff::new();
-        loop {
-            if stop.load(Ordering::Acquire) {
+            let progressed = runner
+                .select(nodes)
+                .is_some_and(|id| runner.step(id, nodes));
+            if !progressed && !runner.idle(&parker) {
                 break;
             }
-            let mut exec = SingleThreadExecutor::new()
-                .with_quantum(self.quantum)
-                .with_sample_every(self.sample_every);
-            if let Some(max) = self.max_quanta_per_thread {
-                let remaining = max.saturating_sub(total.quanta);
-                if remaining == 0 {
-                    total.hit_limit = true;
-                    break;
-                }
-                exec = exec.with_max_quanta(remaining);
-            }
-            if let Some(limit) = self.batch_limit {
-                exec = exec.with_batch_limit(limit);
-            }
-            let seen = cur_epoch;
-            let chunk = exec.run_nodes_until(
-                graph,
-                strategy,
-                &my_nodes,
-                Some(stop),
-                Some(&|| graph.topology_epoch() != seen),
-            );
-            total.absorb(&chunk);
-            if total.hit_limit || stop.load(Ordering::Acquire) {
-                break;
-            }
-            if graph.all_finished() {
-                stop.store(true, Ordering::Release);
-                pipes_trace::instant(pipes_trace::names::STOP, [0; 3]);
-                break;
-            }
-            let refreshed = {
-                let mut guard = parts.lock();
-                let topo = graph.topology_epoch();
-                if guard.0 != topo {
-                    let plan = crate::ExecutionPlan::analyze(graph);
-                    pipes_trace::instant(
-                        pipes_trace::names::SCHED_REPLAN,
-                        [plan.planned_epoch(), plan.groups().len() as u64, 0],
-                    );
-                    *guard = (
-                        plan.planned_epoch(),
-                        Arc::new(plan.partitions(self.threads)),
-                    );
-                }
-                let refreshed = guard.0 != cur_epoch;
-                cur_epoch = guard.0;
-                my_nodes = guard.1[i].clone();
-                refreshed
-            };
-            if refreshed {
-                backoff.reset();
-            } else {
-                // Our partition drained but the graph is not done and the
-                // topology has not moved: wait for either to change.
-                backoff.wait();
-            }
         }
-        total.wall = start.elapsed();
-        total
-    }
-
-    /// The former default split, kept as an explicit baseline (E16): deals
-    /// node ids round-robin over threads, scattering chains so most edges
-    /// cross threads. Static — topology changes after launch are not
-    /// picked up.
-    pub fn run_static_round_robin(
-        &self,
-        graph: &Arc<QueryGraph>,
-        make_strategy: impl Fn() -> Box<dyn Strategy>,
-    ) -> Vec<ExecutionReport> {
-        let all: Vec<NodeId> = graph.node_ids().collect();
-        let partitions: Vec<Vec<NodeId>> = (0..self.threads)
-            .map(|t| all.iter().copied().skip(t).step_by(self.threads).collect())
-            .collect();
-        self.run_partitions(graph, make_strategy, partitions)
-    }
-
-    /// Runs with an explicit node partitioning.
-    pub fn run_partitions(
-        &self,
-        graph: &Arc<QueryGraph>,
-        make_strategy: impl Fn() -> Box<dyn Strategy>,
-        partitions: Vec<Vec<NodeId>>,
-    ) -> Vec<ExecutionReport> {
-        // Completion detection is decentralized: each idle worker checks
-        // `graph.all_finished()` from its backoff loop and flips the shared
-        // stop flag itself, so no polling watchdog thread is needed.
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let mut exec = SingleThreadExecutor::new().with_quantum(self.quantum);
-        if let Some(max) = self.max_quanta_per_thread {
-            exec = exec.with_max_quanta(max);
-        }
-        if let Some(limit) = self.batch_limit {
-            exec = exec.with_batch_limit(limit);
-        }
-
-        let n_workers = partitions.len();
-        let reports: Vec<ExecutionReport> = thread::scope(|scope| {
-            let handles: Vec<_> = partitions
-                .into_iter()
-                .enumerate()
-                .map(|(i, part)| {
-                    let mut strategy = make_strategy();
-                    let graph = Arc::clone(graph);
-                    let stop = Arc::clone(&stop);
-                    let exec = &exec;
-                    scope.spawn(move || {
-                        pipes_trace::set_thread_name(&format!("worker-{i}"));
-                        exec.run_nodes(&graph, strategy.as_mut(), &part, Some(&stop))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        stop.store(true, Ordering::Release);
-        pipes_trace::instant(pipes_trace::names::SHUTDOWN, [n_workers as u64, 0, 0]);
-        reports
+        runner.finish()
     }
 }
 
@@ -631,31 +352,13 @@ mod tests {
         ChainStrategy, FifoStrategy, GreedyStrategy, RandomStrategy, RateBasedStrategy,
         RoundRobinStrategy,
     };
-    use pipes_graph::io::{CollectSink, VecSource};
-    use pipes_graph::{Collector, Operator};
-    use pipes_time::{Element, Timestamp};
+    use crate::worker::tests::multi_chain;
+    use pipes_sync::Arc;
 
-    struct HalfFilter;
-    impl Operator for HalfFilter {
-        type In = i64;
-        type Out = i64;
-        fn on_element(&mut self, _p: usize, e: Element<i64>, out: &mut dyn Collector<i64>) {
-            if e.payload % 2 == 0 {
-                out.element(e);
-            }
-        }
-    }
-
-    fn build(n: i64) -> (QueryGraph, pipes_graph::io::Collected<i64>) {
-        let g = QueryGraph::new();
-        let elems: Vec<Element<i64>> = (0..n)
-            .map(|i| Element::at(i, Timestamp::new(i as u64)))
-            .collect();
-        let src = g.add_source("src", VecSource::new(elems));
-        let f = g.add_unary("filter", HalfFilter, &src);
-        let (sink, buf) = CollectSink::new();
-        g.add_sink("sink", sink, &f);
-        (g, buf)
+    /// One source → half-filter → sink chain of `n` elements.
+    fn build(n: i64) -> (Arc<QueryGraph>, pipes_graph::io::Collected<i64>) {
+        let (g, mut bufs) = multi_chain(1, n);
+        (g, bufs.remove(0))
     }
 
     #[test]
@@ -716,34 +419,12 @@ mod tests {
         );
 
         let (g1, buf1) = build(400);
+        g1.set_batch_limit(1);
         let mut s1 = RoundRobinStrategy::new();
-        let r1 = SingleThreadExecutor::new()
-            .with_batch_limit(1)
-            .run(&g1, &mut s1);
+        let r1 = SingleThreadExecutor::new().run(&g1, &mut s1);
         assert!(r1.avg_batch_size() <= 1.0 + 1e-9);
         // Batch granularity must not change what reaches the sink.
         assert_eq!(*buf.lock(), *buf1.lock());
-    }
-
-    #[test]
-    fn multi_thread_completes_and_preserves_results() {
-        let (g, buf) = build(500);
-        let g = Arc::new(g);
-        let reports = MultiThreadExecutor::new(3).run(&g, || Box::new(RoundRobinStrategy::new()));
-        assert_eq!(reports.len(), 3);
-        assert!(g.all_finished());
-        assert_eq!(buf.lock().len(), 250);
-    }
-
-    #[test]
-    fn multi_thread_static_round_robin_baseline_still_completes() {
-        let (g, buf) = build(500);
-        let g = Arc::new(g);
-        let reports =
-            MultiThreadExecutor::new(3).run_static_round_robin(&g, || Box::new(FifoStrategy));
-        assert_eq!(reports.len(), 3);
-        assert!(g.all_finished());
-        assert_eq!(buf.lock().len(), 250);
     }
 
     #[test]
@@ -785,80 +466,5 @@ mod tests {
         let empty = ExecutionReport::merge(&[]);
         assert_eq!(empty.quanta, 0);
         assert_eq!(empty.avg_queue, 0.0);
-    }
-
-    #[test]
-    fn multi_thread_picks_up_live_splice_and_retire() {
-        use pipes_graph::io::GenSource;
-        use pipes_sync::atomic::AtomicBool;
-
-        let g = Arc::new(QueryGraph::new());
-        let open = Arc::new(AtomicBool::new(true));
-        let gate = Arc::clone(&open);
-        let mut t = 0u64;
-        let src = g.add_source(
-            "live",
-            GenSource::new(move || {
-                // ordering: Acquire — pairs with the Release close below so
-                // the source observes the shutdown promptly.
-                if !gate.load(Ordering::Acquire) {
-                    return None;
-                }
-                t += 1;
-                Some(Element::at(t as i64, Timestamp::new(t)))
-            }),
-        );
-        let f = g.add_unary("f1", HalfFilter, &src);
-        let (sink, buf1) = CollectSink::new();
-        g.add_sink("sink1", sink, &f);
-
-        let graph = Arc::clone(&g);
-        let handle = thread::spawn(move || {
-            MultiThreadExecutor::new(2)
-                .with_quantum(16)
-                .run(&graph, || Box::new(FifoStrategy))
-        });
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let wait = |cond: &dyn Fn() -> bool| {
-            while !cond() {
-                assert!(Instant::now() < deadline, "timed out waiting");
-                thread::yield_now();
-            }
-        };
-        // The first query is flowing...
-        wait(&|| buf1.lock().len() >= 100);
-        // ...splice a second query onto the live source, no restart. The
-        // next worker to cross a quantum boundary re-partitions and the
-        // new chain starts executing.
-        let f2 = g.add_unary("f2", HalfFilter, &src);
-        let (sink2, buf2) = CollectSink::new();
-        let k2 = g.add_sink("sink2", sink2, &f2);
-        wait(&|| buf2.lock().len() >= 100);
-        let spliced_results = buf2.lock().len();
-        // Retire the spliced query while the executor keeps running.
-        g.remove_node(k2);
-        g.remove_node(f2.node());
-        wait(&|| buf1.lock().len() >= 2 * spliced_results);
-        // Close the source; the run drains and joins.
-        open.store(false, Ordering::Release);
-        let reports = handle.join().expect("executor thread");
-        assert!(g.all_finished());
-        assert!(buf2.lock().len() >= spliced_results);
-        assert_eq!(reports.len(), 2);
-    }
-
-    #[test]
-    fn multi_thread_explicit_partitions() {
-        let (g, buf) = build(300);
-        let g = Arc::new(g);
-        // Source alone on one thread; operator+sink on the other.
-        let reports = MultiThreadExecutor::new(2).run_partitions(
-            &g,
-            || Box::new(FifoStrategy),
-            vec![vec![0], vec![1, 2]],
-        );
-        assert_eq!(reports.len(), 2);
-        assert!(g.all_finished());
-        assert_eq!(buf.lock().len(), 150);
     }
 }

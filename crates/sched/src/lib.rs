@@ -18,18 +18,25 @@
 //!    selectivity), which is what makes the framework "powerful enough to
 //!    compare most of the recent scheduling techniques … within a uniform
 //!    framework" (PIPES, SIGMOD 2004).
-//! 3. **Layer 3 — threads.** [`MultiThreadExecutor`] statically assigns the
-//!    plan's groups to worker threads, each running its own layer-2
-//!    strategy. [`WorkStealingExecutor`] makes the placement dynamic:
-//!    workers *own* groups through an atomic claim protocol
-//!    ([`GroupTable`]), idle workers steal runnable groups from loaded
-//!    peers, a periodic rebalance re-places groups from runtime queue
-//!    depths, and productive quanta wake the specific owning worker
+//! 3. **Layer 3 — threads.** [`WorkStealingExecutor`] places the plan's
+//!    groups on worker threads, each running its own layer-2 strategy, and
+//!    keeps the placement dynamic: workers *own* groups through an atomic
+//!    claim protocol ([`GroupTable`]), idle workers steal runnable groups
+//!    from loaded peers, a periodic rebalance re-places groups from runtime
+//!    queue depths, and productive quanta wake the specific owning worker
 //!    (targeted unpark) instead of relying on park timeouts.
 //!
-//! Executors collect an [`ExecutionReport`] (throughput, queue memory peaks
-//! and averages) — the measurements behind the scheduler-comparison
-//! experiments (E5, E16).
+//! There are two drivers and one quantum routine. [`SingleThreadExecutor`]
+//! (layer 2 alone, on the calling thread) and each work-stealing worker run
+//! the same private per-thread routine — strategy pick, the quantum span
+//! around the one `step_node` call, the report, queue sampling, the quantum
+//! cap, the idle valve and the spin → yield → park ladder — and add only
+//! their own policy around it: a node list and an optional stop flag, or
+//! group ownership, stealing and re-planning.
+//!
+//! Both collect an [`ExecutionReport`] (throughput, queue memory peaks and
+//! averages) — the measurements behind the scheduler-comparison experiments
+//! (E5, E16).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +47,7 @@ mod steal;
 mod strategy;
 mod worker;
 
-pub use executor::{ExecutionReport, MultiThreadExecutor, SingleThreadExecutor};
+pub use executor::{ExecutionReport, SingleThreadExecutor};
 pub use plan::{ExecutionPlan, GroupId, VirtualGroup};
 pub use steal::{GroupTable, Parker};
 pub use strategy::{

@@ -10,10 +10,9 @@
 //! rare chain-crossing edges (fan-out, fan-in, joins) pay cross-thread lock
 //! traffic.
 //!
-//! The plan also derives topology-aware default partitions (longest-
-//! processing-time greedy over group cost estimates), replacing the old
-//! static `skip(t).step_by(threads)` node split that scattered hot pipelines
-//! across threads.
+//! The plan also derives the topology-aware default placement (longest-
+//! processing-time greedy over group cost estimates) the work-stealing
+//! executor launches from.
 
 use pipes_graph::{NodeId, NodeKind, QueryGraph};
 
@@ -99,8 +98,8 @@ impl VirtualGroup {
 }
 
 /// The launch-time analysis of a query graph: virtual-node groups, the
-/// node → group index, per-node downstream group adjacency, and
-/// topology-aware partitions over worker threads.
+/// node → group index, per-node downstream group adjacency, and the
+/// topology-aware group placement over worker threads.
 pub struct ExecutionPlan {
     groups: Vec<VirtualGroup>,
     group_of: Vec<GroupId>,
@@ -376,16 +375,6 @@ impl ExecutionPlan {
         parts
     }
 
-    /// Topology-aware node partitions for `threads` workers: the node lists
-    /// of [`ExecutionPlan::partition_groups`], with each group's chain kept
-    /// contiguous and in order.
-    pub fn partitions(&self, threads: usize) -> Vec<Vec<NodeId>> {
-        self.partition_groups(threads)
-            .into_iter()
-            .map(|gids| self.nodes_of(&gids))
-            .collect()
-    }
-
     /// Flattens the member nodes of the given groups, preserving group order
     /// and intra-group chain order.
     pub fn nodes_of(&self, groups: &[GroupId]) -> Vec<NodeId> {
@@ -530,14 +519,12 @@ mod tests {
         assert_eq!(solo.len(), 1);
         let other = parts.iter().find(|p| !p.contains(&hot)).unwrap();
         assert_eq!(other.len(), 3);
-        // Node partitions keep each chain contiguous.
-        let nodes = plan.partitions(2);
-        assert_eq!(
-            nodes.iter().map(|p| p.len()).sum::<usize>(),
-            g.len(),
-            "every node placed exactly once"
-        );
-        assert!(!nodes[0].is_empty() && !nodes[1].is_empty());
+        // Flattening a placement keeps each chain whole.
+        assert_eq!(plan.nodes_of(solo).len(), 10);
+        assert_eq!(plan.nodes_of(other).len(), 6);
+        // More threads than groups: the surplus partitions stay empty.
+        let wide = plan.partition_groups(6);
+        assert_eq!(wide.iter().filter(|p| p.is_empty()).count(), 2);
     }
 
     #[test]
@@ -644,19 +631,5 @@ mod tests {
         );
         // Partitioner output wakes all three instance groups.
         assert_eq!(plan.downstream_groups(part).len(), 3);
-    }
-
-    #[test]
-    fn more_threads_than_groups_leaves_empty_partitions() {
-        let g = QueryGraph::new();
-        let src = g.add_source("src", VecSource::new(elems(2)));
-        let (sink, _) = CollectSink::new();
-        g.add_sink("sink", sink, &src);
-        let plan = ExecutionPlan::analyze(&g);
-        assert_eq!(plan.groups().len(), 1);
-        let parts = plan.partitions(3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].len(), 2);
-        assert!(parts[1].is_empty() && parts[2].is_empty());
     }
 }

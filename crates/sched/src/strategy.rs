@@ -151,8 +151,10 @@ impl Strategy for FifoStrategy {
             .nodes()
             .iter()
             .copied()
-            .filter(|&id| !view.is_finished(id))
+            // Pending input first: most nodes have none at any instant, and
+            // each probe is a node lock — finished is only asked of the few.
             .filter_map(|id| view.oldest_seq(id).map(|s| (s, id)))
+            .filter(|&(_, id)| !view.is_finished(id))
             .min();
         if let Some((_, id)) = oldest {
             return Some(id);

@@ -9,8 +9,9 @@
 //! queue-depth statistics (`pipes-meta`) when the load spread grows too
 //! wide, and every productive quantum wakes the specific workers owning the
 //! producer's downstream groups through per-worker [`Parker`]s — a targeted
-//! unpark instead of the bounded-staleness park timeouts the static
-//! executor relies on.
+//! unpark instead of waiting out a bounded park timeout. The per-quantum
+//! bookkeeping is the shared `QuantumRunner` the single-thread driver
+//! runs on too; this module adds only ownership and placement.
 //!
 //! Topology is *hot*: the leader also polls
 //! [`QueryGraph::topology_epoch`] every iteration, and when a query is
@@ -21,14 +22,13 @@
 //! protocol used for load rebalancing. Retired groups drain: their owner
 //! releases them at the next epoch hand-off and nobody re-adopts.
 
-use crate::executor::ExecutionReport;
+use crate::executor::{ExecutionReport, QuantumRunner, SingleThreadExecutor};
 use crate::plan::{ExecutionPlan, GroupId};
 use crate::steal::{GroupTable, Parker};
-use crate::strategy::{SchedView, Strategy};
+use crate::strategy::Strategy;
 use pipes_graph::{NodeId, NodeKind, QueryGraph};
 use pipes_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use pipes_sync::{hint, thread, Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use pipes_sync::{thread, Arc, Mutex, RwLock};
 
 /// Placement target meaning "no worker": published for retired groups so
 /// their owners release them at the next epoch hand-off and nobody
@@ -96,49 +96,6 @@ impl OwnershipView {
     }
 }
 
-/// Adaptive idle waiting against a targeted [`Parker`]: spin, then yield,
-/// then park with growing timeouts — but an `unpark` aimed at this worker
-/// ends the park immediately (and is never lost if it races ahead).
-struct IdleWait {
-    rounds: u32,
-}
-
-impl IdleWait {
-    const SPIN_ROUNDS: u32 = 6;
-    const YIELD_ROUNDS: u32 = 4;
-    const FIRST_PARK: Duration = Duration::from_micros(50);
-    /// Bounds how stale a parked worker's view of the stop flag can get
-    /// should a wakeup be missed for a reason outside the protocol.
-    const MAX_PARK: Duration = Duration::from_micros(1600);
-
-    fn new() -> Self {
-        IdleWait { rounds: 0 }
-    }
-
-    fn wait(&mut self, parker: &Parker) {
-        if self.rounds < Self::SPIN_ROUNDS {
-            for _ in 0..(1u32 << self.rounds) {
-                hint::spin_loop();
-            }
-        } else if self.rounds < Self::SPIN_ROUNDS + Self::YIELD_ROUNDS {
-            thread::yield_now();
-        } else {
-            let doublings = (self.rounds - Self::SPIN_ROUNDS - Self::YIELD_ROUNDS).min(5);
-            let timeout = Self::FIRST_PARK
-                .saturating_mul(1 << doublings)
-                .min(Self::MAX_PARK);
-            pipes_trace::instant(pipes_trace::names::PARK, [timeout.as_micros() as u64, 0, 0]);
-            parker.park(timeout);
-            pipes_trace::instant(pipes_trace::names::UNPARK, [0; 3]);
-        }
-        self.rounds = self.rounds.saturating_add(1);
-    }
-
-    fn reset(&mut self) {
-        self.rounds = 0;
-    }
-}
-
 /// Whether any node of `group` can make progress right now. Retired
 /// groups are never runnable (every member is removed, and removed nodes
 /// count as finished).
@@ -154,10 +111,8 @@ fn group_runnable(graph: &QueryGraph, plan: &ExecutionPlan, group: GroupId) -> b
 /// targeted wakeups.
 pub struct WorkStealingExecutor {
     threads: usize,
-    quantum: usize,
-    sample_every: u64,
-    max_quanta_per_thread: Option<u64>,
-    batch_limit: Option<usize>,
+    /// Quantum size, sampling period and quantum cap of each worker.
+    per_worker: SingleThreadExecutor,
     rebalance_every: u64,
     initial_groups: Option<Vec<Vec<GroupId>>>,
 }
@@ -174,10 +129,7 @@ impl WorkStealingExecutor {
         assert!(threads > 0, "need at least one worker thread");
         WorkStealingExecutor {
             threads,
-            quantum: 64,
-            sample_every: 16,
-            max_quanta_per_thread: None,
-            batch_limit: None,
+            per_worker: SingleThreadExecutor::new(),
             rebalance_every: 256,
             initial_groups: None,
         }
@@ -185,26 +137,19 @@ impl WorkStealingExecutor {
 
     /// Sets the per-selection message budget.
     pub fn with_quantum(mut self, quantum: usize) -> Self {
-        self.quantum = quantum.max(1);
+        self.per_worker = self.per_worker.with_quantum(quantum);
         self
     }
 
     /// Caps quanta per worker (for unbounded sources).
     pub fn with_max_quanta(mut self, max: u64) -> Self {
-        self.max_quanta_per_thread = Some(max);
-        self
-    }
-
-    /// Caps the per-run batch size of every node (see
-    /// [`crate::SingleThreadExecutor::with_batch_limit`]).
-    pub fn with_batch_limit(mut self, limit: usize) -> Self {
-        self.batch_limit = Some(limit.max(1));
+        self.per_worker = self.per_worker.with_max_quanta(max);
         self
     }
 
     /// Sets how often (in quanta) each worker samples queue totals.
     pub fn with_sample_every(mut self, every: u64) -> Self {
-        self.sample_every = every.max(1);
+        self.per_worker = self.per_worker.with_sample_every(every);
         self
     }
 
@@ -254,9 +199,6 @@ impl WorkStealingExecutor {
             }
             None => plan.partition_groups(self.threads),
         };
-        if let Some(limit) = self.batch_limit {
-            graph.set_batch_limit(limit);
-        }
         let shared = Arc::new(Shared {
             plan: RwLock::new(plan),
             table: GroupTable::new(n_groups),
@@ -326,7 +268,6 @@ impl WorkStealingExecutor {
         strategy: &mut dyn Strategy,
         initial: &[GroupId],
     ) -> ExecutionReport {
-        let start = Instant::now();
         for &g in initial {
             if shared.table.try_claim(g, me) {
                 pipes_trace::instant(pipes_trace::names::GROUP_CLAIM, [g as u64, me as u64, 0]);
@@ -337,19 +278,22 @@ impl WorkStealingExecutor {
         // staler than the placement applied against it).
         let mut plan = shared.plan();
         let mut nodes = plan.nodes_of(&shared.table.owned(me));
-        let mut report = ExecutionReport {
-            strategy: strategy.name().to_string(),
-            ..Default::default()
-        };
-        let mut queue_samples: u64 = 0;
-        let mut queue_sum: f64 = 0.0;
-        let mut idle_rounds = 0u32;
-        let mut idle = IdleWait::new();
+        let mut runner = QuantumRunner::new(graph, strategy, &self.per_worker);
+        let mut steals = 0u64;
         let mut seen_epoch = 0u64;
         let mut since_rebalance = 0u64;
-        loop {
+        // The loop's value: whether the run as a whole is over (global
+        // stop), as opposed to this worker alone leaving it.
+        let stopped = loop {
             if shared.stop.load(Ordering::Acquire) {
-                break;
+                break true;
+            }
+            // Leader duty 1: splice detection. One lock-free epoch poll per
+            // iteration; on a move, extend the plan and hand the delta out
+            // through the rebalance-epoch protocol — the re-plan bumps that
+            // epoch, so the leader picks its own share up right below.
+            if me == 0 && graph.topology_epoch() != plan.planned_epoch() {
+                self.replan(graph, shared);
             }
             let epoch = shared.epoch.load(Ordering::Acquire);
             if epoch != seen_epoch {
@@ -358,103 +302,62 @@ impl WorkStealingExecutor {
                 self.apply_targets(me, &plan, shared, epoch);
                 nodes = plan.nodes_of(&shared.table.owned(me));
             }
-            if let Some(max) = self.max_quanta_per_thread {
-                if report.quanta >= max {
-                    report.hit_limit = true;
-                    break;
+            if runner.at_cap() {
+                break false;
+            }
+            // Leader duty 2: periodic load rebalance.
+            if me == 0 && self.rebalance_every > 0 {
+                since_rebalance += 1;
+                if since_rebalance >= self.rebalance_every {
+                    since_rebalance = 0;
+                    self.plan_rebalance(graph, &plan, shared);
                 }
             }
-            if me == 0 {
-                // Leader duty 1: splice detection. One lock-free epoch
-                // poll per iteration; on a move, extend the plan and hand
-                // the delta out through the rebalance-epoch protocol.
-                if graph.topology_epoch() != plan.planned_epoch() {
-                    self.replan(graph, shared);
-                    seen_epoch = shared.epoch.load(Ordering::Acquire);
-                    plan = shared.plan();
-                    self.apply_targets(me, &plan, shared, seen_epoch);
+            if let Some(id) = runner.select(&nodes) {
+                let group = plan.group_of(id);
+                if !shared.table.begin(group, me) {
+                    // The group left us (stolen or handed off) since the
+                    // last ownership refresh — re-derive what we own.
                     nodes = plan.nodes_of(&shared.table.owned(me));
-                }
-                // Leader duty 2: periodic load rebalance.
-                if self.rebalance_every > 0 {
-                    since_rebalance += 1;
-                    if since_rebalance >= self.rebalance_every {
-                        since_rebalance = 0;
-                        self.plan_rebalance(graph, &plan, shared);
-                    }
-                }
-            }
-            let view = SchedView::new(graph, &nodes);
-            let Some(id) = strategy.select(&view) else {
-                idle_rounds += 1;
-                if idle_rounds > 10_000 {
-                    break; // safety valve against a stalled graph
-                }
-                if self.acquire_work(me, graph, &plan, shared, &mut report.steals) {
-                    nodes = plan.nodes_of(&shared.table.owned(me));
-                    idle_rounds = 0;
-                    idle.reset();
                     continue;
                 }
-                if graph.all_finished() {
-                    shared.stop.store(true, Ordering::Release);
-                    pipes_trace::instant(pipes_trace::names::STOP, [0; 3]);
-                    shared.wake_all();
-                    break;
+                let progressed = runner.step(id, &nodes);
+                shared.table.end(group, me);
+                if progressed {
+                    continue;
                 }
-                idle.wait(&shared.parkers[me]);
-                continue;
-            };
-            let group = plan.group_of(id);
-            if !shared.table.begin(group, me) {
-                // The group left us (stolen or handed off) since the last
-                // ownership refresh — re-derive what we own.
+            } else if self.acquire_work(me, graph, &plan, shared, &mut steals) {
                 nodes = plan.nodes_of(&shared.table.owned(me));
+                runner.progressed();
                 continue;
             }
-            let step = {
-                let _span = pipes_trace::span_args(
-                    pipes_trace::names::QUANTUM,
-                    [id as u64, report.quanta, 0],
-                );
-                graph.step_node(id, self.quantum)
-            };
-            shared.table.end(group, me);
-            report.quanta += 1;
-            report.consumed += step.consumed as u64;
-            report.produced += step.produced as u64;
-            report.batches += step.batches as u64;
-            report.peak_run = report.peak_run.max(step.peak_run);
-            if step.consumed == 0 && step.produced == 0 {
-                idle_rounds += 1;
-                if idle_rounds > 10_000 {
-                    break;
-                }
-                if graph.all_finished() {
-                    shared.stop.store(true, Ordering::Release);
-                    pipes_trace::instant(pipes_trace::names::STOP, [0; 3]);
-                    shared.wake_all();
-                    break;
-                }
-            } else {
-                idle_rounds = 0;
-                idle.reset();
+            // An empty quantum: either the graph is done, or we wait.
+            if graph.all_finished() {
+                shared.stop.store(true, Ordering::Release);
+                pipes_trace::instant(pipes_trace::names::STOP, [0; 3]);
+                shared.wake_all();
+                break true;
             }
-            if report.quanta.is_multiple_of(self.sample_every) {
-                let total: usize = nodes.iter().map(|&n| graph.queued(n)).sum();
-                let state: usize = nodes.iter().map(|&n| graph.memory(n)).sum();
-                report.peak_queue = report.peak_queue.max(total);
-                report.peak_state = report.peak_state.max(state);
-                queue_sum += total as f64;
-                queue_samples += 1;
+            if !runner.idle(&shared.parkers[me]) {
+                break false;
             }
-        }
-        report.avg_queue = if queue_samples > 0 {
-            queue_sum / queue_samples as f64
-        } else {
-            0.0
         };
-        report.wall = start.elapsed();
+        if !stopped {
+            // Leaving an unfinished run (quantum cap or idle valve): a
+            // group still owned here could be neither claimed nor stolen,
+            // so hand everything back and tell the peers.
+            for g in shared.table.owned(me) {
+                if shared.table.release(g, me) {
+                    pipes_trace::instant(
+                        pipes_trace::names::GROUP_RELEASE,
+                        [g as u64, me as u64, seen_epoch],
+                    );
+                }
+            }
+            shared.wake_all();
+        }
+        let mut report = runner.finish();
+        report.steals = steals;
         report
     }
 
@@ -571,6 +474,7 @@ impl WorkStealingExecutor {
         // meta-off build, where every estimate is a prior) contribute
         // nothing, degrading to pure queue-depth costing.
         let snap = graph.meta_snapshot(&pipes_graph::MetaConfig::default());
+        let quantum = self.per_worker.quantum as u64;
         let costs: Vec<u64> = plan
             .groups()
             .iter()
@@ -591,7 +495,7 @@ impl WorkStealingExecutor {
                         live_source = true;
                     }
                 }
-                queued + projected as u64 + if live_source { self.quantum as u64 } else { 0 }
+                queued + projected as u64 + if live_source { quantum } else { 0 }
             })
             .collect();
         let mut load = vec![0u64; self.threads];
@@ -604,7 +508,7 @@ impl WorkStealingExecutor {
         }
         let max = load.iter().copied().max().unwrap_or(0);
         let min = load.iter().copied().min().unwrap_or(0);
-        if max <= min.saturating_mul(2).saturating_add(self.quantum as u64) {
+        if max <= min.saturating_mul(2).saturating_add(quantum) {
             return; // balanced enough; avoid churn
         }
         let mut order: Vec<GroupId> = (0..n).filter(|&g| !plan.groups()[g].is_retired()).collect();
@@ -688,12 +592,13 @@ impl WorkStealingExecutor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::strategy::{FifoStrategy, RoundRobinStrategy};
     use pipes_graph::io::{CollectSink, VecSource};
     use pipes_graph::{Collector, Operator};
     use pipes_time::{Element, Timestamp};
+    use std::time::{Duration, Instant};
 
     struct HalfFilter;
     impl Operator for HalfFilter {
@@ -713,7 +618,7 @@ mod tests {
     }
 
     /// `chains` independent source→filter→sink pipelines of `n` elements.
-    fn multi_chain(
+    pub(crate) fn multi_chain(
         chains: usize,
         n: i64,
     ) -> (Arc<QueryGraph>, Vec<pipes_graph::io::Collected<i64>>) {
@@ -875,13 +780,24 @@ mod tests {
     }
 
     #[test]
-    fn max_quanta_bounds_unfinished_runs() {
-        let (g, _bufs) = multi_chain(2, 100_000);
+    fn worker_leaving_at_its_cap_hands_its_groups_to_peers() {
+        // One group, pinned on worker 0, which leaves after 4 quanta. The
+        // group must not leave with it: worker 1 can neither claim an owned
+        // group nor steal a victim's only one, so without the release on
+        // exit it would sit out its whole idle valve at zero quanta.
+        let (g, _bufs) = multi_chain(1, 100_000);
         let reports = WorkStealingExecutor::new(2)
             .with_quantum(8)
-            .with_max_quanta(5)
+            .with_max_quanta(4)
+            .with_rebalance_every(0)
+            .with_initial_groups(vec![vec![0], Vec::new()])
             .run(&g, || Box::new(FifoStrategy));
-        assert!(reports.iter().any(|r| r.hit_limit));
-        assert!(reports.iter().all(|r| r.quanta <= 5));
+        assert!(!g.all_finished());
+        assert!(reports.iter().all(|r| r.hit_limit));
+        assert_eq!(reports[0].quanta, 4);
+        assert_eq!(
+            reports[1].quanta, 4,
+            "worker 1 never ran the group worker 0 left behind"
+        );
     }
 }

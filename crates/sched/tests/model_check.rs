@@ -3,18 +3,16 @@
 //!
 //! Compiled only under `RUSTFLAGS="--cfg pipes_model_check"` (see
 //! `scripts/ci.sh`). These drive the *real* executor code paths — the
-//! decentralized stop flag of `run_partitions` and the shared-flag early
-//! exit of `run_nodes` — on deliberately tiny graphs, so the instrumented
-//! schedule space stays tractable (a preemption bound of 1 already covers
-//! every single-switch interleaving of the protocol).
+//! work-stealing workers' claim/steal/stop protocol and the external-flag
+//! early exit of `run_nodes` — on deliberately tiny graphs, so the
+//! instrumented schedule space stays tractable (a preemption bound of 1
+//! already covers every single-switch interleaving of the protocol).
 
 #![cfg(pipes_model_check)]
 
 use pipes_graph::io::{CountSink, VecSource};
 use pipes_graph::QueryGraph;
-use pipes_sched::{
-    FifoStrategy, GroupTable, MultiThreadExecutor, SingleThreadExecutor, WorkStealingExecutor,
-};
+use pipes_sched::{FifoStrategy, GroupTable, SingleThreadExecutor, WorkStealingExecutor};
 use pipes_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use pipes_sync::Arc;
 use pipes_time::{Element, Timestamp};
@@ -28,25 +26,6 @@ fn tiny_graph(n: i64) -> (Arc<QueryGraph>, Arc<pipes_sync::Mutex<(u64, Timestamp
     let (sink, count) = CountSink::new();
     g.add_sink("sink", sink, &src);
     (Arc::new(g), count)
-}
-
-/// The decentralized completion protocol of `run_partitions`: whichever
-/// worker goes idle first detects `all_finished` from its backoff loop and
-/// flips the shared stop flag itself; every interleaving must terminate
-/// with both workers joined and the full stream delivered.
-#[test]
-fn completion_protocol_terminates_and_delivers_everything() {
-    let report = pipes_sync::Builder::new().preemption_bound(1).check(|| {
-        let (graph, count) = tiny_graph(2);
-        let exec = MultiThreadExecutor::new(2).with_quantum(4);
-        let reports =
-            exec.run_partitions(&graph, || Box::new(FifoStrategy), vec![vec![0], vec![1]]);
-        assert_eq!(reports.len(), 2, "a worker was lost");
-        assert_eq!(count.lock().0, 2, "stream not fully delivered");
-        assert!(graph.all_finished());
-    });
-    assert!(report.complete);
-    assert!(report.executions > 1, "expected multiple schedules");
 }
 
 /// An externally raised stop flag halts `run_nodes` at the next quantum
@@ -80,38 +59,6 @@ fn raised_stop_flag_halts_worker_in_every_interleaving() {
     });
     assert!(report.complete);
     assert!(report.executions > 1, "expected multiple schedules");
-}
-
-/// Two workers race to be the one that detects completion and flips the
-/// stop flag; the flag must end up set exactly because the graph finished,
-/// never before the sink saw the close.
-#[test]
-fn stop_flag_is_raised_only_after_completion() {
-    let report = pipes_sync::Builder::new().preemption_bound(1).check(|| {
-        let (graph, count) = tiny_graph(1);
-        let stop = Arc::new(AtomicBool::new(false));
-        let worker = {
-            let graph = Arc::clone(&graph);
-            let stop = Arc::clone(&stop);
-            pipes_sync::thread::spawn(move || {
-                let exec = SingleThreadExecutor::new().with_quantum(4);
-                let mut strategy = FifoStrategy;
-                exec.run_nodes(&graph, &mut strategy, &[0, 1], Some(&stop));
-                // Mirror run_partitions: the finishing worker raises stop.
-                stop.store(true, Ordering::Release);
-            })
-        };
-        let exec = SingleThreadExecutor::new().with_quantum(4);
-        let mut strategy = FifoStrategy;
-        exec.run_nodes(&graph, &mut strategy, &[0, 1], Some(&stop));
-        worker.join().unwrap();
-        // ordering: Relaxed — single-threaded readback after join.
-        if stop.load(Ordering::Relaxed) {
-            assert!(graph.all_finished(), "stop raised before completion");
-        }
-        assert_eq!(count.lock().0, 1);
-    });
-    assert!(report.complete);
 }
 
 /// Two workers race claim-or-steal over one group, then try to execute it.

@@ -78,8 +78,8 @@ pub const WAKE: &str = "sched.wake";
 /// for an add, 1 for a retirement.
 pub const GRAPH_SPLICE: &str = "graph.splice";
 
-/// Instant when the work-stealing leader (or a `MultiThreadExecutor`
-/// worker) re-runs fusion analysis after observing a newer topology epoch.
+/// Instant when the work-stealing leader re-runs fusion analysis after
+/// observing a newer topology epoch.
 /// args: `[topology_epoch, new_groups, retired_groups]`.
 pub const SCHED_REPLAN: &str = "sched.replan";
 

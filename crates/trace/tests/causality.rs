@@ -1,6 +1,7 @@
 //! End-to-end causality assertions over replayed traces: every node-step
 //! span recorded by the graph layer must nest within the scheduler quantum
-//! span that drove it, on single- and multi-threaded executors alike.
+//! span that drove it, under the single-thread driver and on every
+//! work-stealing worker alike.
 #![cfg(not(feature = "trace-off"))]
 
 use pipes_graph::io::{CollectSink, VecSource};
@@ -51,7 +52,7 @@ fn worker_threads_get_named_tracks_and_keep_nesting() {
     let src = g.add_source("src", VecSource::new(elems(400)));
     let (sink, buf) = CollectSink::new();
     g.add_sink("sink", sink, &src);
-    let reports = pipes_sched::MultiThreadExecutor::new(2)
+    let reports = pipes_sched::WorkStealingExecutor::new(2)
         .with_quantum(32)
         .run(&g, || Box::new(RoundRobinStrategy::new()));
     assert_eq!(reports.len(), 2);

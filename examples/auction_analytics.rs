@@ -49,7 +49,7 @@ fn main() {
 
     // Run everything on two worker threads (layer 3 of the scheduler).
     let graph = std::sync::Arc::new(graph);
-    let reports = MultiThreadExecutor::new(2)
+    let reports = WorkStealingExecutor::new(2)
         .with_quantum(128)
         .run(&graph, || Box::new(FifoStrategy));
     let total = ExecutionReport::merge(&reports).consumed;

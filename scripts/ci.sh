@@ -55,11 +55,11 @@ python3 -c 'import json,sys; json.load(open("target/quickstart_trace.json")); js
     || node -e 'JSON.parse(require("fs").readFileSync("target/quickstart_trace.json")); JSON.parse(require("fs").readFileSync("target/quickstart_meta.json"))' 2>/dev/null \
     || echo "==> NOTICE: no python3/node on PATH; skipped JSON parse check (files are non-empty)"
 
-# Scheduler-layers smoke run: E16 exercises all three executors (static
-# round-robin baseline, topology partitions, work stealing) end to end on
-# the skewed multi-chain workload and asserts full delivery; quick mode
-# keeps it to seconds. The ratio acceptance bar is checked in the full
-# (non-quick) run recorded in EXPERIMENTS.md, not gated here.
+# Scheduler-layers smoke run: E16 exercises both drivers (the
+# single-thread executor, and work stealing at every worker count up to
+# the core count) end to end on the skewed multi-chain workload and
+# asserts full delivery; quick mode keeps it to seconds. The ratios are
+# recorded from the full (non-quick) run in EXPERIMENTS.md, not gated here.
 echo "==> E16 scheduler-layers smoke run (quick)"
 cargo run -q --release -p pipes-bench --bin experiments -- e16 --quick >/dev/null
 
@@ -102,6 +102,15 @@ cargo run -q --release -p pipes-bench --bin experiments -- e20 --quick >/dev/nul
 # a multi-core host — see the E21 caveat there).
 echo "==> E21 keyed-parallelism smoke run (quick)"
 cargo run -q --release -p pipes-bench --bin experiments -- e21 --quick >/dev/null
+
+# End-to-end benchmark smoke run: all five workloads of BENCHMARK.json from
+# CQL text to the sink, 0.5 s phases. Fails on a verify mismatch against
+# the in-benchmark reference, a lost event, or a malformed/unlisted metric
+# name; the numbers of a quick run are not compared against anything. The
+# package is a workspace of its own, so its unit tests run here too.
+echo "==> benchmark smoke run (quick) + its unit tests"
+benchmark/run.sh --quick >/dev/null
+(cd benchmark && CARGO_TARGET_DIR=../target cargo test -q --offline)
 
 # Model-checked concurrency suite: compile the kernel against the
 # instrumented loom-shim primitives and exhaustively explore interleavings

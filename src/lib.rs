@@ -95,8 +95,8 @@ pub mod prelude {
     };
     pub use pipes_sched::{
         ChainStrategy, ExecutionPlan, ExecutionReport, FifoStrategy, GreedyStrategy,
-        MultiThreadExecutor, RandomStrategy, RateBasedStrategy, RoundRobinStrategy,
-        SingleThreadExecutor, Strategy, WorkStealingExecutor,
+        RandomStrategy, RateBasedStrategy, RoundRobinStrategy, SingleThreadExecutor, Strategy,
+        WorkStealingExecutor,
     };
     pub use pipes_time::{Duration, Element, Message, TimeInterval, Timestamp};
 }

@@ -1,5 +1,5 @@
-//! Cross-crate scheduling integration: every strategy and both executor
-//! layers drain the full NEXMark query suite with identical results.
+//! Cross-crate scheduling integration: every strategy and both drivers
+//! drain the full NEXMark query suite with identical results.
 
 use pipes::nexmark::{self, generator::NexmarkConfig, queries};
 use pipes::prelude::*;
@@ -72,16 +72,28 @@ fn multi_thread_layer_matches_single_thread() {
         result_counts(&bufs)
     };
 
-    for threads in [2, 4] {
+    let check = |threads: usize, make: &dyn Fn() -> Box<dyn Strategy>| {
         let (graph, bufs) = build_suite();
-        let reports = MultiThreadExecutor::new(threads).run(&graph, || Box::new(FifoStrategy));
+        let reports = WorkStealingExecutor::new(threads).run(&graph, make);
+        let name = &reports[0].strategy;
         assert_eq!(reports.len(), threads);
-        assert!(graph.all_finished(), "{threads}-thread run stalled");
+        assert!(graph.all_finished(), "{threads}-thread {name} run stalled");
         assert_eq!(
             result_counts(&bufs),
             reference,
-            "{threads}-thread run changed the answers"
+            "{threads}-thread {name} run changed the answers"
         );
+    };
+    // One worker is layer 3 degenerated to layer 2: every strategy must
+    // drive the groups exactly as it drives plain nodes.
+    check(1, &|| Box::new(FifoStrategy));
+    check(1, &|| Box::new(RoundRobinStrategy::new()));
+    check(1, &|| Box::new(GreedyStrategy));
+    check(1, &|| Box::new(ChainStrategy::new(32)));
+    check(1, &|| Box::new(RateBasedStrategy));
+    check(1, &|| Box::new(RandomStrategy::new(1234)));
+    for threads in [2, 4] {
+        check(threads, &|| Box::new(FifoStrategy));
     }
 }
 
