@@ -1,7 +1,17 @@
 //! E16 — what the dynamic thread layer costs and buys on a skewed
-//! multi-chain workload.
+//! multi-chain workload, and what a strategy pick costs against the number
+//! of installed nodes.
 //!
-//! One hot chain (source → `K` maps → sink) carries most of the stream
+//! **Pick cost.** A graph of 6, 150 or 1 000 installed nodes in which
+//! exactly four are ready (a source and its three consumers; the rest hang
+//! idle behind a filter that passes nothing) is asked for its next node
+//! over and over, by FIFO and by Chain: strategies pick among the ready
+//! members of their candidate set, so the cost must not follow the
+//! installed count (bar: flat within 2× from 6 to 1 000). The same loop
+//! run at the parent commit, where every pick probed every installed node
+//! under its locks, is carried alongside as constants.
+//!
+//! **Drivers.** One hot chain (source → `K` maps → sink) carries most of the stream
 //! while several cold chains idle along beside it. The identical graph
 //! runs under the two drivers the scheduler ships: the plain
 //! [`SingleThreadExecutor`] (layer 2 alone — the reference), and the
@@ -21,6 +31,7 @@
 
 use crate::{f, table};
 use pipes::prelude::*;
+use pipes::sched::SchedView;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,6 +104,141 @@ fn median(ratios: &mut [f64]) -> f64 {
     }
 }
 
+/// A graph of `installed` nodes of which exactly four are ready: a source
+/// that has produced once, and its three consumers `a`, `b` and `gate` with
+/// that output queued. `gate` passes nothing and heads the idle rest of the
+/// graph (pairs of operator → sink that never receive anything), so the
+/// table below varies what is *installed* with what is *ready* held still.
+/// Returns the graph and its node ids, ascending.
+fn four_ready_of(installed: usize) -> (QueryGraph, Vec<NodeId>) {
+    assert!(installed >= 6 && installed.is_multiple_of(2));
+    let g = QueryGraph::new();
+    let src = g.add_source("src", VecSource::new(input(64)));
+    let gate = g.add_unary("gate", Filter::new(|_: &i64| false), &src);
+    for (name, consumer) in [("a", "sink-a"), ("b", "sink-b")] {
+        let op = g.add_unary(name, Map::new(|v: i64| v + 1), &src);
+        let (sink, _) = CollectSink::new();
+        g.add_sink(consumer, sink, &op);
+    }
+    for i in 0..(installed - 6) / 2 {
+        let op = g.add_unary(&format!("idle-op{i}"), Map::new(|v: i64| v ^ 1), &gate);
+        let (sink, _) = CollectSink::new();
+        g.add_sink(&format!("idle-sink{i}"), sink, &op);
+    }
+    assert_eq!(g.len(), installed);
+    g.step_node(src.node(), 16);
+    let nodes: Vec<NodeId> = g.node_ids().collect();
+    (g, nodes)
+}
+
+/// Median ns per `select` (view construction included, as every driver pays
+/// it) over `reps` timed loops on the four-ready graph. Nothing is stepped
+/// between picks, so every pick sees the same four ready nodes. A loop runs
+/// whole chunks of 640 picks — ten of Chain's refresh periods, so the
+/// refresh is amortized the way a run amortizes it — for at least `min_ms`.
+fn pick_ns(strategy: &mut dyn Strategy, installed: usize, reps: usize, min_ms: u128) -> f64 {
+    let (g, nodes) = four_ready_of(installed);
+    const CHUNK: usize = 640;
+    let mut per_pick: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            let mut picks = 0;
+            while picks == 0 || start.elapsed().as_millis() < min_ms {
+                for _ in 0..CHUNK {
+                    let picked = strategy.select(&SchedView::new(&g, &nodes));
+                    assert!(std::hint::black_box(picked).is_some());
+                }
+                picks += CHUNK;
+            }
+            start.elapsed().as_nanos() as f64 / picks as f64
+        })
+        .collect();
+    median(&mut per_pick)
+}
+
+/// Installed-node counts of the pick-cost table.
+const INSTALLED: [usize; 3] = [6, 150, 1000];
+
+/// The table below as this same code measured it at the parent commit
+/// `5ab8adf` (every strategy probing every installed node under its locks),
+/// on the host the checked-in artifact names: `(fifo ns, chain ns)` per
+/// entry of [`INSTALLED`].
+const PARENT_PICK_NS: [(f64, f64); 3] =
+    [(573.0, 640.0), (9_760.0, 39_394.0), (71_077.0, 1_228_066.0)];
+
+/// The pick-cost half of E16: what one strategy pick costs against the
+/// number of *installed* nodes, with the ready ones held at four. Prints
+/// the table and returns its JSON rows.
+fn pick_cost(quick: bool) -> String {
+    let (reps, min_ms) = if quick { (5, 2) } else { (25, 20) };
+    let mut rows = Vec::new();
+    let mut json = Vec::new();
+    let mut measured = Vec::new();
+    for (installed, parent) in INSTALLED.into_iter().zip(PARENT_PICK_NS) {
+        let fifo = pick_ns(&mut FifoStrategy, installed, reps, min_ms);
+        let chain = pick_ns(&mut ChainStrategy::new(64), installed, reps, min_ms);
+        rows.push(vec![
+            installed.to_string(),
+            f(parent.0, 0),
+            f(fifo, 0),
+            f(parent.1, 0),
+            f(chain, 0),
+        ]);
+        json.push(format!(
+            "    {{\"installed\": {installed}, \"ready\": 4, \
+             \"fifo_select_ns\": {fifo:.0}, \"chain_select_ns\": {chain:.0}, \
+             \"parent_fifo_select_ns\": {:.0}, \"parent_chain_select_ns\": {:.0}}}",
+            parent.0, parent.1
+        ));
+        measured.push((fifo, chain));
+    }
+    table(
+        "E16 — ns per strategy pick with 4 ready nodes, by installed nodes \
+         (parent: commit 5ab8adf, every installed node probed under its locks)",
+        &[
+            "installed",
+            "fifo, parent",
+            "fifo",
+            "chain(64), parent",
+            "chain(64)",
+        ],
+        &rows,
+    );
+    let (first, last) = (measured[0], measured[measured.len() - 1]);
+    println!(
+        "shape check: from {} to {} installed nodes a pick costs {:.2}x (fifo) and \
+         {:.2}x (chain) — bar: flat within 2x.",
+        INSTALLED[0],
+        INSTALLED[INSTALLED.len() - 1],
+        last.0 / first.0,
+        last.1 / first.1
+    );
+    json.join(",\n")
+}
+
+/// `(cpu model, short commit — "-dirty" with uncommitted changes)` of this
+/// run, for the artifact.
+fn host_and_commit() -> (String, String) {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into());
+    (cpu, commit)
+}
+
 /// Runs E16 and prints the table; writes `BENCH_sched_layers.json`.
 pub fn e16_sched_layers(quick: bool) {
     let hot_n: u64 = if quick { 60_000 } else { 200_000 };
@@ -101,6 +247,8 @@ pub fn e16_sched_layers(quick: bool) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+
+    let pick_rows = pick_cost(quick);
 
     // Warm up allocator and page cache off the clock.
     run_once(Some(cores), hot_n.min(20_000), cold_n.min(2_000));
@@ -162,13 +310,17 @@ pub fn e16_sched_layers(quick: bool) {
          group and stays on one core."
     );
 
+    let (cpu, commit) = host_and_commit();
     let json = format!(
-        "{{\n  \"experiment\": \"sched_layers\",\n  \"cores\": {cores},\n  \
+        "{{\n  \"experiment\": \"sched_layers\",\n  \"host\": \"{cpu}\",\n  \
+         \"commit\": \"{commit}\",\n  \"cores\": {cores},\n  \
          \"hot_chain_ops\": {K},\n  \"hot_elements\": {hot_n},\n  \
          \"cold_chains\": {COLD_CHAINS},\n  \"cold_elements\": {cold_n},\n  \
          \"reps\": {reps},\n  \
          \"single_thread_elem_per_s\": {best_single:.0},\n  \
-         \"thread_sweep\": [\n{}\n  ]\n}}\n",
+         \"thread_sweep\": [\n{}\n  ],\n  \
+         \"pick_cost_parent_commit\": \"5ab8adf\",\n  \
+         \"pick_cost\": [\n{pick_rows}\n  ]\n}}\n",
         sweep.join(",\n")
     );
     match std::fs::write("BENCH_sched_layers.json", &json) {

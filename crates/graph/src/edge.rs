@@ -1,9 +1,12 @@
 //! Queued edges between nodes.
 
+use crate::ready::{Port, ReadyCell};
 use pipes_sync::atomic::{AtomicUsize, Ordering};
-use pipes_sync::Mutex;
+use pipes_sync::{Arc, Mutex};
 use pipes_time::Message;
 use std::collections::VecDeque;
+
+type Queue<T> = VecDeque<(u64, Message<T>)>;
 
 /// Identifies an edge (subscription) within one graph.
 pub type EdgeId = u64;
@@ -19,21 +22,72 @@ pub type EdgeId = u64;
 /// edge offers batch transfers ([`push_batch`](Edge::push_batch),
 /// [`pop_run`](Edge::pop_run)) that move many messages under a single lock
 /// acquisition — the foundation of the batched data path.
+///
+/// Every push and pop also mirrors the queue's length and head sequence
+/// into the edge's readiness port while the queue lock is held, and a push
+/// then publishes the consuming node's readiness (see [`crate::ready`]).
 pub struct Edge<T> {
     id: EdgeId,
-    queue: Mutex<VecDeque<(u64, Message<T>)>>,
-    len: AtomicUsize,
+    queue: Mutex<Queue<T>>,
+    port: Arc<Port>,
+    /// The consuming node's readiness cell; `None` for a free-standing edge.
+    consumer: Option<Arc<ReadyCell>>,
     high_water: AtomicUsize,
 }
 
 impl<T> Edge<T> {
-    /// Creates an empty edge with the given id.
+    /// Creates an empty edge with the given id and no consuming node.
     pub fn new(id: EdgeId) -> Self {
+        Self::with_port(id, Arc::new(Port::new(false)), None)
+    }
+
+    /// Creates an empty edge feeding the node that owns `consumer`. With
+    /// `gate`, the edge is a strict-frontier port: while it is open and
+    /// empty the consumer reports no demand.
+    pub(crate) fn feeding(id: EdgeId, consumer: &Arc<ReadyCell>, gate: bool) -> Self {
+        Self::with_port(id, consumer.add_port(gate), Some(Arc::clone(consumer)))
+    }
+
+    fn with_port(id: EdgeId, port: Arc<Port>, consumer: Option<Arc<ReadyCell>>) -> Self {
         Edge {
             id,
             queue: Mutex::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
+            port,
+            consumer,
             high_water: AtomicUsize::new(0),
+        }
+    }
+
+    /// The consumer took this port's `Close`: an empty queue here no longer
+    /// blocks it.
+    pub(crate) fn open_gate(&self) {
+        self.port.open_gate();
+    }
+
+    /// Mirrors the queue into the readiness port; returns the length. Must
+    /// run inside the critical section of the push or pop: if the length
+    /// were stored after the guard drops, two concurrent critical sections
+    /// could interleave as
+    ///   A: push -> len 1, unlock        B: push -> len 2, unlock
+    ///   B: len.store(2)                 A: len.store(1)
+    /// leaving the mirror stuck below the true queue length (and
+    /// symmetrically above it when racing a pop) until the next mutation
+    /// repaired it.
+    fn mirror(&self, q: &Queue<T>) -> usize {
+        let len = q.len();
+        self.port.mirror(len, q.front().map(|(s, _)| *s));
+        // ordering: Relaxed — an advisory statistic.
+        self.high_water.fetch_max(len, Ordering::Relaxed);
+        len
+    }
+
+    /// After a push, outside its critical section (contended consumers must
+    /// not wait on this): publishes the consumer's readiness and, if the
+    /// push made it ready, runs the wake hook. A pop needs no counterpart —
+    /// the consumer publishes at the end of the step that is popping.
+    fn notify(&self) {
+        if let Some(consumer) = &self.consumer {
+            consumer.wake(consumer.publish());
         }
     }
 
@@ -47,21 +101,9 @@ impl<T> Edge<T> {
         let len = {
             let mut q = self.queue.lock();
             q.push_back((seq, msg));
-            let len = q.len();
-            // The cached length must be stored while the lock is still held.
-            // If it were stored after the guard drops, two concurrent critical
-            // sections could interleave as
-            //   A: push -> len 1, unlock        B: push -> len 2, unlock
-            //   B: len.store(2)                 A: len.store(1)
-            // leaving `len` stuck below the true queue length (and symmetrically
-            // above it when racing a pop) until the next mutation repaired it.
-            // ordering: Relaxed — the queue mutex is the synchronization; the
-            // cached len/high_water are monotonicity-free scheduling hints and
-            // no other data is published through them.
-            self.len.store(len, Ordering::Relaxed);
-            self.high_water.fetch_max(len, Ordering::Relaxed);
-            len
+            self.mirror(&q)
         };
+        self.notify();
         // Recorded outside the critical section: contended consumers must
         // not wait on the recorder.
         pipes_trace::instant(pipes_trace::names::EDGE_PUSH, [self.id, len as u64, 0]);
@@ -74,15 +116,14 @@ impl<T> Edge<T> {
         if msgs.is_empty() {
             return;
         }
-        let mut q = self.queue.lock();
-        for (i, msg) in msgs.drain(..).enumerate() {
-            q.push_back((seq_base + i as u64, msg));
+        {
+            let mut q = self.queue.lock();
+            for (i, msg) in msgs.drain(..).enumerate() {
+                q.push_back((seq_base + i as u64, msg));
+            }
+            self.mirror(&q);
         }
-        let len = q.len();
-        // ordering: Relaxed — stored inside the critical section; the queue
-        // mutex synchronizes, the cached values are scheduling hints.
-        self.len.store(len, Ordering::Relaxed);
-        self.high_water.fetch_max(len, Ordering::Relaxed);
+        self.notify();
     }
 
     /// Enqueues a batch of **pre-stamped** messages under one lock
@@ -98,24 +139,23 @@ impl<T> Edge<T> {
         if msgs.is_empty() {
             return;
         }
-        let mut q = self.queue.lock();
-        debug_assert!(
-            q.back().is_none_or(|(last, _)| *last <= msgs[0].0),
-            "stamped batch would regress the edge's sequence order"
-        );
-        q.extend(msgs.drain(..));
-        let len = q.len();
-        // ordering: Relaxed — stored inside the critical section; see push().
-        self.len.store(len, Ordering::Relaxed);
-        self.high_water.fetch_max(len, Ordering::Relaxed);
+        {
+            let mut q = self.queue.lock();
+            debug_assert!(
+                q.back().is_none_or(|(last, _)| *last <= msgs[0].0),
+                "stamped batch would regress the edge's sequence order"
+            );
+            q.extend(msgs.drain(..));
+            self.mirror(&q);
+        }
+        self.notify();
     }
 
     /// Dequeues the oldest message, if any.
     pub fn pop(&self) -> Option<(u64, Message<T>)> {
         let mut q = self.queue.lock();
         let item = q.pop_front();
-        // ordering: Relaxed — stored inside the critical section; see push().
-        self.len.store(q.len(), Ordering::Relaxed);
+        self.mirror(&q);
         item
     }
 
@@ -154,9 +194,7 @@ impl<T> Edge<T> {
                     _ => break,
                 }
             }
-            // ordering: Relaxed — stored inside the critical section; see push().
-            self.len.store(q.len(), Ordering::Relaxed);
-            (n, q.len())
+            (n, self.mirror(&q))
         };
         if n > 0 {
             // Recorded outside the critical section (one event per drained
@@ -179,9 +217,7 @@ impl<T> Edge<T> {
 
     /// Current queue length (racy but monotonic enough for scheduling).
     pub fn len(&self) -> usize {
-        // ordering: Relaxed — advisory read for scheduling; callers that
-        // need the exact length take the queue lock instead.
-        self.len.load(Ordering::Relaxed)
+        self.port.len()
     }
 
     /// Whether the queue is currently empty.
@@ -204,14 +240,14 @@ impl<T: Clone> Edge<T> {
         if msgs.is_empty() {
             return;
         }
-        let mut q = self.queue.lock();
-        for (i, msg) in msgs.iter().enumerate() {
-            q.push_back((seq_base + i as u64, msg.clone()));
+        {
+            let mut q = self.queue.lock();
+            for (i, msg) in msgs.iter().enumerate() {
+                q.push_back((seq_base + i as u64, msg.clone()));
+            }
+            self.mirror(&q);
         }
-        let len = q.len();
-        // ordering: Relaxed — stored inside the critical section; see push().
-        self.len.store(len, Ordering::Relaxed);
-        self.high_water.fetch_max(len, Ordering::Relaxed);
+        self.notify();
     }
 }
 

@@ -5,6 +5,7 @@ use crate::meta::{derive, MetaConfig, MetaSnapshot, RawNode};
 use crate::node::{BinNode, OpNode, Runnable, SinkNode, SourceNode, StepReport};
 use crate::operator::{BinaryOperator, NodeId, Operator, SinkOp, SourceOp};
 use crate::outputs::{OutputPort, Outputs};
+use crate::ready::{ReadyCell, ReadySet, WakeHook};
 use pipes_meta::{NodeMeta, NodeStats};
 use pipes_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use pipes_sync::{Arc, Mutex, RwLock};
@@ -63,6 +64,31 @@ pub(crate) struct NodeCell {
     /// (upstream node, edge id) for every input subscription.
     pub(crate) incoming: Mutex<Vec<(NodeId, EdgeId)>>,
     pub(crate) removed: AtomicBool,
+    /// The node's lock-free readiness; its input edges mirror into it.
+    pub(crate) ready: Arc<ReadyCell>,
+}
+
+impl NodeCell {
+    pub(crate) fn new(
+        name: &str,
+        kind: NodeKind,
+        runnable: Box<dyn Runnable>,
+        out_port: Option<Arc<dyn OutputPort>>,
+        incoming: Vec<(NodeId, EdgeId)>,
+        ready: Arc<ReadyCell>,
+    ) -> Self {
+        NodeCell {
+            name: name.to_string(),
+            kind,
+            runnable: Mutex::new(runnable),
+            stats: Arc::new(NodeStats::new(name)),
+            meta: Arc::new(NodeMeta::new()),
+            out_port,
+            incoming: Mutex::new(incoming),
+            removed: AtomicBool::new(false),
+            ready,
+        }
+    }
 }
 
 /// Static description of a node, for topology-aware strategies and plan
@@ -88,10 +114,7 @@ pub struct NodeInfo {
 /// while executors are stepping the graph from other threads. This is the
 /// foundation for multi-query optimization, which splices new queries into
 /// the *running* graph.
-/// Callback invoked after a productive scheduling quantum with the id of the
-/// producing node (see [`QueryGraph::set_wake_hook`]).
-pub type WakeHook = dyn Fn(NodeId) + Send + Sync;
-
+///
 /// A directed acyclic graph of sources, operators and sinks, built through
 /// the publish–subscribe architecture of PIPES.
 ///
@@ -107,8 +130,10 @@ pub struct QueryGraph {
     /// (seqlock-style publication, like `NodeMeta`). Schedulers poll it to
     /// detect splices without holding the `nodes` lock.
     topology: AtomicU64,
-    wake_hook: RwLock<Option<Arc<WakeHook>>>,
-    has_wake_hook: AtomicBool,
+    /// Every node's readiness cell plus the bitmap of the ready ones;
+    /// nodes enter it in `push_node` and leave it in `remove_node`, under
+    /// the same epoch bumps.
+    ready: ReadySet,
     /// Registered keyed-parallel (shuffle) groups; see [`crate::shuffle`].
     pub(crate) shuffle: crate::shuffle::ShuffleRegistry,
 }
@@ -127,18 +152,22 @@ impl QueryGraph {
             seq: Arc::new(AtomicU64::new(1)),
             next_edge: AtomicU64::new(1),
             topology: AtomicU64::new(1),
-            wake_hook: RwLock::new(None),
-            has_wake_hook: AtomicBool::new(false),
+            ready: ReadySet::new(),
             shuffle: crate::shuffle::ShuffleRegistry::default(),
         }
     }
 
     pub(crate) fn push_node(&self, cell: NodeCell) -> NodeId {
-        let id = {
+        let cell = Arc::new(cell);
+        let (id, woke) = {
             let mut nodes = self.nodes.write();
-            nodes.push(Arc::new(cell));
-            nodes.len() - 1
+            nodes.push(Arc::clone(&cell));
+            let id = nodes.len() - 1;
+            (id, self.ready.register(id, &cell.ready))
         };
+        // Ready from here on: a source, or a consumer whose edges were
+        // primed or pushed into while it had no id yet.
+        cell.ready.wake(woke);
         // ordering: the epoch uses Release/Acquire so an observer of the new
         // value also observes the node published under the write lock above
         // (the lock release alone does not order against lock-free epoch
@@ -152,11 +181,19 @@ impl QueryGraph {
         Arc::clone(&self.nodes.read()[id])
     }
 
-    pub(crate) fn new_edge<T>(&self) -> Arc<Edge<T>> {
+    /// A readiness cell for a node about to be registered: its input edges
+    /// are created (and subscribed) against it before the node has an id.
+    pub(crate) fn new_ready_cell(&self, kind: NodeKind) -> Arc<ReadyCell> {
+        self.ready.new_cell(kind == NodeKind::Source)
+    }
+
+    /// A new input edge of the node that owns `consumer`; `gate` makes it a
+    /// strict-frontier port (see [`Edge::feeding`]).
+    pub(crate) fn new_edge<T>(&self, consumer: &Arc<ReadyCell>, gate: bool) -> Arc<Edge<T>> {
         // ordering: Relaxed — unique-id allocation, nothing else is
         // published through this counter.
         let id = self.next_edge.fetch_add(1, Ordering::Relaxed);
-        Arc::new(Edge::new(id))
+        Arc::new(Edge::feeding(id, consumer, gate))
     }
 
     /// Registers a source node.
@@ -166,16 +203,14 @@ impl QueryGraph {
     {
         let outputs = Arc::new(Outputs::new(Arc::clone(&self.seq)));
         let node = SourceNode::new(op, Arc::clone(&outputs));
-        let id = self.push_node(NodeCell {
-            name: name.to_string(),
-            kind: NodeKind::Source,
-            runnable: Mutex::new(Box::new(node)),
-            stats: Arc::new(NodeStats::new(name)),
-            meta: Arc::new(NodeMeta::new()),
-            out_port: Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
-            incoming: Mutex::new(Vec::new()),
-            removed: AtomicBool::new(false),
-        });
+        let id = self.push_node(NodeCell::new(
+            name,
+            NodeKind::Source,
+            Box::new(node),
+            Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
+            Vec::new(),
+            self.new_ready_cell(NodeKind::Source),
+        ));
         StreamHandle { node: id, outputs }
     }
 
@@ -207,25 +242,24 @@ impl QueryGraph {
     {
         assert!(!inputs.is_empty(), "operator needs at least one input");
         let outputs = Arc::new(Outputs::new(Arc::clone(&self.seq)));
+        let ready = self.new_ready_cell(NodeKind::Operator);
         let mut edges = Vec::with_capacity(inputs.len());
         let mut incoming = Vec::with_capacity(inputs.len());
         for input in inputs {
-            let edge = self.new_edge::<O::In>();
+            let edge = self.new_edge::<O::In>(&ready, false);
             incoming.push((input.node, edge.id()));
             input.outputs.subscribe(Arc::clone(&edge));
             edges.push(edge);
         }
         let node = OpNode::new(op, edges, Arc::clone(&outputs));
-        let id = self.push_node(NodeCell {
-            name: name.to_string(),
-            kind: NodeKind::Operator,
-            runnable: Mutex::new(Box::new(node)),
-            stats: Arc::new(NodeStats::new(name)),
-            meta: Arc::new(NodeMeta::new()),
-            out_port: Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
-            incoming: Mutex::new(incoming),
-            removed: AtomicBool::new(false),
-        });
+        let id = self.push_node(NodeCell::new(
+            name,
+            NodeKind::Operator,
+            Box::new(node),
+            Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
+            incoming,
+            ready,
+        ));
         self.refresh_subscriber_counts(inputs.iter().map(|i| i.node));
         StreamHandle { node: id, outputs }
     }
@@ -244,22 +278,21 @@ impl QueryGraph {
         B::Out: Send + Sync,
     {
         let outputs = Arc::new(Outputs::new(Arc::clone(&self.seq)));
-        let le = self.new_edge::<B::Left>();
-        let re = self.new_edge::<B::Right>();
+        let ready = self.new_ready_cell(NodeKind::Operator);
+        let le = self.new_edge::<B::Left>(&ready, false);
+        let re = self.new_edge::<B::Right>(&ready, false);
         let incoming = vec![(left.node, le.id()), (right.node, re.id())];
         left.outputs.subscribe(Arc::clone(&le));
         right.outputs.subscribe(Arc::clone(&re));
         let node = BinNode::new(op, le, re, Arc::clone(&outputs));
-        let id = self.push_node(NodeCell {
-            name: name.to_string(),
-            kind: NodeKind::Operator,
-            runnable: Mutex::new(Box::new(node)),
-            stats: Arc::new(NodeStats::new(name)),
-            meta: Arc::new(NodeMeta::new()),
-            out_port: Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
-            incoming: Mutex::new(incoming),
-            removed: AtomicBool::new(false),
-        });
+        let id = self.push_node(NodeCell::new(
+            name,
+            NodeKind::Operator,
+            Box::new(node),
+            Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
+            incoming,
+            ready,
+        ));
         self.refresh_subscriber_counts([left.node, right.node]);
         StreamHandle { node: id, outputs }
     }
@@ -283,25 +316,24 @@ impl QueryGraph {
         K::In: Sync,
     {
         assert!(!inputs.is_empty(), "sink needs at least one input");
+        let ready = self.new_ready_cell(NodeKind::Sink);
         let mut edges = Vec::with_capacity(inputs.len());
         let mut incoming = Vec::with_capacity(inputs.len());
         for input in inputs {
-            let edge = self.new_edge::<K::In>();
+            let edge = self.new_edge::<K::In>(&ready, false);
             incoming.push((input.node, edge.id()));
             input.outputs.subscribe(Arc::clone(&edge));
             edges.push(edge);
         }
         let node = SinkNode::new(op, edges);
-        let id = self.push_node(NodeCell {
-            name: name.to_string(),
-            kind: NodeKind::Sink,
-            runnable: Mutex::new(Box::new(node)),
-            stats: Arc::new(NodeStats::new(name)),
-            meta: Arc::new(NodeMeta::new()),
-            out_port: None,
-            incoming: Mutex::new(incoming),
-            removed: AtomicBool::new(false),
-        });
+        let id = self.push_node(NodeCell::new(
+            name,
+            NodeKind::Sink,
+            Box::new(node),
+            None,
+            incoming,
+            ready,
+        ));
         self.refresh_subscriber_counts(inputs.iter().map(|i| i.node));
         id
     }
@@ -332,6 +364,7 @@ impl QueryGraph {
         // tolerate stepping a node once more after removal (the runnable
         // lock serializes actual access), so no release fence is needed.
         cell.removed.store(true, Ordering::Relaxed);
+        cell.ready.finish();
         // ordering: Release — pairs with the Acquire in topology_epoch();
         // an observer of the new epoch re-scans and sees the removal flag
         // (or harmlessly steps the node once more, see above).
@@ -466,24 +499,29 @@ impl QueryGraph {
         out
     }
 
-    /// Installs a hook invoked after every scheduling quantum in which a
-    /// node produced output, with the producer's id. Executors use this to
-    /// wake the specific worker owning the producer's consumers instead of
-    /// relying on bounded-staleness park timeouts. Replaces any previous
-    /// hook; the hook must not call back into the graph node it was invoked
-    /// for (the runnable lock is not held, but re-entrant stepping from
-    /// inside the hook would deadlock on `step_node`'s state).
+    /// Installs a hook invoked with a node's id whenever that node turns
+    /// from not-ready to ready — once per transition, by the push that
+    /// filled it (or the splice that installed it), nothing while it stays
+    /// ready. Executors use this to wake the worker owning the node instead
+    /// of relying on bounded-staleness park timeouts. Replaces any previous
+    /// hook; it runs on the pushing thread with no queue or node lock held,
+    /// and must not step the graph.
     pub fn set_wake_hook(&self, hook: Arc<WakeHook>) {
-        *self.wake_hook.write() = Some(hook);
-        // ordering: the fast-path flag uses Release/Acquire so a reader that
-        // observes `true` also observes the hook written above.
-        self.has_wake_hook.store(true, Ordering::Release);
+        self.ready.set_hook(Some(hook));
     }
 
     /// Removes the wake hook installed by [`QueryGraph::set_wake_hook`].
     pub fn clear_wake_hook(&self) {
-        self.has_wake_hook.store(false, Ordering::Release);
-        *self.wake_hook.write() = None;
+        self.ready.set_hook(None);
+    }
+
+    /// The lock-free readiness of every node: what schedulers consult per
+    /// quantum instead of the locked [`QueryGraph::queued`] /
+    /// [`QueryGraph::oldest_pending_seq`] / [`QueryGraph::is_finished`]
+    /// probes, which stay the authoritative accessors.
+    #[inline]
+    pub fn ready(&self) -> &ReadySet {
+        &self.ready
     }
 
     /// The statistics handle of a node (register it with a
@@ -548,7 +586,9 @@ impl QueryGraph {
         cell.stats.record_out(report.produced as u64);
         cell.stats.record_batches(report.batches as u64);
         cell.stats.set_queue_len(runnable.queued());
-        cell.stats.set_memory(runnable.memory());
+        let memory = runnable.memory();
+        cell.stats.set_memory(memory);
+        cell.ready.set_memory(memory);
         let state_bytes = runnable.state_bytes();
         cell.stats.set_state_bytes(state_bytes);
         if report.consumed > 0 || report.produced > 0 {
@@ -562,13 +602,17 @@ impl QueryGraph {
                 [id as u64, report.consumed as u64, report.produced as u64],
             );
         }
+        // The second readiness site (the first is a push into one of the
+        // node's edges): what the step drained, closed or finished is
+        // published before the runnable lock lets the next step in.
+        let woke = if runnable.is_finished() {
+            cell.ready.finish();
+            None
+        } else {
+            cell.ready.publish()
+        };
         drop(runnable);
-        if report.produced > 0 && self.has_wake_hook.load(Ordering::Acquire) {
-            let hook = self.wake_hook.read().clone();
-            if let Some(hook) = hook {
-                hook(id);
-            }
-        }
+        cell.ready.wake(woke);
         report
     }
 
@@ -894,9 +938,9 @@ mod tests {
     }
 
     #[test]
-    fn wake_hook_fires_on_productive_steps_only() {
+    fn wake_hook_fires_once_per_ready_transition_of_the_consumer() {
         let g = QueryGraph::new();
-        let src = g.add_source("src", VecSource::new(elems(&[1, 2])));
+        let src = g.add_source("src", VecSource::new(elems(&[1, 2, 3, 4])));
         let (sink, _) = CollectSink::new();
         let s = g.add_sink("sink", sink, &src);
 
@@ -904,12 +948,49 @@ mod tests {
         let fired2 = Arc::clone(&fired);
         g.set_wake_hook(Arc::new(move |id| fired2.lock().push(id)));
 
-        g.step_node(src.node(), 8); // produces → hook fires
-        g.step_node(s, 8); // sink produces nothing → no hook
-        assert_eq!(fired.lock().clone(), vec![src.node()]);
+        g.step_node(src.node(), 1); // fills the sink's queue → the sink wakes
+        assert_eq!(fired.lock().clone(), vec![s]);
+        g.step_node(src.node(), 1); // the sink is already ready → nothing
+        assert_eq!(fired.lock().len(), 1);
+        g.step_node(s, 8); // drained: back to not-ready, nobody to wake
+        assert!(!g.ready().is_ready(s));
+        g.step_node(src.node(), 1); // not-ready → ready again
+        assert_eq!(fired.lock().clone(), vec![s, s]);
 
         g.clear_wake_hook();
         g.run_to_completion(8);
-        assert_eq!(fired.lock().len(), 1, "cleared hook must not fire");
+        assert_eq!(fired.lock().len(), 2, "cleared hook must not fire");
+    }
+
+    #[test]
+    fn readiness_cells_track_the_locked_probes() {
+        let g = QueryGraph::new();
+        let src = g.add_source("src", VecSource::new(elems(&[1, 2, 3])));
+        let a = g.add_unary("a", Mul(2), &src);
+        let (sink, _) = CollectSink::new();
+        let k = g.add_sink("sink", sink, &a);
+        let agree = |g: &QueryGraph| {
+            let ready = g.ready();
+            for id in g.node_ids() {
+                assert_eq!(ready.queued(id), g.queued(id), "queued of {id}");
+                assert_eq!(ready.oldest_seq(id), g.oldest_pending_seq(id));
+                assert_eq!(ready.is_finished(id), g.is_finished(id));
+            }
+            assert_eq!(ready.all_finished(), g.all_finished());
+        };
+        agree(&g);
+        assert_eq!(
+            g.ready().marked(0, k).map(|m| m.id).collect::<Vec<_>>(),
+            vec![src.node()],
+            "only the live source is ready at first"
+        );
+        for id in [src.node(), a.node(), src.node(), k, a.node(), k] {
+            g.step_node(id, 2);
+            agree(&g);
+        }
+        g.run_to_completion(8);
+        agree(&g);
+        assert!(g.ready().all_finished());
+        assert_eq!(g.ready().marked(0, k).count(), 0);
     }
 }

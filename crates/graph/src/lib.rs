@@ -40,15 +40,17 @@ pub mod meta;
 mod node;
 mod operator;
 mod outputs;
+mod ready;
 pub mod run;
 pub mod shuffle;
 pub mod watermark;
 
 pub use edge::{Edge, EdgeId};
 pub use fuse::{Fused, OperatorExt};
-pub use graph::{NodeInfo, NodeKind, QueryGraph, StreamHandle, WakeHook};
+pub use graph::{NodeInfo, NodeKind, QueryGraph, StreamHandle};
 pub use meta::{Confidence, MetaConfig, MetaSnapshot, NodeEstimate};
 pub use node::{BinNode, OpNode, Runnable, SinkNode, SourceNode, StepReport};
 pub use operator::{BinaryOperator, Collector, NodeId, Operator, SinkOp, SourceOp, SourceStatus};
 pub use outputs::{OutputPort, Outputs, PublishCollector};
+pub use ready::{Marked, MarkedIter, ReadySet, WakeHook};
 pub use shuffle::{key_hash, KeyFn, KeyedState, MergeTie, Rekey, ShuffleGroup};

@@ -47,8 +47,8 @@ use crate::graph::{NodeCell, NodeKind, QueryGraph, StreamHandle};
 use crate::node::{Runnable, StepReport};
 use crate::operator::{BinaryOperator, Collector, NodeId, Operator};
 use crate::outputs::{OutputPort, Outputs, PublishCollector, DEFAULT_FLUSH_CAP};
-use pipes_meta::{NodeMeta, NodeStats};
-use pipes_sync::atomic::{AtomicBool, Ordering};
+use crate::ready::ReadyCell;
+use pipes_sync::atomic::Ordering;
 use pipes_sync::{Arc, Mutex};
 use pipes_time::{Element, Message, Timestamp};
 use std::hash::{Hash, Hasher};
@@ -510,6 +510,7 @@ impl<B: BinaryOperator> Runnable for KeyedInstanceBin<B> {
                     });
                 if close.is_some() {
                     self.left_close = close;
+                    self.left.open_gate();
                 }
                 n
             } else {
@@ -528,6 +529,7 @@ impl<B: BinaryOperator> Runnable for KeyedInstanceBin<B> {
                     });
                 if close.is_some() {
                     self.right_close = close;
+                    self.right.open_gate();
                 }
                 n
             };
@@ -716,7 +718,10 @@ impl<T: Clone + Send + 'static> Runnable for MergeNode<T> {
                             Message::Heartbeat(t) => {
                                 hb = Some(hb.map_or(t, |h| h.max(t)));
                             }
-                            Message::Close => p.open = false,
+                            Message::Close => {
+                                p.open = false;
+                                p.edge.open_gate();
+                            }
                         }
                     }
                 }
@@ -918,6 +923,9 @@ impl Runnable for ParkedPartition {
 fn take_runnable(g: &QueryGraph, id: NodeId) -> Box<dyn Runnable> {
     let cell = g.cell(id);
     let mut guard = cell.runnable.lock();
+    // The readiness cell follows the placeholder: no demand while parked,
+    // whatever queues up on the input edge.
+    cell.ready.set_parked(true);
     std::mem::replace(&mut *guard, Box::new(ParkedPartition))
 }
 
@@ -925,6 +933,7 @@ fn take_runnable(g: &QueryGraph, id: NodeId) -> Box<dyn Runnable> {
 fn restore_runnable(g: &QueryGraph, id: NodeId, runnable: Box<dyn Runnable>) {
     let cell = g.cell(id);
     *cell.runnable.lock() = runnable;
+    cell.ready.wake(cell.ready.set_parked(false));
 }
 
 /// Replays a retiring generation's unprocessed input backlog through the
@@ -1008,18 +1017,9 @@ fn instance_cell(
     name: String,
     runnable: Box<dyn Runnable>,
     incoming: Vec<(NodeId, crate::edge::EdgeId)>,
+    ready: Arc<ReadyCell>,
 ) -> NodeCell {
-    let stats = Arc::new(NodeStats::new(&name));
-    NodeCell {
-        name,
-        kind: NodeKind::Operator,
-        runnable: Mutex::new(runnable),
-        stats,
-        meta: Arc::new(NodeMeta::new()),
-        out_port: None,
-        incoming: Mutex::new(incoming),
-        removed: AtomicBool::new(false),
-    }
+    NodeCell::new(&name, NodeKind::Operator, runnable, None, incoming, ready)
 }
 
 impl QueryGraph {
@@ -1053,21 +1053,33 @@ impl QueryGraph {
     {
         assert!(instances >= 1, "keyed operator needs at least one instance");
         let factory = Arc::new(factory);
-        let part_edge = self.new_edge::<O::In>();
+        let part_ready = self.new_ready_cell(NodeKind::Operator);
+        let part_edge = self.new_edge::<O::In>(&part_ready, false);
         input.outputs.subscribe(Arc::clone(&part_edge));
-        let in_edges: Vec<_> = (0..instances).map(|_| self.new_edge::<O::In>()).collect();
-        let out_edges: Vec<_> = (0..instances).map(|_| self.new_edge::<O::Out>()).collect();
+        let inst_ready: Vec<_> = (0..instances)
+            .map(|_| self.new_ready_cell(NodeKind::Operator))
+            .collect();
+        let in_edges: Vec<_> = inst_ready
+            .iter()
+            .map(|r| self.new_edge::<O::In>(r, false))
+            .collect();
+        // The merge holds a strict frontier: its ports are gated.
+        let merge_ready = self.new_ready_cell(NodeKind::Operator);
+        let out_edges: Vec<_> = (0..instances)
+            .map(|_| self.new_edge::<O::Out>(&merge_ready, true))
+            .collect();
 
         let part = PartitionNode::new(Arc::clone(&part_edge), Arc::clone(&key), in_edges.clone());
         let part_id = self.push_node(instance_cell(
             format!("{name}.part"),
             Box::new(part),
             vec![(input.node, part_edge.id())],
+            part_ready,
         ));
 
         let mut inst_list = Vec::with_capacity(instances);
         let mut instance_ids = Vec::with_capacity(instances);
-        for i in 0..instances {
+        for (i, ready) in inst_ready.into_iter().enumerate() {
             let inst = KeyedInstance::new(
                 (factory)(),
                 Arc::clone(&in_edges[i]),
@@ -1077,6 +1089,7 @@ impl QueryGraph {
                 format!("{name}#{i}"),
                 Box::new(inst),
                 vec![(part_id, in_edges[i].id())],
+                ready,
             ));
             inst_list.push((id, Arc::clone(&in_edges[i]), Arc::clone(&out_edges[i])));
             instance_ids.push(id);
@@ -1085,21 +1098,17 @@ impl QueryGraph {
         let outputs = Arc::new(Outputs::new(Arc::clone(&self.seq)));
         let merge = MergeNode::new(out_edges, Arc::clone(&outputs), tie);
         let merge_name = format!("{name}.merge");
-        let merge_id = self.push_node(NodeCell {
-            name: merge_name.clone(),
-            kind: NodeKind::Operator,
-            runnable: Mutex::new(Box::new(merge)),
-            stats: Arc::new(NodeStats::new(&merge_name)),
-            meta: Arc::new(NodeMeta::new()),
-            out_port: Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
-            incoming: Mutex::new(
-                inst_list
-                    .iter()
-                    .map(|(id, _, out_e)| (*id, out_e.id()))
-                    .collect(),
-            ),
-            removed: AtomicBool::new(false),
-        });
+        let merge_id = self.push_node(NodeCell::new(
+            &merge_name,
+            NodeKind::Operator,
+            Box::new(merge),
+            Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
+            inst_list
+                .iter()
+                .map(|(id, _, out_e)| (*id, out_e.id()))
+                .collect(),
+            merge_ready,
+        ));
         self.refresh_subscriber_counts([input.node]);
 
         let state = Arc::new(Mutex::new(UnaryGroup::<O> {
@@ -1153,8 +1162,9 @@ impl QueryGraph {
             for part_state in split {
                 let mut op = (factory)();
                 op.import_keyed(part_state);
-                let in_e = g.new_edge::<O::In>();
-                let out_e = g.new_edge::<O::Out>();
+                let ready = g.new_ready_cell(NodeKind::Operator);
+                let in_e = g.new_edge::<O::In>(&ready, false);
+                let out_e = g.new_edge::<O::Out>(&g.cell(merge_id).ready, true);
                 let idx = st.next_idx;
                 st.next_idx += 1;
                 let inst = KeyedInstance::new(op, Arc::clone(&in_e), Arc::clone(&out_e));
@@ -1162,6 +1172,7 @@ impl QueryGraph {
                     format!("{gname}#{idx}"),
                     Box::new(inst),
                     vec![(part_id, in_e.id())],
+                    ready,
                 ));
                 new_ids.push(id);
                 new_in.push(Arc::clone(&in_e));
@@ -1249,32 +1260,47 @@ impl QueryGraph {
     {
         assert!(instances >= 1, "keyed operator needs at least one instance");
         let factory = Arc::new(factory);
-        let l_edge = self.new_edge::<B::Left>();
-        let r_edge = self.new_edge::<B::Right>();
+        let lpart_ready = self.new_ready_cell(NodeKind::Operator);
+        let rpart_ready = self.new_ready_cell(NodeKind::Operator);
+        let l_edge = self.new_edge::<B::Left>(&lpart_ready, false);
+        let r_edge = self.new_edge::<B::Right>(&rpart_ready, false);
         left.outputs.subscribe(Arc::clone(&l_edge));
         right.outputs.subscribe(Arc::clone(&r_edge));
-        let l_in: Vec<_> = (0..instances).map(|_| self.new_edge::<B::Left>()).collect();
-        let r_in: Vec<_> = (0..instances)
-            .map(|_| self.new_edge::<B::Right>())
+        // Instances and the merge hold strict frontiers: gated ports.
+        let inst_ready: Vec<_> = (0..instances)
+            .map(|_| self.new_ready_cell(NodeKind::Operator))
             .collect();
-        let out_edges: Vec<_> = (0..instances).map(|_| self.new_edge::<B::Out>()).collect();
+        let l_in: Vec<_> = inst_ready
+            .iter()
+            .map(|r| self.new_edge::<B::Left>(r, true))
+            .collect();
+        let r_in: Vec<_> = inst_ready
+            .iter()
+            .map(|r| self.new_edge::<B::Right>(r, true))
+            .collect();
+        let merge_ready = self.new_ready_cell(NodeKind::Operator);
+        let out_edges: Vec<_> = (0..instances)
+            .map(|_| self.new_edge::<B::Out>(&merge_ready, true))
+            .collect();
 
         let lpart = PartitionNode::new(Arc::clone(&l_edge), Arc::clone(&key_left), l_in.clone());
         let lpart_id = self.push_node(instance_cell(
             format!("{name}.lpart"),
             Box::new(lpart),
             vec![(left.node, l_edge.id())],
+            lpart_ready,
         ));
         let rpart = PartitionNode::new(Arc::clone(&r_edge), Arc::clone(&key_right), r_in.clone());
         let rpart_id = self.push_node(instance_cell(
             format!("{name}.rpart"),
             Box::new(rpart),
             vec![(right.node, r_edge.id())],
+            rpart_ready,
         ));
 
         let mut inst_list = Vec::with_capacity(instances);
         let mut instance_ids = Vec::with_capacity(instances);
-        for i in 0..instances {
+        for (i, ready) in inst_ready.into_iter().enumerate() {
             let inst = KeyedInstanceBin::new(
                 (factory)(),
                 Arc::clone(&l_in[i]),
@@ -1285,6 +1311,7 @@ impl QueryGraph {
                 format!("{name}#{i}"),
                 Box::new(inst),
                 vec![(lpart_id, l_in[i].id()), (rpart_id, r_in[i].id())],
+                ready,
             ));
             inst_list.push((
                 id,
@@ -1298,21 +1325,17 @@ impl QueryGraph {
         let outputs = Arc::new(Outputs::new(Arc::clone(&self.seq)));
         let merge = MergeNode::new(out_edges, Arc::clone(&outputs), tie);
         let merge_name = format!("{name}.merge");
-        let merge_id = self.push_node(NodeCell {
-            name: merge_name.clone(),
-            kind: NodeKind::Operator,
-            runnable: Mutex::new(Box::new(merge)),
-            stats: Arc::new(NodeStats::new(&merge_name)),
-            meta: Arc::new(NodeMeta::new()),
-            out_port: Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
-            incoming: Mutex::new(
-                inst_list
-                    .iter()
-                    .map(|(id, _, _, out_e)| (*id, out_e.id()))
-                    .collect(),
-            ),
-            removed: AtomicBool::new(false),
-        });
+        let merge_id = self.push_node(NodeCell::new(
+            &merge_name,
+            NodeKind::Operator,
+            Box::new(merge),
+            Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
+            inst_list
+                .iter()
+                .map(|(id, _, _, out_e)| (*id, out_e.id()))
+                .collect(),
+            merge_ready,
+        ));
         self.refresh_subscriber_counts([left.node, right.node]);
 
         let state = Arc::new(Mutex::new(BinaryGroup::<B> {
@@ -1379,9 +1402,10 @@ impl QueryGraph {
             for part_state in split {
                 let mut op = (factory)();
                 op.import_keyed(part_state);
-                let l_e = g.new_edge::<B::Left>();
-                let r_e = g.new_edge::<B::Right>();
-                let out_e = g.new_edge::<B::Out>();
+                let ready = g.new_ready_cell(NodeKind::Operator);
+                let l_e = g.new_edge::<B::Left>(&ready, true);
+                let r_e = g.new_edge::<B::Right>(&ready, true);
+                let out_e = g.new_edge::<B::Out>(&g.cell(merge_id).ready, true);
                 let idx = st.next_idx;
                 st.next_idx += 1;
                 let inst = KeyedInstanceBin::new(
@@ -1394,6 +1418,7 @@ impl QueryGraph {
                     format!("{gname}#{idx}"),
                     Box::new(inst),
                     vec![(lpart_id, l_e.id()), (rpart_id, r_e.id())],
+                    ready,
                 ));
                 new_ids.push(id);
                 new_l.push(Arc::clone(&l_e));

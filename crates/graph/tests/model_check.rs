@@ -13,7 +13,8 @@
 
 #![cfg(pipes_model_check)]
 
-use pipes_graph::{Collector, Edge, Outputs, PublishCollector};
+use pipes_graph::io::{CountSink, VecSource};
+use pipes_graph::{Collector, Edge, Outputs, PublishCollector, QueryGraph};
 use pipes_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use pipes_sync::{Arc, Mutex};
 use pipes_time::{Element, Message, Timestamp};
@@ -261,4 +262,48 @@ fn racing_collector_flushes_into_one_subscriber() {
         assert_eq!(seqs[&10] + 1, seqs[&11], "capped flush split its block");
     });
     assert!(report.complete);
+}
+
+/// A push racing the end-of-step publication that clears readiness: the
+/// consumer drains its queue and publishes "not ready" while the producer
+/// pushes the next message and publishes "ready". Publications of one node
+/// are serialized and re-run while requests keep coming in, so whichever
+/// order the two land in, the last word covers the last change: a consumer
+/// left holding a message is marked ready, and its published demand is what
+/// the locked probes report.
+#[test]
+fn push_racing_the_end_of_step_publication_leaves_the_node_ready() {
+    let report = pipes_sync::Builder::new().preemption_bound(2).check(|| {
+        let g = QueryGraph::new();
+        let elems: Vec<Element<i64>> = (0..4)
+            .map(|i| Element::at(i, Timestamp::new(i as u64)))
+            .collect();
+        let src = g.add_source("src", VecSource::new(elems));
+        let (sink, _count) = CountSink::new();
+        let k = g.add_sink("sink", sink, &src);
+        g.step_node(src.node(), 1);
+        assert!(g.ready().is_ready(k));
+        let g = Arc::new(g);
+        let consumer = {
+            let g = Arc::clone(&g);
+            pipes_sync::thread::spawn(move || g.step_node(k, 64).consumed)
+        };
+        let producer = {
+            let g = Arc::clone(&g);
+            let src = src.node();
+            pipes_sync::thread::spawn(move || g.step_node(src, 1).produced)
+        };
+        assert!(consumer.join().unwrap() >= 1);
+        assert_eq!(producer.join().unwrap(), 1);
+        let ready = g.ready();
+        assert_eq!(ready.queued(k), g.queued(k), "published queue length");
+        assert_eq!(ready.oldest_seq(k), g.oldest_pending_seq(k));
+        assert_eq!(
+            ready.is_ready(k),
+            g.queued(k) > 0,
+            "a consumer holding input must be marked ready, a drained one not"
+        );
+    });
+    assert!(report.complete);
+    assert!(report.executions > 1, "expected multiple schedules");
 }

@@ -125,6 +125,25 @@ fn keyed_plan(elems: Vec<Element<(i64, i64)>>, instances: usize) -> KeyedPlan {
     }
 }
 
+/// The lock-free readiness cells say what the locked probes say, for every
+/// node — partitioners, strict-frontier instances and the merge included.
+fn assert_cells_agree_with_locks(graph: &QueryGraph) {
+    let ready = graph.ready();
+    for id in 0..graph.len() {
+        assert_eq!(ready.queued(id), graph.queued(id), "queued of node {id}");
+        assert_eq!(
+            ready.oldest_seq(id),
+            graph.oldest_pending_seq(id),
+            "oldest seq of node {id}"
+        );
+        assert_eq!(
+            ready.is_finished(id),
+            graph.is_finished(id),
+            "finished of node {id}"
+        );
+    }
+}
+
 /// Steps every node once per round — source at the pinned budget, the rest
 /// at schedule-chosen budgets and a schedule-chosen rotation — until the
 /// graph drains. Rotation + budgets vary the interleaving across the
@@ -153,6 +172,7 @@ fn drive(graph: &QueryGraph, src: NodeId, sched: &[usize]) {
             };
             graph.step_node(id, budget);
         }
+        assert_cells_agree_with_locks(graph);
         round += 1;
         assert!(round < 10_000, "graph wedged");
     }

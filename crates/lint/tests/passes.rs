@@ -157,22 +157,23 @@ fn workspace_is_clean_with_zero_waivers_and_real_coverage() {
     // Coverage floor: the passes must keep seeing real code. If a parser
     // regression silently dropped every function, these would catch it.
     assert!(
-        o.stats.functions > 1300,
+        o.stats.functions > 1350,
         "only {} fns walked",
         o.stats.functions
     );
     assert!(
-        o.stats.lock_fields >= 25,
+        o.stats.lock_fields >= 24,
         "only {} lock fields",
         o.stats.lock_fields
     );
     // The metadata plane's seqlock block (crates/meta/src/nodemeta.rs)
     // alone contributes nine atomic cells, and the hot-topology work added
     // the graph's topology epoch plus the work-stealing run's stop flag
-    // and rebalance epoch; losing sight of them would mean the atomic
-    // passes stopped walking those crates.
+    // and rebalance epoch, and the ready set its port mirrors, per-node
+    // summaries and publication counter; losing sight of them would mean
+    // the atomic passes stopped walking those crates.
     assert!(
-        o.stats.atomic_fields >= 38,
+        o.stats.atomic_fields >= 44,
         "only {} atomic fields",
         o.stats.atomic_fields
     );
@@ -246,12 +247,13 @@ fn hot_topology_modules_stay_in_coverage() {
     );
 
     // crates/graph/src/graph.rs: the topology epoch is one of the graph's
-    // atomics, and the node table keeps its nodes → incoming edge.
+    // atomics (with the edge-id counter and the removed flag), and the node
+    // table keeps its nodes → incoming edge.
     let graph = module("crates/graph/src/graph.rs");
     assert!(graph.violations.is_empty() && graph.waivers.is_empty());
     assert!(
         graph.stats.atomic_fields >= 2,
-        "lost the graph's topology-epoch/finished atomics ({} atomic fields)",
+        "lost the graph's topology-epoch/removed atomics ({} atomic fields)",
         graph.stats.atomic_fields
     );
     assert!(
@@ -260,6 +262,25 @@ fn hot_topology_modules_stay_in_coverage() {
             .iter()
             .any(|e| e.from.key == "nodes" && e.to.key == "incoming"),
         "lost the nodes → incoming edge inside graph.rs alone"
+    );
+
+    // crates/graph/src/ready.rs: the readiness cells are atomics end to end
+    // — port mirrors (len, head, strict), per-node summaries (queued, head,
+    // finished, memory), the ready bitmap, the publication counter and the
+    // hub's unfinished count — behind one lock, the wake hook's. Every one
+    // of their Relaxed orderings carries its justification, and every
+    // Release side its Acquire.
+    let ready = module("crates/graph/src/ready.rs");
+    assert!(ready.violations.is_empty() && ready.waivers.is_empty());
+    assert!(
+        ready.stats.atomic_fields >= 10,
+        "lost sight of the readiness cells ({} atomic fields)",
+        ready.stats.atomic_fields
+    );
+    assert!(
+        ready.stats.lock_fields >= 1,
+        "lost the wake hook's RwLock ({} lock fields)",
+        ready.stats.lock_fields
     );
 
     // crates/sched/src/worker.rs: the leader's replan path re-derives the

@@ -149,6 +149,17 @@ impl NodeStats {
         })
     }
 
+    /// Observed selectivity (produced / consumed elements; `None` until the
+    /// node has consumed anything), read straight off the two counters: the
+    /// form for schedulers, which ask per pick and need neither the name nor
+    /// the latency quantiles a [`NodeStats::snapshot`] locks for.
+    pub fn selectivity(&self) -> Option<f64> {
+        // ordering: Relaxed — see snapshot().
+        let consumed = self.in_count.load(Ordering::Relaxed);
+        let produced = self.out_count.load(Ordering::Relaxed);
+        (consumed != 0).then(|| produced as f64 / consumed as f64)
+    }
+
     /// Takes a consistent-enough snapshot of the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {

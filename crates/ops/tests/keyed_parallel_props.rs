@@ -25,6 +25,25 @@ use proptest::prelude::*;
 /// Pinned source budget — part of the observable input (batch punctuation).
 const SRC_BUDGET: usize = 5;
 
+/// The lock-free readiness cells say what the locked probes say, for every
+/// node — partitioners, strict-frontier instances and the merge included.
+fn assert_cells_agree_with_locks(graph: &QueryGraph) {
+    let ready = graph.ready();
+    for id in 0..graph.len() {
+        assert_eq!(ready.queued(id), graph.queued(id), "queued of node {id}");
+        assert_eq!(
+            ready.oldest_seq(id),
+            graph.oldest_pending_seq(id),
+            "oldest seq of node {id}"
+        );
+        assert_eq!(
+            ready.is_finished(id),
+            graph.is_finished(id),
+            "finished of node {id}"
+        );
+    }
+}
+
 /// Steps sources first in id order at the pinned budget, then every other
 /// node once with schedule-chosen rotation and budgets, until the graph
 /// drains. The same driver runs both plans; only `sched` varies.
@@ -51,6 +70,7 @@ fn drive(graph: &QueryGraph, srcs: &[NodeId], sched: &[usize]) {
                 graph.step_node(id, 1 + pick(round + i) % 13);
             }
         }
+        assert_cells_agree_with_locks(graph);
         round += 1;
         assert!(round < 10_000, "graph wedged");
     }
@@ -219,6 +239,38 @@ fn join_keyed(
     g.add_sink("sink", sink, &h);
     let srcs = vec![l.node(), r.node()];
     (g, srcs, out)
+}
+
+/// The strict frontier, as the ready set publishes it: a keyed join
+/// instance with one open port empty is not ready however deep the other
+/// port is — pushes into the deep side leave it alone — and the push that
+/// fills the empty port is the one that makes it ready.
+#[test]
+fn keyed_join_instance_is_ready_only_once_both_open_ports_hold_a_head() {
+    let pairs = |n: i64| -> Vec<Element<Pair>> {
+        (0..n)
+            .map(|i| Element::at((i % 3, i), Timestamp::new(i as u64 + 1)))
+            .collect()
+    };
+    let (g, srcs, _out) = join_keyed(pairs(40), pairs(40), 1);
+    let group = g.shuffle_groups().pop().expect("group");
+    let (lpart, rpart) = (group.partition_ids[0], group.partition_ids[1]);
+    let inst = group.instance_ids[0];
+    let ready = g.ready();
+    for depth in 1..=4 {
+        g.step_node(srcs[0], SRC_BUDGET);
+        g.step_node(lpart, 64);
+        assert!(!ready.is_ready(inst), "right port still empty");
+        assert_eq!((ready.queued(inst), ready.oldest_seq(inst)), (0, None));
+        assert_eq!(g.queued(inst), 0, "the locked probe agrees (depth {depth})");
+    }
+    g.step_node(srcs[1], SRC_BUDGET);
+    assert!(!ready.is_ready(inst), "still in the right partitioner");
+    g.step_node(rpart, 64);
+    assert!(ready.is_ready(inst), "the push that filled the port");
+    assert!(ready.queued(inst) > 4 * SRC_BUDGET, "both ports count now");
+    assert_cells_agree_with_locks(&g);
+    drive(&g, &srcs, &[]);
 }
 
 proptest! {

@@ -145,15 +145,21 @@ impl IdleWait {
     }
 }
 
-/// The per-thread quantum routine both drivers run on: the strategy pick,
-/// the `QUANTUM` span around the one `step_node` call, folding each step
-/// into the [`ExecutionReport`] it owns, queue/state sampling, the quantum
-/// cap, the idle valve and the idle-wait ladder. A driver adds only its
-/// policy: which nodes it offers, what it checks between quanta, and what
-/// it tries before waiting when a quantum came up empty.
+/// The per-thread quantum routine both drivers run on: the strategy pick
+/// over the ready members of the candidate set, the `QUANTUM` span around
+/// the one `step_node` call, folding each step into the [`ExecutionReport`]
+/// it owns, queue/state sampling, the quantum cap, the idle valve and the
+/// idle-wait ladder. Everything it reads per quantum comes from the graph's
+/// lock-free readiness cells; the only node lock a quantum takes is the one
+/// of the node it steps. A driver adds only its policy: which nodes it
+/// offers, what it checks between quanta, and what it tries before waiting
+/// when a quantum came up empty.
 pub(crate) struct QuantumRunner<'a> {
     graph: &'a QueryGraph,
     strategy: &'a mut dyn Strategy,
+    /// The candidate set, ascending, and how often it has been replaced.
+    nodes: Vec<NodeId>,
+    version: u64,
     /// Quantum size, sampling period and quantum cap: the single-thread
     /// driver's knobs, which a work-stealing run applies per worker.
     knobs: &'a SingleThreadExecutor,
@@ -172,6 +178,8 @@ impl<'a> QuantumRunner<'a> {
     ) -> Self {
         QuantumRunner {
             graph,
+            nodes: Vec::new(),
+            version: 0,
             knobs,
             start: Instant::now(),
             report: ExecutionReport {
@@ -193,14 +201,29 @@ impl<'a> QuantumRunner<'a> {
         capped
     }
 
-    /// The strategy's pick among `nodes`; `None` if none can make progress.
-    pub(crate) fn select(&mut self, nodes: &[NodeId]) -> Option<NodeId> {
-        self.strategy.select(&SchedView::new(self.graph, nodes))
+    /// Replaces the candidate set the strategy picks from.
+    pub(crate) fn set_candidates(&mut self, mut nodes: Vec<NodeId>) {
+        nodes.sort_unstable();
+        self.nodes = nodes;
+        self.version += 1;
     }
 
-    /// Runs one quantum on `id` and samples the queues of `nodes` when due.
-    /// Returns whether the quantum moved anything.
-    pub(crate) fn step(&mut self, id: NodeId, nodes: &[NodeId]) -> bool {
+    /// Whether every candidate has finished.
+    pub(crate) fn candidates_finished(&self) -> bool {
+        let ready = self.graph.ready();
+        self.nodes.iter().all(|&id| ready.is_finished(id))
+    }
+
+    /// The strategy's pick among the candidates; `None` if none can make
+    /// progress.
+    pub(crate) fn select(&mut self) -> Option<NodeId> {
+        self.strategy
+            .select(&SchedView::versioned(self.graph, &self.nodes, self.version))
+    }
+
+    /// Runs one quantum on `id` and samples the candidates' queues when
+    /// due. Returns whether the quantum moved anything.
+    pub(crate) fn step(&mut self, id: NodeId) -> bool {
         let step = {
             // One span per strategy decision: nested NODE_STEP spans
             // (recorded by the graph layer) reconstruct which node the
@@ -218,8 +241,11 @@ impl<'a> QuantumRunner<'a> {
         report.batches += step.batches as u64;
         report.peak_run = report.peak_run.max(step.peak_run);
         if report.quanta.is_multiple_of(self.knobs.sample_every) {
-            let total: usize = nodes.iter().map(|&n| self.graph.queued(n)).sum();
-            let state: usize = nodes.iter().map(|&n| self.graph.memory(n)).sum();
+            // A candidate that is not ready holds nothing it could take.
+            let view = SchedView::versioned(self.graph, &self.nodes, self.version);
+            let total: usize = view.ready().map(|r| r.queued).sum();
+            let ready = self.graph.ready();
+            let state: usize = self.nodes.iter().map(|&n| ready.memory(n)).sum();
             report.peak_queue = report.peak_queue.max(total);
             report.peak_state = report.peak_state.max(state);
             self.queue_sum += total as f64;
@@ -322,21 +348,24 @@ impl SingleThreadExecutor {
         // `stop`, is noticed within one of them.
         let parker = Parker::new();
         let mut runner = QuantumRunner::new(graph, strategy, self);
+        runner.set_candidates(nodes.to_vec());
         loop {
             // Acquire pairs with the caller's Release store: a thread that
             // observes the stop flag also observes everything the stopping
             // thread did before raising it, and the compiler cannot hoist
             // the load out of the loop the way a Relaxed read could
             // legally be.
-            if stop.is_some_and(|flag| flag.load(Ordering::Acquire))
-                || nodes.iter().all(|&id| graph.is_finished(id))
-                || runner.at_cap()
-            {
+            if stop.is_some_and(|flag| flag.load(Ordering::Acquire)) {
                 break;
             }
-            let progressed = runner
-                .select(nodes)
-                .is_some_and(|id| runner.step(id, nodes));
+            // A finished node is never picked, so "all finished" can only
+            // hold when the pick came up empty: the check leaves the
+            // per-quantum path.
+            let picked = runner.select();
+            if (picked.is_none() && runner.candidates_finished()) || runner.at_cap() {
+                break;
+            }
+            let progressed = picked.is_some_and(|id| runner.step(id));
             if !progressed && !runner.idle(&parker) {
                 break;
             }

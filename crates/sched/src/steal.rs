@@ -164,8 +164,18 @@ impl GroupTable {
 /// ahead of the park is never lost. Built on the facade mutex + condvar so
 /// it works identically under the model checker.
 pub struct Parker {
-    token: Mutex<bool>,
+    state: Mutex<ParkState>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct ParkState {
+    /// A wake-up deposited and not yet consumed.
+    token: bool,
+    /// The owner is blocked on the condvar: the only time an unpark has
+    /// anybody to notify (a notify is a syscall whether or not someone
+    /// waits).
+    parked: bool,
 }
 
 impl Default for Parker {
@@ -178,7 +188,7 @@ impl Parker {
     /// Creates a parker with no pending token.
     pub fn new() -> Self {
         Parker {
-            token: Mutex::new(false),
+            state: Mutex::new(ParkState::default()),
             cv: Condvar::new(),
         }
     }
@@ -187,20 +197,25 @@ impl Parker {
     /// token. Returns `true` if a token was consumed (an unpark happened
     /// before or during the wait), `false` on timeout.
     pub fn park(&self, timeout: Duration) -> bool {
-        let mut token = self.token.lock();
-        if !*token {
-            let _ = self.cv.wait_for(&mut token, timeout);
+        let mut state = self.state.lock();
+        if !state.token {
+            state.parked = true;
+            let _ = self.cv.wait_for(&mut state, timeout);
+            state.parked = false;
         }
-        let woken = *token;
-        *token = false;
-        woken
+        std::mem::take(&mut state.token)
     }
 
-    /// Deposits a wake token and wakes the parked worker, if any.
-    pub fn unpark(&self) {
-        let mut token = self.token.lock();
-        *token = true;
-        self.cv.notify_one();
+    /// Deposits a wake token and wakes the parked worker, if any; returns
+    /// whether there was one. With nobody parked the token alone does the
+    /// job: the next `park` consumes it without blocking.
+    pub fn unpark(&self) -> bool {
+        let mut state = self.state.lock();
+        state.token = true;
+        if state.parked {
+            self.cv.notify_one();
+        }
+        state.parked
     }
 }
 
@@ -276,5 +291,32 @@ mod tests {
             !p.park(Duration::from_millis(1)),
             "second park times out: token was consumed"
         );
+    }
+
+    #[test]
+    fn unpark_notifies_a_worker_that_is_parked() {
+        use pipes_sync::thread;
+        use std::time::Instant;
+        let p = pipes_sync::Arc::new(Parker::new());
+        let waiter = {
+            let p = pipes_sync::Arc::clone(&p);
+            thread::spawn(move || {
+                let start = Instant::now();
+                (p.park(Duration::from_secs(120)), start.elapsed())
+            })
+        };
+        // Only a worker seen blocked on the condvar can be missed by an
+        // unpark that skips the notify.
+        while !p.state.lock().parked {
+            thread::yield_now();
+        }
+        p.unpark();
+        let (woken, waited) = waiter.join().expect("waiter thread");
+        assert!(woken, "the parked worker did not get the token");
+        assert!(
+            waited < Duration::from_secs(60),
+            "the parked worker sat out its timeout: the notify was skipped"
+        );
+        assert!(!p.state.lock().parked);
     }
 }

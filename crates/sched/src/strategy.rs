@@ -1,6 +1,15 @@
 //! Layer-2 scheduling strategies.
+//!
+//! A strategy sees its candidate set through a [`SchedView`] and picks among
+//! the *ready* members of it: [`SchedView::ready`] walks the graph's ready
+//! bitmap ([`pipes_graph::ReadySet`]) over the candidates' id range, so a
+//! pick costs what the nodes with work cost, not what the installed nodes
+//! cost, and every fact a strategy asks for (`queued`, `oldest_seq`,
+//! `is_finished`) is answered from the lock-free readiness cells.
 
 use pipes_graph::{NodeId, NodeKind, QueryGraph};
+use pipes_meta::NodeStats;
+use pipes_sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -13,12 +22,52 @@ use rand::{Rng, SeedableRng};
 pub struct SchedView<'a> {
     graph: &'a QueryGraph,
     nodes: &'a [NodeId],
+    /// Whether `nodes` is the whole id range `first..=last`: a ready id's
+    /// position is then an offset, not a search.
+    dense: bool,
+    version: u64,
+}
+
+/// One runnable member of a [`SchedView`]'s candidate set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ready {
+    /// The node.
+    pub id: NodeId,
+    /// Its index in [`SchedView::nodes`].
+    pub pos: usize,
+    /// Messages queued at its inputs; 0 for a source (which is runnable
+    /// without input).
+    pub queued: usize,
+    /// Arrival sequence of its oldest pending message.
+    pub oldest_seq: Option<u64>,
 }
 
 impl<'a> SchedView<'a> {
-    /// Creates a view over the given candidate set.
+    /// Creates a view over the given candidate set: node ids in ascending
+    /// order, as [`QueryGraph::node_ids`] and the executors hand them out
+    /// (the ready members are found by range scan and binary search).
     pub fn new(graph: &'a QueryGraph, nodes: &'a [NodeId]) -> Self {
-        SchedView { graph, nodes }
+        Self::versioned(graph, nodes, 0)
+    }
+
+    /// [`SchedView::new`] for a driver that counts the changes of its
+    /// candidate set, so strategies with per-set caches need not compare
+    /// the sets.
+    pub(crate) fn versioned(graph: &'a QueryGraph, nodes: &'a [NodeId], version: u64) -> Self {
+        debug_assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "candidate ids must be ascending"
+        );
+        let dense = match (nodes.first(), nodes.last()) {
+            (Some(lo), Some(hi)) => hi - lo + 1 == nodes.len(),
+            _ => false,
+        };
+        SchedView {
+            graph,
+            nodes,
+            dense,
+            version,
+        }
     }
 
     /// The candidate node ids this scheduler is responsible for.
@@ -26,19 +75,46 @@ impl<'a> SchedView<'a> {
         self.nodes
     }
 
+    /// The runnable candidates, in candidate order: unfinished nodes that
+    /// hold input they can take, and unfinished sources. Touches only nodes
+    /// whose ready bit is set.
+    pub fn ready(&self) -> impl Iterator<Item = Ready> + '_ {
+        // An empty candidate set scans the empty range `1..=0`.
+        let lo = self.nodes.first().copied().unwrap_or(1);
+        let hi = self.nodes.last().copied().unwrap_or(0);
+        self.graph.ready().marked(lo, hi).filter_map(move |m| {
+            Some(Ready {
+                id: m.id,
+                pos: self.position(m.id)?,
+                queued: m.queued,
+                oldest_seq: m.oldest_seq,
+            })
+        })
+    }
+
+    /// The index of `id` in the candidate set.
+    fn position(&self, id: NodeId) -> Option<usize> {
+        if self.dense {
+            id.checked_sub(*self.nodes.first()?)
+                .filter(|&pos| pos < self.nodes.len())
+        } else {
+            self.nodes.binary_search(&id).ok()
+        }
+    }
+
     /// Messages queued at the node's inputs.
     pub fn queued(&self, id: NodeId) -> usize {
-        self.graph.queued(id)
+        self.graph.ready().queued(id)
     }
 
     /// Whether the node has permanently finished.
     pub fn is_finished(&self, id: NodeId) -> bool {
-        self.graph.is_finished(id)
+        self.graph.ready().is_finished(id)
     }
 
     /// Arrival sequence of the node's oldest pending message.
     pub fn oldest_seq(&self, id: NodeId) -> Option<u64> {
-        self.graph.oldest_pending_seq(id)
+        self.graph.ready().oldest_seq(id)
     }
 
     /// The node's role in the graph.
@@ -48,44 +124,24 @@ impl<'a> SchedView<'a> {
 
     /// Observed selectivity (elements out / messages in), defaulting to 1.
     pub fn selectivity(&self, id: NodeId) -> f64 {
-        self.graph
-            .stats(id)
-            .snapshot()
-            .selectivity()
-            .unwrap_or(1.0)
-            .min(4.0)
-    }
-
-    /// Appends the direct downstream consumers of `id` among the candidate
-    /// set onto `out`. Allocation-free for callers that reuse the buffer —
-    /// this sits in strategy hot loops (e.g. the [`ChainStrategy`] priority
-    /// recomputation), where the old per-call `Vec` (and the `NodeInfo`
-    /// name clone behind it) dominated the selection cost.
-    pub fn downstream_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        out.extend(
-            self.nodes
-                .iter()
-                .copied()
-                .filter(|&n| self.graph.subscribes_to(n, id)),
-        );
-    }
-
-    /// Direct downstream consumers of `id` among the candidate set
-    /// (allocating convenience form of [`SchedView::downstream_into`]).
-    pub fn downstream(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.downstream_into(id, &mut out);
-        out
+        clamp_selectivity(&self.graph.stats(id))
     }
 
     /// Whether the node can make progress right now: it has queued input,
     /// or it is an unfinished source.
     pub fn runnable(&self, id: NodeId) -> bool {
-        if self.is_finished(id) {
-            return false;
-        }
-        self.queued(id) > 0 || self.kind(id) == NodeKind::Source
+        self.graph.ready().is_ready(id)
     }
+}
+
+fn clamp_selectivity(stats: &NodeStats) -> f64 {
+    stats.selectivity().unwrap_or(1.0).min(4.0)
+}
+
+/// The first ready source, for strategies that admit new input only when
+/// nothing is queued: a ready node with nothing queued is a source.
+fn first_source(view: &SchedView<'_>) -> Option<Ready> {
+    view.ready().find(|r| r.queued == 0)
 }
 
 /// A layer-2 scheduling strategy: picks the next node to receive a quantum.
@@ -125,15 +181,24 @@ impl Strategy for RoundRobinStrategy {
 
     fn select(&mut self, view: &SchedView<'_>) -> Option<NodeId> {
         let n = view.nodes().len();
-        for i in 0..n {
-            let idx = (self.cursor + i) % n;
-            let id = view.nodes()[idx];
-            if view.runnable(id) {
-                self.cursor = (idx + 1) % n;
-                return Some(id);
-            }
+        if n == 0 {
+            return None;
         }
-        None
+        // The first ready candidate at or after the cursor, else (wrapping)
+        // the first ready candidate at all.
+        let start = self.cursor % n;
+        let mut wrapped = None;
+        let mut picked = None;
+        for r in view.ready() {
+            if r.pos >= start {
+                picked = Some(r);
+                break;
+            }
+            wrapped = wrapped.or(Some(r));
+        }
+        let r = picked.or(wrapped)?;
+        self.cursor = (r.pos + 1) % n;
+        Some(r.id)
     }
 }
 
@@ -147,22 +212,17 @@ impl Strategy for FifoStrategy {
     }
 
     fn select(&mut self, view: &SchedView<'_>) -> Option<NodeId> {
-        let oldest = view
-            .nodes()
-            .iter()
-            .copied()
-            // Pending input first: most nodes have none at any instant, and
-            // each probe is a node lock — finished is only asked of the few.
-            .filter_map(|id| view.oldest_seq(id).map(|s| (s, id)))
-            .filter(|&(_, id)| !view.is_finished(id))
-            .min();
-        if let Some((_, id)) = oldest {
-            return Some(id);
+        let mut oldest: Option<(u64, NodeId)> = None;
+        let mut source = None;
+        for r in view.ready() {
+            match r.oldest_seq {
+                Some(seq) if oldest.is_none_or(|o| (seq, r.id) < o) => oldest = Some((seq, r.id)),
+                Some(_) => {}
+                None if r.queued == 0 => source = source.or(Some(r.id)),
+                None => {}
+            }
         }
-        view.nodes()
-            .iter()
-            .copied()
-            .find(|&id| !view.is_finished(id) && view.kind(id) == NodeKind::Source)
+        oldest.map(|(_, id)| id).or(source)
     }
 }
 
@@ -175,27 +235,20 @@ impl Strategy for GreedyStrategy {
     }
 
     fn select(&mut self, view: &SchedView<'_>) -> Option<NodeId> {
-        let busiest = view
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|&id| !view.is_finished(id))
-            .map(|id| (view.queued(id), id))
-            .filter(|&(q, _)| q > 0)
-            .max();
-        if let Some((_, id)) = busiest {
-            return Some(id);
-        }
-        view.nodes()
-            .iter()
-            .copied()
-            .find(|&id| !view.is_finished(id) && view.kind(id) == NodeKind::Source)
+        view.ready()
+            .filter(|r| r.queued > 0)
+            .map(|r| (r.queued, r.id))
+            .max()
+            .map(|(_, id)| id)
+            .or_else(|| first_source(view).map(|r| r.id))
     }
 }
 
 /// Picks a uniformly random runnable node (baseline).
 pub struct RandomStrategy {
     rng: SmallRng,
+    /// Reused per pick: the runnable candidates.
+    runnable: Vec<NodeId>,
 }
 
 impl RandomStrategy {
@@ -203,6 +256,7 @@ impl RandomStrategy {
     pub fn new(seed: u64) -> Self {
         RandomStrategy {
             rng: SmallRng::seed_from_u64(seed),
+            runnable: Vec::new(),
         }
     }
 }
@@ -213,16 +267,12 @@ impl Strategy for RandomStrategy {
     }
 
     fn select(&mut self, view: &SchedView<'_>) -> Option<NodeId> {
-        let runnable: Vec<NodeId> = view
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|&id| view.runnable(id))
-            .collect();
-        if runnable.is_empty() {
+        self.runnable.clear();
+        self.runnable.extend(view.ready().map(|r| r.id));
+        if self.runnable.is_empty() {
             None
         } else {
-            Some(runnable[self.rng.gen_range(0..runnable.len())])
+            Some(self.runnable[self.rng.gen_range(0..self.runnable.len())])
         }
     }
 }
@@ -233,15 +283,124 @@ impl Strategy for RandomStrategy {
 ///
 /// Priorities derive from the *observed* selectivities in the secondary
 /// metadata: for each node, walk the (single-consumer) downstream chain and
-/// take the steepest drop `(1 − Π selectivity) / segment length`. Priorities
-/// are recomputed periodically as the estimates move.
+/// take the steepest drop `(1 − Π selectivity) / segment length`. The chain
+/// links are derived once per candidate set and topology epoch, and the
+/// periodic refresh re-reads only what can have moved: a candidate's
+/// selectivity changes when it runs, and it runs when this strategy picks
+/// it, so a refresh re-walks the picked nodes and the chains that lead into
+/// them.
 pub struct ChainStrategy {
-    priorities: Vec<(NodeId, f64)>,
-    /// Reused downstream buffer — recompute runs hot, one allocation-free
-    /// `downstream_into` per chain hop instead of a fresh `Vec` each.
-    scratch: Vec<NodeId>,
+    /// Priority per candidate position.
+    priorities: Vec<f64>,
+    chains: Chains,
+    /// Candidate positions picked since the last refresh.
+    picked: Vec<usize>,
     refresh_every: u64,
     ticks: u64,
+}
+
+/// The candidate set's chain links and statistics handles: what a priority
+/// refresh reads, built once per candidate set.
+#[derive(Default)]
+struct Chains {
+    /// `(topology epoch, view version, first, last, len)` the links were
+    /// built for.
+    built_for: Option<(u64, u64, NodeId, NodeId, usize)>,
+    /// Per candidate position: the position of its consumer among the
+    /// candidates, when it has exactly one.
+    next: Vec<Option<usize>>,
+    /// The reverse of `next`: the positions whose chain continues here.
+    prev: Vec<Vec<usize>>,
+    stats: Vec<Arc<NodeStats>>,
+    /// Selectivity per position as of the last refresh, capped at 1.
+    survival: Vec<f64>,
+    /// Refresh scratch: the refresh that last re-walked each position, and
+    /// the positions still to re-walk.
+    walked: Vec<u64>,
+    todo: Vec<usize>,
+    refreshes: u64,
+}
+
+impl Chains {
+    fn key(view: &SchedView<'_>) -> (u64, u64, NodeId, NodeId, usize) {
+        let nodes = view.nodes();
+        (
+            view.graph.topology_epoch(),
+            view.version,
+            nodes.first().copied().unwrap_or(0),
+            nodes.last().copied().unwrap_or(0),
+            nodes.len(),
+        )
+    }
+
+    /// Whether the links were built for this candidate set and topology.
+    fn current(&self, view: &SchedView<'_>) -> bool {
+        self.built_for == Some(Self::key(view))
+    }
+
+    /// Derives the links and reads every selectivity: O(nodes + edges).
+    fn rebuild(&mut self, view: &SchedView<'_>) {
+        self.built_for = Some(Self::key(view));
+        let nodes = view.nodes();
+        self.stats.clear();
+        self.stats
+            .extend(nodes.iter().map(|&n| view.graph.stats(n)));
+        self.survival.clear();
+        self.survival
+            .extend(self.stats.iter().map(|s| survival_of(s)));
+        // A candidate's consumers, counted once each however many of their
+        // ports subscribe to it.
+        let mut consumers = vec![0usize; nodes.len()];
+        self.next.clear();
+        self.next.resize(nodes.len(), None);
+        let mut upstream = Vec::new();
+        for (pos, &node) in nodes.iter().enumerate() {
+            upstream.clear();
+            view.graph.upstream_ids_into(node, &mut upstream);
+            upstream.sort_unstable();
+            upstream.dedup();
+            for up in upstream.iter().filter_map(|&up| view.position(up)) {
+                consumers[up] += 1;
+                self.next[up] = Some(pos);
+            }
+        }
+        self.prev.iter_mut().for_each(Vec::clear);
+        self.prev.resize_with(nodes.len(), Vec::new);
+        for (pos, (next, &n)) in self.next.iter_mut().zip(&consumers).enumerate() {
+            match *next {
+                Some(consumer) if n == 1 => self.prev[consumer].push(pos),
+                _ => *next = None,
+            }
+        }
+        self.walked.clear();
+        self.walked.resize(nodes.len(), 0);
+        self.refreshes = 0;
+    }
+
+    /// The priority of the chain starting at `start`: its steepest drop.
+    fn priority(&self, start: usize) -> f64 {
+        let mut best: f64 = 0.0;
+        // Walk the downstream chain, accumulating survival probability.
+        let mut survival = 1.0;
+        let mut len = 0.0;
+        let mut cur = start;
+        loop {
+            survival *= self.survival[cur];
+            len += 1.0;
+            let slope = (1.0 - survival) / len;
+            best = best.max(slope);
+            match self.next[cur] {
+                Some(next) if len <= 32.0 => cur = next,
+                _ => break,
+            }
+        }
+        best
+    }
+}
+
+/// A node's selectivity as a survival probability.
+fn survival_of(stats: &NodeStats) -> f64 {
+    clamp_selectivity(stats).min(1.0)
 }
 
 impl ChainStrategy {
@@ -250,39 +409,39 @@ impl ChainStrategy {
     pub fn new(refresh_every: u64) -> Self {
         ChainStrategy {
             priorities: Vec::new(),
-            scratch: Vec::new(),
+            chains: Chains::default(),
+            picked: Vec::new(),
             refresh_every: refresh_every.max(1),
             ticks: 0,
         }
     }
 
+    /// Recomputes every priority from scratch (new candidate set or
+    /// topology).
     fn recompute(&mut self, view: &SchedView<'_>) {
+        self.chains.rebuild(view);
         self.priorities.clear();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for &id in view.nodes() {
-            let mut best: f64 = 0.0;
-            // Walk the downstream chain, accumulating survival probability.
-            let mut survival = 1.0;
-            let mut len = 0.0;
-            let mut cur = id;
-            loop {
-                survival *= view.selectivity(cur).min(1.0);
-                len += 1.0;
-                let slope = (1.0 - survival) / len;
-                best = best.max(slope);
-                scratch.clear();
-                view.downstream_into(cur, &mut scratch);
-                if scratch.len() != 1 {
-                    break;
-                }
-                cur = scratch[0];
-                if len > 32.0 {
-                    break;
-                }
-            }
-            self.priorities.push((id, best));
+        self.priorities
+            .extend((0..view.nodes().len()).map(|start| self.chains.priority(start)));
+        self.picked.clear();
+    }
+
+    /// Brings the priorities up to date with the nodes picked since the last
+    /// refresh: their selectivities, and every chain that runs through them.
+    fn refresh(&mut self) {
+        let chains = &mut self.chains;
+        chains.refreshes += 1;
+        for &pos in &self.picked {
+            chains.survival[pos] = survival_of(&chains.stats[pos]);
         }
-        self.scratch = scratch;
+        chains.todo.append(&mut self.picked);
+        while let Some(pos) = chains.todo.pop() {
+            if chains.walked[pos] != chains.refreshes {
+                chains.walked[pos] = chains.refreshes;
+                self.priorities[pos] = chains.priority(pos);
+                chains.todo.extend_from_slice(&chains.prev[pos]);
+            }
+        }
     }
 }
 
@@ -292,28 +451,26 @@ impl Strategy for ChainStrategy {
     }
 
     fn select(&mut self, view: &SchedView<'_>) -> Option<NodeId> {
-        if self.ticks.is_multiple_of(self.refresh_every)
-            || self.priorities.len() != view.nodes().len()
-        {
+        if !self.chains.current(view) {
             self.recompute(view);
+        } else if self.ticks.is_multiple_of(self.refresh_every) {
+            self.refresh();
         }
         self.ticks += 1;
         // Highest-priority runnable *operator or sink* first; sources are
         // only run when no queued work exists (Chain drains before it
         // admits).
-        let best = self
-            .priorities
-            .iter()
-            .filter(|(id, _)| !view.is_finished(*id) && view.queued(*id) > 0)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("priorities are finite"))
-            .map(|(id, _)| *id);
-        if let Some(id) = best {
-            return Some(id);
-        }
-        view.nodes()
-            .iter()
-            .copied()
-            .find(|&id| !view.is_finished(id) && view.kind(id) == NodeKind::Source)
+        let picked = view
+            .ready()
+            .filter(|r| r.queued > 0)
+            .max_by(|a, b| {
+                self.priorities[a.pos]
+                    .partial_cmp(&self.priorities[b.pos])
+                    .expect("priorities are finite")
+            })
+            .or_else(|| first_source(view))?;
+        self.picked.push(picked.pos);
+        Some(picked.id)
     }
 }
 
@@ -328,20 +485,12 @@ impl Strategy for RateBasedStrategy {
     }
 
     fn select(&mut self, view: &SchedView<'_>) -> Option<NodeId> {
-        let best = view
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|&id| !view.is_finished(id) && view.queued(id) > 0)
-            .map(|id| (view.selectivity(id), id))
-            .max_by(|a, b| a.partial_cmp(b).expect("selectivities are finite"));
-        if let Some((_, id)) = best {
-            return Some(id);
-        }
-        view.nodes()
-            .iter()
-            .copied()
-            .find(|&id| !view.is_finished(id) && view.kind(id) == NodeKind::Source)
+        view.ready()
+            .filter(|r| r.queued > 0)
+            .map(|r| (view.selectivity(r.id), r.id))
+            .max_by(|a, b| a.partial_cmp(b).expect("selectivities are finite"))
+            .map(|(_, id)| id)
+            .or_else(|| first_source(view).map(|r| r.id))
     }
 }
 
@@ -510,18 +659,90 @@ mod tests {
     }
 
     #[test]
-    fn downstream_into_reuses_the_buffer() {
+    fn ready_lists_only_runnable_candidates_with_their_positions() {
         let (g, nodes) = demo_graph();
         let view = SchedView::new(&g, &nodes);
-        let mut buf = Vec::with_capacity(4);
-        view.downstream_into(nodes[0], &mut buf);
-        assert_eq!(buf, vec![nodes[1]]);
-        let cap = buf.capacity();
-        buf.clear();
-        view.downstream_into(nodes[1], &mut buf);
-        assert_eq!(buf, vec![nodes[2]]);
-        assert_eq!(buf.capacity(), cap, "no reallocation");
-        assert_eq!(view.downstream(nodes[2]), Vec::<NodeId>::new());
+        // Only the live source at first; a source is ready with nothing queued.
+        let ready: Vec<Ready> = view.ready().collect();
+        assert_eq!(ready.len(), 1);
+        assert_eq!(
+            (ready[0].id, ready[0].pos, ready[0].queued),
+            (nodes[0], 0, 0)
+        );
+        g.step_node(nodes[0], 3);
+        let ready: Vec<Ready> = view.ready().collect();
+        assert_eq!(
+            ready.iter().map(|r| (r.id, r.pos)).collect::<Vec<_>>(),
+            vec![(nodes[0], 0), (nodes[1], 1)]
+        );
+        assert_eq!(ready[1].queued, g.queued(nodes[1]));
+        assert_eq!(ready[1].oldest_seq, g.oldest_pending_seq(nodes[1]));
+        // A sparse candidate set finds positions by search and skips ready
+        // nodes outside it.
+        let sparse = [nodes[0], nodes[2]];
+        let view = SchedView::new(&g, &sparse);
+        assert_eq!(
+            view.ready().map(|r| (r.id, r.pos)).collect::<Vec<_>>(),
+            vec![(nodes[0], 0)]
+        );
+        assert_eq!(SchedView::new(&g, &[]).ready().count(), 0);
+    }
+
+    #[test]
+    fn chain_links_follow_single_consumer_edges_within_the_candidates() {
+        let (g, nodes) = demo_graph();
+        let mut chains = Chains::default();
+        chains.rebuild(&SchedView::new(&g, &nodes));
+        assert_eq!(chains.next, vec![Some(1), Some(2), None]);
+        // Outside the candidate set a consumer does not count…
+        let sparse = [nodes[0], nodes[2]];
+        chains.rebuild(&SchedView::new(&g, &sparse));
+        assert_eq!(chains.next, vec![None, None]);
+        // …and a second consumer ends the chain at the fan-out point.
+        let g = QueryGraph::new();
+        let src = g.add_source("src", VecSource::new(elems_n(4)));
+        let a = g.add_unary("a", PassThrough, &src);
+        let (k1, _) = CollectSink::new();
+        let (k2, _) = CollectSink::new();
+        let all = [
+            src.node(),
+            a.node(),
+            g.add_sink("k1", k1, &a),
+            g.add_sink("tap", k2, &src),
+        ];
+        chains.rebuild(&SchedView::new(&g, &all));
+        assert_eq!(chains.next, vec![None, Some(2), None, None]);
+    }
+
+    #[test]
+    fn chain_refresh_of_the_picked_nodes_matches_a_full_recompute() {
+        // Two filtering chains off one source, so selectivities move as the
+        // run goes and a picked node has a chain leading into it.
+        let g = QueryGraph::new();
+        let src = g.add_source("src", VecSource::new(elems_n(400)));
+        let mut nodes = vec![src.node()];
+        for name in ["x", "y"] {
+            let a = g.add_unary(&format!("{name}1"), DropMost, &src);
+            let b = g.add_unary(&format!("{name}2"), PassThrough, &a);
+            let (sink, _) = CollectSink::new();
+            nodes.extend([a.node(), b.node(), g.add_sink(name, sink, &b)]);
+        }
+        nodes.sort_unstable();
+        let mut chain = ChainStrategy::new(4);
+        let mut refreshes = 0;
+        while !g.all_finished() {
+            let view = SchedView::new(&g, &nodes);
+            let refreshing = chain.ticks.is_multiple_of(4);
+            let id = chain.select(&view).expect("something is runnable");
+            if refreshing {
+                let mut full = ChainStrategy::new(4);
+                full.recompute(&view);
+                assert_eq!(chain.priorities, full.priorities);
+                refreshes += 1;
+            }
+            g.step_node(id, 8);
+        }
+        assert!(refreshes > 10);
     }
 
     #[test]
@@ -533,6 +754,6 @@ mod tests {
         let mut chain = ChainStrategy::new(1);
         chain.recompute(&view);
         assert_eq!(chain.priorities.len(), nodes.len());
-        assert!(chain.priorities.iter().all(|(_, p)| p.is_finite()));
+        assert!(chain.priorities.iter().all(|p| p.is_finite()));
     }
 }

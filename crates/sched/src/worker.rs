@@ -7,9 +7,11 @@
 //! runnable groups, then **steals** a runnable group from the most loaded
 //! peer. A leader worker periodically re-places all groups from runtime
 //! queue-depth statistics (`pipes-meta`) when the load spread grows too
-//! wide, and every productive quantum wakes the specific workers owning the
-//! producer's downstream groups through per-worker [`Parker`]s — a targeted
-//! unpark instead of waiting out a bounded park timeout. The per-quantum
+//! wide, and a node that turns from not-ready to ready wakes the worker
+//! owning its group through that worker's [`Parker`] — a targeted unpark,
+//! once per transition, instead of waiting out a bounded park timeout. What
+//! is runnable (for the pick, for adoption and stealing, for "the graph is
+//! done") is read from the graph's lock-free ready set. The per-quantum
 //! bookkeeping is the shared `QuantumRunner` the single-thread driver
 //! runs on too; this module adds only ownership and placement.
 //!
@@ -100,10 +102,12 @@ impl OwnershipView {
 /// groups are never runnable (every member is removed, and removed nodes
 /// count as finished).
 fn group_runnable(graph: &QueryGraph, plan: &ExecutionPlan, group: GroupId) -> bool {
+    let ready = graph.ready();
     !plan.groups()[group].is_retired()
-        && plan.groups()[group].nodes().iter().any(|&n| {
-            !graph.is_finished(n) && (graph.queued(n) > 0 || graph.kind(n) == NodeKind::Source)
-        })
+        && plan.groups()[group]
+            .nodes()
+            .iter()
+            .any(|&n| ready.is_ready(n))
 }
 
 /// The dynamic layer-3 executor: plan-derived initial placement, group
@@ -208,25 +212,21 @@ impl WorkStealingExecutor {
             targets: Mutex::new(Vec::new()),
         });
 
-        // Targeted wakeups: a productive quantum on `producer` wakes the
-        // owners of the foreign groups its output feeds. The plan `Arc` is
-        // snapshotted (guard dropped) before touching the table, so the
-        // hook never nests the plan lock around table state; a producer
-        // spliced in after the current plan wakes nobody until the leader
-        // re-plans, which the topology epoch guarantees happens.
+        // Targeted wakeups: a node turning from not-ready to ready wakes
+        // the worker that owns its group — once per transition, nothing
+        // while the node stays ready. The group is looked up under the plan
+        // guard and the guard dropped before touching the table, so the
+        // hook never nests the plan lock around table state; a node spliced
+        // in after the current plan wakes nobody until the leader re-plans,
+        // which the topology epoch guarantees happens.
         let hook_shared = Arc::clone(&shared);
-        graph.set_wake_hook(Arc::new(move |producer| {
-            let plan = hook_shared.plan();
-            for &g in plan.downstream_groups(producer) {
-                if let Some(w) = hook_shared.table.owner(g) {
-                    if let Some(p) = hook_shared.parkers.get(w) {
-                        pipes_trace::instant(
-                            pipes_trace::names::WAKE,
-                            [producer as u64, w as u64, 0],
-                        );
-                        p.unpark();
-                    }
-                }
+        graph.set_wake_hook(Arc::new(move |node| {
+            let group = hook_shared.plan.read().try_group_of(node);
+            let Some(w) = group.and_then(|g| hook_shared.table.owner(g)) else {
+                return;
+            };
+            if hook_shared.parkers.get(w).is_some_and(Parker::unpark) {
+                pipes_trace::instant(pipes_trace::names::WAKE, [node as u64, w as u64, 0]);
             }
         }));
 
@@ -277,8 +277,8 @@ impl WorkStealingExecutor {
         // moves (every plan swap bumps the epoch, so a snapshot is never
         // staler than the placement applied against it).
         let mut plan = shared.plan();
-        let mut nodes = plan.nodes_of(&shared.table.owned(me));
         let mut runner = QuantumRunner::new(graph, strategy, &self.per_worker);
+        runner.set_candidates(plan.nodes_of(&shared.table.owned(me)));
         let mut steals = 0u64;
         let mut seen_epoch = 0u64;
         let mut since_rebalance = 0u64;
@@ -300,7 +300,7 @@ impl WorkStealingExecutor {
                 seen_epoch = epoch;
                 plan = shared.plan();
                 self.apply_targets(me, &plan, shared, epoch);
-                nodes = plan.nodes_of(&shared.table.owned(me));
+                runner.set_candidates(plan.nodes_of(&shared.table.owned(me)));
             }
             if runner.at_cap() {
                 break false;
@@ -313,26 +313,26 @@ impl WorkStealingExecutor {
                     self.plan_rebalance(graph, &plan, shared);
                 }
             }
-            if let Some(id) = runner.select(&nodes) {
+            if let Some(id) = runner.select() {
                 let group = plan.group_of(id);
                 if !shared.table.begin(group, me) {
                     // The group left us (stolen or handed off) since the
                     // last ownership refresh — re-derive what we own.
-                    nodes = plan.nodes_of(&shared.table.owned(me));
+                    runner.set_candidates(plan.nodes_of(&shared.table.owned(me)));
                     continue;
                 }
-                let progressed = runner.step(id, &nodes);
+                let progressed = runner.step(id);
                 shared.table.end(group, me);
                 if progressed {
                     continue;
                 }
             } else if self.acquire_work(me, graph, &plan, shared, &mut steals) {
-                nodes = plan.nodes_of(&shared.table.owned(me));
+                runner.set_candidates(plan.nodes_of(&shared.table.owned(me)));
                 runner.progressed();
                 continue;
             }
             // An empty quantum: either the graph is done, or we wait.
-            if graph.all_finished() {
+            if graph.ready().all_finished() {
                 shared.stop.store(true, Ordering::Release);
                 pipes_trace::instant(pipes_trace::names::STOP, [0; 3]);
                 shared.wake_all();
@@ -491,7 +491,7 @@ impl WorkStealingExecutor {
                     if est.confidence != pipes_graph::Confidence::Prior {
                         projected += est.in_rate * Self::RATE_HORIZON_SECS;
                     }
-                    if est.kind == NodeKind::Source && !graph.is_finished(m) {
+                    if est.kind == NodeKind::Source && !graph.ready().is_finished(m) {
                         live_source = true;
                     }
                 }

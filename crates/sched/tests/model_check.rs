@@ -12,10 +12,11 @@
 
 use pipes_graph::io::{CountSink, VecSource};
 use pipes_graph::QueryGraph;
-use pipes_sched::{FifoStrategy, GroupTable, SingleThreadExecutor, WorkStealingExecutor};
+use pipes_sched::{FifoStrategy, GroupTable, Parker, SingleThreadExecutor, WorkStealingExecutor};
 use pipes_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use pipes_sync::Arc;
 use pipes_time::{Element, Timestamp};
+use std::time::Duration;
 
 fn tiny_graph(n: i64) -> (Arc<QueryGraph>, Arc<pipes_sync::Mutex<(u64, Timestamp)>>) {
     let g = QueryGraph::new();
@@ -406,6 +407,73 @@ fn work_stealing_executor_terminates_and_delivers_in_every_schedule() {
         assert_eq!(reports.len(), 2, "a worker was lost");
         assert_eq!(count.lock().0, 2, "stream not fully delivered");
         assert!(graph.all_finished());
+    });
+    assert!(report.complete);
+    assert!(report.executions > 1, "expected multiple schedules");
+}
+
+/// `Parker::unpark` notifies only a worker it sees parked. Racing the
+/// waiter flag in every interleaving — unpark before the park, between the
+/// token check and the wait, during the wait, after a timeout — the token
+/// is deposited exactly once and consumed exactly once: by the racing park,
+/// or else it is still there for the next one.
+#[test]
+fn parker_unpark_racing_the_waiter_flag_never_loses_the_token() {
+    let report = pipes_sync::Builder::new().preemption_bound(2).check(|| {
+        let parker = Arc::new(Parker::new());
+        let waiter = {
+            let parker = Arc::clone(&parker);
+            pipes_sync::thread::spawn(move || parker.park(Duration::from_secs(1)))
+        };
+        parker.unpark();
+        let woken = waiter.join().unwrap();
+        let pending = parker.park(Duration::ZERO);
+        assert_ne!(woken, pending, "the wake token was lost or duplicated");
+    });
+    assert!(report.complete);
+    assert!(report.executions > 1, "expected multiple schedules");
+}
+
+/// A push racing `park`: the worker looks for its node in the ready set,
+/// finds nothing and parks, while a producer's push marks the node ready
+/// and — on that not-ready → ready transition, and only on it — runs the
+/// wake hook. In every interleaving the worker either saw the node ready
+/// before parking, or was handed the token (a park that the modeled timeout
+/// ended first leaves it pending for the next one): the wake-up cannot fall
+/// between the look and the park.
+#[test]
+fn push_racing_park_wakes_the_worker_or_is_seen_before_it_parks() {
+    let report = pipes_sync::Builder::new().preemption_bound(2).check(|| {
+        let (graph, _count) = tiny_graph(4);
+        let (src, sink) = (0, 1);
+        let parker = Arc::new(Parker::new());
+        let hooked = Arc::new(AtomicUsize::new(0));
+        {
+            let parker = Arc::clone(&parker);
+            let hooked = Arc::clone(&hooked);
+            graph.set_wake_hook(Arc::new(move |node| {
+                assert_eq!(node, sink, "only the sink turns ready");
+                hooked.fetch_add(1, Ordering::AcqRel);
+                parker.unpark();
+            }));
+        }
+        let worker = {
+            let graph = Arc::clone(&graph);
+            let parker = Arc::clone(&parker);
+            pipes_sync::thread::spawn(move || {
+                let seen = graph.ready().is_ready(sink);
+                (seen, !seen && parker.park(Duration::from_secs(1)))
+            })
+        };
+        // Two pushes: the second finds the sink ready and must not wake.
+        graph.step_node(src, 1);
+        graph.step_node(src, 1);
+        let (seen, woken) = worker.join().unwrap();
+        assert_eq!(hooked.load(Ordering::Acquire), 1, "one wake per transition");
+        assert!(graph.ready().is_ready(sink));
+        let pending = parker.park(Duration::ZERO);
+        assert_ne!(woken, pending, "the wake token was lost or duplicated");
+        assert!(seen || woken || pending);
     });
     assert!(report.complete);
     assert!(report.executions > 1, "expected multiple schedules");

@@ -1,10 +1,11 @@
 //! Real-time (non-model-checked) version of the mid-run instance splice:
 //! `QueryGraph::parallelize` against a live work-stealing executor must
-//! terminate and keep the stream byte-identical.
+//! terminate and keep the stream byte-identical; and a node spliced into or
+//! removed from a graph mid-run enters and leaves the ready set with it.
 
 use pipes_graph::io::{CollectSink, VecSource};
 use pipes_graph::QueryGraph;
-use pipes_sched::{FifoStrategy, WorkStealingExecutor};
+use pipes_sched::{FifoStrategy, SchedView, Strategy, WorkStealingExecutor};
 use pipes_sync::Arc;
 use pipes_time::{Element, Timestamp};
 
@@ -105,4 +106,45 @@ fn work_stealing_executor_finishes_plain_shuffle_graph() {
     assert!(graph.all_finished());
     let got: Vec<i64> = out.lock().iter().map(|e| e.payload).collect();
     assert_eq!(got, vec![0, 1, 2, 3]);
+}
+
+#[test]
+fn spliced_node_is_pickable_from_the_ready_set_and_a_removed_one_never_is() {
+    let g = QueryGraph::new();
+    let elems: Vec<Element<i64>> = (0..8i64)
+        .map(|i| Element::at(i, Timestamp::new(i as u64 + 1)))
+        .collect();
+    let src = g.add_source("src", VecSource::new(elems));
+    let (first, first_out) = CollectSink::new();
+    g.add_sink("first", first, &src);
+    let planned: Vec<usize> = g.node_ids().collect();
+    g.step_node(src.node(), 2);
+
+    // Spliced mid-run onto the producing source: the subscription primes its
+    // edge, so it is in the ready set the moment it is registered — found by
+    // a scan of the bitmap, with nothing probing the node itself.
+    let (late, late_out) = CollectSink::new();
+    let late = g.add_sink("late", late, &src);
+    assert!(g.ready().is_ready(late));
+    assert!(
+        SchedView::new(&g, &planned).ready().all(|r| r.id != late),
+        "a candidate list planned before the splice does not offer it"
+    );
+    let replanned: Vec<usize> = g.node_ids().collect();
+    assert!(SchedView::new(&g, &replanned).ready().any(|r| r.id == late));
+
+    // Removed with input still queued: it leaves the ready set for good,
+    // even for a scheduler still holding the candidate list that names it.
+    g.step_node(src.node(), 2);
+    assert!(g.ready().queued(late) > 0);
+    g.remove_node(late);
+    assert!(!g.ready().is_ready(late) && g.ready().is_finished(late));
+    let mut strategy = FifoStrategy;
+    while let Some(id) = strategy.select(&SchedView::new(&g, &replanned)) {
+        assert_ne!(id, late, "a removed node was picked");
+        g.step_node(id, 4);
+    }
+    assert!(g.all_finished());
+    assert_eq!(first_out.lock().len(), 8);
+    assert!(late_out.lock().is_empty(), "the removed sink never ran");
 }

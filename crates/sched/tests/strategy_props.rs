@@ -1,16 +1,21 @@
 //! Property tests: every scheduling strategy drains every randomly shaped
-//! finite graph, and all strategies agree on the results.
+//! finite graph, and all strategies agree on the results; the lock-free
+//! readiness cells agree with the locked probes after every quantum, and
+//! every strategy picks from the cells what its lock-probing predecessor
+//! picked from the locks.
 
 use pipes_graph::io::{CollectSink, VecSource};
-use pipes_graph::{Collector, Operator, QueryGraph};
+use pipes_graph::{Collector, NodeId, NodeKind, Operator, QueryGraph};
 use pipes_ops::aggregate::{CountAgg, ScalarAggregate};
 use pipes_ops::{Filter, TimeWindow, Union};
 use pipes_sched::{
     ChainStrategy, FifoStrategy, GreedyStrategy, RandomStrategy, RateBasedStrategy,
-    RoundRobinStrategy, SingleThreadExecutor, Strategy as SchedStrategy,
+    RoundRobinStrategy, SchedView, SingleThreadExecutor, Strategy as SchedStrategy,
 };
 use pipes_time::{Duration, Element, Timestamp};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 struct Mul(i64);
 impl Operator for Mul {
@@ -113,8 +118,218 @@ fn snapshot_equal(a: &[Element<u64>], b: &[Element<u64>]) -> Result<(), String> 
     Ok(())
 }
 
+/// The six strategies as they were before the ready set: every fact probed
+/// under the node's locks (`QueryGraph::{queued, oldest_pending_seq,
+/// is_finished}`), every candidate visited on every pick. Kept here, and
+/// only here, as the oracle the cell-reading strategies are checked against.
+mod oracle {
+    use super::*;
+
+    fn runnable(g: &QueryGraph, id: NodeId) -> bool {
+        !g.is_finished(id) && (g.queued(id) > 0 || g.kind(id) == NodeKind::Source)
+    }
+
+    fn selectivity(g: &QueryGraph, id: NodeId) -> f64 {
+        g.stats(id).snapshot().selectivity().unwrap_or(1.0).min(4.0)
+    }
+
+    fn first_source(g: &QueryGraph, nodes: &[NodeId]) -> Option<NodeId> {
+        nodes
+            .iter()
+            .copied()
+            .find(|&id| !g.is_finished(id) && g.kind(id) == NodeKind::Source)
+    }
+
+    pub enum Oracle {
+        RoundRobin {
+            cursor: usize,
+        },
+        Fifo,
+        Greedy,
+        Random(SmallRng),
+        Chain {
+            priorities: Vec<(NodeId, f64)>,
+            refresh_every: u64,
+            ticks: u64,
+        },
+        RateBased,
+    }
+
+    impl Oracle {
+        pub fn select(&mut self, g: &QueryGraph, nodes: &[NodeId]) -> Option<NodeId> {
+            match self {
+                Oracle::RoundRobin { cursor } => {
+                    let n = nodes.len();
+                    for i in 0..n {
+                        let idx = (*cursor + i) % n;
+                        if runnable(g, nodes[idx]) {
+                            *cursor = (idx + 1) % n;
+                            return Some(nodes[idx]);
+                        }
+                    }
+                    None
+                }
+                Oracle::Fifo => nodes
+                    .iter()
+                    .copied()
+                    .filter_map(|id| g.oldest_pending_seq(id).map(|s| (s, id)))
+                    .filter(|&(_, id)| !g.is_finished(id))
+                    .min()
+                    .map(|(_, id)| id)
+                    .or_else(|| first_source(g, nodes)),
+                Oracle::Greedy => nodes
+                    .iter()
+                    .copied()
+                    .filter(|&id| !g.is_finished(id))
+                    .map(|id| (g.queued(id), id))
+                    .filter(|&(q, _)| q > 0)
+                    .max()
+                    .map(|(_, id)| id)
+                    .or_else(|| first_source(g, nodes)),
+                Oracle::Random(rng) => {
+                    let runnable: Vec<NodeId> = nodes
+                        .iter()
+                        .copied()
+                        .filter(|&id| runnable(g, id))
+                        .collect();
+                    if runnable.is_empty() {
+                        None
+                    } else {
+                        Some(runnable[rng.gen_range(0..runnable.len())])
+                    }
+                }
+                Oracle::Chain {
+                    priorities,
+                    refresh_every,
+                    ticks,
+                } => {
+                    if ticks.is_multiple_of(*refresh_every) || priorities.len() != nodes.len() {
+                        priorities.clear();
+                        for &id in nodes {
+                            let mut best: f64 = 0.0;
+                            let mut survival = 1.0;
+                            let mut len = 0.0;
+                            let mut cur = id;
+                            loop {
+                                survival *= selectivity(g, cur).min(1.0);
+                                len += 1.0;
+                                best = best.max((1.0 - survival) / len);
+                                let downstream: Vec<NodeId> = nodes
+                                    .iter()
+                                    .copied()
+                                    .filter(|&n| g.subscribes_to(n, cur))
+                                    .collect();
+                                if downstream.len() != 1 {
+                                    break;
+                                }
+                                cur = downstream[0];
+                                if len > 32.0 {
+                                    break;
+                                }
+                            }
+                            priorities.push((id, best));
+                        }
+                    }
+                    *ticks += 1;
+                    priorities
+                        .iter()
+                        .filter(|(id, _)| !g.is_finished(*id) && g.queued(*id) > 0)
+                        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("priorities are finite"))
+                        .map(|(id, _)| *id)
+                        .or_else(|| first_source(g, nodes))
+                }
+                Oracle::RateBased => nodes
+                    .iter()
+                    .copied()
+                    .filter(|&id| !g.is_finished(id) && g.queued(id) > 0)
+                    .map(|id| (selectivity(g, id), id))
+                    .max_by(|a, b| a.partial_cmp(b).expect("selectivities are finite"))
+                    .map(|(_, id)| id)
+                    .or_else(|| first_source(g, nodes)),
+            }
+        }
+    }
+}
+
+/// The readiness cells say what the locked probes say, node by node.
+fn cells_agree_with_locks(g: &QueryGraph, nodes: &[NodeId]) -> Result<(), TestCaseError> {
+    let ready = g.ready();
+    for &id in nodes {
+        prop_assert_eq!(ready.queued(id), g.queued(id), "queued of node {}", id);
+        prop_assert_eq!(
+            ready.oldest_seq(id),
+            g.oldest_pending_seq(id),
+            "oldest seq of node {}",
+            id
+        );
+        prop_assert_eq!(
+            ready.is_finished(id),
+            g.is_finished(id),
+            "finished of node {}",
+            id
+        );
+        let runnable = !g.is_finished(id) && (g.queued(id) > 0 || g.kind(id) == NodeKind::Source);
+        prop_assert_eq!(ready.is_ready(id), runnable, "ready bit of node {}", id);
+    }
+    prop_assert_eq!(ready.all_finished(), g.all_finished());
+    Ok(())
+}
+
+/// Drives `shape` quantum by quantum the way the single-thread driver does,
+/// asking the strategy and its oracle for every pick.
+fn same_picks_as_the_oracle(
+    shape: &Shape,
+    strategy: &mut dyn SchedStrategy,
+    oracle: &mut oracle::Oracle,
+) -> Result<(), TestCaseError> {
+    let (g, _buf) = build(shape);
+    let nodes: Vec<NodeId> = g.node_ids().collect();
+    cells_agree_with_locks(&g, &nodes)?;
+    for quantum in 0.. {
+        let picked = strategy.select(&SchedView::new(&g, &nodes));
+        let expected = oracle.select(&g, &nodes);
+        prop_assert_eq!(
+            picked,
+            expected,
+            "{} diverged from its oracle at quantum {} of {:?}",
+            strategy.name(),
+            quantum,
+            shape
+        );
+        let Some(id) = picked else { break };
+        g.step_node(id, 16);
+        cells_agree_with_locks(&g, &nodes)?;
+    }
+    prop_assert!(
+        g.all_finished(),
+        "{} stalled on {:?}",
+        strategy.name(),
+        shape
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn cells_agree_with_the_locks_and_picks_with_the_lock_probing_oracle(shape in arb_shape()) {
+        use oracle::Oracle;
+        let pairs: Vec<(Box<dyn SchedStrategy>, Oracle)> = vec![
+            (Box::new(RoundRobinStrategy::new()), Oracle::RoundRobin { cursor: 0 }),
+            (Box::new(FifoStrategy), Oracle::Fifo),
+            (Box::new(GreedyStrategy), Oracle::Greedy),
+            (Box::new(RandomStrategy::new(9)), Oracle::Random(SmallRng::seed_from_u64(9))),
+            (
+                Box::new(ChainStrategy::new(8)),
+                Oracle::Chain { priorities: Vec::new(), refresh_every: 8, ticks: 0 },
+            ),
+            (Box::new(RateBasedStrategy), Oracle::RateBased),
+        ];
+        for (mut strategy, mut oracle) in pairs {
+            same_picks_as_the_oracle(&shape, strategy.as_mut(), &mut oracle)?;
+        }
+    }
 
     #[test]
     fn all_strategies_drain_and_agree(shape in arb_shape()) {

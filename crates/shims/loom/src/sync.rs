@@ -135,6 +135,30 @@ pub mod atomic {
                     }
                 }
 
+                /// Atomic bitwise or, returning the previous value.
+                pub fn fetch_or(&self, v: $prim, order: Ordering) -> $prim {
+                    match self.point("fetch_or") {
+                        Some(c) => {
+                            let prev = self.inner.fetch_or(v, Ordering::SeqCst);
+                            c.engine.note_value(&prev);
+                            prev
+                        }
+                        None => self.inner.fetch_or(v, order),
+                    }
+                }
+
+                /// Atomic bitwise and, returning the previous value.
+                pub fn fetch_and(&self, v: $prim, order: Ordering) -> $prim {
+                    match self.point("fetch_and") {
+                        Some(c) => {
+                            let prev = self.inner.fetch_and(v, Ordering::SeqCst);
+                            c.engine.note_value(&prev);
+                            prev
+                        }
+                        None => self.inner.fetch_and(v, order),
+                    }
+                }
+
                 /// Atomic compare-exchange.
                 pub fn compare_exchange(
                     &self,

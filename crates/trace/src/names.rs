@@ -68,8 +68,8 @@ pub const GROUP_RELEASE: &str = "sched.release";
 /// args: `[epoch, groups_moved, 0]`.
 pub const REBALANCE_PLAN: &str = "sched.rebalance";
 
-/// Instant for a targeted owner wakeup after a productive quantum.
-/// args: `[producer_node, woken_worker, 0]`.
+/// Instant for a targeted owner wakeup: a node turned ready and its owner
+/// was parked. args: `[ready_node, woken_worker, 0]`.
 pub const WAKE: &str = "sched.wake";
 
 /// Instant for a hot-topology mutation: a node spliced into or retired

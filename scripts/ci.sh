@@ -55,20 +55,33 @@ python3 -c 'import json,sys; json.load(open("target/quickstart_trace.json")); js
     || node -e 'JSON.parse(require("fs").readFileSync("target/quickstart_trace.json")); JSON.parse(require("fs").readFileSync("target/quickstart_meta.json"))' 2>/dev/null \
     || echo "==> NOTICE: no python3/node on PATH; skipped JSON parse check (files are non-empty)"
 
+# The experiment smoke runs below write their `BENCH_*.json` into the
+# directory they run in. They run in a scratch directory, so quick-run
+# numbers never land on the checked-in artifacts (those are regenerated
+# only by full, non-quick runs from the repository root).
+quick_dir=target/ci-quick
+mkdir -p "$quick_dir"
+experiment() {
+    (cd "$quick_dir" && cargo run -q --release -p pipes-bench --bin experiments -- "$@")
+}
+
 # Scheduler-layers smoke run: E16 exercises both drivers (the
 # single-thread executor, and work stealing at every worker count up to
 # the core count) end to end on the skewed multi-chain workload and
 # asserts full delivery; quick mode keeps it to seconds. The ratios are
 # recorded from the full (non-quick) run in EXPERIMENTS.md, not gated here.
-echo "==> E16 scheduler-layers smoke run (quick)"
-cargo run -q --release -p pipes-bench --bin experiments -- e16 --quick >/dev/null
+# Its first table — ns per strategy pick against installed nodes, 4 ready —
+# is printed: a pick that grows with the installed nodes again shows here
+# (the 2x bar itself is checked on the full run; quick medians are noisy).
+echo "==> E16 scheduler-layers smoke run (quick) + pick-cost scaling table"
+experiment e16 --quick | grep -A 6 "ns per strategy pick"
 
 # Run-algebra smoke run: E17 drives the NEXMark-style join + aggregate
 # plan under both dispatch granularities and asserts they produce the
 # same sink output; quick mode keeps it to seconds. As with E16, the
 # ratio acceptance bar lives in the full run recorded in EXPERIMENTS.md.
 echo "==> E17 run-at-a-time algebra smoke run (quick)"
-cargo run -q --release -p pipes-bench --bin experiments -- e17 --quick >/dev/null
+experiment e17 --quick >/dev/null
 
 # Window-aggregation smoke run: E18 sweeps the sliding-window count under
 # both partial-state layouts (naive boundary scan vs partial-aggregate
@@ -76,7 +89,7 @@ cargo run -q --release -p pipes-bench --bin experiments -- e17 --quick >/dev/nul
 # keeps it to seconds. The >= 20x acceptance bar at window 1024 lives in
 # the full run recorded in EXPERIMENTS.md.
 echo "==> E18 window-aggregation smoke run (quick)"
-cargo run -q --release -p pipes-bench --bin experiments -- e18 --quick >/dev/null
+experiment e18 --quick >/dev/null
 
 # Metadata-plane smoke run: E19 runs the E17 join plan with collection
 # disabled and enabled in alternating pairs and checks that a warm graph
@@ -84,7 +97,7 @@ cargo run -q --release -p pipes-bench --bin experiments -- e18 --quick >/dev/nul
 # seconds. The <= 3% overhead bar is checked in the full run recorded in
 # EXPERIMENTS.md, not gated here (quick-run medians are too noisy).
 echo "==> E19 metadata-plane smoke run (quick)"
-cargo run -q --release -p pipes-bench --bin experiments -- e19 --quick >/dev/null
+experiment e19 --quick >/dev/null
 
 # Hot-topology smoke run: E20 splices a fleet of prefix-sharing queries
 # into a graph a work-stealing executor is already draining, watching
@@ -92,7 +105,7 @@ cargo run -q --release -p pipes-bench --bin experiments -- e19 --quick >/dev/nul
 # seconds. The >= 5x sharing and no-throughput-degradation bars live in
 # the full run recorded in EXPERIMENTS.md.
 echo "==> E20 hot-topology splice smoke run (quick)"
-cargo run -q --release -p pipes-bench --bin experiments -- e20 --quick >/dev/null
+experiment e20 --quick >/dev/null
 
 # Keyed-parallelism smoke run: E21 builds the NEXMark join + aggregate
 # plan single-instance and behind shuffle edges, asserts byte-identical
@@ -101,7 +114,7 @@ cargo run -q --release -p pipes-bench --bin experiments -- e20 --quick >/dev/nul
 # scaling bar lives in the full run recorded in EXPERIMENTS.md (and needs
 # a multi-core host — see the E21 caveat there).
 echo "==> E21 keyed-parallelism smoke run (quick)"
-cargo run -q --release -p pipes-bench --bin experiments -- e21 --quick >/dev/null
+experiment e21 --quick >/dev/null
 
 # End-to-end benchmark smoke run: all five workloads of BENCHMARK.json from
 # CQL text to the sink, 0.5 s phases. Fails on a verify mismatch against
@@ -115,8 +128,10 @@ benchmark/run.sh --quick >/dev/null
 # Model-checked concurrency suite: compile the kernel against the
 # instrumented loom-shim primitives and exhaustively explore interleavings
 # of the data-path/scheduler invariants (see DESIGN.md § "Concurrency
-# discipline"). A separate target dir keeps the two cfg worlds from
-# thrashing each other's incremental caches.
+# discipline") — among them the readiness protocol's two races (a push
+# against the end-of-step publication in pipes-graph, a push against park
+# in pipes-sched) and the parker's waiter flag. A separate target dir keeps
+# the two cfg worlds from thrashing each other's incremental caches.
 echo "==> model-checked concurrency suite (--cfg pipes_model_check)"
 RUSTFLAGS="${RUSTFLAGS:-} --cfg pipes_model_check" \
 CARGO_TARGET_DIR=target/model-check \
