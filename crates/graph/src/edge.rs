@@ -1,5 +1,6 @@
 //! Queued edges between nodes.
 
+use crate::node::PortView;
 use crate::ready::{Port, ReadyCell};
 use pipes_sync::atomic::{AtomicUsize, Ordering};
 use pipes_sync::{Arc, Mutex};
@@ -62,6 +63,23 @@ impl<T> Edge<T> {
     /// blocks it.
     pub(crate) fn open_gate(&self) {
         self.port.open_gate();
+    }
+
+    /// Whether this is a strict-frontier port whose `Close` its consumer
+    /// has not taken yet.
+    pub(crate) fn gated(&self) -> bool {
+        self.port.gated()
+    }
+
+    /// What the consumer's frontier probe needs of this port, under one
+    /// lock acquisition (see [`crate::node::frontier`]).
+    pub(crate) fn view(&self) -> PortView {
+        let q = self.queue.lock();
+        PortView {
+            head: q.front().map(|(s, _)| *s),
+            len: q.len(),
+            gated: self.gated(),
+        }
     }
 
     /// Mirrors the queue into the readiness port; returns the length. Must

@@ -2,7 +2,7 @@
 
 use crate::edge::{Edge, EdgeId};
 use crate::meta::{derive, MetaConfig, MetaSnapshot, RawNode};
-use crate::node::{BinNode, OpNode, Runnable, SinkNode, SourceNode, StepReport};
+use crate::node::{BinNode, OpNode, Published, Runnable, SinkNode, SourceNode, StepReport};
 use crate::operator::{BinaryOperator, NodeId, Operator, SinkOp, SourceOp};
 use crate::outputs::{OutputPort, Outputs};
 use crate::ready::{ReadyCell, ReadySet, WakeHook};
@@ -251,7 +251,7 @@ impl QueryGraph {
             input.outputs.subscribe(Arc::clone(&edge));
             edges.push(edge);
         }
-        let node = OpNode::new(op, edges, Arc::clone(&outputs));
+        let node = OpNode::new(op, edges, Published::new(Arc::clone(&outputs)));
         let id = self.push_node(NodeCell::new(
             name,
             NodeKind::Operator,
@@ -284,7 +284,7 @@ impl QueryGraph {
         let incoming = vec![(left.node, le.id()), (right.node, re.id())];
         left.outputs.subscribe(Arc::clone(&le));
         right.outputs.subscribe(Arc::clone(&re));
-        let node = BinNode::new(op, le, re, Arc::clone(&outputs));
+        let node = BinNode::new(op, le, re, Published::new(Arc::clone(&outputs)));
         let id = self.push_node(NodeCell::new(
             name,
             NodeKind::Operator,
@@ -585,7 +585,9 @@ impl QueryGraph {
         cell.stats.record_in(report.consumed as u64);
         cell.stats.record_out(report.produced as u64);
         cell.stats.record_batches(report.batches as u64);
-        cell.stats.set_queue_len(runnable.queued());
+        // The lock-free mirror of `runnable.queued()`: the locked probe
+        // would take every input queue's lock once more per quantum.
+        cell.stats.set_queue_len(cell.ready.queued());
         let memory = runnable.memory();
         cell.stats.set_memory(memory);
         cell.ready.set_memory(memory);

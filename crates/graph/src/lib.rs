@@ -49,7 +49,7 @@ pub use edge::{Edge, EdgeId};
 pub use fuse::{Fused, OperatorExt};
 pub use graph::{NodeInfo, NodeKind, QueryGraph, StreamHandle};
 pub use meta::{Confidence, MetaConfig, MetaSnapshot, NodeEstimate};
-pub use node::{BinNode, OpNode, Runnable, SinkNode, SourceNode, StepReport};
+pub use node::{Runnable, StepReport};
 pub use operator::{BinaryOperator, Collector, NodeId, Operator, SinkOp, SourceOp, SourceStatus};
 pub use outputs::{OutputPort, Outputs, PublishCollector};
 pub use ready::{Marked, MarkedIter, ReadySet, WakeHook};

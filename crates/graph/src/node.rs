@@ -1,18 +1,33 @@
-//! Type-erased runnable nodes wrapping typed operators.
+//! Type-erased runnable nodes wrapping typed operators — and the one place
+//! a node's step loop is written.
 //!
-//! All four node kinds run a *batched* data path: input edges are drained in
-//! runs via [`Edge::pop_run`] (one lock per run, not per message) into a
-//! node-owned scratch buffer, and produced output is buffered by a
-//! [`PublishCollector`] and flushed once per quantum. Multi-port nodes bound
-//! each run by the head sequence of their other ports, so cross-port arrival
-//! order is identical to per-message processing.
+//! Every consuming node runs the same *batched* data path: it asks
+//! [`frontier`] which input port goes next and how far a run from it may
+//! reach, drains that run with [`Edge::pop_run`] (one lock per run, not per
+//! message) into node-owned scratch, and hands it on. Three decisions vary
+//! between node kinds, and nothing else does:
 //!
-//! Operator and binary nodes dispatch **whole runs**: after stripping the
-//! terminal `Close` and coalescing adjacent heartbeats (see [`crate::run`]),
-//! the drained run goes to the operator's run-level entry point
-//! ([`Operator::on_run`] / the [`BinaryOperator`] run pair) in one call.
-//! Sinks consume per message — they record every message anyway, so
-//! heartbeat coalescing would change what tests observe for no gain.
+//! 1. **Which port goes next** is not chosen by the node at all: it is
+//!    *observed from the input edges*. A direct port (fed at publish time)
+//!    that is empty is skipped; a *gated* port (fed by a shuffle stage that
+//!    can lag behind the published stream) that is open and empty blocks
+//!    the node — the strict frontier. [`frontier`] is the one locked
+//!    function holding both rules; `ReadyCell::demand` is its lock-free
+//!    mirror.
+//! 2. **In what unit a drained run is dispatched** and
+//! 3. **how output leaves** are the [`Emit`] policy, chosen statically:
+//!    [`Published`] strips the terminal `Close`, coalesces adjacent
+//!    heartbeats (see [`crate::run`]), dispatches the whole run and stamps
+//!    output with a fresh sequence block through [`Outputs`]; [`Stamped`]
+//!    dispatches chunks of consecutive arrival sequences and pushes output
+//!    onto a raw edge under the chunk's own stamp (the keyed instances of
+//!    [`crate::shuffle`]).
+//!
+//! [`OpNode`] and [`BinNode`] are generic over the emitter; the plain graph
+//! builders instantiate them with [`Published`], the keyed builders with
+//! [`Stamped`]. Sinks consume per message — they record every message
+//! anyway, so heartbeat coalescing would change what tests observe for no
+//! gain — and have no output side.
 
 use crate::edge::Edge;
 use crate::operator::{BinaryOperator, Collector, Operator, SinkOp, SourceOp, SourceStatus};
@@ -42,6 +57,15 @@ pub struct StepReport {
     pub peak_run: usize,
 }
 
+impl StepReport {
+    /// Accounts one drained input run of `n` messages.
+    pub(crate) fn drained(&mut self, n: usize) {
+        self.batches += 1;
+        self.consumed += n;
+        self.peak_run = self.peak_run.max(n);
+    }
+}
+
 /// The type-erased face of a node, as seen by schedulers and the memory
 /// manager. Payload types are hidden inside; strategies operate purely on
 /// queue lengths, arrival order, statistics and memory counts.
@@ -54,15 +78,22 @@ pub trait Runnable: Send {
     fn oldest_pending_seq(&self) -> Option<u64>;
     /// Whether the node will never produce work again.
     fn is_finished(&self) -> bool;
-    /// Current operator state size in retained elements.
-    fn memory(&self) -> usize;
+    /// Current operator state size in retained elements. Default: 0
+    /// (stateless).
+    fn memory(&self) -> usize {
+        0
+    }
     /// Estimated operator state footprint in bytes (see
     /// `Operator::state_bytes`). Default: 0 (unreported).
     fn state_bytes(&self) -> usize {
         0
     }
     /// Sheds operator state to roughly `target` elements; returns new size.
-    fn shed(&mut self, target: usize) -> usize;
+    /// Default: nothing to shed.
+    fn shed(&mut self, target: usize) -> usize {
+        let _ = target;
+        0
+    }
     /// Caps how many messages one input run may drain (and how many output
     /// messages are buffered before a flush). A limit of 1 degenerates to
     /// the per-message data path; the default is effectively unbounded.
@@ -76,8 +107,8 @@ pub trait Runnable: Send {
     fn attach_latency(&mut self, tracker: Arc<LatencyTracker>, stats: Arc<NodeStats>) {
         let _ = (tracker, stats);
     }
-    /// Typed access for live reconfiguration: shuffle nodes (partition,
-    /// keyed instance, merge — see [`crate::shuffle`]) return themselves so
+    /// Typed access for live reconfiguration: operator nodes and the
+    /// shuffle stages (see [`crate::shuffle`]) return themselves so
     /// `QueryGraph::parallelize` can retarget routing tables and move keyed
     /// operator state while the graph runs. Everything else returns `None`.
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
@@ -106,41 +137,6 @@ impl<T> Collector<T> for StampingCollector<'_, '_, T> {
     }
 }
 
-/// Picks the input edge whose head message arrived earliest. Processing in
-/// global arrival order keeps multi-port operators fair and lets watermarks
-/// advance promptly.
-fn earliest_port<T>(edges: &[Arc<Edge<T>>]) -> Option<usize> {
-    let mut best: Option<(u64, usize)> = None;
-    for (i, e) in edges.iter().enumerate() {
-        if let Some(seq) = e.head_seq() {
-            if best.is_none_or(|(s, _)| seq < s) {
-                best = Some((seq, i));
-            }
-        }
-    }
-    best.map(|(_, i)| i)
-}
-
-/// The largest arrival sequence a run from `port` may consume without
-/// overtaking any other port: messages on `port` with seq *at most* the
-/// returned bound sort before (or, on ties, at the position chosen by
-/// [`earliest_port`]'s lowest-index rule relative to) every other head.
-fn run_bound<T>(edges: &[Arc<Edge<T>>], port: usize) -> u64 {
-    let mut bound = u64::MAX;
-    for (i, e) in edges.iter().enumerate() {
-        if i == port {
-            continue;
-        }
-        if let Some(seq) = e.head_seq() {
-            // Equal sequences (fan-out copies of one publish reaching two
-            // ports of the same node) go to the lower-indexed port first.
-            let b = if port < i { seq } else { seq.saturating_sub(1) };
-            bound = bound.min(b);
-        }
-    }
-    bound
-}
-
 /// Output flush cap for a given batch limit: batch-limit-1 must flush per
 /// message; otherwise the cap bounds scratch growth for expansive operators.
 fn flush_cap(batch_limit: usize) -> usize {
@@ -148,11 +144,355 @@ fn flush_cap(batch_limit: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
+// The input frontier
+// ---------------------------------------------------------------------------
+
+/// One input port as its consumer observes it under the queue lock (see
+/// [`Edge::view`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PortView {
+    /// Arrival sequence of the oldest queued message.
+    pub(crate) head: Option<u64>,
+    /// Messages queued.
+    pub(crate) len: usize,
+    /// The port holds a strict frontier: created gated, and its consumer
+    /// has not taken its `Close` yet (a closed port is never gated).
+    pub(crate) gated: bool,
+}
+
+/// The run a node takes next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Next {
+    /// The port to drain.
+    pub(crate) port: usize,
+    /// Its head: the oldest message the node can take.
+    pub(crate) seq: u64,
+    /// The largest arrival sequence the run may include without overtaking
+    /// another port's head.
+    pub(crate) bound: u64,
+}
+
+/// What a node's input ports allow right now.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Frontier {
+    /// Messages the node can get at: every port's, or 0 while it is
+    /// blocked — reporting the backlog behind a blocked frontier would make
+    /// seq-ordered strategies spin on this node while the one that feeds
+    /// the empty port starves.
+    pub(crate) queued: usize,
+    /// `None` when every port is empty, or the node is blocked.
+    pub(crate) next: Option<Next>,
+}
+
+/// The input-frontier rule, for every node kind.
+///
+/// *Earliest head first*: processing in global arrival order keeps
+/// multi-port operators fair and lets watermarks advance promptly. *The
+/// lower port index wins ties* (fan-out copies of one publish reaching two
+/// ports of the same node), and the run is *bounded by the other heads*:
+/// from the winning port it may take sequences up to the runner-up's —
+/// inclusive if the runner-up would lose the tie, exclusive if it would win
+/// — so cross-port arrival order is that of per-message processing.
+///
+/// *An open, empty, gated port blocks the node*: a direct port is fed at
+/// publish time, so everything still to come outranks what is queued and
+/// an empty one can be skipped; a gated port is fed by a partitioner or a
+/// keyed instance that can lag behind the published stream, so a smaller
+/// sequence may still be in transit and nothing may be taken until it has
+/// a head or has delivered its `Close`. Liveness comes from broadcast
+/// heartbeats: every shuffle stage forwards them to every port.
+pub(crate) fn frontier(ports: impl Iterator<Item = PortView>) -> Frontier {
+    let mut queued = 0;
+    // The two smallest heads in (seq, port) order; ports ascend, so a later
+    // port displaces an earlier one only with a strictly smaller sequence.
+    let mut best: Option<(u64, usize)> = None;
+    let mut runner_up: Option<(u64, usize)> = None;
+    for (port, view) in ports.enumerate() {
+        let Some(seq) = view.head else {
+            if view.gated {
+                return Frontier {
+                    queued: 0,
+                    next: None,
+                };
+            }
+            continue;
+        };
+        queued += view.len;
+        if best.is_none_or(|(s, _)| seq < s) {
+            runner_up = best;
+            best = Some((seq, port));
+        } else if runner_up.is_none_or(|(s, _)| seq < s) {
+            runner_up = Some((seq, port));
+        }
+    }
+    let next = best.map(|(seq, port)| Next {
+        port,
+        seq,
+        bound: match runner_up {
+            None => u64::MAX,
+            Some((s, other)) if port < other => s,
+            Some((s, _)) => s.saturating_sub(1),
+        },
+    });
+    Frontier { queued, next }
+}
+
+/// The frontier of a node whose ports all carry one payload type.
+pub(crate) fn frontier_of<I>(inputs: &[Arc<Edge<I>>]) -> Frontier {
+    frontier(inputs.iter().map(|edge| edge.view()))
+}
+
+// ---------------------------------------------------------------------------
+// The emitter seam
+// ---------------------------------------------------------------------------
+
+/// How a node's output leaves it, and in what unit a drained run reaches
+/// the operator. Statically dispatched: a node type names its emitter.
+pub(crate) trait Emit<T>: Send + 'static {
+    /// The output side of one quantum.
+    type Quantum<'a>: Quantum<T>
+    where
+        Self: 'a;
+    /// Opens the output side of a quantum of the given batch limit.
+    fn quantum(&mut self, batch_limit: usize) -> Self::Quantum<'_>;
+}
+
+/// The output side of one scheduling quantum (see [`Emit`]).
+pub(crate) trait Quantum<T> {
+    /// Hands the drained run to `on_run` in this emitter's dispatch unit
+    /// (`drained` and `run` are left empty). Returns the stamp of the
+    /// `Close` that ended the run, if one did.
+    fn dispatch<I>(
+        &mut self,
+        port: usize,
+        drained: &mut Vec<(u64, Message<I>)>,
+        run: &mut Vec<Message<I>>,
+        on_run: impl FnMut(&mut Vec<Message<I>>, &mut dyn Collector<T>),
+    ) -> Option<u64>;
+    /// The collector for output caused by the input message stamped `stamp`.
+    fn at(&mut self, stamp: u64) -> &mut dyn Collector<T>;
+    /// Ends the stream, after everything emitted so far.
+    fn close(&mut self, stamp: u64);
+    /// Flushes; returns what the quantum handed downstream.
+    fn end(self) -> usize;
+}
+
+/// Output through a regular [`Outputs`] port: buffered per quantum, stamped
+/// with one fresh sequence block per flush. Input runs are dispatched
+/// whole.
+pub(crate) struct Published<T> {
+    outputs: Arc<Outputs<T>>,
+    buf: Vec<Message<T>>,
+}
+
+impl<T> Published<T> {
+    pub(crate) fn new(outputs: Arc<Outputs<T>>) -> Self {
+        Published {
+            outputs,
+            buf: Vec::new(),
+        }
+    }
+}
+
+impl<T: Clone + Send + 'static> Emit<T> for Published<T> {
+    type Quantum<'a> = PublishCollector<'a, T>;
+    fn quantum(&mut self, batch_limit: usize) -> PublishCollector<'_, T> {
+        PublishCollector::new(&self.outputs, &mut self.buf).with_flush_cap(flush_cap(batch_limit))
+    }
+}
+
+impl<T: Clone> Quantum<T> for PublishCollector<'_, T> {
+    fn dispatch<I>(
+        &mut self,
+        port: usize,
+        drained: &mut Vec<(u64, Message<I>)>,
+        run: &mut Vec<Message<I>>,
+        mut on_run: impl FnMut(&mut Vec<Message<I>>, &mut dyn Collector<T>),
+    ) -> Option<u64> {
+        let last = drained.last().map(|(seq, _)| *seq);
+        run.extend(drained.drain(..).map(|(_, msg)| msg));
+        let close = if take_trailing_close(run) { last } else { None };
+        if !run.is_empty() {
+            let coalesced = coalesce_adjacent_heartbeats(run);
+            pipes_trace::instant_coarse(
+                pipes_trace::names::OP_RUN,
+                [run.len() as u64, port as u64, coalesced as u64],
+            );
+            on_run(run, self);
+            run.clear();
+        }
+        close
+    }
+    fn at(&mut self, _stamp: u64) -> &mut dyn Collector<T> {
+        self
+    }
+    fn close(&mut self, _stamp: u64) {
+        self.publish_close();
+    }
+    fn end(mut self) -> usize {
+        self.finish()
+    }
+}
+
+/// Output onto one raw edge with **preserved stamps** — the keyed instances
+/// behind a shuffle edge. An input run is dispatched in maximal chunks of
+/// *consecutive* arrival sequences, and every emission carries its chunk's
+/// first sequence: exact, because a consecutive-sequence chunk by
+/// construction contains no message routed elsewhere, so the
+/// single-instance plan would have processed exactly this chunk at this
+/// point in arrival order. Heartbeats are always their own chunk, so flush
+/// output triggered by a broadcast carries exactly the broadcast's stamp on
+/// every instance, and `Close` goes out at its own stamp.
+pub(crate) struct Stamped<T> {
+    out: Arc<Edge<T>>,
+    buf: Vec<(u64, Message<T>)>,
+}
+
+impl<T> Stamped<T> {
+    pub(crate) fn new(out: Arc<Edge<T>>) -> Self {
+        Stamped {
+            out,
+            buf: Vec::new(),
+        }
+    }
+}
+
+impl<T: Send + 'static> Emit<T> for Stamped<T> {
+    type Quantum<'a> = StampedQuantum<'a, T>;
+    fn quantum(&mut self, _batch_limit: usize) -> StampedQuantum<'_, T> {
+        StampedQuantum {
+            out: &self.out,
+            buf: &mut self.buf,
+            stamp: 0,
+        }
+    }
+}
+
+/// A [`Collector`] stamping every emission with one arrival sequence; the
+/// buffer goes downstream with [`Edge::push_stamped_batch`] at the end of
+/// the quantum.
+pub(crate) struct StampedQuantum<'a, T> {
+    out: &'a Edge<T>,
+    buf: &'a mut Vec<(u64, Message<T>)>,
+    stamp: u64,
+}
+
+impl<T> Collector<T> for StampedQuantum<'_, T> {
+    fn element(&mut self, e: Element<T>) {
+        self.buf.push((self.stamp, Message::Element(e)));
+    }
+    fn heartbeat(&mut self, t: Timestamp) {
+        self.buf.push((self.stamp, Message::Heartbeat(t)));
+    }
+    fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+}
+
+impl<T> Quantum<T> for StampedQuantum<'_, T> {
+    fn dispatch<I>(
+        &mut self,
+        _port: usize,
+        drained: &mut Vec<(u64, Message<I>)>,
+        run: &mut Vec<Message<I>>,
+        mut on_run: impl FnMut(&mut Vec<Message<I>>, &mut dyn Collector<T>),
+    ) -> Option<u64> {
+        let mut chunk = |out: &mut Self, run: &mut Vec<Message<I>>, stamp| {
+            out.stamp = stamp;
+            on_run(run, out);
+            run.clear();
+        };
+        let (mut start, mut next, mut close) = (0, 0, None);
+        for (seq, msg) in drained.drain(..) {
+            match msg {
+                Message::Element(_) => {
+                    if !run.is_empty() && seq != next {
+                        chunk(self, run, start);
+                    }
+                    if run.is_empty() {
+                        start = seq;
+                    }
+                    run.push(msg);
+                    next = seq + 1;
+                }
+                Message::Heartbeat(_) => {
+                    if !run.is_empty() {
+                        chunk(self, run, start);
+                    }
+                    run.push(msg);
+                    chunk(self, run, seq);
+                }
+                // The run's last message (`pop_run` stops at it).
+                Message::Close => close = Some(seq),
+            }
+        }
+        if !run.is_empty() {
+            chunk(self, run, start);
+        }
+        close
+    }
+    fn at(&mut self, stamp: u64) -> &mut dyn Collector<T> {
+        self.stamp = stamp;
+        self
+    }
+    fn close(&mut self, stamp: u64) {
+        self.buf.push((stamp, Message::Close));
+    }
+    /// Counts every message handed to the merge (forwarded heartbeats and
+    /// `Close` included), not only elements.
+    fn end(self) -> usize {
+        let pushed = self.buf.len();
+        self.out.push_stamped_batch(self.buf);
+        pushed
+    }
+}
+
+/// The buffers one drained run passes through on its way to the operator.
+struct Scratch<I> {
+    drained: Vec<(u64, Message<I>)>,
+    run: Vec<Message<I>>,
+}
+
+impl<I> Default for Scratch<I> {
+    fn default() -> Self {
+        Scratch {
+            drained: Vec::new(),
+            run: Vec::new(),
+        }
+    }
+}
+
+/// Drains the run `next` allows (at most `max` messages) from `edge` and
+/// dispatches it through `out`. `None` when nothing could be taken;
+/// otherwise the stamp of the `Close` that ended the run, if one did.
+fn drain_run<I, T>(
+    edge: &Edge<I>,
+    next: Next,
+    max: usize,
+    scratch: &mut Scratch<I>,
+    out: &mut impl Quantum<T>,
+    report: &mut StepReport,
+    on_run: impl FnMut(&mut Vec<Message<I>>, &mut dyn Collector<T>),
+) -> Option<Option<u64>> {
+    let n = edge.pop_run(max, next.bound, &mut scratch.drained);
+    if n == 0 {
+        return None;
+    }
+    report.drained(n);
+    let close = out.dispatch(next.port, &mut scratch.drained, &mut scratch.run, on_run);
+    if close.is_some() {
+        // The consumer took this port's `Close`: empty, it no longer blocks.
+        edge.open_gate();
+    }
+    Some(close)
+}
+
+// ---------------------------------------------------------------------------
 // Source node
 // ---------------------------------------------------------------------------
 
 /// Wraps a [`SourceOp`] as a runnable node.
-pub struct SourceNode<S: SourceOp> {
+pub(crate) struct SourceNode<S: SourceOp> {
     op: S,
     outputs: Arc<Outputs<S::Out>>,
     exhausted: bool,
@@ -163,7 +503,7 @@ pub struct SourceNode<S: SourceOp> {
 
 impl<S: SourceOp> SourceNode<S> {
     /// Creates a source node publishing to `outputs`.
-    pub fn new(op: S, outputs: Arc<Outputs<S::Out>>) -> Self {
+    pub(crate) fn new(op: S, outputs: Arc<Outputs<S::Out>>) -> Self {
         SourceNode {
             op,
             outputs,
@@ -228,14 +568,6 @@ impl<S: SourceOp> Runnable for SourceNode<S> {
         self.exhausted
     }
 
-    fn memory(&self) -> usize {
-        0
-    }
-
-    fn shed(&mut self, _target: usize) -> usize {
-        0
-    }
-
     fn set_batch_limit(&mut self, limit: usize) {
         self.batch_limit = limit.max(1);
     }
@@ -249,102 +581,82 @@ impl<S: SourceOp> Runnable for SourceNode<S> {
 // Operator node (n-ary, homogeneous input type)
 // ---------------------------------------------------------------------------
 
-/// Wraps an [`Operator`] with its input edges and output port.
-pub struct OpNode<O: Operator> {
-    op: O,
+/// Wraps an [`Operator`] with its input edges and its emitter.
+pub(crate) struct OpNode<O: Operator, E> {
+    pub(crate) op: O,
     inputs: Vec<Arc<Edge<O::In>>>,
-    open_ports: Vec<bool>,
-    outputs: Arc<Outputs<O::Out>>,
-    closed_downstream: bool,
+    /// Per port: it has not delivered its `Close` yet. (A flag, not a
+    /// count: a subscription racing the publisher's close can deliver
+    /// `Close` twice.)
+    open: Vec<bool>,
+    emit: E,
+    closed: bool,
     batch_limit: usize,
-    in_scratch: Vec<(u64, Message<O::In>)>,
-    run_scratch: Vec<Message<O::In>>,
-    out_scratch: Vec<Message<O::Out>>,
+    scratch: Scratch<O::In>,
 }
 
-impl<O: Operator> OpNode<O> {
+impl<O: Operator, E: Emit<O::Out>> OpNode<O, E> {
     /// Creates an operator node reading from `inputs` (one edge per port).
-    pub fn new(op: O, inputs: Vec<Arc<Edge<O::In>>>, outputs: Arc<Outputs<O::Out>>) -> Self {
-        let open_ports = vec![true; inputs.len()];
+    pub(crate) fn new(op: O, inputs: Vec<Arc<Edge<O::In>>>, emit: E) -> Self {
         OpNode {
             op,
+            open: vec![true; inputs.len()],
             inputs,
-            open_ports,
-            outputs,
-            closed_downstream: false,
+            emit,
+            closed: false,
             batch_limit: usize::MAX,
-            in_scratch: Vec::new(),
-            run_scratch: Vec::new(),
-            out_scratch: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 }
 
-impl<O: Operator> Runnable for OpNode<O> {
+impl<O: Operator, E: Emit<O::Out>> Runnable for OpNode<O, E> {
     fn step(&mut self, budget: usize) -> StepReport {
         let mut report = StepReport::default();
-        if self.closed_downstream {
+        if self.closed {
             return report;
         }
-        let mut drained = std::mem::take(&mut self.in_scratch);
-        let mut run = std::mem::take(&mut self.run_scratch);
-        let mut out_buf = std::mem::take(&mut self.out_scratch);
-        let mut collector = PublishCollector::new(&self.outputs, &mut out_buf)
-            .with_flush_cap(flush_cap(self.batch_limit));
+        let mut out = self.emit.quantum(self.batch_limit);
         while report.consumed < budget {
-            let Some(port) = earliest_port(&self.inputs) else {
+            let Some(next) = frontier_of(&self.inputs).next else {
                 break;
             };
-            let bound = run_bound(&self.inputs, port);
             let max = (budget - report.consumed).min(self.batch_limit);
-            let n = self.inputs[port].pop_run(max, bound, &mut drained);
-            if n == 0 {
-                break;
-            }
-            report.batches += 1;
-            report.consumed += n;
-            report.peak_run = report.peak_run.max(n);
-            run.extend(drained.drain(..).map(|(_, msg)| msg));
-            let closed = take_trailing_close(&mut run);
-            if !run.is_empty() {
-                let coalesced = coalesce_adjacent_heartbeats(&mut run);
-                pipes_trace::instant_coarse(
-                    pipes_trace::names::OP_RUN,
-                    [run.len() as u64, port as u64, coalesced as u64],
-                );
-                self.op.on_run(port, &mut run, &mut collector);
-                run.clear();
-            }
-            if closed {
-                self.open_ports[port] = false;
-                if self.open_ports.iter().all(|o| !o) {
-                    self.op.on_close(&mut collector);
-                    self.closed_downstream = true;
+            let (op, port) = (&mut self.op, next.port);
+            let drained = drain_run(
+                &self.inputs[port],
+                next,
+                max,
+                &mut self.scratch,
+                &mut out,
+                &mut report,
+                |run, col| op.on_run(port, run, col),
+            );
+            let Some(close) = drained else { break };
+            if let Some(stamp) = close {
+                self.open[port] = false;
+                if !self.open.contains(&true) {
+                    self.op.on_close(out.at(stamp));
+                    out.close(stamp);
+                    self.closed = true;
                     break;
                 }
             }
         }
-        report.produced = collector.finish();
-        drop(collector);
-        self.in_scratch = drained;
-        self.run_scratch = run;
-        self.out_scratch = out_buf;
-        if self.closed_downstream {
-            self.outputs.publish_close();
-        }
+        report.produced = out.end();
         report
     }
 
     fn queued(&self) -> usize {
-        self.inputs.iter().map(|e| e.len()).sum()
+        frontier_of(&self.inputs).queued
     }
 
     fn oldest_pending_seq(&self) -> Option<u64> {
-        self.inputs.iter().filter_map(|e| e.head_seq()).min()
+        frontier_of(&self.inputs).next.map(|n| n.seq)
     }
 
     fn is_finished(&self) -> bool {
-        self.closed_downstream
+        self.closed
     }
 
     fn memory(&self) -> usize {
@@ -361,6 +673,10 @@ impl<O: Operator> Runnable for OpNode<O> {
 
     fn set_batch_limit(&mut self, limit: usize) {
         self.batch_limit = limit.max(1);
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
     }
 }
 
@@ -368,161 +684,102 @@ impl<O: Operator> Runnable for OpNode<O> {
 // Binary operator node
 // ---------------------------------------------------------------------------
 
-/// Wraps a [`BinaryOperator`] with one edge per side.
-pub struct BinNode<B: BinaryOperator> {
-    op: B,
+/// Wraps a [`BinaryOperator`] with one edge per side and its emitter.
+pub(crate) struct BinNode<B: BinaryOperator, E> {
+    pub(crate) op: B,
     left: Arc<Edge<B::Left>>,
     right: Arc<Edge<B::Right>>,
-    left_open: bool,
-    right_open: bool,
-    outputs: Arc<Outputs<B::Out>>,
-    closed_downstream: bool,
+    /// Per side: it has not delivered its `Close` yet.
+    open: [bool; 2],
+    emit: E,
+    closed: bool,
     batch_limit: usize,
-    left_scratch: Vec<(u64, Message<B::Left>)>,
-    right_scratch: Vec<(u64, Message<B::Right>)>,
-    left_run: Vec<Message<B::Left>>,
-    right_run: Vec<Message<B::Right>>,
-    out_scratch: Vec<Message<B::Out>>,
+    left_scratch: Scratch<B::Left>,
+    right_scratch: Scratch<B::Right>,
 }
 
-impl<B: BinaryOperator> BinNode<B> {
-    /// Creates a binary node reading from `left` and `right`.
-    pub fn new(
+impl<B: BinaryOperator, E: Emit<B::Out>> BinNode<B, E> {
+    /// Creates a binary node reading from `left` (port 0) and `right`
+    /// (port 1).
+    pub(crate) fn new(
         op: B,
         left: Arc<Edge<B::Left>>,
         right: Arc<Edge<B::Right>>,
-        outputs: Arc<Outputs<B::Out>>,
+        emit: E,
     ) -> Self {
         BinNode {
             op,
             left,
             right,
-            left_open: true,
-            right_open: true,
-            outputs,
-            closed_downstream: false,
+            open: [true; 2],
+            emit,
+            closed: false,
             batch_limit: usize::MAX,
-            left_scratch: Vec::new(),
-            right_scratch: Vec::new(),
-            left_run: Vec::new(),
-            right_run: Vec::new(),
-            out_scratch: Vec::new(),
+            left_scratch: Scratch::default(),
+            right_scratch: Scratch::default(),
         }
+    }
+
+    fn frontier(left: &Edge<B::Left>, right: &Edge<B::Right>) -> Frontier {
+        frontier([left.view(), right.view()].into_iter())
     }
 }
 
-impl<B: BinaryOperator> Runnable for BinNode<B> {
+impl<B: BinaryOperator, E: Emit<B::Out>> Runnable for BinNode<B, E> {
     fn step(&mut self, budget: usize) -> StepReport {
         let mut report = StepReport::default();
-        if self.closed_downstream {
+        if self.closed {
             return report;
         }
-        let mut left_drained = std::mem::take(&mut self.left_scratch);
-        let mut right_drained = std::mem::take(&mut self.right_scratch);
-        let mut left_run = std::mem::take(&mut self.left_run);
-        let mut right_run = std::mem::take(&mut self.right_run);
-        let mut out_buf = std::mem::take(&mut self.out_scratch);
-        let mut collector = PublishCollector::new(&self.outputs, &mut out_buf)
-            .with_flush_cap(flush_cap(self.batch_limit));
+        let mut out = self.emit.quantum(self.batch_limit);
         while report.consumed < budget {
-            // Process in arrival order across the two sides; the side whose
-            // head arrived first drains a run bounded by the other head.
-            let ls = self.left.head_seq();
-            let rs = self.right.head_seq();
-            let take_left = match (ls, rs) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(l), Some(r)) => l <= r,
+            let Some(next) = Self::frontier(&self.left, &self.right).next else {
+                break;
             };
             let max = (budget - report.consumed).min(self.batch_limit);
-            let closed_side = if take_left {
-                // Left wins sequence ties, so its run may include the
-                // right head's sequence itself.
-                let bound = rs.unwrap_or(u64::MAX);
-                let n = self.left.pop_run(max, bound, &mut left_drained);
-                if n == 0 {
-                    break;
-                }
-                report.batches += 1;
-                report.consumed += n;
-                report.peak_run = report.peak_run.max(n);
-                left_run.extend(left_drained.drain(..).map(|(_, msg)| msg));
-                let closed = take_trailing_close(&mut left_run);
-                if !left_run.is_empty() {
-                    let coalesced = coalesce_adjacent_heartbeats(&mut left_run);
-                    pipes_trace::instant_coarse(
-                        pipes_trace::names::OP_RUN,
-                        [left_run.len() as u64, 0, coalesced as u64],
-                    );
-                    self.op.on_run_left(&mut left_run, &mut collector);
-                    left_run.clear();
-                }
-                if closed {
-                    self.left_open = false;
-                }
-                closed
+            let (op, is_left) = (&mut self.op, next.port == 0);
+            let (out, report) = (&mut out, &mut report);
+            let drained = if is_left {
+                let scratch = &mut self.left_scratch;
+                drain_run(&self.left, next, max, scratch, out, report, |run, col| {
+                    op.on_run_left(run, col)
+                })
             } else {
-                // Right loses sequence ties: stop strictly before the left
-                // head's sequence.
-                let bound = ls.map_or(u64::MAX, |l| l.saturating_sub(1));
-                let n = self.right.pop_run(max, bound, &mut right_drained);
-                if n == 0 {
+                let scratch = &mut self.right_scratch;
+                drain_run(&self.right, next, max, scratch, out, report, |run, col| {
+                    op.on_run_right(run, col)
+                })
+            };
+            let Some(close) = drained else { break };
+            if let Some(stamp) = close {
+                // The one place a binary operator learns that a side ended.
+                match (std::mem::replace(&mut self.open[next.port], false), is_left) {
+                    (false, _) => {}
+                    (true, true) => self.op.on_close_left(out.at(stamp)),
+                    (true, false) => self.op.on_close_right(out.at(stamp)),
+                }
+                if self.open == [false; 2] {
+                    self.op.on_close(out.at(stamp));
+                    out.close(stamp);
+                    self.closed = true;
                     break;
                 }
-                report.batches += 1;
-                report.consumed += n;
-                report.peak_run = report.peak_run.max(n);
-                right_run.extend(right_drained.drain(..).map(|(_, msg)| msg));
-                let closed = take_trailing_close(&mut right_run);
-                if !right_run.is_empty() {
-                    let coalesced = coalesce_adjacent_heartbeats(&mut right_run);
-                    pipes_trace::instant_coarse(
-                        pipes_trace::names::OP_RUN,
-                        [right_run.len() as u64, 1, coalesced as u64],
-                    );
-                    self.op.on_run_right(&mut right_run, &mut collector);
-                    right_run.clear();
-                }
-                if closed {
-                    self.right_open = false;
-                }
-                closed
-            };
-            if closed_side && !self.left_open && !self.right_open {
-                self.op.on_close(&mut collector);
-                self.closed_downstream = true;
-                break;
             }
         }
-        report.produced = collector.finish();
-        drop(collector);
-        self.left_scratch = left_drained;
-        self.right_scratch = right_drained;
-        self.left_run = left_run;
-        self.right_run = right_run;
-        self.out_scratch = out_buf;
-        if self.closed_downstream {
-            self.outputs.publish_close();
-        }
+        report.produced = out.end();
         report
     }
 
     fn queued(&self) -> usize {
-        self.left.len() + self.right.len()
+        Self::frontier(&self.left, &self.right).queued
     }
 
     fn oldest_pending_seq(&self) -> Option<u64> {
-        match (self.left.head_seq(), self.right.head_seq()) {
-            (None, None) => None,
-            (Some(l), None) => Some(l),
-            (None, Some(r)) => Some(r),
-            (Some(l), Some(r)) => Some(l.min(r)),
-        }
+        Self::frontier(&self.left, &self.right).next.map(|n| n.seq)
     }
 
     fn is_finished(&self) -> bool {
-        self.closed_downstream
+        self.closed
     }
 
     fn memory(&self) -> usize {
@@ -539,6 +796,10 @@ impl<B: BinaryOperator> Runnable for BinNode<B> {
 
     fn set_batch_limit(&mut self, limit: usize) {
         self.batch_limit = limit.max(1);
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
     }
 }
 
@@ -547,10 +808,11 @@ impl<B: BinaryOperator> Runnable for BinNode<B> {
 // ---------------------------------------------------------------------------
 
 /// Wraps a [`SinkOp`] with its input edges.
-pub struct SinkNode<K: SinkOp> {
+pub(crate) struct SinkNode<K: SinkOp> {
     op: K,
     inputs: Vec<Arc<Edge<K::In>>>,
-    open_ports: Vec<bool>,
+    /// Per port: it has not delivered its `Close` yet.
+    open: Vec<bool>,
     batch_limit: usize,
     in_scratch: Vec<(u64, Message<K::In>)>,
     latency: Option<(Arc<LatencyTracker>, Arc<NodeStats>)>,
@@ -559,12 +821,11 @@ pub struct SinkNode<K: SinkOp> {
 
 impl<K: SinkOp> SinkNode<K> {
     /// Creates a sink node reading from `inputs` (one edge per port).
-    pub fn new(op: K, inputs: Vec<Arc<Edge<K::In>>>) -> Self {
-        let open_ports = vec![true; inputs.len()];
+    pub(crate) fn new(op: K, inputs: Vec<Arc<Edge<K::In>>>) -> Self {
         SinkNode {
             op,
+            open: vec![true; inputs.len()],
             inputs,
-            open_ports,
             batch_limit: usize::MAX,
             in_scratch: Vec::new(),
             latency: None,
@@ -581,21 +842,18 @@ impl<K: SinkOp> Runnable for SinkNode<K> {
         // quantile estimators in one batch (one stats lock per quantum).
         let mut lat_samples: Vec<u64> = Vec::new();
         while report.consumed < budget {
-            let Some(port) = earliest_port(&self.inputs) else {
+            let Some(Next { port, bound, .. }) = frontier_of(&self.inputs).next else {
                 break;
             };
-            let bound = run_bound(&self.inputs, port);
             let max = (budget - report.consumed).min(self.batch_limit);
             let n = self.inputs[port].pop_run(max, bound, &mut run);
             if n == 0 {
                 break;
             }
-            report.batches += 1;
-            report.consumed += n;
-            report.peak_run = report.peak_run.max(n);
+            report.drained(n);
             for (_, msg) in run.drain(..) {
                 match &msg {
-                    Message::Close => self.open_ports[port] = false,
+                    Message::Close => self.open[port] = false,
                     Message::Element(e) => {
                         if let Some((tracker, _)) = &self.latency {
                             self.latency_ctr += 1;
@@ -622,23 +880,15 @@ impl<K: SinkOp> Runnable for SinkNode<K> {
     }
 
     fn queued(&self) -> usize {
-        self.inputs.iter().map(|e| e.len()).sum()
+        frontier_of(&self.inputs).queued
     }
 
     fn oldest_pending_seq(&self) -> Option<u64> {
-        self.inputs.iter().filter_map(|e| e.head_seq()).min()
+        frontier_of(&self.inputs).next.map(|n| n.seq)
     }
 
     fn is_finished(&self) -> bool {
-        self.open_ports.iter().all(|o| !o) && self.queued() == 0
-    }
-
-    fn memory(&self) -> usize {
-        0
-    }
-
-    fn shed(&mut self, _target: usize) -> usize {
-        0
+        !self.open.contains(&true) && self.queued() == 0
     }
 
     fn set_batch_limit(&mut self, limit: usize) {
@@ -647,5 +897,313 @@ impl<K: SinkOp> Runnable for SinkNode<K> {
 
     fn attach_latency(&mut self, tracker: Arc<LatencyTracker>, stats: Arc<NodeStats>) {
         self.latency = Some((tracker, stats));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The frontier rules as the nodes spelled them inline before there was
+    /// one probe (commit 053dbe0), kept verbatim as the oracle the probe is
+    /// checked against.
+    mod oracle {
+        /// `earliest_port` + `run_bound`: `OpNode` and `SinkNode`.
+        pub fn direct(heads: &[Option<u64>]) -> Option<(usize, u64)> {
+            let mut best: Option<(u64, usize)> = None;
+            for (i, head) in heads.iter().enumerate() {
+                if let Some(seq) = *head {
+                    if best.is_none_or(|(s, _)| seq < s) {
+                        best = Some((seq, i));
+                    }
+                }
+            }
+            let (_, port) = best?;
+            let mut bound = u64::MAX;
+            for (i, head) in heads.iter().enumerate() {
+                if i == port {
+                    continue;
+                }
+                if let Some(seq) = *head {
+                    let b = if port < i { seq } else { seq.saturating_sub(1) };
+                    bound = bound.min(b);
+                }
+            }
+            Some((port, bound))
+        }
+
+        fn side(take_left: bool, ls: Option<u64>, rs: Option<u64>) -> (usize, u64) {
+            if take_left {
+                // Left wins sequence ties: its run may include the right
+                // head's sequence itself.
+                (0, rs.unwrap_or(u64::MAX))
+            } else {
+                (1, ls.map_or(u64::MAX, |l| l.saturating_sub(1)))
+            }
+        }
+
+        /// `BinNode::step`.
+        pub fn bin(ls: Option<u64>, rs: Option<u64>) -> Option<(usize, u64)> {
+            let take_left = match (ls, rs) {
+                (None, None) => return None,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (Some(l), Some(r)) => l <= r,
+            };
+            Some(side(take_left, ls, rs))
+        }
+
+        /// `KeyedInstanceBin::step`: `(head, closed)` per side.
+        pub fn keyed_bin(l: (Option<u64>, bool), r: (Option<u64>, bool)) -> Option<(usize, u64)> {
+            let ls = if l.1 { None } else { l.0 };
+            let rs = if r.1 { None } else { r.0 };
+            let take_left = match (ls, rs) {
+                (Some(l), Some(r)) => l <= r,
+                (Some(_), None) if r.1 => true,
+                (None, Some(_)) if l.1 => false,
+                _ => return None,
+            };
+            Some(side(take_left, ls, rs))
+        }
+
+        /// `KeyedInstanceBin::queued` and `MergeNode::queued`: `(len, open)`
+        /// per port.
+        pub fn strict_queued(ports: &[(usize, bool)]) -> usize {
+            let mut total = 0;
+            for &(len, open) in ports {
+                if !open {
+                    continue;
+                }
+                if len == 0 {
+                    return 0;
+                }
+                total += len;
+            }
+            total
+        }
+
+        /// `MergeNode::step`'s min-head scan: `(head, open)` per port.
+        pub fn merge_min(ports: &[(Option<u64>, bool)]) -> Option<u64> {
+            let mut min: Option<u64> = None;
+            for &(head, open) in ports {
+                if !open {
+                    continue;
+                }
+                let s = head?;
+                if min.is_none_or(|m| s < m) {
+                    min = Some(s);
+                }
+            }
+            min
+        }
+    }
+
+    /// A port in one of the states the nodes can observe. A closed port is
+    /// empty for good and — its consumer opened the gate — not gated.
+    #[derive(Clone, Copy, Debug)]
+    struct P {
+        head: Option<u64>,
+        open: bool,
+    }
+
+    impl P {
+        fn len(&self, port: usize) -> usize {
+            self.head.map_or(0, |_| port + 2)
+        }
+        fn view(&self, port: usize, gated: bool) -> PortView {
+            PortView {
+                head: self.head,
+                len: self.len(port),
+                gated: gated && self.open,
+            }
+        }
+    }
+
+    fn probe(ports: &[P], gated: bool) -> Frontier {
+        frontier(ports.iter().enumerate().map(|(i, p)| p.view(i, gated)))
+    }
+
+    /// Every combination of empty / three distinct-or-tied heads / closed
+    /// over `n` ports.
+    fn states(n: usize) -> Vec<Vec<P>> {
+        let one = [
+            P {
+                head: None,
+                open: false,
+            },
+            P {
+                head: None,
+                open: true,
+            },
+            P {
+                head: Some(0),
+                open: true,
+            },
+            P {
+                head: Some(4),
+                open: true,
+            },
+            P {
+                head: Some(7),
+                open: true,
+            },
+        ];
+        let mut all: Vec<Vec<P>> = vec![Vec::new()];
+        for _ in 0..n {
+            all = all
+                .into_iter()
+                .flat_map(|prefix| {
+                    one.iter().map(move |p| {
+                        let mut next = prefix.clone();
+                        next.push(*p);
+                        next
+                    })
+                })
+                .collect();
+        }
+        all
+    }
+
+    #[test]
+    fn named_cases() {
+        let v = |head, len, gated| PortView { head, len, gated };
+        let next = |port, seq, bound| Some(Next { port, seq, bound });
+        // (ports, queued, next)
+        let table = [
+            // Nothing anywhere: idle, direct or gated-and-closed alike.
+            (vec![v(None, 0, false), v(None, 0, false)], 0, None),
+            // A lone head runs unbounded.
+            (vec![v(Some(5), 3, false)], 3, next(0, 5, u64::MAX)),
+            // Direct ports: an empty one is skipped.
+            (
+                vec![v(None, 0, false), v(Some(9), 2, false)],
+                2,
+                next(1, 9, u64::MAX),
+            ),
+            // Earliest head first; the run stops short of a lower-indexed
+            // runner-up (it would win the tie at its own sequence) …
+            (
+                vec![v(Some(9), 1, false), v(Some(5), 2, false)],
+                3,
+                next(1, 5, 8),
+            ),
+            // … and includes a higher-indexed runner-up's sequence.
+            (
+                vec![v(Some(5), 1, false), v(Some(9), 2, false)],
+                3,
+                next(0, 5, 9),
+            ),
+            // Equal heads: the lower index wins, bounded by the tie itself.
+            (
+                vec![v(Some(7), 1, false), v(Some(7), 1, false)],
+                2,
+                next(0, 7, 7),
+            ),
+            // The bound is the runner-up's, not the third's.
+            (
+                vec![
+                    v(Some(6), 1, false),
+                    v(Some(3), 1, false),
+                    v(Some(8), 1, false),
+                ],
+                3,
+                next(1, 3, 5),
+            ),
+            (
+                vec![v(Some(0), 1, false), v(Some(0), 1, false)],
+                2,
+                next(0, 0, 0),
+            ),
+            (
+                vec![v(Some(1), 1, false), v(Some(0), 1, false)],
+                2,
+                next(1, 0, 0),
+            ),
+            // An open, empty, gated port blocks the node and hides the backlog.
+            (vec![v(Some(5), 4, true), v(None, 0, true)], 0, None),
+            (vec![v(None, 0, true), v(Some(5), 4, false)], 0, None),
+            // Closed (gate opened), it no longer does.
+            (
+                vec![v(Some(5), 4, true), v(None, 0, false)],
+                4,
+                next(0, 5, u64::MAX),
+            ),
+            // Gated ports with heads order like direct ones.
+            (
+                vec![v(Some(9), 1, true), v(Some(5), 2, true)],
+                3,
+                next(1, 5, 8),
+            ),
+        ];
+        for (ports, queued, next) in table {
+            let got = frontier(ports.iter().copied());
+            assert_eq!(got, Frontier { queued, next }, "ports {ports:?}");
+        }
+    }
+
+    #[test]
+    fn direct_ports_answer_what_op_sink_and_bin_nodes_answered() {
+        for n in 1..=3 {
+            for ports in states(n) {
+                let heads: Vec<Option<u64>> = ports.iter().map(|p| p.head).collect();
+                let got = probe(&ports, false);
+                assert_eq!(
+                    got.next.map(|nx| (nx.port, nx.bound)),
+                    oracle::direct(&heads),
+                    "{ports:?}"
+                );
+                if n == 2 {
+                    assert_eq!(
+                        got.next.map(|nx| (nx.port, nx.bound)),
+                        oracle::bin(heads[0], heads[1]),
+                        "{ports:?}"
+                    );
+                }
+                // `queued` was the sum of the lengths, `oldest_pending_seq`
+                // the smallest head.
+                let lens: usize = ports.iter().enumerate().map(|(i, p)| p.len(i)).sum();
+                assert_eq!(got.queued, lens, "{ports:?}");
+                assert_eq!(
+                    got.next.map(|nx| nx.seq),
+                    heads.iter().flatten().min().copied(),
+                    "{ports:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gated_ports_answer_what_keyed_instances_and_the_merge_answered() {
+        for n in 1..=3 {
+            for ports in states(n) {
+                let got = probe(&ports, true);
+                let lens: Vec<(usize, bool)> = ports
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| (p.len(i), p.open))
+                    .collect();
+                let heads: Vec<(Option<u64>, bool)> =
+                    ports.iter().map(|p| (p.head, p.open)).collect();
+                let queued = oracle::strict_queued(&lens);
+                assert_eq!(got.queued, queued, "{ports:?}");
+                // Blocked exactly when an open gated port is empty.
+                let blocked = ports.iter().any(|p| p.open && p.head.is_none());
+                assert_eq!(got.next.is_none(), blocked || queued == 0, "{ports:?}");
+                // The merge: its min-head scan, and `oldest_pending_seq`.
+                assert_eq!(
+                    got.next.map(|nx| nx.seq),
+                    oracle::merge_min(&heads),
+                    "{ports:?}"
+                );
+                if n == 2 {
+                    let side = |p: &P| (p.head, !p.open);
+                    assert_eq!(
+                        got.next.map(|nx| (nx.port, nx.bound)),
+                        oracle::keyed_bin(side(&ports[0]), side(&ports[1])),
+                        "{ports:?}"
+                    );
+                }
+            }
+        }
     }
 }

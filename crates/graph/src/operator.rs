@@ -219,7 +219,22 @@ pub trait BinaryOperator: Send + 'static {
         }
     }
 
-    /// Flushes remaining state after both inputs closed. Default: nothing.
+    /// The left input ended (the right one may still deliver): no left
+    /// element will ever arrive, so its watermark is at the horizon and
+    /// whatever state only waits for left partners can go. Called once,
+    /// after the left input's last run. Default: nothing.
+    fn on_close_left(&mut self, out: &mut dyn Collector<Self::Out>) {
+        let _ = out;
+    }
+
+    /// Mirror of [`on_close_left`](BinaryOperator::on_close_left) for the
+    /// right input.
+    fn on_close_right(&mut self, out: &mut dyn Collector<Self::Out>) {
+        let _ = out;
+    }
+
+    /// Flushes remaining state after both inputs closed (and both side
+    /// callbacks ran). Default: nothing.
     fn on_close(&mut self, out: &mut dyn Collector<Self::Out>) {
         let _ = out;
     }

@@ -244,6 +244,12 @@ impl<'a, T: Clone> PublishCollector<'a, T> {
         self.outputs.publish_batch(self.buf);
     }
 
+    /// Publishes everything buffered, then end-of-stream.
+    pub(crate) fn publish_close(&mut self) {
+        self.flush();
+        self.outputs.publish_close();
+    }
+
     /// Flushes and returns the produced-element count for the quantum.
     pub fn finish(&mut self) -> usize {
         self.flush();

@@ -5,11 +5,11 @@
 //! every node owns one [`ReadyCell`] that lists its ports. From those
 //! mirrors the cell derives the node's *demand* — the node-defined
 //! `queued` / `oldest_pending_seq` pair the locked [`crate::Runnable`]
-//! accessors report; the strict-frontier nodes of [`crate::shuffle`] keep
-//! their rule (an empty open port hides the other ports' backlog) through a
-//! per-port *gate* flag — and publishes it at the two kinds of site where
-//! it changes: after a push into one of the node's edges, and at the end of
-//! [`crate::QueryGraph::step_node`].
+//! accessors report: `ReadyCell::demand` is the lock-free mirror of the one
+//! locked frontier probe (`node::frontier`), strict frontier included (an
+//! empty open *gated* port hides the other ports' backlog) — and publishes
+//! it at the two kinds of site where it changes: after a push into one of
+//! the node's edges, and at the end of [`crate::QueryGraph::step_node`].
 //!
 //! What is published lives in the graph-wide [`ReadySet`]: per node id one
 //! summary (queued count, head sequence, finished flag, state size) in
@@ -59,8 +59,8 @@ pub(crate) struct Port {
     len: AtomicUsize,
     head: AtomicU64,
     /// While set, an empty queue here blocks the consumer: the strict
-    /// frontier of the shuffle nodes. Cleared by the consumer when it has
-    /// taken the port's `Close`.
+    /// frontier of a gated edge. Cleared by the consumer when it has taken
+    /// the port's `Close`.
     strict: AtomicBool,
 }
 
@@ -87,6 +87,14 @@ impl Port {
     pub(crate) fn len(&self) -> usize {
         // ordering: Relaxed — advisory read (`Edge::len`).
         self.len.load(Ordering::Relaxed)
+    }
+
+    /// Whether an empty queue here blocks the consumer.
+    pub(crate) fn gated(&self) -> bool {
+        // ordering: Relaxed — written at construction and by the consumer's
+        // own step (`open_gate`), read by that consumer under its runnable
+        // lock.
+        self.strict.load(Ordering::Relaxed)
     }
 
     /// The consumer took this port's `Close` (inside its own step, whose
@@ -228,6 +236,11 @@ impl ReadyCell {
             link = l.next.get();
         }
         (queued, head)
+    }
+
+    /// Messages the node can get at, as of the port mirrors.
+    pub(crate) fn queued(&self) -> usize {
+        self.demand().0
     }
 
     /// Publishes the node's readiness after one of its inputs changed: a

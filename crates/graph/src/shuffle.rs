@@ -17,12 +17,12 @@
 //!   `Close` are broadcast to all instances at their original stamp, so
 //!   every instance observes the same temporal progress.
 //! * Each **instance** is a real graph node with its own [`NodeMeta`],
-//!   statistics and operator state. It processes its input in *chunks of
-//!   consecutive arrival sequences* and stamps every output with the
-//!   chunk's first sequence — exact, because a consecutive-sequence chunk
-//!   by construction contains no message routed elsewhere, so the
-//!   single-instance plan would have processed exactly this chunk at this
-//!   point in arrival order.
+//!   statistics and operator state — an ordinary `OpNode`/`BinNode` of
+//!   [`crate::node`] with the *stamped* emitter: it processes its input in
+//!   *chunks of consecutive arrival sequences* and stamps every output with
+//!   the chunk's first sequence (see `node::Stamped` for why that is exact).
+//!   A binary instance's input edges are *gated*: its two partitioners can
+//!   lag behind each other, so it holds the strict frontier the merge holds.
 //! * The **merge** stage restores global arrival order with the same
 //!   cross-port run-bound discipline the multi-port nodes use: it only
 //!   advances to the smallest head stamp once every open port has a head
@@ -37,14 +37,18 @@
 //! plan (property-tested in `crates/graph/tests/` and `crates/ops/tests/`)
 //! while the instances scale across cores as independently stealable
 //! nodes. `QueryGraph::parallelize` re-sizes a group against a *running*
-//! graph: it freezes routing by parking the partitioner out of its cell,
-//! drains and retires the old generation, moves the keyed state over (see
-//! [`Rekey`]), and splices the new instances in through the hot-topology
-//! path (topology-epoch bump, no stop/restart).
+//! graph, and building a group is the same protocol run from an empty
+//! generation (`Group::respawn`): routing is frozen by parking the
+//! partitioner out of its cell, the retiring generation's unprocessed input
+//! is taken off its ports, its keyed state moved over (see [`Rekey`]), the
+//! new instances spliced in through the hot-topology path (topology-epoch
+//! bump, no stop/restart), the backlog replayed through the re-targeted
+//! partitioner and the old instances retired. A unary group has one
+//! partitioned `Side`, a binary group two; they differ in nothing else.
 
-use crate::edge::Edge;
+use crate::edge::{Edge, EdgeId};
 use crate::graph::{NodeCell, NodeKind, QueryGraph, StreamHandle};
-use crate::node::{Runnable, StepReport};
+use crate::node::{frontier_of, BinNode, OpNode, Runnable, Stamped, StepReport};
 use crate::operator::{BinaryOperator, Collector, NodeId, Operator};
 use crate::outputs::{OutputPort, Outputs, PublishCollector, DEFAULT_FLUSH_CAP};
 use crate::ready::ReadyCell;
@@ -91,10 +95,13 @@ pub type MergeTie<T> = Arc<dyn Fn(&Element<T>, &Element<T>) -> std::cmp::Orderin
 pub type KeyedState = Vec<(u64, Box<dyn std::any::Any + Send>)>;
 
 /// State hand-off contract for operators that can run behind a shuffle
-/// edge. `parallelize` drains the retiring instances, exports their per-key
-/// state, re-routes each entry by `hash % new_instance_count` and imports
-/// it into the fresh instances — all while the partitioner is frozen, so
-/// no element of a key is ever processed against moved-away state.
+/// edge. `parallelize` exports the retiring instances' per-key state,
+/// re-routes each entry by `hash % new_instance_count` and imports it into
+/// the fresh instances — all while the partitioner is frozen, so no element
+/// of a key is ever processed against moved-away state. What the retiring
+/// instances had not processed yet is replayed to the fresh ones, broadcast
+/// heartbeats to *all* of them: an operator must tolerate a heartbeat it
+/// has already seen (flushing at it again finds nothing to flush).
 pub trait Rekey {
     /// Drains this operator's state into per-key entries. The operator is
     /// left empty (it is about to be retired).
@@ -104,80 +111,6 @@ pub trait Rekey {
     /// concrete type. Called on a freshly constructed operator, once,
     /// before it processes any message.
     fn import_keyed(&mut self, entries: KeyedState);
-}
-
-// ---------------------------------------------------------------------------
-// Stamped output collection
-// ---------------------------------------------------------------------------
-
-/// A [`Collector`] that buffers `(stamp, message)` pairs, stamping every
-/// emission with one fixed arrival sequence (the processed chunk's first
-/// sequence). The instance pushes the buffer downstream with
-/// [`Edge::push_stamped_batch`], preserving the stamps for the merge.
-struct StampedCollector<'a, T> {
-    buf: &'a mut Vec<(u64, Message<T>)>,
-    stamp: u64,
-}
-
-impl<T> Collector<T> for StampedCollector<'_, T> {
-    fn element(&mut self, e: Element<T>) {
-        self.buf.push((self.stamp, Message::Element(e)));
-    }
-    fn heartbeat(&mut self, t: Timestamp) {
-        self.buf.push((self.stamp, Message::Heartbeat(t)));
-    }
-    fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-}
-
-/// Splits a drained `(seq, message)` run into maximal chunks of
-/// *consecutive* arrival sequences and dispatches each chunk with its first
-/// sequence as the output stamp. Heartbeats are always their own chunk (so
-/// flush output triggered by a broadcast carries exactly the broadcast's
-/// stamp on every instance); `Close` ends the run and is returned to the
-/// caller instead of being dispatched.
-///
-/// `on_chunk(chunk, stamp)` must process *and clear* the chunk.
-fn dispatch_chunks<I>(
-    drained: &mut Vec<(u64, Message<I>)>,
-    chunk: &mut Vec<Message<I>>,
-    mut on_chunk: impl FnMut(&mut Vec<Message<I>>, u64),
-) -> Option<u64> {
-    let mut close = None;
-    let mut start = 0u64;
-    let mut next = 0u64;
-    for (seq, msg) in drained.drain(..) {
-        match msg {
-            Message::Element(_) => {
-                if !chunk.is_empty() && seq != next {
-                    on_chunk(chunk, start);
-                }
-                if chunk.is_empty() {
-                    start = seq;
-                }
-                chunk.push(msg);
-                next = seq + 1;
-            }
-            Message::Heartbeat(_) => {
-                if !chunk.is_empty() {
-                    on_chunk(chunk, start);
-                }
-                chunk.push(msg);
-                on_chunk(chunk, seq);
-            }
-            Message::Close => {
-                if !chunk.is_empty() {
-                    on_chunk(chunk, start);
-                }
-                close = Some(seq);
-            }
-        }
-    }
-    if !chunk.is_empty() {
-        on_chunk(chunk, start);
-    }
-    close
 }
 
 // ---------------------------------------------------------------------------
@@ -193,7 +126,8 @@ pub(crate) struct PartitionNode<T> {
     targets: Vec<Arc<Edge<T>>>,
     /// One routing buffer per target, flushed every step (so between steps
     /// all routed messages are on the wire and the buffers are empty —
-    /// `parallelize` relies on this to drain a frozen group exactly).
+    /// a resize relies on this to find a frozen group's whole backlog on
+    /// the instance ports).
     buffers: Vec<Vec<(u64, Message<T>)>>,
     scratch: Vec<(u64, Message<T>)>,
     batch_limit: usize,
@@ -201,45 +135,37 @@ pub(crate) struct PartitionNode<T> {
 }
 
 impl<T> PartitionNode<T> {
-    fn new(input: Arc<Edge<T>>, key: KeyFn<T>, targets: Vec<Arc<Edge<T>>>) -> Self {
-        let mut buffers = Vec::new();
-        buffers.resize_with(targets.len(), Vec::new);
+    /// A partitioner without targets: it is born frozen (see [`Side::new`])
+    /// and gets them with its first [`retarget`](PartitionNode::retarget).
+    fn new(input: Arc<Edge<T>>, key: KeyFn<T>) -> Self {
         PartitionNode {
             input,
             key,
-            targets,
-            buffers,
+            targets: Vec::new(),
+            buffers: Vec::new(),
             scratch: Vec::new(),
             batch_limit: usize::MAX,
             closed: false,
         }
     }
 
-    /// Whether this partitioner has routed `Close` (its upstream ended).
-    pub(crate) fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    /// Replaces the routing targets (the expansion path of
-    /// [`QueryGraph::parallelize`]; callers hold this node's runnable lock,
+    /// Replaces the routing targets (callers own the node, out of its cell,
     /// which freezes routing for the whole splice).
-    pub(crate) fn retarget(&mut self, targets: Vec<Arc<Edge<T>>>) {
+    fn retarget(&mut self, targets: Vec<Arc<Edge<T>>>) {
         self.targets = targets;
         self.buffers.clear();
         self.buffers.resize_with(self.targets.len(), Vec::new);
     }
-}
 
-impl<T: Send + Clone + 'static> Runnable for PartitionNode<T> {
-    fn step(&mut self, budget: usize) -> StepReport {
-        let max = budget.min(self.batch_limit);
-        let n = self.input.pop_run(max, u64::MAX, &mut self.scratch);
-        if n == 0 {
-            return StepReport::default();
-        }
+    /// Routes `msgs` (in arrival order) onto the targets at their original
+    /// stamps: elements by key, heartbeats and `Close` broadcast — every
+    /// instance sees the same temporal progress, and the merge re-unifies
+    /// the copies into one tie group. Returns how many messages went out
+    /// (elements once, broadcasts per instance).
+    fn route(&mut self, msgs: &mut Vec<(u64, Message<T>)>) -> usize {
         let k = self.targets.len();
-        let mut routed = 0usize;
-        for (seq, msg) in self.scratch.drain(..) {
+        let mut routed = 0;
+        for (seq, msg) in msgs.drain(..) {
             match msg {
                 Message::Element(e) => {
                     let slot = ((self.key)(&e.payload) % k as u64) as usize;
@@ -247,9 +173,6 @@ impl<T: Send + Clone + 'static> Runnable for PartitionNode<T> {
                     routed += 1;
                 }
                 Message::Heartbeat(t) => {
-                    // Broadcast at the original stamp: every instance sees
-                    // the same temporal progress, and the merge re-unifies
-                    // the copies into one tie group.
                     for buf in &mut self.buffers {
                         buf.push((seq, Message::Heartbeat(t)));
                     }
@@ -267,14 +190,28 @@ impl<T: Send + Clone + 'static> Runnable for PartitionNode<T> {
         for (edge, buf) in self.targets.iter().zip(self.buffers.iter_mut()) {
             edge.push_stamped_batch(buf);
         }
+        routed
+    }
+}
+
+impl<T: Send + Clone + 'static> Runnable for PartitionNode<T> {
+    fn step(&mut self, budget: usize) -> StepReport {
+        let max = budget.min(self.batch_limit);
+        let n = self.input.pop_run(max, u64::MAX, &mut self.scratch);
+        if n == 0 {
+            return StepReport::default();
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let routed = self.route(&mut scratch);
+        self.scratch = scratch;
         pipes_trace::instant(
             pipes_trace::names::SHUFFLE,
-            [n as u64, k as u64, routed as u64],
+            [n as u64, self.targets.len() as u64, routed as u64],
         );
         StepReport {
             consumed: n,
-            // Counts every routed message (elements once, broadcasts per
-            // instance): this is what drives downstream wake hooks.
+            // Counts every routed message: this is what the instances'
+            // statistics see arriving.
             produced: routed,
             batches: 1,
             peak_run: n,
@@ -293,314 +230,6 @@ impl<T: Send + Clone + 'static> Runnable for PartitionNode<T> {
         self.closed && self.input.is_empty()
     }
 
-    fn memory(&self) -> usize {
-        0
-    }
-
-    fn shed(&mut self, _target: usize) -> usize {
-        0
-    }
-
-    fn set_batch_limit(&mut self, limit: usize) {
-        self.batch_limit = limit.max(1);
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Keyed instance nodes
-// ---------------------------------------------------------------------------
-
-/// One keyed instance of a unary operator behind a shuffle edge.
-pub(crate) struct KeyedInstance<O: Operator> {
-    pub(crate) op: O,
-    input: Arc<Edge<O::In>>,
-    out: Arc<Edge<O::Out>>,
-    drained: Vec<(u64, Message<O::In>)>,
-    chunk: Vec<Message<O::In>>,
-    out_buf: Vec<(u64, Message<O::Out>)>,
-    batch_limit: usize,
-    closed: bool,
-}
-
-impl<O: Operator> KeyedInstance<O> {
-    fn new(op: O, input: Arc<Edge<O::In>>, out: Arc<Edge<O::Out>>) -> Self {
-        KeyedInstance {
-            op,
-            input,
-            out,
-            drained: Vec::new(),
-            chunk: Vec::new(),
-            out_buf: Vec::new(),
-            batch_limit: usize::MAX,
-            closed: false,
-        }
-    }
-}
-
-impl<O: Operator> Runnable for KeyedInstance<O> {
-    fn step(&mut self, budget: usize) -> StepReport {
-        if self.closed {
-            return StepReport::default();
-        }
-        let max = budget.min(self.batch_limit);
-        let n = self.input.pop_run(max, u64::MAX, &mut self.drained);
-        if n == 0 {
-            return StepReport::default();
-        }
-        let op = &mut self.op;
-        let out_buf = &mut self.out_buf;
-        let close = dispatch_chunks(&mut self.drained, &mut self.chunk, |chunk, stamp| {
-            let mut col = StampedCollector {
-                buf: out_buf,
-                stamp,
-            };
-            op.on_run(0, chunk, &mut col);
-            chunk.clear();
-        });
-        if let Some(c) = close {
-            let mut col = StampedCollector {
-                buf: out_buf,
-                stamp: c,
-            };
-            op.on_close(&mut col);
-            out_buf.push((c, Message::Close));
-            self.closed = true;
-        }
-        let pushed = self.out_buf.len();
-        self.out.push_stamped_batch(&mut self.out_buf);
-        StepReport {
-            consumed: n,
-            // Counts all messages handed to the merge (incl. forwarded
-            // heartbeats), so wake hooks fire whenever the merge gained
-            // anything to order.
-            produced: pushed,
-            batches: 1,
-            peak_run: n,
-        }
-    }
-
-    fn queued(&self) -> usize {
-        self.input.len()
-    }
-
-    fn oldest_pending_seq(&self) -> Option<u64> {
-        self.input.head_seq()
-    }
-
-    fn is_finished(&self) -> bool {
-        self.closed
-    }
-
-    fn memory(&self) -> usize {
-        self.op.memory()
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.op.state_bytes()
-    }
-
-    fn shed(&mut self, target: usize) -> usize {
-        self.op.shed(target)
-    }
-
-    fn set_batch_limit(&mut self, limit: usize) {
-        self.batch_limit = limit.max(1);
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-/// One keyed instance of a binary operator (both sides partitioned by the
-/// join key) behind a pair of shuffle edges.
-pub(crate) struct KeyedInstanceBin<B: BinaryOperator> {
-    pub(crate) op: B,
-    left: Arc<Edge<B::Left>>,
-    right: Arc<Edge<B::Right>>,
-    out: Arc<Edge<B::Out>>,
-    l_drained: Vec<(u64, Message<B::Left>)>,
-    l_chunk: Vec<Message<B::Left>>,
-    r_drained: Vec<(u64, Message<B::Right>)>,
-    r_chunk: Vec<Message<B::Right>>,
-    out_buf: Vec<(u64, Message<B::Out>)>,
-    left_close: Option<u64>,
-    right_close: Option<u64>,
-    batch_limit: usize,
-    closed: bool,
-}
-
-impl<B: BinaryOperator> KeyedInstanceBin<B> {
-    fn new(
-        op: B,
-        left: Arc<Edge<B::Left>>,
-        right: Arc<Edge<B::Right>>,
-        out: Arc<Edge<B::Out>>,
-    ) -> Self {
-        KeyedInstanceBin {
-            op,
-            left,
-            right,
-            out,
-            l_drained: Vec::new(),
-            l_chunk: Vec::new(),
-            r_drained: Vec::new(),
-            r_chunk: Vec::new(),
-            out_buf: Vec::new(),
-            left_close: None,
-            right_close: None,
-            batch_limit: usize::MAX,
-            closed: false,
-        }
-    }
-}
-
-impl<B: BinaryOperator> Runnable for KeyedInstanceBin<B> {
-    fn step(&mut self, budget: usize) -> StepReport {
-        if self.closed {
-            return StepReport::default();
-        }
-        let mut consumed = 0usize;
-        let mut batches = 0usize;
-        let mut peak = 0usize;
-        while consumed < budget {
-            // Smaller head first, ties to the left (same rule as the run
-            // bounds below) — but unlike BinNode, an empty open port does
-            // NOT license draining the other side: BinNode's ports are fed
-            // at publish time, so everything still to come outranks what is
-            // queued, while this instance's ports are fed by partitioners
-            // that can lag behind the published stream. A smaller sequence
-            // may still be in transit, so hold a strict frontier (same
-            // discipline as the merge stage) until both ports have a head
-            // or the silent side has delivered its Close.
-            let l_closed = self.left_close.is_some();
-            let r_closed = self.right_close.is_some();
-            let ls = if l_closed { None } else { self.left.head_seq() };
-            let rs = if r_closed {
-                None
-            } else {
-                self.right.head_seq()
-            };
-            let take_left = match (ls, rs) {
-                (Some(l), Some(r)) => l <= r,
-                (Some(_), None) if r_closed => true,
-                (None, Some(_)) if l_closed => false,
-                _ => break,
-            };
-            let max = (budget - consumed).min(self.batch_limit);
-            let op = &mut self.op;
-            let out_buf = &mut self.out_buf;
-            let n = if take_left {
-                let bound = rs.unwrap_or(u64::MAX);
-                let n = self.left.pop_run(max, bound, &mut self.l_drained);
-                let close =
-                    dispatch_chunks(&mut self.l_drained, &mut self.l_chunk, |chunk, stamp| {
-                        op.on_run_left(
-                            chunk,
-                            &mut StampedCollector {
-                                buf: out_buf,
-                                stamp,
-                            },
-                        );
-                        chunk.clear();
-                    });
-                if close.is_some() {
-                    self.left_close = close;
-                    self.left.open_gate();
-                }
-                n
-            } else {
-                let bound = ls.map_or(u64::MAX, |l| l.saturating_sub(1));
-                let n = self.right.pop_run(max, bound, &mut self.r_drained);
-                let close =
-                    dispatch_chunks(&mut self.r_drained, &mut self.r_chunk, |chunk, stamp| {
-                        op.on_run_right(
-                            chunk,
-                            &mut StampedCollector {
-                                buf: out_buf,
-                                stamp,
-                            },
-                        );
-                        chunk.clear();
-                    });
-                if close.is_some() {
-                    self.right_close = close;
-                    self.right.open_gate();
-                }
-                n
-            };
-            if n == 0 {
-                break;
-            }
-            consumed += n;
-            peak = peak.max(n);
-            batches += 1;
-        }
-        if let (Some(cl), Some(cr)) = (self.left_close, self.right_close) {
-            // Both sides ended. The close stamp is the same on every
-            // instance (closes are broadcast), so the merge unifies the
-            // per-instance closes into one tie group.
-            let c = cl.max(cr);
-            self.op.on_close(&mut StampedCollector {
-                buf: &mut self.out_buf,
-                stamp: c,
-            });
-            self.out_buf.push((c, Message::Close));
-            self.closed = true;
-        }
-        let pushed = self.out_buf.len();
-        self.out.push_stamped_batch(&mut self.out_buf);
-        StepReport {
-            consumed,
-            produced: pushed,
-            batches,
-            peak_run: peak,
-        }
-    }
-
-    fn queued(&self) -> usize {
-        // An empty open port blocks the strict frontier (see `step`):
-        // reporting the other side's backlog would make seq-ordered
-        // strategies spin on this instance while the node that feeds the
-        // empty port starves.
-        let l_blocked = self.left_close.is_none() && self.left.is_empty();
-        let r_blocked = self.right_close.is_none() && self.right.is_empty();
-        if l_blocked || r_blocked {
-            return 0;
-        }
-        self.left.len() + self.right.len()
-    }
-
-    fn oldest_pending_seq(&self) -> Option<u64> {
-        if self.queued() == 0 {
-            return None;
-        }
-        match (self.left.head_seq(), self.right.head_seq()) {
-            (Some(l), Some(r)) => Some(l.min(r)),
-            (l, r) => l.or(r),
-        }
-    }
-
-    fn is_finished(&self) -> bool {
-        self.closed
-    }
-
-    fn memory(&self) -> usize {
-        self.op.memory()
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.op.state_bytes()
-    }
-
-    fn shed(&mut self, target: usize) -> usize {
-        self.op.shed(target)
-    }
-
     fn set_batch_limit(&mut self, limit: usize) {
         self.batch_limit = limit.max(1);
     }
@@ -614,15 +243,11 @@ impl<B: BinaryOperator> Runnable for KeyedInstanceBin<B> {
 // Merge node
 // ---------------------------------------------------------------------------
 
-struct MergePort<T> {
-    edge: Arc<Edge<T>>,
-    open: bool,
-}
-
 /// Restores global arrival order across the instance output edges and
 /// republishes through a regular [`Outputs`] port.
 pub(crate) struct MergeNode<T: Clone> {
-    ports: Vec<MergePort<T>>,
+    /// The ports that have not delivered their `Close` yet, all gated.
+    ports: Vec<Arc<Edge<T>>>,
     outputs: Arc<Outputs<T>>,
     tie: Option<MergeTie<T>>,
     scratch: Vec<(u64, Message<T>)>,
@@ -633,12 +258,11 @@ pub(crate) struct MergeNode<T: Clone> {
 }
 
 impl<T: Clone> MergeNode<T> {
-    fn new(edges: Vec<Arc<Edge<T>>>, outputs: Arc<Outputs<T>>, tie: Option<MergeTie<T>>) -> Self {
+    /// A merge without ports; it gets them as generations are spawned and
+    /// ends the stream when the last one has closed.
+    fn new(outputs: Arc<Outputs<T>>, tie: Option<MergeTie<T>>) -> Self {
         MergeNode {
-            ports: edges
-                .into_iter()
-                .map(|edge| MergePort { edge, open: true })
-                .collect(),
+            ports: Vec::new(),
             outputs,
             tie,
             scratch: Vec::new(),
@@ -648,156 +272,84 @@ impl<T: Clone> MergeNode<T> {
             closed_downstream: false,
         }
     }
-
-    /// Attaches a new instance output port ([`QueryGraph::parallelize`]
-    /// expansion; callers hold this node's runnable lock).
-    pub(crate) fn add_port(&mut self, edge: Arc<Edge<T>>) {
-        self.ports.push(MergePort { edge, open: true });
-    }
 }
 
 impl<T: Clone + Send + 'static> Runnable for MergeNode<T> {
     fn step(&mut self, budget: usize) -> StepReport {
+        let mut report = StepReport::default();
         if self.closed_downstream {
-            return StepReport::default();
+            return report;
         }
-        let outputs = Arc::clone(&self.outputs);
-        let mut buf = std::mem::take(&mut self.out_scratch);
-        let mut consumed = 0usize;
-        let mut batches = 0usize;
-        let mut peak = 0usize;
-        let produced;
-        {
-            let mut col = PublishCollector::new(&outputs, &mut buf)
-                .with_flush_cap(self.batch_limit.min(DEFAULT_FLUSH_CAP));
-            // The budget may overrun by one tie group: a group must be
-            // emitted atomically or a mid-group cut would interleave its
-            // sorted flush output with the next stamp's.
-            'quantum: while consumed < budget {
-                let mut min: Option<u64> = None;
-                for p in &self.ports {
-                    if !p.open {
-                        continue;
-                    }
-                    match p.edge.head_seq() {
-                        // Strict rule: an open port without a head gates
-                        // progress — its next delivery could still carry
-                        // the smallest stamp. Liveness comes from
-                        // broadcast heartbeats: every instance forwards
-                        // them, so no open port stays empty while the
-                        // stream advances.
-                        None => break 'quantum,
-                        Some(s) => {
-                            if min.is_none_or(|m| s < m) {
-                                min = Some(s);
-                            }
+        let mut col = PublishCollector::new(&self.outputs, &mut self.out_scratch)
+            .with_flush_cap(self.batch_limit.min(DEFAULT_FLUSH_CAP));
+        // The budget may overrun by one tie group: a group must be emitted
+        // atomically or a mid-group cut would interleave its sorted flush
+        // output with the next stamp's.
+        while report.consumed < budget {
+            // Every port is gated, so the frontier only names a head once
+            // every open port has one (per-port stamps are non-decreasing:
+            // a later arrival can never undercut an observed head).
+            let Some(next) = frontier_of(&self.ports).next else {
+                break;
+            };
+            let mut hb: Option<Timestamp> = None;
+            let mut closed = false;
+            for edge in &self.ports {
+                // Everything at stamp `next.seq` is drained by one bounded
+                // run; ports whose head is newer contribute nothing.
+                let n = edge.pop_run(usize::MAX, next.seq, &mut self.scratch);
+                if n == 0 {
+                    continue;
+                }
+                report.drained(n);
+                for (_, msg) in self.scratch.drain(..) {
+                    match msg {
+                        Message::Element(e) => self.elems.push(e),
+                        Message::Heartbeat(t) => hb = Some(hb.map_or(t, |h| h.max(t))),
+                        Message::Close => {
+                            edge.open_gate();
+                            closed = true;
                         }
                     }
                 }
-                let Some(min) = min else { break };
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let mut elems = std::mem::take(&mut self.elems);
-                let mut hb: Option<Timestamp> = None;
-                for p in self.ports.iter_mut() {
-                    if !p.open {
-                        continue;
-                    }
-                    // Per-port stamps are non-decreasing, so everything at
-                    // stamp `min` is drained by one bounded run; ports
-                    // whose head is newer contribute nothing.
-                    let n = p.edge.pop_run(usize::MAX, min, &mut scratch);
-                    if n == 0 {
-                        continue;
-                    }
-                    consumed += n;
-                    peak = peak.max(n);
-                    batches += 1;
-                    for (_, msg) in scratch.drain(..) {
-                        match msg {
-                            Message::Element(e) => elems.push(e),
-                            Message::Heartbeat(t) => {
-                                hb = Some(hb.map_or(t, |h| h.max(t)));
-                            }
-                            Message::Close => {
-                                p.open = false;
-                                p.edge.open_gate();
-                            }
-                        }
-                    }
-                }
-                if let Some(tie) = &self.tie {
-                    if elems.len() > 1 {
-                        // Stable: per-port emission order breaks ties the
-                        // comparator leaves open.
-                        elems.sort_by(|a, b| tie(a, b));
-                    }
-                }
-                for e in elems.drain(..) {
-                    col.element(e);
-                }
-                if let Some(t) = hb {
-                    col.heartbeat(t);
-                }
-                self.scratch = scratch;
-                self.elems = elems;
             }
-            produced = col.finish();
+            if let Some(tie) = &self.tie {
+                if self.elems.len() > 1 {
+                    // Stable: per-port emission order breaks ties the
+                    // comparator leaves open.
+                    self.elems.sort_by(|a, b| tie(a, b));
+                }
+            }
+            for e in self.elems.drain(..) {
+                col.element(e);
+            }
+            if let Some(t) = hb {
+                col.heartbeat(t);
+            }
+            if closed {
+                // A closed port never delivers again (its gate is open).
+                self.ports.retain(|edge| edge.gated());
+                if self.ports.is_empty() {
+                    col.publish_close();
+                    self.closed_downstream = true;
+                    break;
+                }
+            }
         }
-        self.out_scratch = buf;
-        if self.ports.iter().all(|p| !p.open) {
-            self.outputs.publish_close();
-            self.closed_downstream = true;
-        }
-        StepReport {
-            consumed,
-            produced,
-            batches,
-            peak_run: peak,
-        }
+        report.produced = col.finish();
+        report
     }
 
-    /// Advertises runnable work only when the strict frontier can advance:
-    /// with any open port empty a step consumes nothing, and the blocked
-    /// head is the *globally oldest* queued seq — reporting it would make
-    /// seq-ordered strategies (FIFO) spin on the merge for their whole
-    /// idle valve instead of stepping the lagging instance that would
-    /// unblock it.
     fn queued(&self) -> usize {
-        let mut total = 0;
-        for p in &self.ports {
-            if !p.open {
-                continue;
-            }
-            let len = p.edge.len();
-            if len == 0 {
-                return 0;
-            }
-            total += len;
-        }
-        total
+        frontier_of(&self.ports).queued
     }
 
     fn oldest_pending_seq(&self) -> Option<u64> {
-        if self.queued() == 0 {
-            return None;
-        }
-        self.ports
-            .iter()
-            .filter(|p| p.open)
-            .filter_map(|p| p.edge.head_seq())
-            .min()
+        frontier_of(&self.ports).next.map(|n| n.seq)
     }
 
     fn is_finished(&self) -> bool {
         self.closed_downstream
-    }
-
-    fn memory(&self) -> usize {
-        0
-    }
-
-    fn shed(&mut self, _target: usize) -> usize {
-        0
     }
 
     fn set_batch_limit(&mut self, limit: usize) {
@@ -887,11 +439,31 @@ impl ShuffleRegistry {
     }
 }
 
-/// Placeholder parked in a partition cell while `parallelize` owns the
-/// real partitioner (see [`take_runnable`]). It reports an idle,
-/// unfinished node: workers that reach it during the splice window see no
-/// work, and upstream messages queue on the shared input edge with their
-/// original stamps until the partitioner is restored.
+/// Snapshot of one keyed-parallel group (see
+/// [`QueryGraph::shuffle_groups`]).
+#[derive(Clone, Debug)]
+pub struct ShuffleGroup {
+    /// The name the group was registered under.
+    pub name: String,
+    /// The merge node's id — the handle accepted by
+    /// [`QueryGraph::parallelize`] and the node id on the group's output
+    /// [`StreamHandle`].
+    pub handle: NodeId,
+    /// The partition node ids (one for unary groups, two for binary).
+    pub partition_ids: Vec<NodeId>,
+    /// The current generation's instance node ids.
+    pub instance_ids: Vec<NodeId>,
+}
+
+// ---------------------------------------------------------------------------
+// Freezing a partitioner
+// ---------------------------------------------------------------------------
+
+/// Placeholder parked in a partition cell while a resize owns the real
+/// partitioner (see [`take_runnable`]). It reports an idle, unfinished
+/// node: workers that reach it during the splice window see no work, and
+/// upstream messages queue on the shared input edge with their original
+/// stamps until the partitioner is restored.
 struct ParkedPartition;
 
 impl Runnable for ParkedPartition {
@@ -906,12 +478,6 @@ impl Runnable for ParkedPartition {
     }
     fn is_finished(&self) -> bool {
         false
-    }
-    fn memory(&self) -> usize {
-        0
-    }
-    fn shed(&mut self, _target: usize) -> usize {
-        0
     }
 }
 
@@ -936,93 +502,323 @@ fn restore_runnable(g: &QueryGraph, id: NodeId, runnable: Box<dyn Runnable>) {
     cell.ready.wake(cell.ready.set_parked(false));
 }
 
-/// Replays a retiring generation's unprocessed input backlog through the
-/// new routing at its original stamps, returning whether a `Close` was
-/// among it. Everything still inside the (parked) partitioner has a larger
-/// sequence — it routes in arrival order — so the fresh edges stay
-/// monotonic. Equal stamps in the backlog are broadcast copies of one
-/// heartbeat/Close gathered from several instances; the caller dedups.
-fn replay_backlog<T: Send + Clone + 'static>(
-    backlog: Vec<(u64, Message<T>)>,
-    key: &crate::shuffle::KeyFn<T>,
-    edges: &[Arc<Edge<T>>],
-) -> bool {
-    let mut saw_close = false;
-    for (s, msg) in backlog {
-        match msg {
-            Message::Element(e) => {
-                let slot = ((key)(&e.payload) % edges.len() as u64) as usize;
-                edges[slot].push(s, Message::Element(e));
-            }
-            Message::Heartbeat(t) => {
-                for e in edges {
-                    e.push(s, Message::Heartbeat(t));
-                }
-            }
-            Message::Close => {
-                saw_close = true;
-                for e in edges {
-                    e.push(s, Message::Close);
-                }
-            }
-        }
-    }
-    saw_close
-}
-
-/// Snapshot of one keyed-parallel group (see
-/// [`QueryGraph::shuffle_groups`]).
-#[derive(Clone, Debug)]
-pub struct ShuffleGroup {
-    /// The name the group was registered under.
-    pub name: String,
-    /// The merge node's id — the handle accepted by
-    /// [`QueryGraph::parallelize`] and the node id on the group's output
-    /// [`StreamHandle`].
-    pub handle: NodeId,
-    /// The partition node ids (one for unary groups, two for binary).
-    pub partition_ids: Vec<NodeId>,
-    /// The current generation's instance node ids.
-    pub instance_ids: Vec<NodeId>,
-}
-
-// ---------------------------------------------------------------------------
-// Graph builders + live expansion
-// ---------------------------------------------------------------------------
-
-/// One live instance: its node id, input edge and output edge.
-type UnaryInstance<O> = (
-    NodeId,
-    Arc<Edge<<O as Operator>::In>>,
-    Arc<Edge<<O as Operator>::Out>>,
-);
-
-struct UnaryGroup<O: Operator> {
-    instances: Vec<UnaryInstance<O>>,
-    next_idx: usize,
-}
-
-struct BinaryGroup<B: BinaryOperator> {
-    #[allow(clippy::type_complexity)]
-    instances: Vec<(
-        NodeId,
-        Arc<Edge<B::Left>>,
-        Arc<Edge<B::Right>>,
-        Arc<Edge<B::Out>>,
-    )>,
-    next_idx: usize,
-}
-
 fn instance_cell(
     name: String,
     runnable: Box<dyn Runnable>,
-    incoming: Vec<(NodeId, crate::edge::EdgeId)>,
+    incoming: Vec<(NodeId, EdgeId)>,
     ready: Arc<ReadyCell>,
 ) -> NodeCell {
     NodeCell::new(&name, NodeKind::Operator, runnable, None, incoming, ready)
 }
 
+// ---------------------------------------------------------------------------
+// Groups: building and re-sizing
+// ---------------------------------------------------------------------------
+
+/// One partitioned input of a keyed group: its partitioner and the input
+/// edges it routes onto, one per instance of the current generation.
+struct Side<T> {
+    part_id: NodeId,
+    /// Whether the instances hold a strict frontier on this port: they do
+    /// when there is a second side whose partitioner can lag behind this
+    /// one's.
+    gate: bool,
+    edges: Vec<Arc<Edge<T>>>,
+    /// While a resize is in flight: the partitioner, out of its cell …
+    frozen: Option<Box<dyn Runnable>>,
+    /// … and what the retiring generation had not processed yet, in
+    /// arrival order.
+    backlog: Vec<(u64, Message<T>)>,
+}
+
+impl<T: Send + Clone + 'static> Side<T> {
+    /// Subscribes a partitioner to `input`. The side is born **frozen**
+    /// (the real partitioner held here, a placeholder in its cell): it has
+    /// nowhere to route to before the group's first generation is spawned,
+    /// and what arrives meanwhile waits on its input edge.
+    fn new(
+        g: &QueryGraph,
+        name: String,
+        key: KeyFn<T>,
+        gate: bool,
+        input: &StreamHandle<T>,
+    ) -> Self {
+        let ready = g.new_ready_cell(NodeKind::Operator);
+        let edge = g.new_edge::<T>(&ready, false);
+        input.outputs.subscribe(Arc::clone(&edge));
+        ready.set_parked(true);
+        let incoming = vec![(input.node, edge.id())];
+        let part_id = g.push_node(instance_cell(
+            name,
+            Box::new(ParkedPartition),
+            incoming,
+            ready,
+        ));
+        g.refresh_subscriber_counts([input.node]);
+        Side {
+            part_id,
+            gate,
+            edges: Vec::new(),
+            frozen: Some(Box::new(PartitionNode::new(edge, key))),
+            backlog: Vec::new(),
+        }
+    }
+}
+
+/// The partitioned inputs of a keyed group — one [`Side`] for a unary
+/// operator, a pair for a binary one — and everything in a resize that
+/// touches them. The operations are written on [`Side`]; the pair does them
+/// left, then right.
+trait Sides: Send + 'static {
+    /// One instance's input edges.
+    type Ports;
+    fn part_ids(&self) -> Vec<NodeId>;
+    /// Stops routing (see [`take_runnable`]) and takes the retiring
+    /// generation's unprocessed input off its ports.
+    fn freeze(&mut self, g: &QueryGraph);
+    /// Creates the input edges of one new instance, listing them in its
+    /// `incoming`.
+    fn connect(
+        &mut self,
+        g: &QueryGraph,
+        instance: &Arc<ReadyCell>,
+        incoming: &mut Vec<(NodeId, EdgeId)>,
+    ) -> Self::Ports;
+    /// Points the partitioner at the new generation, replays the backlog
+    /// through it and lets it run again. `stamp` closes a stream that had
+    /// already ended.
+    fn thaw(&mut self, g: &QueryGraph, stamp: u64);
+}
+
+impl<T: Send + Clone + 'static> Sides for Side<T> {
+    type Ports = Arc<Edge<T>>;
+
+    fn part_ids(&self) -> Vec<NodeId> {
+        vec![self.part_id]
+    }
+
+    fn freeze(&mut self, g: &QueryGraph) {
+        self.frozen = Some(take_runnable(g, self.part_id));
+        // With routing frozen and the partition buffers empty between
+        // steps, the instance ports hold every routed-but-unprocessed
+        // message. It is popped raw and replayed rather than processed by
+        // the retiring operators: a port blocked by the strict frontier can
+        // still owe a smaller-sequence message sitting in the lagging
+        // other-side partitioner, and that message must meet the keyed
+        // state first.
+        for edge in self.edges.drain(..) {
+            while edge.pop_run(usize::MAX, u64::MAX, &mut self.backlog) > 0 {}
+        }
+        // Equal stamps are broadcast copies of one heartbeat or `Close`.
+        self.backlog.sort_by_key(|(seq, _)| *seq);
+        self.backlog.dedup_by_key(|(seq, _)| *seq);
+    }
+
+    fn connect(
+        &mut self,
+        g: &QueryGraph,
+        instance: &Arc<ReadyCell>,
+        incoming: &mut Vec<(NodeId, EdgeId)>,
+    ) -> Arc<Edge<T>> {
+        let edge = g.new_edge::<T>(instance, self.gate);
+        incoming.push((self.part_id, edge.id()));
+        self.edges.push(Arc::clone(&edge));
+        edge
+    }
+
+    fn thaw(&mut self, g: &QueryGraph, stamp: u64) {
+        let mut frozen = self.frozen.take().expect("side thawed while not frozen");
+        let part = frozen
+            .as_any_mut()
+            .and_then(|a| a.downcast_mut::<PartitionNode<T>>())
+            .expect("shuffle partition node changed type");
+        // A `Close` the retiring generation already consumed needs a fresh
+        // one on the new edges, or the new instances would never finish;
+        // one still in the backlog (its last message) is replayed.
+        let owed_close = part.closed && !matches!(self.backlog.last(), Some((_, Message::Close)));
+        part.retarget(self.edges.clone());
+        // Replayed at its original stamps: everything still ahead of the
+        // partitioner has a larger sequence — it routes in arrival order —
+        // so the fresh edges stay monotonic.
+        part.route(&mut self.backlog);
+        if owed_close {
+            for edge in &self.edges {
+                edge.push(stamp, Message::Close);
+            }
+        }
+        restore_runnable(g, self.part_id, frozen);
+    }
+}
+
+impl<L: Send + Clone + 'static, R: Send + Clone + 'static> Sides for (Side<L>, Side<R>) {
+    type Ports = (Arc<Edge<L>>, Arc<Edge<R>>);
+
+    fn part_ids(&self) -> Vec<NodeId> {
+        vec![self.0.part_id, self.1.part_id]
+    }
+
+    fn freeze(&mut self, g: &QueryGraph) {
+        self.0.freeze(g);
+        self.1.freeze(g);
+    }
+
+    fn connect(
+        &mut self,
+        g: &QueryGraph,
+        instance: &Arc<ReadyCell>,
+        incoming: &mut Vec<(NodeId, EdgeId)>,
+    ) -> Self::Ports {
+        let left = self.0.connect(g, instance, incoming);
+        (left, self.1.connect(g, instance, incoming))
+    }
+
+    fn thaw(&mut self, g: &QueryGraph, stamp: u64) {
+        self.0.thaw(g, stamp);
+        self.1.thaw(g, stamp);
+    }
+}
+
+/// One keyed-parallel group: its sides, its current generation of
+/// instances, and how to make the next.
+struct Group<S: Sides, T> {
+    name: String,
+    merge_id: NodeId,
+    sides: S,
+    /// The current generation: every instance's node and its output edge
+    /// into the merge.
+    instances: Vec<(NodeId, Arc<Edge<T>>)>,
+    next_idx: usize,
+    /// Builds an instance node around a fresh operator that has imported
+    /// the given keyed state.
+    spawn: SpawnFn<S, T>,
+    /// Moves the keyed state out of an instance node `spawn` built.
+    export: fn(&mut dyn std::any::Any) -> KeyedState,
+}
+
+type SpawnFn<S, T> =
+    Box<dyn Fn(KeyedState, <S as Sides>::Ports, Stamped<T>) -> Box<dyn Runnable> + Send>;
+
+impl<S: Sides, T: Clone + Send + 'static> Group<S, T> {
+    /// Replaces the current generation (none yet, when the group is being
+    /// built) by `n_new` fresh instances — the one resize protocol. The
+    /// caller has frozen the sides; from there: export the retiring
+    /// operators' keyed state and split it by `hash % n_new`, spawn the new
+    /// instances around it, give the merge their ports, close the retiring
+    /// ports at one fresh stamp, thaw the sides onto the new generation and
+    /// retire the old nodes. No two runnable locks are ever held at once.
+    fn respawn(&mut self, g: &QueryGraph, n_new: usize) -> Vec<NodeId> {
+        let mut split: Vec<KeyedState> = (0..n_new).map(|_| Vec::new()).collect();
+        for (id, _) in &self.instances {
+            let cell = g.cell(*id);
+            let mut node = cell.runnable.lock();
+            let node = node
+                .as_any_mut()
+                .expect("shuffle instance node changed type");
+            for entry in (self.export)(node) {
+                split[(entry.0 % n_new as u64) as usize].push(entry);
+            }
+        }
+        let merge_cell = g.cell(self.merge_id);
+        let mut fresh = Vec::with_capacity(n_new);
+        for state in split {
+            let ready = g.new_ready_cell(NodeKind::Operator);
+            let mut incoming = Vec::new();
+            let ports = self.sides.connect(g, &ready, &mut incoming);
+            // The merge holds a strict frontier: its ports are gated.
+            let out = g.new_edge::<T>(&merge_cell.ready, true);
+            let node = (self.spawn)(state, ports, Stamped::new(Arc::clone(&out)));
+            let name = format!("{}#{}", self.name, self.next_idx);
+            self.next_idx += 1;
+            fresh.push((g.push_node(instance_cell(name, node, incoming, ready)), out));
+        }
+        {
+            let mut merge = merge_cell.runnable.lock();
+            let merge = merge
+                .as_any_mut()
+                .and_then(|a| a.downcast_mut::<MergeNode<T>>())
+                .expect("shuffle merge node changed type");
+            let mut incoming = merge_cell.incoming.lock();
+            incoming.retain(|(up, _)| !self.instances.iter().any(|(id, _)| id == up));
+            for (id, out) in &fresh {
+                merge.ports.push(Arc::clone(out));
+                incoming.push((*id, out.id()));
+            }
+        }
+        // One fresh stamp: greater than every stamp the retiring instances
+        // emitted, not greater than any the upstream allocates from here on.
+        // ordering: Relaxed — unique-stamp allocation only; per-edge queue
+        // locks establish delivery order (see Outputs).
+        let stamp = g.seq.fetch_add(1, Ordering::Relaxed);
+        for (id, out) in &self.instances {
+            // An instance that took its own `Close` has ended its port
+            // itself; the others never will (what they had not processed is
+            // in the backlog), so the merge could not retire them.
+            if !g.is_finished(*id) {
+                out.push(stamp, Message::Close);
+            }
+        }
+        self.sides.thaw(g, stamp);
+        for (id, _) in std::mem::replace(&mut self.instances, fresh) {
+            g.remove_node(id);
+        }
+        self.instances.iter().map(|(id, _)| *id).collect()
+    }
+}
+
 impl QueryGraph {
+    /// Builds a keyed group over `sides`: the merge first, then the first
+    /// generation through the same [`Group::respawn`] every later resize
+    /// runs.
+    fn add_keyed<S: Sides, T: Clone + Send + 'static>(
+        &self,
+        name: &str,
+        sides: S,
+        instances: usize,
+        tie: Option<MergeTie<T>>,
+        spawn: SpawnFn<S, T>,
+        export: fn(&mut dyn std::any::Any) -> KeyedState,
+    ) -> StreamHandle<T> {
+        assert!(instances >= 1, "keyed operator needs at least one instance");
+        let outputs = Arc::new(Outputs::new(Arc::clone(&self.seq)));
+        let merge_id = self.push_node(NodeCell::new(
+            &format!("{name}.merge"),
+            NodeKind::Operator,
+            Box::new(MergeNode::new(Arc::clone(&outputs), tie)),
+            Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
+            Vec::new(),
+            self.new_ready_cell(NodeKind::Operator),
+        ));
+        let mut group = Group {
+            name: name.to_string(),
+            merge_id,
+            sides,
+            instances: Vec::new(),
+            next_idx: 0,
+            spawn,
+            export,
+        };
+        let partition_ids = group.sides.part_ids();
+        let instance_ids = group.respawn(self, instances);
+        let group = Mutex::new(group);
+        let expand: Arc<ExpandFn> = Arc::new(move |g: &QueryGraph, n_new: usize| {
+            assert!(n_new >= 1, "parallelize needs at least one instance");
+            let mut group = group.lock();
+            group.sides.freeze(g);
+            group.respawn(g, n_new)
+        });
+        self.shuffle.register(GroupEntry {
+            name: name.to_string(),
+            handle: merge_id,
+            partition_ids,
+            instance_ids,
+            expand,
+        });
+        StreamHandle {
+            node: merge_id,
+            outputs,
+        }
+    }
+
     /// Registers a **keyed-parallel** unary operator: `instances` copies of
     /// the operator built by `factory`, fed through a hash-by-key partition
     /// stage and re-unified by an order-restoring merge stage. The returned
@@ -1051,188 +847,18 @@ impl QueryGraph {
         O::Out: Send + Sync,
         F: Fn() -> O + Send + Sync + 'static,
     {
-        assert!(instances >= 1, "keyed operator needs at least one instance");
-        let factory = Arc::new(factory);
-        let part_ready = self.new_ready_cell(NodeKind::Operator);
-        let part_edge = self.new_edge::<O::In>(&part_ready, false);
-        input.outputs.subscribe(Arc::clone(&part_edge));
-        let inst_ready: Vec<_> = (0..instances)
-            .map(|_| self.new_ready_cell(NodeKind::Operator))
-            .collect();
-        let in_edges: Vec<_> = inst_ready
-            .iter()
-            .map(|r| self.new_edge::<O::In>(r, false))
-            .collect();
-        // The merge holds a strict frontier: its ports are gated.
-        let merge_ready = self.new_ready_cell(NodeKind::Operator);
-        let out_edges: Vec<_> = (0..instances)
-            .map(|_| self.new_edge::<O::Out>(&merge_ready, true))
-            .collect();
-
-        let part = PartitionNode::new(Arc::clone(&part_edge), Arc::clone(&key), in_edges.clone());
-        let part_id = self.push_node(instance_cell(
-            format!("{name}.part"),
-            Box::new(part),
-            vec![(input.node, part_edge.id())],
-            part_ready,
-        ));
-
-        let mut inst_list = Vec::with_capacity(instances);
-        let mut instance_ids = Vec::with_capacity(instances);
-        for (i, ready) in inst_ready.into_iter().enumerate() {
-            let inst = KeyedInstance::new(
-                (factory)(),
-                Arc::clone(&in_edges[i]),
-                Arc::clone(&out_edges[i]),
-            );
-            let id = self.push_node(instance_cell(
-                format!("{name}#{i}"),
-                Box::new(inst),
-                vec![(part_id, in_edges[i].id())],
-                ready,
-            ));
-            inst_list.push((id, Arc::clone(&in_edges[i]), Arc::clone(&out_edges[i])));
-            instance_ids.push(id);
-        }
-
-        let outputs = Arc::new(Outputs::new(Arc::clone(&self.seq)));
-        let merge = MergeNode::new(out_edges, Arc::clone(&outputs), tie);
-        let merge_name = format!("{name}.merge");
-        let merge_id = self.push_node(NodeCell::new(
-            &merge_name,
-            NodeKind::Operator,
-            Box::new(merge),
-            Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
-            inst_list
-                .iter()
-                .map(|(id, _, out_e)| (*id, out_e.id()))
-                .collect(),
-            merge_ready,
-        ));
-        self.refresh_subscriber_counts([input.node]);
-
-        let state = Arc::new(Mutex::new(UnaryGroup::<O> {
-            instances: inst_list,
-            next_idx: instances,
-        }));
-        let gname = name.to_string();
-        let expand: Arc<ExpandFn> = Arc::new(move |g: &QueryGraph, n_new: usize| {
-            assert!(n_new >= 1, "parallelize needs at least one instance");
-            let mut st = state.lock();
-            // Freeze routing for the whole splice: take the partitioner
-            // out of its cell and park a placeholder there. Owning the box
-            // stops all routing while state is in transit — workers step
-            // the placeholder, a no-op — without holding its runnable lock
-            // across the instance and merge locks below, so no two
-            // runnable locks are ever held at once.
-            let mut part_box = take_runnable(g, part_id);
-            let part = part_box
-                .as_any_mut()
-                .and_then(|a| a.downcast_mut::<PartitionNode<O::In>>())
-                .expect("shuffle partition node changed type");
-            // Drain the retiring generation: with routing frozen and the
-            // partition buffers empty between steps, the instance queues
-            // hold every routed-but-unprocessed message.
-            for (id, _, _) in &st.instances {
-                while g.queued(*id) > 0 {
-                    g.step_node(*id, usize::MAX);
-                }
-            }
-            let was_closed = part.is_closed();
-            // Move the keyed state out of the old instances…
-            let mut exported: KeyedState = Vec::new();
-            for (id, _, _) in &st.instances {
-                let cell = g.cell(*id);
-                let mut guard = cell.runnable.lock();
-                let inst = guard
-                    .as_any_mut()
-                    .and_then(|a| a.downcast_mut::<KeyedInstance<O>>())
-                    .expect("shuffle instance node changed type");
-                exported.append(&mut inst.op.export_keyed());
-            }
-            // …and re-route it across the new instance count.
-            let mut split: Vec<KeyedState> = (0..n_new).map(|_| Vec::new()).collect();
-            for entry in exported {
-                let slot = (entry.0 % n_new as u64) as usize;
-                split[slot].push(entry);
-            }
-            let mut new_ids = Vec::with_capacity(n_new);
-            let mut new_in = Vec::with_capacity(n_new);
-            let mut new_list = Vec::with_capacity(n_new);
-            for part_state in split {
-                let mut op = (factory)();
-                op.import_keyed(part_state);
-                let ready = g.new_ready_cell(NodeKind::Operator);
-                let in_e = g.new_edge::<O::In>(&ready, false);
-                let out_e = g.new_edge::<O::Out>(&g.cell(merge_id).ready, true);
-                let idx = st.next_idx;
-                st.next_idx += 1;
-                let inst = KeyedInstance::new(op, Arc::clone(&in_e), Arc::clone(&out_e));
-                let id = g.push_node(instance_cell(
-                    format!("{gname}#{idx}"),
-                    Box::new(inst),
-                    vec![(part_id, in_e.id())],
-                    ready,
-                ));
-                new_ids.push(id);
-                new_in.push(Arc::clone(&in_e));
-                new_list.push((id, in_e, out_e));
-            }
-            {
-                let merge_cell = g.cell(merge_id);
-                let mut mg = merge_cell.runnable.lock();
-                let merge = mg
-                    .as_any_mut()
-                    .and_then(|a| a.downcast_mut::<MergeNode<O::Out>>())
-                    .expect("shuffle merge node changed type");
-                for (_, _, out_e) in &new_list {
-                    merge.add_port(Arc::clone(out_e));
-                }
-                let old_ids: std::collections::HashSet<NodeId> =
-                    st.instances.iter().map(|(id, _, _)| *id).collect();
-                let mut inc = merge_cell.incoming.lock();
-                inc.retain(|(up, _)| !old_ids.contains(up));
-                inc.extend(new_list.iter().map(|(id, _, out_e)| (*id, out_e.id())));
-            }
-            // Retire the old generation at one fresh stamp: greater than
-            // every stamp the old instances emitted, not greater than any
-            // stamp the upstream will allocate from here on.
-            // ordering: Relaxed — unique-stamp allocation only; per-edge
-            // queue locks establish delivery order (see Outputs).
-            let s = g.seq.fetch_add(1, Ordering::Relaxed);
-            if was_closed {
-                // The stream already ended: old instances closed themselves
-                // when the broadcast Close reached them; the new instances
-                // will never hear from the partitioner, so close their
-                // inputs here or the group would never finish.
-                for in_e in &new_in {
-                    in_e.push(s, Message::Close);
-                }
-            } else {
-                for (_, _, out_e) in &st.instances {
-                    out_e.push(s, Message::Close);
-                }
-            }
-            part.retarget(new_in);
-            restore_runnable(g, part_id, part_box);
-            let old: Vec<NodeId> = st.instances.iter().map(|(id, _, _)| *id).collect();
-            for id in old {
-                g.remove_node(id);
-            }
-            st.instances = new_list;
-            new_ids
+        let side = Side::new(self, format!("{name}.part"), key, false, input);
+        let export = |node: &mut dyn std::any::Any| {
+            let node = node.downcast_mut::<OpNode<O, Stamped<O::Out>>>();
+            let node = node.expect("shuffle instance node changed type");
+            node.op.export_keyed()
+        };
+        let spawn = Box::new(move |state, port, emit| {
+            let mut op = factory();
+            op.import_keyed(state);
+            Box::new(OpNode::new(op, vec![port], emit)) as Box<dyn Runnable>
         });
-        self.shuffle.register(GroupEntry {
-            name: name.to_string(),
-            handle: merge_id,
-            partition_ids: vec![part_id],
-            instance_ids,
-            expand,
-        });
-        StreamHandle {
-            node: merge_id,
-            outputs,
-        }
+        self.add_keyed(name, side, instances, tie, spawn, export)
     }
 
     /// Registers a **keyed-parallel** binary operator (both inputs
@@ -1258,245 +884,29 @@ impl QueryGraph {
         B::Out: Send + Sync,
         F: Fn() -> B + Send + Sync + 'static,
     {
-        assert!(instances >= 1, "keyed operator needs at least one instance");
-        let factory = Arc::new(factory);
-        let lpart_ready = self.new_ready_cell(NodeKind::Operator);
-        let rpart_ready = self.new_ready_cell(NodeKind::Operator);
-        let l_edge = self.new_edge::<B::Left>(&lpart_ready, false);
-        let r_edge = self.new_edge::<B::Right>(&rpart_ready, false);
-        left.outputs.subscribe(Arc::clone(&l_edge));
-        right.outputs.subscribe(Arc::clone(&r_edge));
-        // Instances and the merge hold strict frontiers: gated ports.
-        let inst_ready: Vec<_> = (0..instances)
-            .map(|_| self.new_ready_cell(NodeKind::Operator))
-            .collect();
-        let l_in: Vec<_> = inst_ready
-            .iter()
-            .map(|r| self.new_edge::<B::Left>(r, true))
-            .collect();
-        let r_in: Vec<_> = inst_ready
-            .iter()
-            .map(|r| self.new_edge::<B::Right>(r, true))
-            .collect();
-        let merge_ready = self.new_ready_cell(NodeKind::Operator);
-        let out_edges: Vec<_> = (0..instances)
-            .map(|_| self.new_edge::<B::Out>(&merge_ready, true))
-            .collect();
-
-        let lpart = PartitionNode::new(Arc::clone(&l_edge), Arc::clone(&key_left), l_in.clone());
-        let lpart_id = self.push_node(instance_cell(
-            format!("{name}.lpart"),
-            Box::new(lpart),
-            vec![(left.node, l_edge.id())],
-            lpart_ready,
-        ));
-        let rpart = PartitionNode::new(Arc::clone(&r_edge), Arc::clone(&key_right), r_in.clone());
-        let rpart_id = self.push_node(instance_cell(
-            format!("{name}.rpart"),
-            Box::new(rpart),
-            vec![(right.node, r_edge.id())],
-            rpart_ready,
-        ));
-
-        let mut inst_list = Vec::with_capacity(instances);
-        let mut instance_ids = Vec::with_capacity(instances);
-        for (i, ready) in inst_ready.into_iter().enumerate() {
-            let inst = KeyedInstanceBin::new(
-                (factory)(),
-                Arc::clone(&l_in[i]),
-                Arc::clone(&r_in[i]),
-                Arc::clone(&out_edges[i]),
-            );
-            let id = self.push_node(instance_cell(
-                format!("{name}#{i}"),
-                Box::new(inst),
-                vec![(lpart_id, l_in[i].id()), (rpart_id, r_in[i].id())],
-                ready,
-            ));
-            inst_list.push((
-                id,
-                Arc::clone(&l_in[i]),
-                Arc::clone(&r_in[i]),
-                Arc::clone(&out_edges[i]),
-            ));
-            instance_ids.push(id);
-        }
-
-        let outputs = Arc::new(Outputs::new(Arc::clone(&self.seq)));
-        let merge = MergeNode::new(out_edges, Arc::clone(&outputs), tie);
-        let merge_name = format!("{name}.merge");
-        let merge_id = self.push_node(NodeCell::new(
-            &merge_name,
-            NodeKind::Operator,
-            Box::new(merge),
-            Some(Arc::clone(&outputs) as Arc<dyn OutputPort>),
-            inst_list
-                .iter()
-                .map(|(id, _, _, out_e)| (*id, out_e.id()))
-                .collect(),
-            merge_ready,
-        ));
-        self.refresh_subscriber_counts([left.node, right.node]);
-
-        let state = Arc::new(Mutex::new(BinaryGroup::<B> {
-            instances: inst_list,
-            next_idx: instances,
-        }));
-        let gname = name.to_string();
-        let route_l = Arc::clone(&key_left);
-        let route_r = Arc::clone(&key_right);
-        let expand: Arc<ExpandFn> = Arc::new(move |g: &QueryGraph, n_new: usize| {
-            assert!(n_new >= 1, "parallelize needs at least one instance");
-            let mut st = state.lock();
-            // Freeze both routing tables by taking the partitioners out of
-            // their cells (see the unary expander): owning the boxes stops
-            // all routing without ever holding two runnable locks at once.
-            let mut lpart_box = take_runnable(g, lpart_id);
-            let mut rpart_box = take_runnable(g, rpart_id);
-            let lpart = lpart_box
-                .as_any_mut()
-                .and_then(|a| a.downcast_mut::<PartitionNode<B::Left>>())
-                .expect("shuffle partition node changed type");
-            let rpart = rpart_box
-                .as_any_mut()
-                .and_then(|a| a.downcast_mut::<PartitionNode<B::Right>>())
-                .expect("shuffle partition node changed type");
-            // Pop the unprocessed backlog raw off the instance ports; it is
-            // replayed through the new routing below. Forcing the old
-            // operators to process it instead would break arrival order: a
-            // port blocked by the strict frontier (see
-            // `KeyedInstanceBin::step`) can still owe a smaller-sequence
-            // message sitting in the lagging other-side partitioner, and
-            // that message must probe the keyed state first.
-            let mut l_backlog: Vec<(u64, Message<B::Left>)> = Vec::new();
-            let mut r_backlog: Vec<(u64, Message<B::Right>)> = Vec::new();
-            for (_, l_e, r_e, _) in &st.instances {
-                while l_e.pop_run(usize::MAX, u64::MAX, &mut l_backlog) > 0 {}
-                while r_e.pop_run(usize::MAX, u64::MAX, &mut r_backlog) > 0 {}
-            }
-            l_backlog.sort_by_key(|p| p.0);
-            l_backlog.dedup_by_key(|p| p.0);
-            r_backlog.sort_by_key(|p| p.0);
-            r_backlog.dedup_by_key(|p| p.0);
-            let l_closed = lpart.is_closed();
-            let r_closed = rpart.is_closed();
-            let mut exported: KeyedState = Vec::new();
-            for (id, _, _, _) in &st.instances {
-                let cell = g.cell(*id);
-                let mut guard = cell.runnable.lock();
-                let inst = guard
-                    .as_any_mut()
-                    .and_then(|a| a.downcast_mut::<KeyedInstanceBin<B>>())
-                    .expect("shuffle instance node changed type");
-                exported.append(&mut inst.op.export_keyed());
-            }
-            let mut split: Vec<KeyedState> = (0..n_new).map(|_| Vec::new()).collect();
-            for entry in exported {
-                let slot = (entry.0 % n_new as u64) as usize;
-                split[slot].push(entry);
-            }
-            let mut new_ids = Vec::with_capacity(n_new);
-            let mut new_l = Vec::with_capacity(n_new);
-            let mut new_r = Vec::with_capacity(n_new);
-            let mut new_list = Vec::with_capacity(n_new);
-            for part_state in split {
-                let mut op = (factory)();
-                op.import_keyed(part_state);
-                let ready = g.new_ready_cell(NodeKind::Operator);
-                let l_e = g.new_edge::<B::Left>(&ready, true);
-                let r_e = g.new_edge::<B::Right>(&ready, true);
-                let out_e = g.new_edge::<B::Out>(&g.cell(merge_id).ready, true);
-                let idx = st.next_idx;
-                st.next_idx += 1;
-                let inst = KeyedInstanceBin::new(
-                    op,
-                    Arc::clone(&l_e),
-                    Arc::clone(&r_e),
-                    Arc::clone(&out_e),
-                );
-                let id = g.push_node(instance_cell(
-                    format!("{gname}#{idx}"),
-                    Box::new(inst),
-                    vec![(lpart_id, l_e.id()), (rpart_id, r_e.id())],
-                    ready,
-                ));
-                new_ids.push(id);
-                new_l.push(Arc::clone(&l_e));
-                new_r.push(Arc::clone(&r_e));
-                new_list.push((id, l_e, r_e, out_e));
-            }
-            {
-                let merge_cell = g.cell(merge_id);
-                let mut mg = merge_cell.runnable.lock();
-                let merge = mg
-                    .as_any_mut()
-                    .and_then(|a| a.downcast_mut::<MergeNode<B::Out>>())
-                    .expect("shuffle merge node changed type");
-                for (_, _, _, out_e) in &new_list {
-                    merge.add_port(Arc::clone(out_e));
-                }
-                let old_ids: std::collections::HashSet<NodeId> =
-                    st.instances.iter().map(|(id, _, _, _)| *id).collect();
-                let mut inc = merge_cell.incoming.lock();
-                inc.retain(|(up, _)| !old_ids.contains(up));
-                inc.extend(new_list.iter().map(|(id, _, _, out_e)| (*id, out_e.id())));
-            }
-            let l_backlog_closed = replay_backlog(l_backlog, &route_l, &new_l);
-            let r_backlog_closed = replay_backlog(r_backlog, &route_r, &new_r);
-            // ordering: Relaxed — unique-stamp allocation only; see the
-            // unary expander.
-            let s = g.seq.fetch_add(1, Ordering::Relaxed);
-            // A side whose broadcast Close was already consumed by the old
-            // instances needs a fresh one on the new edges; a Close still
-            // in the backlog was just replayed at its original stamp.
-            if l_closed && !l_backlog_closed {
-                for in_e in &new_l {
-                    in_e.push(s, Message::Close);
-                }
-            }
-            if r_closed && !r_backlog_closed {
-                for in_e in &new_r {
-                    in_e.push(s, Message::Close);
-                }
-            }
-            // Old instances that never processed their Close (it may have
-            // been popped into the backlog above) end their output ports
-            // here so the merge can retire them.
-            for (id, _, _, out_e) in &st.instances {
-                if !g.is_finished(*id) {
-                    out_e.push(s, Message::Close);
-                }
-            }
-            lpart.retarget(new_l);
-            rpart.retarget(new_r);
-            restore_runnable(g, lpart_id, lpart_box);
-            restore_runnable(g, rpart_id, rpart_box);
-            let old: Vec<NodeId> = st.instances.iter().map(|(id, _, _, _)| *id).collect();
-            for id in old {
-                g.remove_node(id);
-            }
-            st.instances = new_list;
-            new_ids
+        let sides = (
+            Side::new(self, format!("{name}.lpart"), key_left, true, left),
+            Side::new(self, format!("{name}.rpart"), key_right, true, right),
+        );
+        let export = |node: &mut dyn std::any::Any| {
+            let node = node.downcast_mut::<BinNode<B, Stamped<B::Out>>>();
+            let node = node.expect("shuffle instance node changed type");
+            node.op.export_keyed()
+        };
+        let spawn = Box::new(move |state, (left, right), emit| {
+            let mut op = factory();
+            op.import_keyed(state);
+            Box::new(BinNode::new(op, left, right, emit)) as Box<dyn Runnable>
         });
-        self.shuffle.register(GroupEntry {
-            name: name.to_string(),
-            handle: merge_id,
-            partition_ids: vec![lpart_id, rpart_id],
-            instance_ids,
-            expand,
-        });
-        StreamHandle {
-            node: merge_id,
-            outputs,
-        }
+        self.add_keyed(name, sides, instances, tie, spawn, export)
     }
 
     /// Re-sizes the keyed-parallel group whose output node is `handle` to
     /// `instances` instances, **against the running graph**: routing is
-    /// frozen, the retiring generation is drained and its keyed state moved
-    /// ([`Rekey`]), the new instances are spliced in through the
-    /// hot-topology path (topology-epoch bumps let executors re-plan) and
-    /// the old ones retired. Returns the new instance node ids.
+    /// frozen, the retiring generation's keyed state is moved ([`Rekey`])
+    /// and its unprocessed input replayed, the new instances are spliced in
+    /// through the hot-topology path (topology-epoch bumps let executors
+    /// re-plan) and the old ones retired. Returns the new instance node ids.
     ///
     /// # Panics
     ///

@@ -131,7 +131,12 @@ impl NexmarkGenerator {
     }
 
     fn make_bid(&mut self) -> Option<Bid> {
-        self.open_auctions.retain(|(_, exp, _)| *exp > self.now_ms);
+        // Auctions open in clock order and all live equally long, so the
+        // expired ones are a prefix.
+        let expired = self
+            .open_auctions
+            .partition_point(|(_, exp, _)| *exp <= self.now_ms);
+        self.open_auctions.drain(..expired);
         if self.open_auctions.is_empty() {
             return None;
         }
@@ -220,6 +225,27 @@ mod tests {
             (0.8..=0.97).contains(&bid_share),
             "bid share {bid_share} out of NEXMark range"
         );
+    }
+
+    /// `make_bid` drops the expired *prefix* of the open auctions: expiry
+    /// must follow position, and nothing expired may survive a bid.
+    #[test]
+    fn open_auctions_expire_in_opening_order() {
+        let mut gen = NexmarkGenerator::new(NexmarkConfig {
+            max_events: 20_000,
+            auction_lifetime: Duration::from_mins(1),
+            ..Default::default()
+        });
+        let mut expired_some = false;
+        while let Some(ev) = gen.next_event() {
+            let open = &gen.open_auctions;
+            assert!(open.windows(2).all(|w| w[0].1 <= w[1].1));
+            if matches!(ev, Event::Bid(_)) {
+                assert!(open.iter().all(|(_, exp, _)| *exp > gen.now_ms));
+                expired_some |= (open[0].0 as usize) > 0;
+            }
+        }
+        assert!(expired_some, "the run never outlived an auction");
     }
 
     #[test]

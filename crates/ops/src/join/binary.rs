@@ -243,6 +243,18 @@ where
         self.advance(out);
     }
 
+    /// The left input ended: its watermark is at the horizon, so every
+    /// right entry has met its last partner, and the join's progress is the
+    /// right input's alone from here on.
+    fn on_close_left(&mut self, out: &mut dyn Collector<O>) {
+        self.on_heartbeat_left(Timestamp::MAX, out);
+    }
+
+    /// Mirror of [`on_close_left`](Self::on_close_left).
+    fn on_close_right(&mut self, out: &mut dyn Collector<O>) {
+        self.on_heartbeat_right(Timestamp::MAX, out);
+    }
+
     fn on_close(&mut self, out: &mut dyn Collector<O>) {
         self.left_wm = Timestamp::MAX;
         self.right_wm = Timestamp::MAX;

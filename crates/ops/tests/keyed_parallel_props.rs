@@ -14,7 +14,7 @@
 //! behavior behind the shuffle edge is covered against the per-message
 //! single-instance baseline.
 
-use pipes_graph::io::{CollectSink, Collected, VecSource};
+use pipes_graph::io::{CollectSink, Collected, CountSink, VecSource};
 use pipes_graph::{key_hash, NodeId, QueryGraph};
 use pipes_ops::aggregate::SumAgg;
 use pipes_ops::{Distinct, GroupedAggregate, RippleJoin};
@@ -273,8 +273,134 @@ fn keyed_join_instance_is_ready_only_once_both_open_ports_hold_a_head() {
     drive(&g, &srcs, &[]);
 }
 
+/// ROADMAP 4(a): a join is told when one input ends. With the build side
+/// closed and the probe side still streaming, the sink sees progress past
+/// the build side's last element *before* end of stream (the watermark
+/// used to freeze at `min(left, right)` until both sides had closed), and
+/// the probe elements stored as partners for the closed side are dropped —
+/// on the single-instance plan and behind a two-instance shuffle edge.
+#[test]
+fn join_told_its_build_side_closed_streams_progress_and_drops_its_partners() {
+    let pairs = |n: i64| -> Vec<Element<Pair>> {
+        (0..n)
+            .map(|i| Element::at((i % 3, i), Timestamp::new(i as u64 + 1)))
+            .collect()
+    };
+    const BUILD: i64 = 6;
+    const ROUNDS: usize = 10;
+    for keyed in [false, true] {
+        let g = QueryGraph::new();
+        let l = g.add_source("build", VecSource::new(pairs(BUILD)));
+        let r = g.add_source("probe", VecSource::new(pairs(400)));
+        let (h, joins) = if keyed {
+            let h = g.add_keyed_binary(
+                "join",
+                join_op,
+                Arc::new(|l: &Pair| key_hash(&l.0)),
+                Arc::new(|r: &Pair| key_hash(&r.0)),
+                2,
+                None,
+                &l,
+                &r,
+            );
+            (h, g.shuffle_groups()[0].instance_ids.clone())
+        } else {
+            let h = g.add_binary("join", join_op(), &l, &r);
+            let id = h.node();
+            (h, vec![id])
+        };
+        let (sink, seen) = CountSink::new();
+        g.add_sink("sink", sink, &h);
+        let (l, r) = (l.node(), r.node());
+        let settle = |g: &QueryGraph| {
+            for _ in 0..4 {
+                for id in g.node_ids().filter(|&id| id != l && id != r) {
+                    g.step_node(id, 256);
+                }
+            }
+        };
+        // Probe elements arrive while the build side is still open …
+        g.step_node(l, SRC_BUDGET);
+        for _ in 0..ROUNDS {
+            g.step_node(r, SRC_BUDGET);
+        }
+        settle(&g);
+        // … the build side ends …
+        while !g.is_finished(l) {
+            g.step_node(l, SRC_BUDGET);
+        }
+        settle(&g);
+        // … and the probe side keeps streaming.
+        for _ in 0..ROUNDS {
+            g.step_node(r, SRC_BUDGET);
+            settle(&g);
+        }
+        assert!(
+            !g.is_finished(r),
+            "the stream has not ended (keyed: {keyed})"
+        );
+        let progress = seen.lock().1;
+        assert!(
+            progress > Timestamp::new(BUILD as u64),
+            "sink progress {progress:?} is stuck at the closed build side (keyed: {keyed})"
+        );
+        let retained: usize = joins.iter().map(|&id| g.memory(id)).sum();
+        assert!(
+            retained <= ROUNDS * SRC_BUDGET,
+            "join retains {retained} entries: the {} probe elements that arrived before \
+             the build side closed can never match again (keyed: {keyed})",
+            ROUNDS * SRC_BUDGET
+        );
+        drive(&g, &[l, r], &[]);
+    }
+}
+
+/// Warm-up for the mid-run re-sizing tests: `rounds` scheduling rounds at
+/// small budgets, so messages are in flight in the partition, instance and
+/// merge stages when the splice lands.
+fn warm_up(g: &QueryGraph, srcs: &[NodeId], rounds: usize) {
+    let ids: Vec<NodeId> = g.node_ids().collect();
+    for _ in 0..rounds {
+        for &s in srcs {
+            if !g.is_finished(s) {
+                g.step_node(s, SRC_BUDGET);
+            }
+        }
+        for &id in &ids {
+            if !srcs.contains(&id) && !g.is_finished(id) {
+                g.step_node(id, 2);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Re-sizing a heartbeat-flushing, tie-sorted aggregate mid-run, with
+    /// elements and broadcast heartbeats in flight: the retiring
+    /// generation's unprocessed input is replayed through the new routing,
+    /// heartbeats to *every* new instance — also to state whose old
+    /// instance had already flushed at them. Flushing is idempotent, the
+    /// tie groups re-form at the replayed stamps, and the output stays
+    /// byte-identical.
+    #[test]
+    fn grouped_aggregate_parallelize_mid_run_is_invisible(
+        elems in arb_elems(40),
+        instances in 1usize..4,
+        widen_to in 1usize..5,
+        warm in 0usize..8,
+        sched in arb_sched(),
+    ) {
+        let want = grouped_single(elems.clone());
+        let (g, src, out) = grouped_keyed(elems, instances);
+        let group = g.shuffle_groups().pop().expect("group");
+        warm_up(&g, &[src], warm);
+        let fresh = g.parallelize(group.handle, widen_to);
+        prop_assert_eq!(fresh.len(), widen_to);
+        drive(&g, &[src], &sched);
+        prop_assert_eq!(out.lock().clone(), want);
+    }
 
     /// GroupedAggregate behind a shuffle edge ≡ single instance, for every
     /// input, fan-out and schedule — flush ties restored by the key tie.
@@ -317,6 +443,26 @@ proptest! {
         let want = join_single(left.clone(), right.clone());
         let (g, srcs, out) = join_keyed(left, right, instances);
         drive(&g, &srcs, &sched);
+        prop_assert_eq!(out.lock().clone(), want);
+    }
+
+    /// The same for `Distinct`, whose heartbeat flush is sorted by
+    /// `(start, payload)`: replayed heartbeats find nothing left to flush
+    /// in state that had already seen them.
+    #[test]
+    fn distinct_parallelize_mid_run_is_invisible(
+        elems in arb_elems(40),
+        instances in 1usize..4,
+        widen_to in 1usize..5,
+        warm in 0usize..8,
+        sched in arb_sched(),
+    ) {
+        let want = distinct_single(elems.clone());
+        let (g, src, out) = distinct_keyed(elems, instances);
+        let group = g.shuffle_groups().pop().expect("group");
+        warm_up(&g, &[src], warm);
+        g.parallelize(group.handle, widen_to);
+        drive(&g, &[src], &sched);
         prop_assert_eq!(out.lock().clone(), want);
     }
 

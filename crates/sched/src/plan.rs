@@ -112,7 +112,8 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Analyzes the current topology of `graph`.
+    /// Analyzes the current topology of `graph`: the refresh of an empty
+    /// plan, so every node counts as new.
     ///
     /// An edge `a → b` is *fusable* when it is `a`'s only outgoing edge and
     /// `b`'s only incoming edge (and neither endpoint is removed); maximal
@@ -122,88 +123,13 @@ impl ExecutionPlan {
     /// [`QueryGraph::topology_epoch`] against [`ExecutionPlan::planned_epoch`]
     /// and extend with [`ExecutionPlan::refreshed`] after splicing.
     pub fn analyze(graph: &QueryGraph) -> Self {
-        let planned_epoch = graph.topology_epoch();
-        let n = graph.len();
-        let up: Vec<Vec<NodeId>> = (0..n).map(|id| graph.upstream_ids(id)).collect();
-        let removed: Vec<bool> = (0..n).map(|id| graph.is_removed(id)).collect();
-        let mut out_edges = vec![0usize; n];
-        for ups in &up {
-            for &a in ups {
-                // A concurrent splice can rewrite an incoming list to
-                // reference nodes beyond this scan's length snapshot
-                // (e.g. a shuffle merge re-pointed at fresh instances);
-                // the epoch read above already marks this plan stale, the
-                // scan just must not index past its own snapshot.
-                if let Some(slot) = out_edges.get_mut(a) {
-                    *slot += 1;
-                }
-            }
-        }
-        // Chain successor/predecessor along fusable edges.
-        let mut next: Vec<Option<NodeId>> = vec![None; n];
-        let mut prev: Vec<Option<NodeId>> = vec![None; n];
-        for b in 0..n {
-            if removed[b] || up[b].len() != 1 {
-                continue;
-            }
-            let a = up[b][0];
-            if a >= n || removed[a] || out_edges[a] != 1 || a == b {
-                continue;
-            }
-            next[a] = Some(b);
-            prev[b] = Some(a);
-        }
-        assert_fused_edges_spsc(&next, &up, &out_edges);
-        // Walk each chain from its head.
-        let mut groups: Vec<VirtualGroup> = Vec::new();
-        let mut group_of = vec![0 as GroupId; n];
-        for (head, pred) in prev.iter().enumerate() {
-            if pred.is_some() {
-                continue;
-            }
-            let id = groups.len();
-            let mut nodes = Vec::new();
-            let mut cur = head;
-            loop {
-                group_of[cur] = id;
-                nodes.push(cur);
-                match next[cur] {
-                    Some(nx) => cur = nx,
-                    None => break,
-                }
-            }
-            let has_source = nodes
-                .iter()
-                .any(|&m| !removed[m] && graph.kind(m) == NodeKind::Source);
-            let cost = nodes.len() as u64 + if has_source { 2 } else { 0 };
-            let retired = nodes.iter().all(|&m| removed[m]);
-            groups.push(VirtualGroup {
-                id,
-                nodes,
-                has_source,
-                cost: if retired { 0 } else { cost },
-                retired,
-            });
-        }
-        // Per node: the distinct *foreign* groups its output feeds.
-        let mut downstream_groups: Vec<Vec<GroupId>> = vec![Vec::new(); n];
-        for b in 0..n {
-            for &a in &up[b] {
-                if a >= n {
-                    continue; // spliced mid-scan; next re-plan covers it
-                }
-                let (ga, gb) = (group_of[a], group_of[b]);
-                if ga != gb && !downstream_groups[a].contains(&gb) {
-                    downstream_groups[a].push(gb);
-                }
-            }
-        }
-        ExecutionPlan {
-            groups,
-            group_of,
-            downstream_groups,
-            planned_epoch,
-        }
+        let empty = ExecutionPlan {
+            groups: Vec::new(),
+            group_of: Vec::new(),
+            downstream_groups: Vec::new(),
+            planned_epoch: 0,
+        };
+        empty.refreshed(graph)
     }
 
     /// Extends this plan to cover nodes spliced into `graph` since it was
@@ -238,14 +164,17 @@ impl ExecutionPlan {
         let mut out_edges = vec![0usize; n];
         for ups in &up {
             for &a in ups {
-                // See `analyze`: a splice racing this scan can reference
-                // nodes past the length snapshot; skip, the epoch check
-                // forces another refresh.
+                // A concurrent splice can rewrite an incoming list to
+                // reference nodes beyond this scan's length snapshot
+                // (e.g. a shuffle merge re-pointed at fresh instances);
+                // the epoch read above already marks this plan stale, the
+                // scan just must not index past its own snapshot.
                 if let Some(slot) = out_edges.get_mut(a) {
                     *slot += 1;
                 }
             }
         }
+        // Chain successor/predecessor along fusable new↔new edges.
         let mut next: Vec<Option<NodeId>> = vec![None; n];
         let mut prev: Vec<Option<NodeId>> = vec![None; n];
         for b in old_n..n {
@@ -260,6 +189,7 @@ impl ExecutionPlan {
             prev[b] = Some(a);
         }
         assert_fused_edges_spsc(&next, &up, &out_edges);
+        // Walk each new chain from its head.
         group_of.resize(n, 0);
         for (head, head_prev) in prev.iter().enumerate().skip(old_n) {
             if head_prev.is_some() {
@@ -290,6 +220,7 @@ impl ExecutionPlan {
             });
         }
 
+        // Per node: the distinct *foreign* groups its output feeds.
         let mut downstream_groups: Vec<Vec<GroupId>> = vec![Vec::new(); n];
         for b in 0..n {
             for &a in &up[b] {
