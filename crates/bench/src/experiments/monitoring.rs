@@ -31,9 +31,6 @@ pub fn e3_monitoring(quick: bool) {
     g.add_sink("sink", sink, &agg);
 
     let monitor = Monitor::new();
-    for info in g.infos() {
-        monitor.register(g.stats(info.id));
-    }
 
     // Deterministic sampling: one sample every few scheduling rounds.
     let mut strategy = RoundRobinStrategy::new();
@@ -50,7 +47,7 @@ pub fn e3_monitoring(quick: bool) {
         }
         round += 1.0;
         if (round as u64).is_multiple_of(4) {
-            monitor.sample_at(round);
+            monitor.sample_at(round, &g.telemetry());
         }
     }
 
@@ -61,11 +58,10 @@ pub fn e3_monitoring(quick: bool) {
 
     // Quantify the claim: the filter's queue peaks during bursts.
     let series = monitor.series();
-    let filt_series = &series[filt.node()];
-    let queue = filt_series.view(SeriesView::QueueLen);
+    let queue = series[&filt.node()].view(SeriesView::QueueLen);
     let peak = queue.iter().cloned().fold(0.0f64, f64::max);
     let avg = queue.iter().sum::<f64>() / queue.len().max(1) as f64;
-    let agg_mem = series[agg.node()].view(SeriesView::Memory);
+    let agg_mem = series[&agg.node()].view(SeriesView::Memory);
     let mem_peak = agg_mem.iter().cloned().fold(0.0f64, f64::max);
     table(
         "E3 — buffer statistics",

@@ -1,25 +1,16 @@
 //! The query graph: nodes, subscriptions and a minimal executor.
 
 use crate::edge::{Edge, EdgeId};
-use crate::meta::{derive, MetaConfig, MetaSnapshot, RawNode};
+use crate::meta::{derive, MetaConfig, MetaSnapshot};
 use crate::node::{BinNode, OpNode, Published, Runnable, SinkNode, SourceNode, StepReport};
 use crate::operator::{BinaryOperator, NodeId, Operator, SinkOp, SourceOp};
 use crate::outputs::{OutputPort, Outputs};
 use crate::ready::{ReadyCell, ReadySet, WakeHook};
-use pipes_meta::{NodeMeta, NodeStats};
+pub use pipes_meta::{NodeInfo, NodeKind};
+use pipes_meta::{NodeMeta, NodeStats, NodeTelemetry, Telemetry};
 use pipes_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use pipes_sync::{Arc, Mutex, RwLock};
-
-/// The role a node plays in the graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeKind {
-    /// Produces data, consumes nothing.
-    Source,
-    /// Consumes and produces (a *pipe*).
-    Operator,
-    /// Consumes data, produces nothing.
-    Sink,
-}
+use pipes_trace::LatencyTracker;
 
 /// A handle to a node's typed output, used to subscribe further consumers.
 ///
@@ -66,6 +57,9 @@ pub(crate) struct NodeCell {
     pub(crate) removed: AtomicBool,
     /// The node's lock-free readiness; its input edges mirror into it.
     pub(crate) ready: Arc<ReadyCell>,
+    /// The topology epoch the node entered the graph at (set by
+    /// [`QueryGraph::push_node`]).
+    spliced_epoch: u64,
 }
 
 impl NodeCell {
@@ -81,32 +75,28 @@ impl NodeCell {
             name: name.to_string(),
             kind,
             runnable: Mutex::new(runnable),
-            stats: Arc::new(NodeStats::new(name)),
+            stats: Arc::new(NodeStats::new()),
             meta: Arc::new(NodeMeta::new()),
             out_port,
             incoming: Mutex::new(incoming),
             removed: AtomicBool::new(false),
             ready,
+            spliced_epoch: 0,
+        }
+    }
+
+    fn info(&self, id: NodeId) -> NodeInfo {
+        NodeInfo {
+            id,
+            name: self.name.clone(),
+            kind: self.kind,
+            upstream: self.incoming.lock().iter().map(|(n, _)| *n).collect(),
+            // ordering: Relaxed — advisory snapshot; see remove_node().
+            removed: self.removed.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Static description of a node, for topology-aware strategies and plan
-/// rendering.
-#[derive(Clone, Debug)]
-pub struct NodeInfo {
-    /// The node id.
-    pub id: NodeId,
-    /// Display name given at registration.
-    pub name: String,
-    /// Node role.
-    pub kind: NodeKind,
-    /// Ids of the nodes this node subscribes to.
-    pub upstream: Vec<NodeId>,
-    /// Whether the node has been removed from the graph.
-    pub removed: bool,
-}
-
 /// A directed acyclic graph of sources, operators and sinks, built through
 /// the publish–subscribe architecture of PIPES.
 ///
@@ -115,13 +105,9 @@ pub struct NodeInfo {
 /// foundation for multi-query optimization, which splices new queries into
 /// the *running* graph.
 ///
-/// A directed acyclic graph of sources, operators and sinks, built through
-/// the publish–subscribe architecture of PIPES.
-///
-/// All methods take `&self`: nodes can be added, subscribed and unsubscribed
-/// while executors are stepping the graph from other threads. This is the
-/// foundation for multi-query optimization, which splices new queries into
-/// the *running* graph.
+/// Entering the graph is also the one telemetry registration: the cell a
+/// node is pushed in carries its counters, its estimator block and its
+/// splice epoch, and [`QueryGraph::telemetry`] reports every live cell.
 pub struct QueryGraph {
     nodes: RwLock<Vec<Arc<NodeCell>>>,
     pub(crate) seq: Arc<AtomicU64>,
@@ -136,6 +122,9 @@ pub struct QueryGraph {
     ready: ReadySet,
     /// Registered keyed-parallel (shuffle) groups; see [`crate::shuffle`].
     pub(crate) shuffle: crate::shuffle::ShuffleRegistry,
+    /// The source-to-sink latency pipeline every node is attached to as it
+    /// enters the graph, once [`QueryGraph::enable_latency_tracking`] set it.
+    latency: Mutex<Option<Arc<LatencyTracker>>>,
 }
 
 impl Default for QueryGraph {
@@ -154,25 +143,37 @@ impl QueryGraph {
             topology: AtomicU64::new(1),
             ready: ReadySet::new(),
             shuffle: crate::shuffle::ShuffleRegistry::default(),
+            latency: Mutex::new(None),
         }
     }
 
-    pub(crate) fn push_node(&self, cell: NodeCell) -> NodeId {
-        let cell = Arc::new(cell);
-        let (id, woke) = {
+    /// The one place a node enters the graph — and with that, telemetry:
+    /// its cell (counters, estimator block) gets its splice epoch and, when
+    /// latency tracking is on, its tracker attachment here.
+    pub(crate) fn push_node(&self, mut cell: NodeCell) -> NodeId {
+        let (id, epoch, cell, woke) = {
             let mut nodes = self.nodes.write();
+            // ordering: Release — pairs with the Acquire in topology_epoch().
+            // The bump happens under the write lock: an observer of the new
+            // value that goes on to read `nodes` waits for the push below.
+            let epoch = self.topology.fetch_add(1, Ordering::Release) + 1;
+            cell.spliced_epoch = epoch;
+            // Under the same lock `enable_latency_tracking` sweeps under: a
+            // node is attached by this push or by that sweep, never missed.
+            if let Some(tracker) = &*self.latency.lock() {
+                cell.runnable
+                    .get_mut()
+                    .attach_latency(Arc::clone(tracker), Arc::clone(&cell.stats));
+            }
+            let cell = Arc::new(cell);
             nodes.push(Arc::clone(&cell));
             let id = nodes.len() - 1;
-            (id, self.ready.register(id, &cell.ready))
+            let woke = self.ready.register(id, &cell.ready);
+            (id, epoch, cell, woke)
         };
         // Ready from here on: a source, or a consumer whose edges were
         // primed or pushed into while it had no id yet.
         cell.ready.wake(woke);
-        // ordering: the epoch uses Release/Acquire so an observer of the new
-        // value also observes the node published under the write lock above
-        // (the lock release alone does not order against lock-free epoch
-        // readers).
-        let epoch = self.topology.fetch_add(1, Ordering::Release) + 1;
         pipes_trace::instant(pipes_trace::names::GRAPH_SPLICE, [id as u64, epoch, 0]);
         id
     }
@@ -432,16 +433,7 @@ impl QueryGraph {
 
     /// Static node description.
     pub fn info(&self, id: NodeId) -> NodeInfo {
-        let cell = self.cell(id);
-        let upstream = cell.incoming.lock().iter().map(|(n, _)| *n).collect();
-        NodeInfo {
-            id,
-            name: cell.name.clone(),
-            kind: cell.kind,
-            upstream,
-            // ordering: Relaxed — advisory snapshot; see remove_node().
-            removed: cell.removed.load(Ordering::Relaxed),
-        }
+        self.cell(id).info(id)
     }
 
     /// Descriptions of all nodes.
@@ -524,8 +516,8 @@ impl QueryGraph {
         &self.ready
     }
 
-    /// The statistics handle of a node (register it with a
-    /// [`pipes_meta::Monitor`] to observe the node at runtime).
+    /// The statistics handle of a node (for the components that feed or
+    /// consult one node's counters; observers take [`QueryGraph::telemetry`]).
     pub fn stats(&self, id: NodeId) -> Arc<NodeStats> {
         Arc::clone(&self.cell(id).stats)
     }
@@ -537,33 +529,50 @@ impl QueryGraph {
         Arc::clone(&self.cell(id).meta)
     }
 
+    /// The one telemetry snapshot: a plain-data copy of everything the
+    /// graph publishes about itself — per live node its description, splice
+    /// epoch, counters and latency quantiles ([`NodeStats`]), queue depth
+    /// and retained elements (its readiness cell) and estimators
+    /// ([`NodeMeta`]); plus the topology epoch and the shuffle groups. The
+    /// only walk over the nodes that reads counters or estimators for
+    /// reporting: monitors, renderers and [`QueryGraph::meta_snapshot`] are
+    /// functions of the returned value. Never blocks stepping threads — it
+    /// takes no runnable lock, and estimator reads are lock-free.
+    pub fn telemetry(&self) -> Telemetry {
+        // Rows and epoch under one read guard: a push bumps the epoch under
+        // the write lock, so no row is newer than the epoch reported.
+        let (nodes, topology_epoch) = {
+            let nodes = self.nodes.read();
+            let live = nodes
+                .iter()
+                .enumerate()
+                // ordering: Relaxed — advisory filter; see remove_node().
+                // Checked before anything is copied: a long-running graph
+                // holds many retired cells.
+                .filter(|(_, cell)| !cell.removed.load(Ordering::Relaxed));
+            let rows = live.map(|(id, cell)| NodeTelemetry {
+                info: cell.info(id),
+                spliced_epoch: cell.spliced_epoch,
+                stats: cell.stats.snapshot(),
+                queue_len: cell.ready.queued(),
+                memory: self.ready.memory(id),
+                meta: cell.meta.snapshot(),
+            });
+            (rows.collect(), self.topology_epoch())
+        };
+        Telemetry {
+            topology_epoch,
+            nodes,
+            groups: self.shuffle_groups(),
+        }
+    }
+
     /// Takes a consistent point-in-time view of every node's estimates:
     /// live seqlock snapshots for warm nodes, topology-derived values for
-    /// cold ones (see [`crate::meta`] for the propagation semantics).
-    /// Never blocks stepping threads — estimator reads are lock-free, and
-    /// queue depths come from the always-on stats counters.
+    /// cold ones — the derivation pass of [`crate::meta`] over
+    /// [`QueryGraph::telemetry`].
     pub fn meta_snapshot(&self, cfg: &MetaConfig) -> MetaSnapshot {
-        let raw: Vec<RawNode> = {
-            let nodes = self.nodes.read();
-            nodes
-                .iter()
-                .map(|cell| {
-                    let stats = cell.stats.snapshot();
-                    RawNode {
-                        name: cell.name.clone(),
-                        kind: cell.kind,
-                        // ordering: Relaxed — advisory snapshot; see
-                        // remove_node().
-                        removed: cell.removed.load(Ordering::Relaxed),
-                        upstream: cell.incoming.lock().iter().map(|(n, _)| *n).collect(),
-                        queue_len: stats.queue_len,
-                        state_bytes: stats.state_bytes,
-                        meta: cell.meta.snapshot(),
-                    }
-                })
-                .collect()
-        };
-        derive(raw, cfg)
+        derive(&self.telemetry(), cfg)
     }
 
     /// Runs one scheduling quantum of at most `budget` messages on `node`,
@@ -585,20 +594,17 @@ impl QueryGraph {
         cell.stats.record_in(report.consumed as u64);
         cell.stats.record_out(report.produced as u64);
         cell.stats.record_batches(report.batches as u64);
-        // The lock-free mirror of `runnable.queued()`: the locked probe
-        // would take every input queue's lock once more per quantum.
-        cell.stats.set_queue_len(cell.ready.queued());
-        let memory = runnable.memory();
-        cell.stats.set_memory(memory);
-        cell.ready.set_memory(memory);
-        let state_bytes = runnable.state_bytes();
-        cell.stats.set_state_bytes(state_bytes);
+        // One home per published value: retained elements in the readiness
+        // cell (where executors read them lock-free), the byte estimate in
+        // the counters; the queue depth is the readiness cell's own mirror.
+        cell.ready.set_memory(runnable.memory());
+        cell.stats.set_state_bytes(runnable.state_bytes());
         if report.consumed > 0 || report.produced > 0 {
             // One metadata-plane update per drained run, while the runnable
             // lock still serializes us: NodeMeta's seqlock publication
             // assumes a single writer, and this lock is it.
             cell.meta
-                .record_quantum(report.consumed as u64, report.produced as u64, state_bytes);
+                .record_quantum(report.consumed as u64, report.produced as u64);
             pipes_trace::instant_coarse(
                 pipes_trace::names::META_UPDATE,
                 [id as u64, report.consumed as u64, report.produced as u64],
@@ -618,17 +624,18 @@ impl QueryGraph {
         report
     }
 
-    /// Joins every node currently in the graph to one source-to-sink
-    /// latency pipeline: sources stamp `(logical start, wall clock)` pairs
-    /// into the returned [`pipes_trace::LatencyTracker`] as they produce,
-    /// and sinks sample elements against those stamps, folding observed
-    /// latencies into their [`NodeStats`] quantile estimators (see
-    /// [`pipes_meta::LatencySummary`]). Nodes added afterwards are not
-    /// covered; call again to re-attach (re-attachment replaces the
-    /// tracker, so prefer enabling once after the topology is built).
-    pub fn enable_latency_tracking(&self) -> Arc<pipes_trace::LatencyTracker> {
-        let tracker = Arc::new(pipes_trace::LatencyTracker::new());
+    /// Joins the graph to one source-to-sink latency pipeline: sources
+    /// stamp `(logical start, wall clock)` pairs into the returned
+    /// [`pipes_trace::LatencyTracker`] as they produce, and sinks sample
+    /// elements against those stamps, folding observed latencies into their
+    /// [`NodeStats`] quantile estimators (see [`pipes_meta::LatencySummary`]).
+    /// Covers every node in the graph now and every node that enters it
+    /// later ([`QueryGraph::push_node`] attaches it); calling again replaces
+    /// the tracker everywhere.
+    pub fn enable_latency_tracking(&self) -> Arc<LatencyTracker> {
+        let tracker = Arc::new(LatencyTracker::new());
         let nodes = self.nodes.read();
+        *self.latency.lock() = Some(Arc::clone(&tracker));
         for cell in nodes.iter() {
             cell.runnable
                 .lock()

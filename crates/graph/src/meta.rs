@@ -1,10 +1,11 @@
 //! The metadata plane's derivation and consumption layer.
 //!
-//! [`QueryGraph::meta_snapshot`](crate::QueryGraph::meta_snapshot) collects
-//! every node's live [`NodeMetaSnapshot`] (seqlock reads — never blocking
-//! the stepping threads) together with the graph topology, then runs one
-//! topology-aware propagation pass that fills in estimates for *cold*
-//! nodes — just spliced in by the optimizer, or idle so long their
+//! [`QueryGraph::meta_snapshot`](crate::QueryGraph::meta_snapshot) takes
+//! the graph's one telemetry snapshot
+//! ([`QueryGraph::telemetry`](crate::QueryGraph::telemetry): every live
+//! node's [`NodeMetaSnapshot`], queue depth and state bytes together with
+//! the topology) and runs one topology-aware propagation pass over it that
+//! fills in estimates for *cold* nodes — just spliced in by the optimizer, or idle so long their
 //! measurements exceeded the staleness bound — from warm upstream ones:
 //!
 //! * a warm node (fresh measurement) keeps its measured values, tagged
@@ -24,12 +25,15 @@
 //!
 //! Consumers: `pipes-optimizer` costs candidate plans against a snapshot
 //! (`LiveCostSource`), the work-stealing scheduler's rebalancer weighs
-//! groups by measured rates, `Monitor`/`pipes-top` render the series, and
-//! [`MetaSnapshot::to_json`] is the machine-readable introspection dump.
+//! groups by measured rates, and [`MetaSnapshot::to_json`] is the
+//! machine-readable introspection dump. (`Monitor`/`pipes-top` and the
+//! Prometheus renderer read the same telemetry snapshot directly.)
 
 use crate::graph::NodeKind;
 use crate::operator::NodeId;
+use pipes_meta::Telemetry;
 pub use pipes_meta::{NodeMetaSnapshot, META_COMPILED_OUT};
+use pipes_trace::chrome::json_string;
 
 /// Tuning knobs for snapshot derivation.
 #[derive(Clone, Copy, Debug)]
@@ -113,7 +117,8 @@ impl MetaSnapshot {
         self.estimates.iter().flatten()
     }
 
-    /// Number of id slots (including removed nodes; ids are stable).
+    /// Number of id slots up to the highest live node (retired nodes below
+    /// it count; ids are stable).
     pub fn len(&self) -> usize {
         self.estimates.len()
     }
@@ -144,12 +149,12 @@ impl MetaSnapshot {
                 Confidence::Prior => "prior",
             };
             out.push_str(&format!(
-                "{{\"id\":{},\"name\":\"{}\",\"kind\":\"{}\",\"in_rate\":{},\
+                "{{\"id\":{},\"name\":{},\"kind\":\"{}\",\"in_rate\":{},\
                  \"out_rate\":{},\"selectivity\":{},\"selectivity_var\":{},\
                  \"interarrival_var\":{},\"queue_len\":{},\"state_bytes\":{},\
                  \"age_secs\":{},\"confidence\":\"{}\"}}",
                 e.id,
-                escape_json(&e.name),
+                json_string(&e.name),
                 kind,
                 json_num(e.in_rate),
                 json_num(e.out_rate),
@@ -167,20 +172,6 @@ impl MetaSnapshot {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// JSON has no NaN/Infinity literals; clamp them to null-safe zero.
 fn json_num(v: f64) -> String {
     if v.is_finite() {
@@ -190,27 +181,14 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// Per-node raw material the graph hands to [`derive`]: topology plus the
-/// node's live measurement, if any.
-pub(crate) struct RawNode {
-    pub name: String,
-    pub kind: NodeKind,
-    pub removed: bool,
-    pub upstream: Vec<NodeId>,
-    pub queue_len: usize,
-    pub state_bytes: usize,
-    pub meta: Option<NodeMetaSnapshot>,
-}
-
 /// The propagation pass: one forward sweep in id order (topological — see
 /// module docs) turning raw measurements into a complete estimate set.
-pub(crate) fn derive(raw: Vec<RawNode>, cfg: &MetaConfig) -> MetaSnapshot {
-    let mut estimates: Vec<Option<NodeEstimate>> = Vec::with_capacity(raw.len());
-    for (id, node) in raw.into_iter().enumerate() {
-        if node.removed {
-            estimates.push(None);
-            continue;
-        }
+pub(crate) fn derive(telemetry: &Telemetry, cfg: &MetaConfig) -> MetaSnapshot {
+    let mut estimates: Vec<Option<NodeEstimate>> = Vec::new();
+    for node in &telemetry.nodes {
+        let (id, kind) = (node.info.id, node.info.kind);
+        // Rows are live nodes in id order; retired ids stay holes.
+        estimates.resize(id, None);
         let fresh = node
             .meta
             .as_ref()
@@ -221,10 +199,10 @@ pub(crate) fn derive(raw: Vec<RawNode>, cfg: &MetaConfig) -> MetaSnapshot {
             // placeholder; sinks produce nothing by definition.
             NodeEstimate {
                 id,
-                name: node.name,
-                kind: node.kind,
+                name: node.info.name.clone(),
+                kind,
                 in_rate: m.in_rate,
-                out_rate: if node.kind == NodeKind::Sink {
+                out_rate: if kind == NodeKind::Sink {
                     0.0
                 } else {
                     m.out_rate
@@ -233,7 +211,7 @@ pub(crate) fn derive(raw: Vec<RawNode>, cfg: &MetaConfig) -> MetaSnapshot {
                 selectivity_var: m.selectivity_var,
                 interarrival_var: m.interarrival_var,
                 queue_len: node.queue_len,
-                state_bytes: node.state_bytes,
+                state_bytes: node.stats.state_bytes,
                 age_secs: Some(m.age_secs),
                 confidence: Confidence::Measured,
             }
@@ -243,7 +221,7 @@ pub(crate) fn derive(raw: Vec<RawNode>, cfg: &MetaConfig) -> MetaSnapshot {
             // node's own stale measurement over the configured default.
             let mut in_rate = 0.0;
             let mut any_measured_chain = false;
-            for up in &node.upstream {
+            for up in &node.info.upstream {
                 if let Some(Some(u)) = estimates.get(*up) {
                     in_rate += u.out_rate;
                     if u.confidence != Confidence::Prior {
@@ -257,27 +235,27 @@ pub(crate) fn derive(raw: Vec<RawNode>, cfg: &MetaConfig) -> MetaSnapshot {
                 .filter(|m| m.selectivity_samples > 0)
                 .map(|m| m.selectivity);
             let selectivity = stale_sel.unwrap_or(cfg.default_selectivity);
-            let (in_rate, out_rate) = match node.kind {
+            let (in_rate, out_rate) = match kind {
                 NodeKind::Source => (0.0, cfg.default_source_rate),
                 NodeKind::Operator => (in_rate, in_rate * selectivity),
                 NodeKind::Sink => (in_rate, 0.0),
             };
-            let confidence = if node.kind != NodeKind::Source && any_measured_chain {
+            let confidence = if kind != NodeKind::Source && any_measured_chain {
                 Confidence::Derived
             } else {
                 Confidence::Prior
             };
             NodeEstimate {
                 id,
-                name: node.name,
-                kind: node.kind,
+                name: node.info.name.clone(),
+                kind,
                 in_rate,
                 out_rate,
                 selectivity,
                 selectivity_var: 0.0,
                 interarrival_var: 0.0,
                 queue_len: node.queue_len,
-                state_bytes: node.state_bytes,
+                state_bytes: node.stats.state_bytes,
                 age_secs: node.meta.as_ref().map(|m| m.age_secs),
                 confidence,
             }
@@ -290,6 +268,7 @@ pub(crate) fn derive(raw: Vec<RawNode>, cfg: &MetaConfig) -> MetaSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipes_meta::{NodeInfo, NodeTelemetry, StatsSnapshot};
 
     fn warm(in_rate: f64, out_rate: f64, sel: f64, samples: u64) -> Option<NodeMetaSnapshot> {
         Some(NodeMetaSnapshot {
@@ -299,7 +278,6 @@ mod tests {
             selectivity_var: 0.01,
             selectivity_samples: samples,
             interarrival_var: 0.0,
-            state_bytes: 0,
             age_secs: 0.0,
         })
     }
@@ -311,16 +289,39 @@ mod tests {
         m
     }
 
-    fn raw(kind: NodeKind, upstream: Vec<NodeId>, meta: Option<NodeMetaSnapshot>) -> RawNode {
-        RawNode {
-            name: format!("{kind:?}"),
-            kind,
-            removed: false,
-            upstream,
-            queue_len: 0,
-            state_bytes: 0,
-            meta,
+    type Raw = (NodeKind, Vec<NodeId>, Option<NodeMetaSnapshot>);
+
+    fn raw(kind: NodeKind, upstream: Vec<NodeId>, meta: Option<NodeMetaSnapshot>) -> Raw {
+        (kind, upstream, meta)
+    }
+
+    /// A snapshot whose live rows are the `Some` entries, at their index.
+    fn rows(nodes: Vec<Option<Raw>>) -> Telemetry {
+        let row = |(id, raw): (NodeId, Option<Raw>)| {
+            let (kind, upstream, meta) = raw?;
+            Some(NodeTelemetry {
+                info: NodeInfo {
+                    id,
+                    name: format!("{kind:?}"),
+                    kind,
+                    upstream,
+                    removed: false,
+                },
+                spliced_epoch: 0,
+                stats: StatsSnapshot::default(),
+                queue_len: 0,
+                memory: 0,
+                meta,
+            })
+        };
+        Telemetry {
+            nodes: nodes.into_iter().enumerate().filter_map(row).collect(),
+            ..Telemetry::default()
         }
+    }
+
+    fn derive(nodes: Vec<Raw>, cfg: &MetaConfig) -> MetaSnapshot {
+        super::derive(&rows(nodes.into_iter().map(Some).collect()), cfg)
     }
 
     #[test]
@@ -412,16 +413,15 @@ mod tests {
 
     #[test]
     fn removed_nodes_leave_holes_and_feed_nothing() {
-        let mut gone = raw(NodeKind::Operator, vec![0], warm(10.0, 10.0, 1.0, 3));
-        gone.removed = true;
-        let snap = derive(
-            vec![
-                raw(NodeKind::Source, vec![], warm(0.0, 100.0, 1.0, 0)),
-                gone,
-                raw(NodeKind::Sink, vec![1], None),
-            ],
+        let snap = super::derive(
+            &rows(vec![
+                Some(raw(NodeKind::Source, vec![], warm(0.0, 100.0, 1.0, 0))),
+                None, // retired: not in the telemetry
+                Some(raw(NodeKind::Sink, vec![1], None)),
+            ]),
             &MetaConfig::default(),
         );
+        assert_eq!(snap.len(), 3);
         assert!(snap.get(1).is_none());
         let sink = snap.get(2).unwrap();
         assert_eq!(sink.in_rate, 0.0, "removed parent contributes nothing");
@@ -430,9 +430,13 @@ mod tests {
 
     #[test]
     fn json_dump_is_wellformed_and_escaped() {
-        let mut named = raw(NodeKind::Source, vec![], warm(0.0, 1.5, 1.0, 0));
-        named.name = "we\"ird\\name".to_string();
-        let snap = derive(vec![named], &MetaConfig::default());
+        let mut named = rows(vec![Some(raw(
+            NodeKind::Source,
+            vec![],
+            warm(0.0, 1.5, 1.0, 0),
+        ))]);
+        named.nodes[0].info.name = "we\"ird\\name".to_string();
+        let snap = super::derive(&named, &MetaConfig::default());
         let js = snap.to_json();
         assert!(js.starts_with('[') && js.ends_with(']'));
         assert!(js.contains("\"name\":\"we\\\"ird\\\\name\""), "got {js}");

@@ -11,8 +11,7 @@
 
 use pipes_time::{Element, Message, Timestamp};
 
-/// Identifies a node within one [`crate::QueryGraph`].
-pub type NodeId = usize;
+pub use pipes_meta::NodeId;
 
 /// Receives the results an operator or source produces.
 ///

@@ -439,21 +439,7 @@ impl ShuffleRegistry {
     }
 }
 
-/// Snapshot of one keyed-parallel group (see
-/// [`QueryGraph::shuffle_groups`]).
-#[derive(Clone, Debug)]
-pub struct ShuffleGroup {
-    /// The name the group was registered under.
-    pub name: String,
-    /// The merge node's id — the handle accepted by
-    /// [`QueryGraph::parallelize`] and the node id on the group's output
-    /// [`StreamHandle`].
-    pub handle: NodeId,
-    /// The partition node ids (one for unary groups, two for binary).
-    pub partition_ids: Vec<NodeId>,
-    /// The current generation's instance node ids.
-    pub instance_ids: Vec<NodeId>,
-}
+pub use pipes_meta::ShuffleGroup;
 
 // ---------------------------------------------------------------------------
 // Freezing a partitioner
@@ -923,9 +909,8 @@ impl QueryGraph {
         new_ids
     }
 
-    /// Snapshots the registered keyed-parallel groups (for introspection
-    /// surfaces: the Prometheus `pipes_node_instances` gauge and
-    /// `pipes_top`).
+    /// Snapshots the registered keyed-parallel groups (also part of
+    /// [`QueryGraph::telemetry`]).
     pub fn shuffle_groups(&self) -> Vec<ShuffleGroup> {
         self.shuffle.snapshot()
     }

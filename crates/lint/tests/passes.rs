@@ -156,36 +156,42 @@ fn workspace_is_clean_with_zero_waivers_and_real_coverage() {
     );
     // Coverage floor: the passes must keep seeing real code. If a parser
     // regression silently dropped every function, these would catch it.
-    // Re-derived when the keyed instances were folded into the one step
-    // kernel: 1425 → 1452 fns walked (floor 1350 → 1400; the deleted
-    // node types took ≈ 40 with them, the frontier and resize tests
-    // brought more), 25 → 26 lock fields (floor 24 → 25), 46 atomic fields
-    // (floor stays 44), 24 → 17 nested acquisitions (floor 22 → 15: the
-    // resize protocol is written once instead of twice, and takes its
-    // merge and instance locks in one place).
+    // Re-derived when telemetry became one snapshot of the graph: 1452 →
+    // 1454 fns walked (floor stays 1400: `Monitor`'s registration methods,
+    // three Prometheus entry points and the setters of the duplicated
+    // counters went, the telemetry tests came), 26 → 25 lock fields (floor
+    // 25 → 24: `Monitor` holds one series map instead of three parallel
+    // vectors and `NodeStats` no name lock; the graph gained its latency
+    // slot), 46 → 44 atomic fields (floor 44 → 42: `NodeStats` lost the
+    // heartbeat, queue-length and memory cells, `NodeMeta` its state-bytes
+    // cell; the splice test's gated source brought two), 17 → 6 nested
+    // acquisitions (floor 15 → 5: the twelve that went were `Monitor`
+    // taking nodes → metas → series in six places; `push_node` and
+    // `enable_latency_tracking` now take the latency slot under `nodes`,
+    // and `meta_snapshot`'s nodes → incoming moved behind a helper).
     assert!(
         o.stats.functions > 1400,
         "only {} fns walked",
         o.stats.functions
     );
     assert!(
-        o.stats.lock_fields >= 25,
+        o.stats.lock_fields >= 24,
         "only {} lock fields",
         o.stats.lock_fields
     );
     // The metadata plane's seqlock block (crates/meta/src/nodemeta.rs)
-    // alone contributes nine atomic cells, and the hot-topology work added
+    // alone contributes eight atomic cells, and the hot-topology work added
     // the graph's topology epoch plus the work-stealing run's stop flag
     // and rebalance epoch, and the ready set its port mirrors, per-node
     // summaries and publication counter; losing sight of them would mean
     // the atomic passes stopped walking those crates.
     assert!(
-        o.stats.atomic_fields >= 44,
+        o.stats.atomic_fields >= 42,
         "only {} atomic fields",
         o.stats.atomic_fields
     );
     assert!(
-        o.stats.nested_acquisitions >= 15,
+        o.stats.nested_acquisitions >= 5,
         "only {} nested acquisitions",
         o.stats.nested_acquisitions
     );
@@ -197,15 +203,15 @@ fn workspace_is_clean_with_zero_waivers_and_real_coverage() {
             .any(|e| e.from.key == "nodes" && e.to.key == "incoming"),
         "lost the nodes → incoming edge from QueryGraph::downstream_ids"
     );
-    // And one from the metadata plane: Monitor::sample_at acquires the
-    // `metas` registry under the `nodes` lock (declared order
-    // nodes → metas → series), so the lock-order pass must keep seeing
-    // the monitor's sampling path.
+    // And the telemetry registration: push_node reads the latency slot
+    // under the `nodes` write lock (the same order
+    // enable_latency_tracking sweeps in), so the lock-order pass must keep
+    // seeing the one place a node enters the graph.
     assert!(
         o.lock_edges
             .iter()
-            .any(|e| e.from.key == "nodes" && e.to.key == "metas"),
-        "lost the nodes → metas edge from Monitor::sample_at"
+            .any(|e| e.from.key == "nodes" && e.to.key == "latency"),
+        "lost the nodes → latency edge from QueryGraph::push_node"
     );
 }
 

@@ -20,8 +20,12 @@
 //! * [`MetricSet`] / [`MetadataFactory`] — the configurable decorator that
 //!   attaches a chosen composition of estimators to a node; the composition
 //!   can be altered at runtime.
-//! * [`Monitor`] — the performance-monitoring tool: samples registered nodes
-//!   into time series and renders them (ASCII sparklines, CSV).
+//! * [`Telemetry`] — the one snapshot of what a query graph publishes
+//!   (per live node: description, splice epoch, counters, queue depth,
+//!   estimators; plus topology epoch and shuffle groups), as plain data.
+//! * [`Monitor`] — the performance-monitoring tool: a time series of those
+//!   snapshots keyed by node id, rendered as ASCII sparklines, a `top`
+//!   table or CSV.
 //! * [`NodeMeta`] — the live metadata plane's per-node block: graph-fed
 //!   online rate/selectivity/variance estimators published through a
 //!   seqlock so readers never block the stepping thread; compiled out
@@ -35,6 +39,7 @@ mod metrics;
 mod monitor;
 mod nodemeta;
 mod stats;
+mod telemetry;
 
 pub use metrics::{EstimatorSpec, MetadataFactory, MetricSet, OnlineEstimator};
 pub use monitor::{Monitor, SeriesView, TimeSeries};
@@ -42,3 +47,4 @@ pub use nodemeta::{
     meta_enabled, now_secs, set_meta_enabled, NodeMeta, NodeMetaSnapshot, META_COMPILED_OUT,
 };
 pub use stats::{LatencySummary, NodeStats, StatsSnapshot};
+pub use telemetry::{NodeId, NodeInfo, NodeKind, NodeTelemetry, ShuffleGroup, Telemetry};

@@ -1,27 +1,31 @@
 //! The performance-monitoring tool.
 //!
 //! Reproduces the functionality of the PIPES performance monitor (Figure 3 of
-//! the demo paper): register arbitrary nodes, sample their secondary metadata
+//! the demo paper): sample the secondary metadata of a running graph
 //! periodically, and visualize the resulting time series — here as ASCII
 //! sparklines and CSV rather than a Swing window.
+//!
+//! The monitor holds no node handles and registers nothing. It is a time
+//! series of [`Telemetry`] snapshots keyed by node id: each
+//! [`Monitor::sample`] appends every row of the snapshot it is handed to
+//! that node's series, so a node spliced into the running graph gets a
+//! series from the first sample that contains it, and a retired node's
+//! series stops growing at the last one that did. The renderers read the
+//! series and nothing else.
 
-use crate::{NodeMeta, NodeMetaSnapshot, NodeStats, StatsSnapshot};
+use crate::{NodeId, NodeMetaSnapshot, NodeTelemetry, Telemetry};
 use pipes_sync::{Arc, Condvar, Mutex};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// A sampled metric series for one node.
+/// The sampled rows of one node.
 #[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     /// Sample times, in seconds since monitoring began.
     pub times: Vec<f64>,
-    /// Snapshots taken at those times.
-    pub snapshots: Vec<StatsSnapshot>,
-    /// Metadata-plane estimator snapshots taken at those times (`None`
-    /// entries: node registered without a [`NodeMeta`], block not yet warm,
-    /// or the plane compiled out). May be shorter than `snapshots` for
-    /// hand-built series; viewers treat missing entries as absent.
-    pub metas: Vec<Option<NodeMetaSnapshot>>,
+    /// The node's row in the snapshot taken at each of those times.
+    pub samples: Vec<NodeTelemetry>,
 }
 
 /// Which derived series to extract from a [`TimeSeries`].
@@ -45,7 +49,7 @@ pub enum SeriesView {
     /// latency pipeline reports samples for the node).
     LatencyP95,
     /// Estimated input rate from the live metadata plane's sliding-window
-    /// estimator (0 while the node's [`NodeMeta`] has no snapshot).
+    /// estimator (0 while the node's estimator block has no snapshot).
     EstInRate,
     /// Estimated output rate from the live metadata plane.
     EstOutRate,
@@ -76,47 +80,33 @@ impl TimeSeries {
     /// Extracts the requested derived series.
     pub fn view(&self, view: SeriesView) -> Vec<f64> {
         match view {
-            SeriesView::QueueLen => self.snapshots.iter().map(|s| s.queue_len as f64).collect(),
-            SeriesView::Memory => self.snapshots.iter().map(|s| s.memory as f64).collect(),
-            SeriesView::Subscribers => self
-                .snapshots
-                .iter()
-                .map(|s| s.subscribers as f64)
-                .collect(),
-            SeriesView::Selectivity => self
-                .snapshots
-                .iter()
-                .map(|s| s.selectivity().unwrap_or(0.0))
-                .collect(),
-            SeriesView::BatchSize => self
-                .snapshots
-                .iter()
-                .map(|s| s.avg_batch_size().unwrap_or(0.0))
-                .collect(),
-            SeriesView::LatencyP95 => self
-                .snapshots
-                .iter()
-                .map(|s| s.latency.map(|l| l.p95_ns).unwrap_or(0.0))
-                .collect(),
-            SeriesView::InputRate => self.rate(|s| s.in_count),
-            SeriesView::OutputRate => self.rate(|s| s.out_count),
+            SeriesView::QueueLen => self.map(|s| s.queue_len as f64),
+            SeriesView::Memory => self.map(|s| s.memory as f64),
+            SeriesView::Subscribers => self.map(|s| s.stats.subscribers as f64),
+            SeriesView::Selectivity => self.map(|s| s.stats.selectivity().unwrap_or(0.0)),
+            SeriesView::BatchSize => self.map(|s| s.stats.avg_batch_size().unwrap_or(0.0)),
+            SeriesView::LatencyP95 => self.map(|s| s.stats.latency.map_or(0.0, |l| l.p95_ns)),
+            SeriesView::InputRate => self.rate(|s| s.stats.in_count),
+            SeriesView::OutputRate => self.rate(|s| s.stats.out_count),
             SeriesView::EstInRate => self.meta_view(|m| m.in_rate),
             SeriesView::EstOutRate => self.meta_view(|m| m.out_rate),
             SeriesView::EstSelectivity => self.meta_view(|m| m.selectivity),
         }
     }
 
-    /// One value per stats sample: the metadata-plane reading at that
-    /// sample, or 0 when the node had no estimator snapshot there.
-    fn meta_view(&self, f: impl Fn(&NodeMetaSnapshot) -> f64) -> Vec<f64> {
-        (0..self.snapshots.len())
-            .map(|i| self.metas.get(i).and_then(|m| m.as_ref()).map_or(0.0, &f))
-            .collect()
+    fn map(&self, f: impl Fn(&NodeTelemetry) -> f64) -> Vec<f64> {
+        self.samples.iter().map(f).collect()
     }
 
-    fn rate(&self, f: impl Fn(&StatsSnapshot) -> u64) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.snapshots.len());
-        for i in 0..self.snapshots.len() {
+    /// The metadata-plane reading at each sample, or 0 where the node had
+    /// no estimator snapshot.
+    fn meta_view(&self, f: impl Fn(&NodeMetaSnapshot) -> f64) -> Vec<f64> {
+        self.map(|s| s.meta.as_ref().map_or(0.0, &f))
+    }
+
+    fn rate(&self, f: impl Fn(&NodeTelemetry) -> u64) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.samples.len());
+        for i in 0..self.samples.len() {
             if i == 0 {
                 out.push(0.0);
             } else {
@@ -124,7 +114,7 @@ impl TimeSeries {
                 // saturating_sub: a counter that went backwards (node
                 // restarted / stats reset) reads as a zero-rate interval
                 // instead of wrapping to ~u64::MAX.
-                let dn = f(&self.snapshots[i]).saturating_sub(f(&self.snapshots[i - 1]));
+                let dn = f(&self.samples[i]).saturating_sub(f(&self.samples[i - 1]));
                 out.push(dn as f64 / dt);
             }
         }
@@ -132,33 +122,30 @@ impl TimeSeries {
     }
 }
 
-/// Samples registered nodes into per-node time series.
+/// Samples telemetry snapshots into per-node time series.
 pub struct Monitor {
     started: Instant,
     inner: Arc<MonitorInner>,
 }
 
-/// One node's metadata-plane registration: the live estimator block (if
-/// any) and the graph topology epoch at which the node was registered —
-/// for a hot graph, the splice time shown by [`Monitor::render_top`]'s
-/// `epoch` column.
-struct MetaReg {
-    meta: Option<Arc<NodeMeta>>,
-    spliced_epoch: Option<u64>,
-}
-
 struct MonitorInner {
-    nodes: Mutex<Vec<Arc<NodeStats>>>,
-    /// Metadata-plane registrations, parallel to `nodes` (`meta: None`
-    /// for nodes registered without a block).
-    /// Lock order: `nodes` → `metas` → `series`.
-    metas: Mutex<Vec<MetaReg>>,
-    series: Mutex<Vec<TimeSeries>>,
+    series: Mutex<BTreeMap<NodeId, TimeSeries>>,
     /// Sampler lifecycle flag; paired with `stop` so `MonitorGuard::stop`
     /// interrupts the sampler's inter-sample wait instead of letting it
     /// sleep out a full interval.
     running: Mutex<bool>,
     stop: Condvar,
+}
+
+impl MonitorInner {
+    fn sample_at(&self, t: f64, snapshot: &Telemetry) {
+        let mut series = self.series.lock();
+        for node in &snapshot.nodes {
+            let s = series.entry(node.info.id).or_default();
+            s.times.push(t);
+            s.samples.push(node.clone());
+        }
+    }
 }
 
 impl Default for Monitor {
@@ -173,111 +160,42 @@ impl Monitor {
         Monitor {
             started: Instant::now(),
             inner: Arc::new(MonitorInner {
-                nodes: Mutex::new(Vec::new()),
-                metas: Mutex::new(Vec::new()),
-                series: Mutex::new(Vec::new()),
+                series: Mutex::new(BTreeMap::new()),
                 running: Mutex::new(false),
                 stop: Condvar::new(),
             }),
         }
     }
 
-    /// Registers a node for sampling. Nodes can be added while sampling runs.
-    pub fn register(&self, stats: Arc<NodeStats>) {
-        self.register_with_meta(stats, None);
+    /// Appends every row of `snapshot` to its node's series at the given
+    /// logical time (seconds). Deterministic entry point for tests and
+    /// simulations.
+    pub fn sample_at(&self, t: f64, snapshot: &Telemetry) {
+        self.inner.sample_at(t, snapshot);
     }
 
-    /// Registers a node together with its live metadata block (e.g. from
-    /// `QueryGraph::meta`), so samples also capture the plane's
-    /// rate/selectivity estimators ([`SeriesView::EstInRate`] and friends).
-    pub fn register_with_meta(&self, stats: Arc<NodeStats>, meta: Option<Arc<NodeMeta>>) {
-        self.register_inner(stats, meta, None);
+    /// Like [`Monitor::sample_at`], stamped with wall-clock time since
+    /// monitor creation.
+    pub fn sample(&self, snapshot: &Telemetry) {
+        self.sample_at(self.started.elapsed().as_secs_f64(), snapshot);
     }
 
-    /// Like [`Monitor::register_with_meta`], additionally recording the
-    /// graph's topology epoch at registration time (from
-    /// `QueryGraph::topology_epoch()`). [`Monitor::render_top`] shows it
-    /// in the `epoch` column, tagging each row of a hot graph with when
-    /// the node was spliced in.
-    pub fn register_at_epoch(
+    /// Spawns a background thread that samples `source()` — typically a
+    /// closure over a shared graph calling `QueryGraph::telemetry` — every
+    /// `interval`. Returns a guard; dropping it (or calling its `stop`
+    /// method) stops the thread promptly — the inter-sample wait is a
+    /// condvar the guard signals, so stopping never blocks for a full
+    /// `interval`.
+    pub fn spawn(
         &self,
-        stats: Arc<NodeStats>,
-        meta: Option<Arc<NodeMeta>>,
-        topology_epoch: u64,
-    ) {
-        self.register_inner(stats, meta, Some(topology_epoch));
-    }
-
-    fn register_inner(
-        &self,
-        stats: Arc<NodeStats>,
-        meta: Option<Arc<NodeMeta>>,
-        spliced_epoch: Option<u64>,
-    ) {
-        let mut nodes = self.inner.nodes.lock();
-        let mut metas = self.inner.metas.lock();
-        let mut series = self.inner.series.lock();
-        nodes.push(stats);
-        metas.push(MetaReg {
-            meta,
-            spliced_epoch,
-        });
-        series.push(TimeSeries::default());
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.inner.nodes.lock().len()
-    }
-
-    /// The registered nodes, in registration order (e.g. for the
-    /// Prometheus dumper in `pipes-trace`).
-    pub fn registered(&self) -> Vec<Arc<NodeStats>> {
-        self.inner.nodes.lock().clone()
-    }
-
-    /// Takes one sample of every registered node at the given logical time
-    /// (seconds). Deterministic entry point for tests and simulations.
-    pub fn sample_at(&self, t: f64) {
-        let nodes = self.inner.nodes.lock();
-        let metas = self.inner.metas.lock();
-        let mut series = self.inner.series.lock();
-        for (i, node) in nodes.iter().enumerate() {
-            series[i].times.push(t);
-            series[i].snapshots.push(node.snapshot());
-            series[i]
-                .metas
-                .push(metas[i].meta.as_ref().and_then(|m| m.snapshot()));
-        }
-    }
-
-    /// Takes one sample stamped with wall-clock time since monitor creation.
-    pub fn sample(&self) {
-        self.sample_at(self.started.elapsed().as_secs_f64());
-    }
-
-    /// Spawns a background thread sampling every `interval`. Returns a
-    /// guard; dropping it (or calling its `stop` method) stops the thread
-    /// promptly — the inter-sample wait is a condvar the guard signals, so
-    /// stopping never blocks for a full `interval`.
-    pub fn spawn(&self, interval: std::time::Duration) -> MonitorGuard {
+        interval: std::time::Duration,
+        source: impl Fn() -> Telemetry + Send + 'static,
+    ) -> MonitorGuard {
         *self.inner.running.lock() = true;
         let inner = Arc::clone(&self.inner);
         let started = self.started;
         let handle = pipes_sync::thread::spawn(move || loop {
-            let t = started.elapsed().as_secs_f64();
-            {
-                let nodes = inner.nodes.lock();
-                let metas = inner.metas.lock();
-                let mut series = inner.series.lock();
-                for (i, node) in nodes.iter().enumerate() {
-                    series[i].times.push(t);
-                    series[i].snapshots.push(node.snapshot());
-                    series[i]
-                        .metas
-                        .push(metas[i].meta.as_ref().and_then(|m| m.snapshot()));
-                }
-            }
+            inner.sample_at(started.elapsed().as_secs_f64(), &source());
             let mut running = inner.running.lock();
             if !*running {
                 break;
@@ -295,28 +213,24 @@ impl Monitor {
         }
     }
 
-    /// The collected series, one per registered node (same order as
-    /// registration).
-    pub fn series(&self) -> Vec<TimeSeries> {
+    /// The collected series by node id: one per node that was live in at
+    /// least one sampled snapshot.
+    pub fn series(&self) -> BTreeMap<NodeId, TimeSeries> {
         self.inner.series.lock().clone()
     }
 
-    /// Renders one sparkline per registered node for the given view.
-    /// Nodes with no samples yet render a `-` placeholder.
+    /// Renders one sparkline per sampled node for the given view.
     pub fn render_sparklines(&self, view: SeriesView) -> String {
-        let nodes = self.inner.nodes.lock();
-        let series = self.inner.series.lock();
         let mut out = String::new();
-        for (i, node) in nodes.iter().enumerate() {
-            let values = series[i].view(view);
-            if values.is_empty() {
-                let _ = writeln!(out, "{:>20} {:>6} -", node.name(), view.label());
+        for series in self.inner.series.lock().values() {
+            let Some(first) = series.samples.first() else {
                 continue;
-            }
+            };
+            let values = series.view(view);
             let _ = writeln!(
                 out,
                 "{:>20} {:>6} {} [min {:.1}, max {:.1}]",
-                node.name(),
+                first.info.name,
                 view.label(),
                 sparkline(&values),
                 values.iter().cloned().fold(f64::INFINITY, f64::min),
@@ -326,49 +240,33 @@ impl Monitor {
         out
     }
 
-    /// Renders a `top`-style live table straight from the registered
-    /// nodes' current counters and metadata blocks (no sampling history
-    /// needed): one row per node with the splice epoch (the topology
-    /// epoch recorded at registration, `-` when none was) and live rate /
-    /// selectivity / state footprint / queue depth. Estimator columns
-    /// show `-` for nodes without a warm metadata block.
+    /// Renders a `top`-style table of the most recent sample: one row per
+    /// node that was live in it, with the topology epoch the node was
+    /// spliced in at and its live rate / selectivity / state footprint /
+    /// queue depth. Estimator columns show `-` for nodes without a warm
+    /// metadata block.
     pub fn render_top(&self) -> String {
-        let nodes = self.inner.nodes.lock();
-        let metas = self.inner.metas.lock();
+        let series = self.inner.series.lock();
         let mut out = format!(
             "{:<20} {:>6} {:>10} {:>10} {:>7} {:>12} {:>8}\n",
             "node", "epoch", "in/s", "out/s", "sel", "state-bytes", "queue"
         );
-        for (i, node) in nodes.iter().enumerate() {
-            let stats = node.snapshot();
-            let reg = metas.get(i);
-            let epoch = match reg.and_then(|r| r.spliced_epoch) {
-                Some(e) => e.to_string(),
-                None => "-".to_string(),
+        let last: Vec<(f64, &NodeTelemetry)> = series
+            .values()
+            .filter_map(|s| Some((*s.times.last()?, s.samples.last()?)))
+            .collect();
+        let latest = last.iter().fold(f64::NEG_INFINITY, |a, r| a.max(r.0));
+        for (_, row) in last.iter().filter(|r| r.0 == latest) {
+            let _ = write!(out, "{:<20} {:>6}", row.info.name, row.spliced_epoch);
+            let _ = match row.meta {
+                Some(m) => write!(
+                    out,
+                    " {:>10.1} {:>10.1} {:>7.3}",
+                    m.in_rate, m.out_rate, m.selectivity
+                ),
+                None => write!(out, " {:>10} {:>10} {:>7}", "-", "-", "-"),
             };
-            let meta = reg.and_then(|r| r.meta.as_ref()).and_then(|m| m.snapshot());
-            match meta {
-                Some(m) => {
-                    let _ = writeln!(
-                        out,
-                        "{:<20} {:>6} {:>10.1} {:>10.1} {:>7.3} {:>12} {:>8}",
-                        stats.name,
-                        epoch,
-                        m.in_rate,
-                        m.out_rate,
-                        m.selectivity,
-                        m.state_bytes,
-                        stats.queue_len,
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "{:<20} {:>6} {:>10} {:>10} {:>7} {:>12} {:>8}",
-                        stats.name, epoch, "-", "-", "-", stats.state_bytes, stats.queue_len,
-                    );
-                }
-            }
+            let _ = writeln!(out, " {:>12} {:>8}", row.stats.state_bytes, row.queue_len);
         }
         out
     }
@@ -376,27 +274,24 @@ impl Monitor {
     /// Dumps all samples as CSV:
     /// `time,node,in,out,queue,mem,sel,subs,avg_batch,p95_lat_ns`.
     pub fn to_csv(&self) -> String {
-        let nodes = self.inner.nodes.lock();
-        let series = self.inner.series.lock();
         let mut out = String::from(
             "time,node,in_count,out_count,queue_len,memory,selectivity,subscribers,avg_batch,p95_lat_ns\n",
         );
-        for (i, node) in nodes.iter().enumerate() {
-            let name = node.name();
-            for (t, s) in series[i].times.iter().zip(&series[i].snapshots) {
+        for series in self.inner.series.lock().values() {
+            for (t, s) in series.times.iter().zip(&series.samples) {
                 let _ = writeln!(
                     out,
                     "{:.3},{},{},{},{},{},{:.4},{},{:.2},{:.0}",
                     t,
-                    name,
-                    s.in_count,
-                    s.out_count,
+                    s.info.name,
+                    s.stats.in_count,
+                    s.stats.out_count,
                     s.queue_len,
                     s.memory,
-                    s.selectivity().unwrap_or(0.0),
-                    s.subscribers,
-                    s.avg_batch_size().unwrap_or(0.0),
-                    s.latency.map(|l| l.p95_ns).unwrap_or(0.0),
+                    s.stats.selectivity().unwrap_or(0.0),
+                    s.stats.subscribers,
+                    s.stats.avg_batch_size().unwrap_or(0.0),
+                    s.stats.latency.map_or(0.0, |l| l.p95_ns),
                 );
             }
         }
@@ -454,22 +349,46 @@ fn sparkline(values: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NodeInfo, NodeKind, NodeMeta, NodeStats};
+
+    /// A snapshot of the given `(id, name, stats)` nodes, each spliced at
+    /// epoch `id + 1` with `queue_len` queued messages.
+    fn snap(nodes: &[(NodeId, &str, &NodeStats)], queue_len: usize) -> Telemetry {
+        Telemetry {
+            topology_epoch: 1,
+            nodes: nodes
+                .iter()
+                .map(|&(id, name, stats)| NodeTelemetry {
+                    info: NodeInfo {
+                        id,
+                        name: name.to_string(),
+                        kind: NodeKind::Operator,
+                        upstream: Vec::new(),
+                        removed: false,
+                    },
+                    spliced_epoch: id as u64 + 1,
+                    stats: stats.snapshot(),
+                    queue_len,
+                    memory: 0,
+                    meta: None,
+                })
+                .collect(),
+            groups: Vec::new(),
+        }
+    }
 
     #[test]
     fn sampling_builds_series() {
         let m = Monitor::new();
-        let stats = Arc::new(NodeStats::new("src"));
-        m.register(Arc::clone(&stats));
-
+        let stats = NodeStats::new();
         stats.record_in(100);
-        m.sample_at(1.0);
+        m.sample_at(1.0, &snap(&[(0, "src", &stats)], 0));
         stats.record_in(300);
-        stats.set_queue_len(7);
-        m.sample_at(2.0);
+        m.sample_at(2.0, &snap(&[(0, "src", &stats)], 7));
 
         let series = m.series();
         assert_eq!(series.len(), 1);
-        let s = &series[0];
+        let s = &series[&0];
         assert_eq!(s.times, vec![1.0, 2.0]);
         assert_eq!(s.view(SeriesView::QueueLen), vec![0.0, 7.0]);
         let rates = s.view(SeriesView::InputRate);
@@ -478,42 +397,51 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_series() {
+    fn series_follow_the_snapshots_node_set() {
+        // A node spliced mid-run gets a series from its first sample; a
+        // retired one stops growing and leaves the live table.
         let m = Monitor::new();
-        let stats = Arc::new(NodeStats::new("filter"));
-        m.register(Arc::clone(&stats));
-        stats.record_in(10);
-        stats.record_out(4);
-        m.sample_at(0.5);
-        let s = &m.series()[0];
-        let sel = s.view(SeriesView::Selectivity);
-        assert!((sel[0] - 0.4).abs() < 1e-12);
+        let (a, b) = (NodeStats::new(), NodeStats::new());
+        m.sample_at(0.0, &snap(&[(0, "a", &a)], 0));
+        m.sample_at(1.0, &snap(&[(0, "a", &a), (3, "late", &b)], 0));
+        m.sample_at(2.0, &snap(&[(3, "late", &b)], 0));
+        let series = m.series();
+        assert_eq!(series[&0].times, vec![0.0, 1.0], "retired: stopped growing");
+        assert_eq!(series[&3].times, vec![1.0, 2.0], "spliced: starts late");
+        let top = m.render_top();
+        let lines: Vec<&str> = top.lines().collect();
+        assert_eq!(lines.len(), 2, "header + the one live row:\n{top}");
+        assert!(lines[0].contains("epoch") && lines[0].contains("sel"));
+        let cols: Vec<&str> = lines[1].split_whitespace().collect();
+        assert_eq!(&cols[..2], ["late", "4"], "name and splice epoch:\n{top}");
+        // header + every sample of both nodes
+        assert_eq!(m.to_csv().lines().count(), 5);
+        assert!(m.to_csv().starts_with("time,node"));
     }
 
     #[test]
-    fn batch_size_series() {
+    fn selectivity_and_batch_size_series() {
         let m = Monitor::new();
-        let stats = Arc::new(NodeStats::new("op"));
-        m.register(Arc::clone(&stats));
-        m.sample_at(0.0); // before any drains: reported as 0
+        let stats = NodeStats::new();
+        m.sample_at(0.0, &snap(&[(0, "op", &stats)], 0)); // nothing drained: 0
         stats.record_in(32);
+        stats.record_out(8);
         stats.record_batches(4);
-        m.sample_at(1.0);
-        let s = &m.series()[0];
+        m.sample_at(1.0, &snap(&[(0, "op", &stats)], 0));
+        let s = &m.series()[&0];
         assert_eq!(s.view(SeriesView::BatchSize), vec![0.0, 8.0]);
+        assert_eq!(s.view(SeriesView::Selectivity), vec![0.0, 0.25]);
         assert!(m.to_csv().lines().next().unwrap().ends_with("p95_lat_ns"));
     }
 
     #[test]
     fn latency_series() {
         let m = Monitor::new();
-        let stats = Arc::new(NodeStats::new("sink"));
-        m.register(Arc::clone(&stats));
-        m.sample_at(0.0); // before any latency samples: reported as 0
+        let stats = NodeStats::new();
+        m.sample_at(0.0, &snap(&[(0, "sink", &stats)], 0)); // no samples yet: 0
         stats.record_latency_ns(&(1..=100).collect::<Vec<_>>());
-        m.sample_at(1.0);
-        let s = &m.series()[0];
-        let lat = s.view(SeriesView::LatencyP95);
+        m.sample_at(1.0, &snap(&[(0, "sink", &stats)], 0));
+        let lat = m.series()[&0].view(SeriesView::LatencyP95);
         assert_eq!(lat[0], 0.0);
         assert!(lat[1] > 0.0, "p95lat={}", lat[1]);
     }
@@ -523,25 +451,14 @@ mod tests {
         // A node restart (or stats reset) makes a cumulative counter go
         // backwards between samples; the differenced rate must clamp to 0
         // rather than wrap to ~u64::MAX.
-        fn snap(name: &str, in_count: u64) -> StatsSnapshot {
-            StatsSnapshot {
-                name: name.into(),
-                in_count,
-                out_count: 0,
-                heartbeat_count: 0,
-                batch_count: 0,
-                queue_len: 0,
-                memory: 0,
-                state_bytes: 0,
-                subscribers: 0,
-                latency: None,
-            }
+        let stats = NodeStats::new();
+        let mut series = TimeSeries::default();
+        for (t, in_count) in [(0.0, 1000), (1.0, 200), (2.0, 700)] {
+            let mut row = snap(&[(0, "n", &stats)], 0).nodes.remove(0);
+            row.stats.in_count = in_count;
+            series.times.push(t);
+            series.samples.push(row);
         }
-        let series = TimeSeries {
-            times: vec![0.0, 1.0, 2.0],
-            snapshots: vec![snap("n", 1000), snap("n", 200), snap("n", 700)],
-            metas: vec![],
-        };
         let rates = series.view(SeriesView::InputRate);
         assert_eq!(rates[0], 0.0);
         assert_eq!(rates[1], 0.0, "backwards counter must clamp, not wrap");
@@ -563,51 +480,27 @@ mod tests {
     }
 
     #[test]
-    fn render_with_zero_samples_shows_placeholder() {
-        let m = Monitor::new();
-        m.register(Arc::new(NodeStats::new("idle")));
-        let out = m.render_sparklines(SeriesView::QueueLen);
-        assert!(out.contains("idle"));
-        assert!(out.trim_end().ends_with('-'), "got: {out:?}");
-        assert!(!out.contains("inf"), "got: {out:?}");
-    }
-
-    #[test]
-    fn csv_contains_all_rows() {
-        let m = Monitor::new();
-        let a = Arc::new(NodeStats::new("a"));
-        let b = Arc::new(NodeStats::new("b"));
-        m.register(a);
-        m.register(b);
-        m.sample_at(0.0);
-        m.sample_at(1.0);
-        let csv = m.to_csv();
-        // header + 2 nodes * 2 samples
-        assert_eq!(csv.lines().count(), 5);
-        assert!(csv.lines().next().unwrap().starts_with("time,node"));
-    }
-
-    #[test]
     fn background_sampler_collects() {
         let m = Monitor::new();
-        let stats = Arc::new(NodeStats::new("bg"));
-        m.register(Arc::clone(&stats));
-        let guard = m.spawn(std::time::Duration::from_millis(5));
+        let stats = Arc::new(NodeStats::new());
+        let sampled = Arc::clone(&stats);
+        let guard = m.spawn(std::time::Duration::from_millis(5), move || {
+            snap(&[(0, "bg", &sampled)], 0)
+        });
         for _ in 0..10 {
             stats.record_in(10);
             pipes_sync::thread::sleep(std::time::Duration::from_millis(5));
         }
         guard.stop();
-        let n = m.series()[0].times.len();
+        let n = m.series()[&0].times.len();
         assert!(n >= 2, "expected at least 2 samples, got {n}");
     }
 
     #[test]
     fn stop_does_not_wait_out_the_interval() {
         let m = Monitor::new();
-        m.register(Arc::new(NodeStats::new("slow")));
         // A pathologically long interval: stopping must still be prompt.
-        let guard = m.spawn(std::time::Duration::from_secs(60));
+        let guard = m.spawn(std::time::Duration::from_secs(60), Telemetry::default);
         pipes_sync::thread::sleep(std::time::Duration::from_millis(20));
         let t0 = Instant::now();
         guard.stop();
@@ -619,16 +512,22 @@ mod tests {
     }
 
     #[test]
-    fn meta_series_track_estimator_snapshots() {
+    fn meta_series_and_top_follow_estimator_snapshots() {
         let m = Monitor::new();
-        let stats = Arc::new(NodeStats::new("op"));
-        let meta = Arc::new(NodeMeta::new());
-        m.register_with_meta(Arc::clone(&stats), Some(Arc::clone(&meta)));
-        m.sample_at(0.0); // block still cold → None entry → 0.0 in views
-        meta.record_quantum(100, 25, 0);
-        m.sample_at(1.0);
-        let s = &m.series()[0];
-        assert_eq!(s.metas.len(), 2);
+        let stats = NodeStats::new();
+        let meta = NodeMeta::new();
+        let sample = |t: f64| {
+            let mut snapshot = snap(&[(0, "op", &stats)], 3);
+            snapshot.nodes[0].meta = meta.snapshot();
+            m.sample_at(t, &snapshot);
+        };
+        sample(0.0); // block still cold → None → 0.0 in views, `-` in top
+        let cold = m.render_top();
+        assert!(cold.lines().nth(1).unwrap().contains(" - "), "{cold}");
+        assert!(cold.trim_end().ends_with('3'), "queue column:\n{cold}");
+        meta.record_quantum(100, 25);
+        sample(1.0);
+        let s = &m.series()[&0];
         let sel = s.view(SeriesView::EstSelectivity);
         assert_eq!(sel[0], 0.0, "cold sample reads as zero");
         if crate::META_COMPILED_OUT {
@@ -637,68 +536,17 @@ mod tests {
             assert!((sel[1] - 0.25).abs() < 1e-9, "est-sel={}", sel[1]);
             assert!(s.view(SeriesView::EstInRate)[1] > 0.0);
             assert!(s.view(SeriesView::EstOutRate)[1] > 0.0);
+            assert!(m.render_top().contains("0.250"), "selectivity column");
         }
-    }
-
-    #[test]
-    fn series_without_metas_view_estimators_as_zero() {
-        // Hand-built series (and pre-plane recordings) have no metas at
-        // all; estimator views must degrade to zeros, not panic.
-        let m = Monitor::new();
-        let stats = Arc::new(NodeStats::new("plain"));
-        m.register(Arc::clone(&stats));
-        stats.record_in(10);
-        m.sample_at(0.0);
-        let s = &m.series()[0];
-        assert_eq!(s.view(SeriesView::EstInRate), vec![0.0]);
-        assert_eq!(s.view(SeriesView::EstSelectivity), vec![0.0]);
-    }
-
-    #[test]
-    fn render_top_mixes_warm_and_plain_rows() {
-        let m = Monitor::new();
-        let plain = Arc::new(NodeStats::new("plain"));
-        plain.set_queue_len(3);
-        m.register(plain);
-        let warm = Arc::new(NodeStats::new("warm"));
-        let meta = Arc::new(NodeMeta::new());
-        meta.record_quantum(200, 100, 64);
-        m.register_with_meta(warm, Some(meta));
-        let top = m.render_top();
-        let lines: Vec<&str> = top.lines().collect();
-        assert_eq!(lines.len(), 3, "header + 2 rows:\n{top}");
-        assert!(lines[0].contains("node") && lines[0].contains("sel"));
-        assert!(lines[1].contains("plain") && lines[1].contains('-'));
-        assert!(lines[1].ends_with('3'), "queue column:\n{top}");
-        if crate::META_COMPILED_OUT {
-            assert!(lines[2].contains('-'), "compiled out → no estimates");
-        } else {
-            assert!(lines[2].contains("0.500"), "selectivity column:\n{top}");
-            assert!(lines[2].contains("64"), "state-bytes column:\n{top}");
-        }
-    }
-
-    #[test]
-    fn render_top_shows_splice_epoch_column() {
-        let m = Monitor::new();
-        m.register(Arc::new(NodeStats::new("original")));
-        m.register_at_epoch(Arc::new(NodeStats::new("late-query")), None, 7);
-        let top = m.render_top();
-        let lines: Vec<&str> = top.lines().collect();
-        assert!(lines[0].contains("epoch"), "header:\n{top}");
-        let original = lines[1].split_whitespace().nth(1).unwrap();
-        assert_eq!(original, "-", "no epoch recorded at registration");
-        let late = lines[2].split_whitespace().nth(1).unwrap();
-        assert_eq!(late, "7", "splice epoch column:\n{top}");
     }
 
     #[test]
     fn render_includes_node_names() {
         let m = Monitor::new();
-        m.register(Arc::new(NodeStats::new("join-7")));
-        m.sample_at(0.0);
+        m.sample_at(0.0, &snap(&[(7, "join-7", &NodeStats::new())], 0));
         let out = m.render_sparklines(SeriesView::QueueLen);
         assert!(out.contains("join-7"));
         assert!(out.contains("queue"));
+        assert!(!out.contains("inf"), "got: {out:?}");
     }
 }

@@ -10,9 +10,10 @@
 //! * run-level selectivity (produced / consumed messages of the quantum),
 //!   EWMA-smoothed with a Welford variance alongside,
 //! * inter-arrival variance of productive quanta (how bursty the node's
-//!   work is),
-//! * the operator's live state footprint in bytes (plumbed from
-//!   [`crate::estimators::StateSize`] accounting via the node).
+//!   work is).
+//!
+//! The operator's state footprint is not here: it is an always-on counter
+//! ([`crate::NodeStats::set_state_bytes`]), stored once per step there.
 //!
 //! ## Concurrency
 //!
@@ -60,8 +61,6 @@ pub struct NodeMetaSnapshot {
     pub selectivity_samples: u64,
     /// Variance of the inter-arrival gaps between productive quanta, s².
     pub interarrival_var: f64,
-    /// Operator state footprint in bytes at the last update.
-    pub state_bytes: usize,
     /// Seconds elapsed since the last update (staleness of this snapshot).
     pub age_secs: f64,
 }
@@ -80,7 +79,7 @@ pub use live::{meta_enabled, now_secs, set_meta_enabled, NodeMeta};
 mod live {
     use super::NodeMetaSnapshot;
     use crate::estimators::{Ewma, RateEstimator, Welford};
-    use pipes_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use pipes_sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use pipes_sync::{Mutex, OnceLock};
     use std::time::Instant;
 
@@ -148,7 +147,6 @@ mod live {
         sel_var_bits: AtomicU64,
         sel_samples: AtomicU64,
         ia_var_bits: AtomicU64,
-        state_bytes: AtomicUsize,
         last_update_bits: AtomicU64,
     }
 
@@ -177,7 +175,6 @@ mod live {
                 sel_var_bits: AtomicU64::new(0),
                 sel_samples: AtomicU64::new(0),
                 ia_var_bits: AtomicU64::new(0),
-                state_bytes: AtomicUsize::new(0),
                 last_update_bits: AtomicU64::new(0),
             }
         }
@@ -186,7 +183,7 @@ mod live {
         /// derived values. **Must only be called by the node's stepping
         /// thread** (the graph calls it under the runnable lock) — the
         /// seqlock protocol assumes a single writer.
-        pub fn record_quantum(&self, consumed: u64, produced: u64, state_bytes: usize) {
+        pub fn record_quantum(&self, consumed: u64, produced: u64) {
             if !meta_enabled() {
                 return;
             }
@@ -233,7 +230,6 @@ mod live {
             self.sel_var_bits.store(sel_var, Ordering::Relaxed);
             self.sel_samples.store(samples, Ordering::Relaxed);
             self.ia_var_bits.store(ia_var, Ordering::Relaxed);
-            self.state_bytes.store(state_bytes, Ordering::Relaxed);
             self.last_update_bits.store(last, Ordering::Relaxed);
             self.seq.store(s0 + 2, Ordering::Release); // even: consistent
         }
@@ -261,7 +257,6 @@ mod live {
                 let selectivity_var = f64::from_bits(self.sel_var_bits.load(Ordering::Relaxed));
                 let selectivity_samples = self.sel_samples.load(Ordering::Relaxed);
                 let interarrival_var = f64::from_bits(self.ia_var_bits.load(Ordering::Relaxed));
-                let state_bytes = self.state_bytes.load(Ordering::Relaxed);
                 let last_update = f64::from_bits(self.last_update_bits.load(Ordering::Relaxed));
                 let s2 = self.seq.load(Ordering::Acquire);
                 if s1 != s2 {
@@ -274,7 +269,6 @@ mod live {
                     selectivity_var,
                     selectivity_samples,
                     interarrival_var,
-                    state_bytes,
                     age_secs: (now_secs() - last_update).max(0.0),
                 });
             }
@@ -303,7 +297,7 @@ mod noop {
 
         /// No-op in the compiled-out configuration.
         #[inline(always)]
-        pub fn record_quantum(&self, _consumed: u64, _produced: u64, _state_bytes: usize) {}
+        pub fn record_quantum(&self, _consumed: u64, _produced: u64) {}
 
         /// Always `None` in the compiled-out configuration.
         #[inline(always)]
@@ -348,13 +342,12 @@ mod tests {
         let m = NodeMeta::new();
         // Three drained runs of a drop-half operator.
         for _ in 0..3 {
-            m.record_quantum(100, 50, 4096);
+            m.record_quantum(100, 50);
         }
         let s = m.snapshot().expect("warm block snapshots");
         assert!((s.selectivity - 0.5).abs() < 1e-9);
         assert_eq!(s.selectivity_samples, 3);
         assert!(s.selectivity_var.abs() < 1e-12, "constant samples");
-        assert_eq!(s.state_bytes, 4096);
         // 300 in / 150 out within the 1s window.
         assert!(s.in_rate >= 300.0 - 1e-6, "in_rate={}", s.in_rate);
         assert!(s.out_rate >= 150.0 - 1e-6, "out_rate={}", s.out_rate);
@@ -367,7 +360,7 @@ mod tests {
     #[test]
     fn source_quanta_have_unit_selectivity_placeholder() {
         let m = NodeMeta::new();
-        m.record_quantum(0, 64, 0); // a source: produces, consumes nothing
+        m.record_quantum(0, 64); // a source: produces, consumes nothing
         let s = m.snapshot().unwrap();
         assert_eq!(s.selectivity_samples, 0);
         assert_eq!(s.selectivity, 1.0, "no consuming quantum yet");
@@ -379,18 +372,18 @@ mod tests {
     fn disabled_plane_records_nothing() {
         let m = NodeMeta::new();
         set_meta_enabled(false);
-        m.record_quantum(10, 10, 0);
+        m.record_quantum(10, 10);
         set_meta_enabled(true);
         assert_eq!(m.snapshot(), None, "disabled quanta must not publish");
-        m.record_quantum(10, 10, 0);
+        m.record_quantum(10, 10);
         assert!(m.snapshot().is_some());
     }
 
     #[test]
     fn selectivity_variance_tracks_run_spread() {
         let m = NodeMeta::new();
-        m.record_quantum(100, 0, 0);
-        m.record_quantum(100, 100, 0);
+        m.record_quantum(100, 0);
+        m.record_quantum(100, 100);
         let s = m.snapshot().unwrap();
         // Samples {0, 1}: population variance 0.25.
         assert!((s.selectivity_var - 0.25).abs() < 1e-12);
@@ -410,7 +403,7 @@ mod tests {
             pipes_sync::thread::spawn(move || {
                 // ordering: Relaxed — test-local stop flag, no payload.
                 while !stop.load(pipes_sync::atomic::Ordering::Relaxed) {
-                    m.record_quantum(64, 32, 128);
+                    m.record_quantum(64, 32);
                 }
             })
         };
@@ -424,7 +417,6 @@ mod tests {
             if let Some(s) = m.snapshot() {
                 seen += 1;
                 assert!((s.selectivity - 0.5).abs() < 1e-9, "torn selectivity");
-                assert_eq!(s.state_bytes, 128);
                 assert!(
                     (s.in_rate - 2.0 * s.out_rate).abs() < 1e-6,
                     "torn rate pair: in={} out={}",
@@ -448,7 +440,7 @@ mod off_tests {
     fn compiled_out_block_is_inert() {
         assert!(META_COMPILED_OUT);
         let m = NodeMeta::new();
-        m.record_quantum(100, 50, 4096);
+        m.record_quantum(100, 50);
         assert_eq!(m.snapshot(), None);
         set_meta_enabled(true);
         assert!(!meta_enabled(), "compiled out: plane can never enable");

@@ -12,13 +12,9 @@ use pipes_sync::Mutex;
 /// metadata has been attached via the decorator factory.
 #[derive(Debug, Default)]
 pub struct NodeStats {
-    name: Mutex<String>,
     in_count: AtomicU64,
     out_count: AtomicU64,
-    heartbeat_count: AtomicU64,
     batch_count: AtomicU64,
-    queue_len: AtomicUsize,
-    memory: AtomicUsize,
     state_bytes: AtomicUsize,
     subscribers: AtomicUsize,
     custom: Mutex<MetricSet>,
@@ -36,16 +32,10 @@ struct LatencyQuantiles {
 }
 
 impl NodeStats {
-    /// Creates stats for a node with the given display name.
-    pub fn new(name: impl Into<String>) -> Self {
-        let s = NodeStats::default();
-        *s.name.lock() = name.into();
-        s
-    }
-
-    /// The node's display name.
-    pub fn name(&self) -> String {
-        self.name.lock().clone()
+    /// Creates zeroed stats. (A node's name is the graph's to know: it
+    /// travels in the telemetry row's `NodeInfo`, not in the counters.)
+    pub fn new() -> Self {
+        NodeStats::default()
     }
 
     /// Records `n` consumed elements.
@@ -64,32 +54,11 @@ impl NodeStats {
         self.out_count.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` processed heartbeats.
-    #[inline]
-    pub fn record_heartbeat(&self, n: u64) {
-        // ordering: Relaxed — see record_in().
-        self.heartbeat_count.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Records `n` batched input-queue drains (runs moved under one lock).
     #[inline]
     pub fn record_batches(&self, n: u64) {
         // ordering: Relaxed — see record_in().
         self.batch_count.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Publishes the current total input-queue length.
-    #[inline]
-    pub fn set_queue_len(&self, len: usize) {
-        // ordering: Relaxed — see record_in().
-        self.queue_len.store(len, Ordering::Relaxed);
-    }
-
-    /// Publishes the node's current state memory (in retained elements).
-    #[inline]
-    pub fn set_memory(&self, elems: usize) {
-        // ordering: Relaxed — see record_in().
-        self.memory.store(elems, Ordering::Relaxed);
     }
 
     /// Publishes the node's estimated state footprint in bytes (count ×
@@ -151,8 +120,8 @@ impl NodeStats {
 
     /// Observed selectivity (produced / consumed elements; `None` until the
     /// node has consumed anything), read straight off the two counters: the
-    /// form for schedulers, which ask per pick and need neither the name nor
-    /// the latency quantiles a [`NodeStats::snapshot`] locks for.
+    /// form for schedulers, which ask per pick and do not need the latency
+    /// quantiles a [`NodeStats::snapshot`] locks for.
     pub fn selectivity(&self) -> Option<f64> {
         // ordering: Relaxed — see snapshot().
         let consumed = self.in_count.load(Ordering::Relaxed);
@@ -163,17 +132,13 @@ impl NodeStats {
     /// Takes a consistent-enough snapshot of the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            name: self.name(),
             // ordering: Relaxed — the snapshot is "consistent enough" by
             // contract: each counter is read atomically but the set is not
             // a cross-counter linearization point; monitoring tolerates a
             // snapshot taken mid-update.
             in_count: self.in_count.load(Ordering::Relaxed),
             out_count: self.out_count.load(Ordering::Relaxed),
-            heartbeat_count: self.heartbeat_count.load(Ordering::Relaxed),
             batch_count: self.batch_count.load(Ordering::Relaxed),
-            queue_len: self.queue_len.load(Ordering::Relaxed),
-            memory: self.memory.load(Ordering::Relaxed),
             state_bytes: self.state_bytes.load(Ordering::Relaxed),
             subscribers: self.subscribers.load(Ordering::Relaxed),
             latency: self.latency(),
@@ -194,23 +159,17 @@ pub struct LatencySummary {
     pub p99_ns: f64,
 }
 
-/// A point-in-time copy of a node's counters.
-#[derive(Clone, Debug, PartialEq)]
+/// A point-in-time copy of a node's counters. Queue depth and retained
+/// elements are not here: their one home is the node's readiness cell, and
+/// the telemetry row reads them there.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StatsSnapshot {
-    /// Node display name.
-    pub name: String,
     /// Elements consumed so far.
     pub in_count: u64,
     /// Elements produced so far.
     pub out_count: u64,
-    /// Heartbeats processed so far.
-    pub heartbeat_count: u64,
     /// Batched input-queue drains so far (runs moved under one lock).
     pub batch_count: u64,
-    /// Current total input-queue length.
-    pub queue_len: usize,
-    /// Current state memory in retained elements.
-    pub memory: usize,
     /// Estimated state footprint in bytes (0 when the operator does not
     /// report one).
     pub state_bytes: usize,
@@ -250,24 +209,17 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let s = NodeStats::new("filter");
+        let s = NodeStats::new();
         s.record_in(10);
         s.record_in(5);
         s.record_out(6);
-        s.record_heartbeat(2);
         s.record_batches(3);
-        s.set_queue_len(3);
-        s.set_memory(42);
         s.set_state_bytes(42 * 40);
         s.set_subscribers(2);
         let snap = s.snapshot();
-        assert_eq!(snap.name, "filter");
         assert_eq!(snap.in_count, 15);
         assert_eq!(snap.out_count, 6);
-        assert_eq!(snap.heartbeat_count, 2);
         assert_eq!(snap.batch_count, 3);
-        assert_eq!(snap.queue_len, 3);
-        assert_eq!(snap.memory, 42);
         assert_eq!(snap.state_bytes, 1680);
         assert_eq!(snap.subscribers, 2);
         assert_eq!(snap.latency, None);
@@ -277,20 +229,20 @@ mod tests {
 
     #[test]
     fn avg_batch_size_undefined_without_batches() {
-        let s = NodeStats::new("src");
+        let s = NodeStats::new();
         s.record_in(10);
         assert_eq!(s.snapshot().avg_batch_size(), None);
     }
 
     #[test]
     fn selectivity_undefined_before_input() {
-        let s = NodeStats::new("x");
+        let s = NodeStats::new();
         assert_eq!(s.snapshot().selectivity(), None);
     }
 
     #[test]
     fn custom_metrics_accessible() {
-        let s = NodeStats::new("join");
+        let s = NodeStats::new();
         s.with_metrics(|m| m.attach("probe_cost", Box::new(Welford::new())));
         s.with_metrics(|m| m.observe("probe_cost", 12.0));
         assert_eq!(s.with_metrics(|m| m.value("probe_cost")), Some(12.0));
@@ -298,7 +250,7 @@ mod tests {
 
     #[test]
     fn latency_quantiles_track_samples() {
-        let s = NodeStats::new("sink");
+        let s = NodeStats::new();
         assert_eq!(s.latency(), None);
         s.record_latency_ns(&[]);
         assert_eq!(s.latency(), None, "empty batches must not create state");
@@ -317,7 +269,7 @@ mod tests {
     #[test]
     fn stats_shared_across_threads() {
         use pipes_sync::Arc;
-        let s = Arc::new(NodeStats::new("shared"));
+        let s = Arc::new(NodeStats::new());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let s = Arc::clone(&s);

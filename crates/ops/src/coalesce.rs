@@ -14,23 +14,22 @@
 //! every heartbeat would defeat the merging. The cost is output latency
 //! proportional to run length; experiment E9 measures the trade.
 
-use crate::distinct::IntervalSet;
+use crate::distinct::{Coverage, IntervalSet};
 use pipes_graph::{Collector, Operator};
-use pipes_time::{Element, TimeInterval, Timestamp};
-use std::collections::HashMap;
+use pipes_time::{Element, Timestamp};
 use std::hash::Hash;
 
 /// Merges value-equivalent, adjacent-or-overlapping elements into maximal
 /// runs.
 pub struct Coalesce<T> {
-    pending: HashMap<T, IntervalSet>,
+    coverage: Coverage<T>,
 }
 
 impl<T: Hash + Eq> Coalesce<T> {
     /// Creates the operator.
     pub fn new() -> Self {
         Coalesce {
-            pending: HashMap::new(),
+            coverage: Coverage::default(),
         }
     }
 }
@@ -49,58 +48,27 @@ where
     type Out = T;
 
     fn on_element(&mut self, _port: usize, e: Element<T>, _out: &mut dyn Collector<T>) {
-        self.pending
-            .entry(e.payload)
-            .or_default()
-            .insert(e.interval);
+        self.coverage.insert(e);
     }
 
     fn on_heartbeat(&mut self, _port: usize, t: Timestamp, out: &mut dyn Collector<T>) {
-        let mut ready: Vec<(T, TimeInterval)> = Vec::new();
-        for (payload, set) in self.pending.iter_mut() {
-            for iv in set.take_strictly_before(t) {
-                ready.push((payload.clone(), iv));
-            }
-        }
-        self.pending.retain(|_, s| !s.is_empty());
-        ready.sort_by_key(|(p, iv)| (iv.start(), p.clone()));
-        for (p, iv) in ready {
-            out.element(Element::new(p, iv));
-        }
+        self.coverage
+            .release(|set| set.take_strictly_before(t), out);
         // Hold the watermark at the oldest pending run: it may still grow.
-        let held = self
-            .pending
-            .values()
-            .filter_map(IntervalSet::earliest_start)
-            .min()
-            .map_or(t, |s| s.min(t));
+        let held = self.coverage.earliest_start().map_or(t, |s| s.min(t));
         out.heartbeat(held);
     }
 
     fn on_close(&mut self, out: &mut dyn Collector<T>) {
-        let mut ready: Vec<(T, TimeInterval)> = Vec::new();
-        for (payload, set) in self.pending.iter_mut() {
-            for iv in set.take_all() {
-                ready.push((payload.clone(), iv));
-            }
-        }
-        self.pending.clear();
-        ready.sort_by_key(|(p, iv)| (iv.start(), p.clone()));
-        for (p, iv) in ready {
-            out.element(Element::new(p, iv));
-        }
+        self.coverage.release(IntervalSet::take_all, out);
     }
 
     fn memory(&self) -> usize {
-        self.pending.values().map(IntervalSet::len).sum()
+        self.coverage.memory()
     }
 
     fn shed(&mut self, target: usize) -> usize {
-        while self.memory() > target && !self.pending.is_empty() {
-            let k = self.pending.keys().next().cloned().expect("non-empty");
-            self.pending.remove(&k);
-        }
-        self.memory()
+        self.coverage.shed(target)
     }
 }
 
@@ -110,7 +78,7 @@ mod tests {
     use crate::aggregate::{CountAgg, ScalarAggregate};
     use crate::drive::{check_watermark_contract, run_unary, run_unary_messages};
     use pipes_graph::OperatorExt;
-    use pipes_time::snapshot;
+    use pipes_time::{snapshot, TimeInterval};
 
     fn el(p: i64, s: u64, e: u64) -> Element<i64> {
         Element::new(p, TimeInterval::new(Timestamp::new(s), Timestamp::new(e)))

@@ -139,11 +139,7 @@ where
     }
 
     fn shed(&mut self, target: usize) -> usize {
-        while self.memory() > target && !self.pending.is_empty() {
-            let k = self.pending.keys().next().cloned().expect("non-empty");
-            self.pending.remove(&k);
-        }
-        self.memory()
+        crate::distinct::shed_keys(&mut self.pending, target, |s| s.left.len() + s.right.len())
     }
 }
 

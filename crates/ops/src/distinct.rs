@@ -87,6 +87,94 @@ impl IntervalSet {
     }
 }
 
+/// The operator body [`Distinct`] and [`crate::coalesce::Coalesce`] share:
+/// per payload value, the merged coverage of the pending input intervals.
+/// The two operators differ only in the rule by which a heartbeat releases
+/// coverage ([`Coverage::release`]'s `take`) and the watermark they forward.
+pub(crate) struct Coverage<T> {
+    pending: HashMap<T, IntervalSet>,
+}
+
+impl<T: Hash + Eq> Default for Coverage<T> {
+    fn default() -> Self {
+        Coverage {
+            pending: HashMap::new(),
+        }
+    }
+}
+
+impl<T: Hash + Eq + Ord + Clone> Coverage<T> {
+    pub(crate) fn insert(&mut self, e: Element<T>) {
+        self.pending
+            .entry(e.payload)
+            .or_default()
+            .insert(e.interval);
+    }
+
+    /// Emits what `take` removes from each payload's coverage, ordered by
+    /// (start, payload), and forgets the payloads left without coverage.
+    pub(crate) fn release(
+        &mut self,
+        mut take: impl FnMut(&mut IntervalSet) -> Vec<TimeInterval>,
+        out: &mut dyn Collector<T>,
+    ) {
+        let mut ready: Vec<(T, TimeInterval)> = Vec::new();
+        for (payload, set) in self.pending.iter_mut() {
+            for iv in take(set) {
+                ready.push((payload.clone(), iv));
+            }
+        }
+        self.pending.retain(|_, s| !s.is_empty());
+        ready.sort_by_key(|(p, iv)| (iv.start(), p.clone()));
+        for (p, iv) in ready {
+            out.element(Element::new(p, iv));
+        }
+    }
+
+    /// Start of the earliest pending interval of any payload.
+    pub(crate) fn earliest_start(&self) -> Option<Timestamp> {
+        let starts = self
+            .pending
+            .values()
+            .filter_map(IntervalSet::earliest_start);
+        starts.min()
+    }
+
+    pub(crate) fn memory(&self) -> usize {
+        self.pending.values().map(IntervalSet::len).sum()
+    }
+
+    /// Drops whole payload entries until under target (approximate
+    /// answers: dropped values vanish from the output).
+    pub(crate) fn shed(&mut self, target: usize) -> usize {
+        shed_keys(&mut self.pending, target, IntervalSet::len)
+    }
+}
+
+/// Sheds keyed operator state to at most `target` units by dropping whole
+/// keys, smallest key first — the payload order the flushes emit in, so the
+/// same state sheds the same victims on every run — in one pass over the
+/// keys with a running total. Returns the units left.
+pub(crate) fn shed_keys<K: Hash + Eq + Ord + Clone, V>(
+    state: &mut HashMap<K, V>,
+    target: usize,
+    units: impl Fn(&V) -> usize,
+) -> usize {
+    let mut total: usize = state.values().map(&units).sum();
+    if total <= target {
+        return total;
+    }
+    let mut keys: Vec<K> = state.keys().cloned().collect();
+    keys.sort_unstable();
+    for key in keys {
+        if total <= target {
+            break;
+        }
+        total -= state.remove(&key).map_or(0, |v| units(&v));
+    }
+    total
+}
+
 /// Duplicate elimination with snapshot semantics: at every instant the
 /// output contains each distinct payload at most once, exactly when the
 /// input contains it at least once.
@@ -97,14 +185,14 @@ impl IntervalSet {
 /// inside or adjacent to a pending interval must be absorbed into the same
 /// output interval, or the overlap would appear twice).
 pub struct Distinct<T> {
-    pending: HashMap<T, IntervalSet>,
+    coverage: Coverage<T>,
 }
 
 impl<T: Hash + Eq> Distinct<T> {
     /// Creates the operator.
     pub fn new() -> Self {
         Distinct {
-            pending: HashMap::new(),
+            coverage: Coverage::default(),
         }
     }
 }
@@ -123,10 +211,7 @@ where
     type Out = T;
 
     fn on_element(&mut self, _port: usize, e: Element<T>, _out: &mut dyn Collector<T>) {
-        self.pending
-            .entry(e.payload)
-            .or_default()
-            .insert(e.interval);
+        self.coverage.insert(e);
     }
 
     fn on_heartbeat(&mut self, _port: usize, t: Timestamp, out: &mut dyn Collector<T>) {
@@ -135,46 +220,20 @@ where
         // abut it, which snapshot semantics permits as two adjacent output
         // intervals). Afterwards everything pending starts at or after `t`,
         // so forwarding the heartbeat is safe.
-        let mut ready: Vec<(T, TimeInterval)> = Vec::new();
-        for (payload, set) in self.pending.iter_mut() {
-            for iv in set.split_take_before(t) {
-                ready.push((payload.clone(), iv));
-            }
-        }
-        self.pending.retain(|_, s| !s.is_empty());
-        ready.sort_by_key(|(p, iv)| (iv.start(), p.clone()));
-        for (p, iv) in ready {
-            out.element(Element::new(p, iv));
-        }
+        self.coverage.release(|set| set.split_take_before(t), out);
         out.heartbeat(t);
     }
 
     fn on_close(&mut self, out: &mut dyn Collector<T>) {
-        let mut ready: Vec<(T, TimeInterval)> = Vec::new();
-        for (payload, set) in self.pending.iter_mut() {
-            for iv in set.take_all() {
-                ready.push((payload.clone(), iv));
-            }
-        }
-        self.pending.clear();
-        ready.sort_by_key(|(p, iv)| (iv.start(), p.clone()));
-        for (p, iv) in ready {
-            out.element(Element::new(p, iv));
-        }
+        self.coverage.release(IntervalSet::take_all, out);
     }
 
     fn memory(&self) -> usize {
-        self.pending.values().map(IntervalSet::len).sum()
+        self.coverage.memory()
     }
 
     fn shed(&mut self, target: usize) -> usize {
-        // Drop whole payload entries until under target (approximate
-        // answers: dropped values vanish from the output).
-        while self.memory() > target && !self.pending.is_empty() {
-            let k = self.pending.keys().next().cloned().expect("non-empty");
-            self.pending.remove(&k);
-        }
-        self.memory()
+        self.coverage.shed(target)
     }
 }
 
@@ -188,7 +247,8 @@ where
     T: Hash + Eq + Send + 'static,
 {
     fn export_keyed(&mut self) -> KeyedState {
-        self.pending
+        self.coverage
+            .pending
             .drain()
             .map(|(payload, set)| {
                 let h = key_hash(&payload);
@@ -204,7 +264,7 @@ where
                 .expect("keyed-parallel hand-off delivered foreign state to Distinct");
             // One entry per payload value across all instances (same value
             // ⇒ same routing hash), so imports never collide.
-            self.pending.insert(payload, set);
+            self.coverage.pending.insert(payload, set);
         }
     }
 }
@@ -309,5 +369,41 @@ mod tests {
         }
         assert_eq!(op.memory(), 10);
         assert!(op.shed(4) <= 4);
+    }
+
+    /// Shedding under pressure is one pass (10 000 keys in milliseconds —
+    /// re-summing the state per evicted key took seconds) and picks the
+    /// same victims on every run, whatever order the map iterates in.
+    #[test]
+    fn shed_is_linear_and_deterministic() {
+        let survivors = || {
+            let mut op: Distinct<i64> = Distinct::new();
+            let mut sink: Vec<pipes_time::Message<i64>> = Vec::new();
+            // Insertion order scrambled against key order.
+            for i in 0..10_000i64 {
+                let p = (i * 7919) % 10_000;
+                op.on_element(0, el(p, p as u64 * 10, p as u64 * 10 + 5), &mut sink);
+            }
+            let t0 = std::time::Instant::now();
+            assert_eq!(op.shed(100), 100);
+            let took = t0.elapsed();
+            op.on_close(&mut sink);
+            let kept: Vec<i64> = sink
+                .into_iter()
+                .filter_map(|m| m.into_element().map(|e| e.payload))
+                .collect();
+            (kept, took)
+        };
+        let (first, took) = survivors();
+        assert_eq!(
+            first,
+            (9_900..10_000).collect::<Vec<i64>>(),
+            "smallest keys go first"
+        );
+        assert!(
+            took < std::time::Duration::from_millis(250),
+            "shed took {took:?}"
+        );
+        assert_eq!(survivors().0, first, "two runs shed identically");
     }
 }

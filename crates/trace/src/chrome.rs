@@ -80,8 +80,10 @@ fn args_json(args: [u64; 3]) -> String {
     format!(r#"{{"a0":{},"a1":{},"a2":{}}}"#, args[0], args[1], args[2])
 }
 
-/// Escapes a string as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
+/// Escapes a string as a JSON string literal (with quotes). The one JSON
+/// string escaper of the engine crates: the metadata plane's JSON dump
+/// (`pipes_graph::MetaSnapshot::to_json`) uses it too.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

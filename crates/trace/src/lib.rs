@@ -35,8 +35,8 @@
 //!
 //! - [`chrome`] — export a [`Trace`] as Chrome `chrome://tracing` JSON,
 //!   one track per recorded thread.
-//! - [`prometheus`] — text-exposition dump of `pipes-meta` node counters
-//!   and latency quantiles.
+//! - [`prometheus`] — text-exposition rendering of a `pipes-meta`
+//!   `Telemetry` snapshot (one entry point, a pure function of it).
 //! - [`replay`] — rebuild the span tree per thread and assert causality
 //!   in tests.
 //! - [`latency`] — the source-to-sink tuple-latency pipeline: sources

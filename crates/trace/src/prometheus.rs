@@ -1,261 +1,166 @@
-//! Prometheus text-exposition dumper.
+//! Prometheus text-exposition renderer.
 //!
-//! Renders a set of `NodeStats` (and their latency quantiles, when the
-//! latency pipeline is attached) in the Prometheus text exposition
-//! format, suitable for a file-based textfile collector or an ad-hoc
-//! `curl`-style endpoint.
+//! [`render`] is a pure function of a [`Telemetry`] snapshot (what
+//! `QueryGraph::telemetry()` returns): node counters and gauges, the
+//! metadata plane's estimator gauges, the graph-level topology gauges, the
+//! keyed groups' instance counts and the sinks' latency quantiles, in the
+//! Prometheus text exposition format — suitable for a file-based textfile
+//! collector or an ad-hoc `curl`-style endpoint. HELP/TYPE headers are
+//! emitted for every family whether or not the snapshot has samples for it,
+//! so scrapers see a stable schema.
 
 use std::fmt::Write as _;
 
-use pipes_meta::{NodeMetaSnapshot, NodeStats};
-use pipes_sync::Arc;
+use pipes_meta::{NodeTelemetry, Telemetry};
 
-/// Graph-level topology gauges for the hot-topology plane: how many live
-/// nodes the query graph holds and how often its shape has changed.
-/// Sourced from `QueryGraph::node_ids().count()` and
-/// `QueryGraph::topology_epoch()` by callers that hold the graph.
-#[derive(Clone, Copy, Debug)]
-pub struct GraphGauges {
-    /// Live (non-retired) nodes currently in the query graph.
-    pub nodes: u64,
-    /// The graph's monotone topology epoch — bumps on every splice and
-    /// every retirement, so its derivative is the live re-plan rate.
-    pub topology_epoch: u64,
-}
-
-/// One keyed-parallel shuffle group's instance count, for the
-/// `pipes_node_instances` gauge. Sourced from
-/// `QueryGraph::shuffle_groups()` (`name` / `instance_ids.len()`) by
-/// callers that hold the graph.
-#[derive(Clone, Debug)]
-pub struct ShuffleGauge {
-    /// The shuffle group's name (the logical operator name passed to
-    /// `add_keyed_unary` / `add_keyed_binary`).
-    pub group: String,
-    /// Live keyed instances currently fanned out behind the group's
-    /// partition edge.
-    pub instances: u64,
-}
-
-/// Renders all node counters, gauges, and latency quantiles in Prometheus
-/// text exposition format. Metadata-plane gauges render with no samples;
-/// use [`render_with_meta`] to include live estimator readings.
-pub fn render(nodes: &[Arc<NodeStats>]) -> String {
-    let entries: Vec<_> = nodes.iter().map(|n| (Arc::clone(n), None)).collect();
-    render_with_meta(&entries)
-}
-
-/// Renders node counters, gauges, latency quantiles, and — for entries
-/// carrying a metadata-plane snapshot — the live `pipes_node_rate` /
-/// `pipes_node_selectivity` estimator gauges. HELP/TYPE headers are
-/// emitted for every family regardless of whether it has samples, so
-/// scrapers see a stable schema.
-pub fn render_with_meta(entries: &[(Arc<NodeStats>, Option<NodeMetaSnapshot>)]) -> String {
-    render_with_graph(entries, None)
-}
-
-/// Like [`render_with_meta`], additionally emitting the graph-level
-/// `pipes_graph_nodes` / `pipes_topology_epoch` gauges when the caller
-/// supplies [`GraphGauges`]. Their headers are emitted either way, so the
-/// schema a scraper sees does not depend on which entry point produced
-/// the dump.
-pub fn render_with_graph(
-    entries: &[(Arc<NodeStats>, Option<NodeMetaSnapshot>)],
-    graph: Option<GraphGauges>,
-) -> String {
-    render_with_shuffles(entries, graph, &[])
-}
-
-/// Like [`render_with_graph`], additionally emitting the per-group
-/// `pipes_node_instances` gauge for keyed-parallel shuffle groups. The
-/// family's headers are emitted from every entry point, so the schema a
-/// scraper sees never depends on whether the graph uses keyed parallelism.
-pub fn render_with_shuffles(
-    entries: &[(Arc<NodeStats>, Option<NodeMetaSnapshot>)],
-    graph: Option<GraphGauges>,
-    shuffles: &[ShuffleGauge],
-) -> String {
-    let snaps: Vec<_> = entries.iter().map(|(n, _)| n.snapshot()).collect();
+/// Renders `snapshot` in Prometheus text exposition format.
+pub fn render(snapshot: &Telemetry) -> String {
+    let nodes = &snapshot.nodes;
     let mut out = String::new();
-
-    counter_family(
-        &mut out,
+    let mut per_node = |name: &str, help: &str, kind: &str, f: fn(&NodeTelemetry) -> u64| {
+        header(&mut out, name, help, kind);
+        for n in nodes {
+            let _ = writeln!(out, "{name}{{node=\"{}\"}} {}", label(n), f(n));
+        }
+    };
+    per_node(
         "pipes_node_in_total",
         "Elements consumed by the node.",
-        snaps.iter().map(|s| (s.name.as_str(), s.in_count)),
+        "counter",
+        |n| n.stats.in_count,
     );
-    counter_family(
-        &mut out,
+    per_node(
         "pipes_node_out_total",
         "Elements produced by the node.",
-        snaps.iter().map(|s| (s.name.as_str(), s.out_count)),
+        "counter",
+        |n| n.stats.out_count,
     );
-    counter_family(
-        &mut out,
-        "pipes_node_heartbeats_total",
-        "Heartbeats forwarded by the node.",
-        snaps.iter().map(|s| (s.name.as_str(), s.heartbeat_count)),
-    );
-    counter_family(
-        &mut out,
+    per_node(
         "pipes_node_batches_total",
         "Scheduler quanta in which the node did work.",
-        snaps.iter().map(|s| (s.name.as_str(), s.batch_count)),
+        "counter",
+        |n| n.stats.batch_count,
     );
-    gauge_family(
-        &mut out,
+    per_node(
         "pipes_node_queue_len",
         "Elements queued on the node's input edges.",
-        snaps.iter().map(|s| (s.name.as_str(), s.queue_len as u64)),
+        "gauge",
+        |n| n.queue_len as u64,
     );
-    gauge_family(
-        &mut out,
+    per_node(
         "pipes_node_memory_elements",
         "Elements held in the node's operator state.",
-        snaps.iter().map(|s| (s.name.as_str(), s.memory as u64)),
+        "gauge",
+        |n| n.memory as u64,
     );
-    gauge_family(
-        &mut out,
+    per_node(
         "pipes_node_state_bytes",
         "Estimated bytes held in the node's operator state.",
-        snaps
-            .iter()
-            .map(|s| (s.name.as_str(), s.state_bytes as u64)),
+        "gauge",
+        |n| n.stats.state_bytes as u64,
     );
-    gauge_family(
-        &mut out,
+    per_node(
         "pipes_node_subscribers",
         "Downstream edges subscribed to the node's output.",
-        snaps
-            .iter()
-            .map(|s| (s.name.as_str(), s.subscribers as u64)),
+        "gauge",
+        |n| n.stats.subscribers as u64,
     );
 
-    // Metadata-plane estimator gauges. Headers always, samples only for
-    // nodes with a live snapshot.
-    let _ = writeln!(
-        out,
-        "# HELP pipes_node_rate Live estimated message rate of the node (metadata plane)."
+    // Metadata-plane estimator gauges: samples only for nodes with a live
+    // estimator snapshot.
+    let warm = || nodes.iter().filter_map(|n| Some((label(n), n.meta?)));
+    header(
+        &mut out,
+        "pipes_node_rate",
+        "Live estimated message rate of the node (metadata plane).",
+        "gauge",
     );
-    let _ = writeln!(out, "# TYPE pipes_node_rate gauge");
-    for ((_, meta), snap) in entries.iter().zip(&snaps) {
-        if let Some(m) = meta {
-            for (direction, v) in [("in", m.in_rate), ("out", m.out_rate)] {
-                let _ = writeln!(
-                    out,
-                    "pipes_node_rate{{node=\"{}\",direction=\"{direction}\"}} {}",
-                    escape_label(&snap.name),
-                    fmt_value(v)
-                );
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "# HELP pipes_node_selectivity Live EWMA run-level selectivity of the node (metadata plane)."
-    );
-    let _ = writeln!(out, "# TYPE pipes_node_selectivity gauge");
-    for ((_, meta), snap) in entries.iter().zip(&snaps) {
-        if let Some(m) = meta {
+    for (node, m) in warm() {
+        for (direction, v) in [("in", m.in_rate), ("out", m.out_rate)] {
             let _ = writeln!(
                 out,
-                "pipes_node_selectivity{{node=\"{}\"}} {}",
-                escape_label(&snap.name),
-                fmt_value(m.selectivity)
+                "pipes_node_rate{{node=\"{node}\",direction=\"{direction}\"}} {}",
+                fmt_value(v)
             );
         }
     }
-
-    // Graph-level hot-topology gauges: headers always, samples only when
-    // the caller passed the graph's current values.
-    let _ = writeln!(
-        out,
-        "# HELP pipes_graph_nodes Live (non-retired) nodes in the query graph."
+    header(
+        &mut out,
+        "pipes_node_selectivity",
+        "Live EWMA run-level selectivity of the node (metadata plane).",
+        "gauge",
     );
-    let _ = writeln!(out, "# TYPE pipes_graph_nodes gauge");
-    if let Some(g) = graph {
-        let _ = writeln!(out, "pipes_graph_nodes {}", g.nodes);
-    }
-    let _ = writeln!(
-        out,
-        "# HELP pipes_topology_epoch Monotone topology epoch of the query graph (bumps on splice and retire)."
-    );
-    let _ = writeln!(out, "# TYPE pipes_topology_epoch gauge");
-    if let Some(g) = graph {
-        let _ = writeln!(out, "pipes_topology_epoch {}", g.topology_epoch);
-    }
-    let _ = writeln!(
-        out,
-        "# HELP pipes_node_instances Live keyed-parallel instances behind the group's shuffle edge."
-    );
-    let _ = writeln!(out, "# TYPE pipes_node_instances gauge");
-    for s in shuffles {
+    for (node, m) in warm() {
         let _ = writeln!(
             out,
-            "pipes_node_instances{{node=\"{}\"}} {}",
-            escape_label(&s.group),
-            s.instances
+            "pipes_node_selectivity{{node=\"{node}\"}} {}",
+            fmt_value(m.selectivity)
         );
     }
 
-    let with_latency: Vec<_> = snaps
-        .iter()
-        .filter_map(|s| s.latency.map(|l| (s.name.as_str(), l)))
-        .collect();
-    let _ = writeln!(
-        out,
-        "# HELP pipes_node_latency_seconds Source-to-sink tuple latency observed at the node."
+    header(
+        &mut out,
+        "pipes_graph_nodes",
+        "Live (non-retired) nodes in the query graph.",
+        "gauge",
     );
-    let _ = writeln!(out, "# TYPE pipes_node_latency_seconds summary");
-    for (name, l) in &with_latency {
+    let _ = writeln!(out, "pipes_graph_nodes {}", nodes.len());
+    header(
+        &mut out,
+        "pipes_topology_epoch",
+        "Monotone topology epoch of the query graph (bumps on splice and retire).",
+        "gauge",
+    );
+    let _ = writeln!(out, "pipes_topology_epoch {}", snapshot.topology_epoch);
+    header(
+        &mut out,
+        "pipes_node_instances",
+        "Live keyed-parallel instances behind the group's shuffle edge.",
+        "gauge",
+    );
+    for g in &snapshot.groups {
+        let _ = writeln!(
+            out,
+            "pipes_node_instances{{node=\"{}\"}} {}",
+            escape_label(&g.name),
+            g.instance_ids.len()
+        );
+    }
+
+    header(
+        &mut out,
+        "pipes_node_latency_seconds",
+        "Source-to-sink tuple latency observed at the node.",
+        "summary",
+    );
+    for (node, l) in nodes
+        .iter()
+        .filter_map(|n| Some((label(n), n.stats.latency?)))
+    {
         for (q, v) in [("0.5", l.p50_ns), ("0.95", l.p95_ns), ("0.99", l.p99_ns)] {
             let _ = writeln!(
                 out,
-                "pipes_node_latency_seconds{{node=\"{}\",quantile=\"{q}\"}} {}",
-                escape_label(name),
+                "pipes_node_latency_seconds{{node=\"{node}\",quantile=\"{q}\"}} {}",
                 fmt_value(v / 1e9)
             );
         }
         let _ = writeln!(
             out,
-            "pipes_node_latency_seconds_count{{node=\"{}\"}} {}",
-            escape_label(name),
+            "pipes_node_latency_seconds_count{{node=\"{node}\"}} {}",
             l.count
         );
     }
     out
 }
 
-fn counter_family<'a>(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    values: impl Iterator<Item = (&'a str, u64)>,
-) {
-    family(out, name, help, "counter", values);
-}
-
-fn gauge_family<'a>(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    values: impl Iterator<Item = (&'a str, u64)>,
-) {
-    family(out, name, help, "gauge", values);
-}
-
-fn family<'a>(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    kind: &str,
-    values: impl Iterator<Item = (&'a str, u64)>,
-) {
+fn header(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
-    for (node, value) in values {
-        let _ = writeln!(out, "{name}{{node=\"{}\"}} {value}", escape_label(node));
-    }
+}
+
+/// The node's name as a label value.
+fn label(n: &NodeTelemetry) -> String {
+    escape_label(&n.info.name)
 }
 
 /// Escapes a label value per the exposition format (backslash, quote,
@@ -279,28 +184,23 @@ fn fmt_value(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipes_meta::{NodeInfo, NodeKind, NodeMetaSnapshot, NodeStats, ShuffleGroup};
 
-    #[test]
-    fn renders_all_families_with_labels() {
-        let a = Arc::new(NodeStats::new("src"));
-        let b = Arc::new(NodeStats::new("sink \"q\""));
-        a.record_in(10);
-        a.record_out(8);
-        b.set_queue_len(3);
-        b.set_state_bytes(4096);
-        let text = render(&[a, b]);
-        assert!(text.contains("# TYPE pipes_node_in_total counter"));
-        assert!(text.contains("# TYPE pipes_node_state_bytes gauge"));
-        assert!(text.contains("pipes_node_state_bytes{node=\"sink \\\"q\\\"\"} 4096"));
-        assert!(text.contains("pipes_node_in_total{node=\"src\"} 10"));
-        assert!(text.contains("pipes_node_out_total{node=\"src\"} 8"));
-        assert!(text.contains("pipes_node_queue_len{node=\"sink \\\"q\\\"\"} 3"));
-        // No latency attached → header only, no samples.
-        assert!(text.contains("# TYPE pipes_node_latency_seconds summary"));
-        assert!(!text.contains("pipes_node_latency_seconds{"));
-        // No metadata snapshots → estimator headers only, no samples.
-        assert!(text.contains("# TYPE pipes_node_rate gauge"));
-        assert!(!text.contains("pipes_node_rate{"));
+    fn row(id: usize, name: &str, stats: &NodeStats) -> NodeTelemetry {
+        NodeTelemetry {
+            info: NodeInfo {
+                id,
+                name: name.to_string(),
+                kind: NodeKind::Operator,
+                upstream: Vec::new(),
+                removed: false,
+            },
+            spliced_epoch: 1,
+            stats: stats.snapshot(),
+            queue_len: 0,
+            memory: 0,
+            meta: None,
+        }
     }
 
     fn meta_snap(in_rate: f64, out_rate: f64, sel: f64) -> NodeMetaSnapshot {
@@ -311,50 +211,70 @@ mod tests {
             selectivity_var: 0.0,
             selectivity_samples: 4,
             interarrival_var: 0.0,
-            state_bytes: 0,
             age_secs: 0.0,
         }
     }
 
-    #[test]
-    fn renders_estimator_gauges_for_warm_nodes() {
-        let warm = Arc::new(NodeStats::new("filter"));
-        let cold = Arc::new(NodeStats::new("late"));
-        let text = render_with_meta(&[(warm, Some(meta_snap(200.0, 50.0, 0.25))), (cold, None)]);
-        assert!(text.contains("# HELP pipes_node_rate "));
-        assert!(text.contains("pipes_node_rate{node=\"filter\",direction=\"in\"} 200"));
-        assert!(text.contains("pipes_node_rate{node=\"filter\",direction=\"out\"} 50"));
-        assert!(text.contains("pipes_node_selectivity{node=\"filter\"} 0.25"));
-        // The cold node appears in the always-on families but not the
-        // estimator gauges.
-        assert!(text.contains("pipes_node_in_total{node=\"late\"} 0"));
-        assert!(!text.contains("pipes_node_rate{node=\"late\""));
+    /// Two nodes, one warm and one with latency quantiles and an awkward
+    /// name, plus one keyed group of four instances.
+    fn sample_snapshot() -> Telemetry {
+        let a = NodeStats::new();
+        a.record_in(10);
+        a.record_out(8);
+        let b = NodeStats::new();
+        b.set_state_bytes(4096);
+        b.record_latency_ns(&(1..=1000).map(|i| i * 1_000_000).collect::<Vec<_>>());
+        let mut src = row(0, "src", &a);
+        src.meta = Some(meta_snap(200.0, 50.0, 0.25));
+        let mut sink = row(1, "sink \"q\"\\", &b);
+        sink.queue_len = 3;
+        sink.memory = 9;
+        Telemetry {
+            topology_epoch: 42,
+            nodes: vec![src, sink],
+            groups: vec![ShuffleGroup {
+                name: "join".to_string(),
+                handle: 9,
+                partition_ids: vec![5],
+                instance_ids: vec![6, 7, 8, 10],
+            }],
+        }
     }
 
-    /// Text-format conformance: the whole dump must parse line by line —
-    /// every family announces HELP and TYPE before its first sample, every
-    /// sample belongs to an announced family (modulo the summary `_count`
-    /// suffix), labels (when present — the graph-level gauges are bare)
-    /// are well-formed, and values parse as f64 (Prometheus accepts
-    /// `NaN`).
     #[test]
-    fn dump_conforms_to_text_exposition_format() {
-        let a = Arc::new(NodeStats::new("src"));
-        a.record_in(7);
-        let b = Arc::new(NodeStats::new("we\"ird\\node"));
-        b.record_latency_ns(&(1..=100).map(|i| i * 1000).collect::<Vec<_>>());
-        let text = render_with_shuffles(
-            &[(a, Some(meta_snap(123.5, 61.75, 0.5))), (b, None)],
-            Some(GraphGauges {
-                nodes: 2,
-                topology_epoch: 3,
-            }),
-            &[ShuffleGauge {
-                group: "join".to_string(),
-                instances: 4,
-            }],
-        );
+    fn renders_every_block_of_the_snapshot() {
+        let text = render(&sample_snapshot());
+        assert!(text.contains("# TYPE pipes_node_in_total counter"));
+        assert!(text.contains("pipes_node_in_total{node=\"src\"} 10"));
+        assert!(text.contains("pipes_node_out_total{node=\"src\"} 8"));
+        // Counters, readiness-cell gauges and escaped labels.
+        assert!(text.contains("pipes_node_state_bytes{node=\"sink \\\"q\\\"\\\\\"} 4096"));
+        assert!(text.contains("pipes_node_queue_len{node=\"sink \\\"q\\\"\\\\\"} 3"));
+        assert!(text.contains("pipes_node_memory_elements{node=\"sink \\\"q\\\"\\\\\"} 9"));
+        // Estimator gauges only for the warm node.
+        assert!(text.contains("pipes_node_rate{node=\"src\",direction=\"in\"} 200"));
+        assert!(text.contains("pipes_node_rate{node=\"src\",direction=\"out\"} 50"));
+        assert!(text.contains("pipes_node_selectivity{node=\"src\"} 0.25"));
+        assert!(!text.contains("pipes_node_rate{node=\"sink"));
+        // Graph-level gauges and the keyed group.
+        assert!(text.contains("pipes_graph_nodes 2"));
+        assert!(text.contains("pipes_topology_epoch 42"));
+        assert!(text.contains("pipes_node_instances{node=\"join\"} 4"));
+        // Latency summary only for the node that recorded samples.
+        assert!(text
+            .contains("pipes_node_latency_seconds{node=\"sink \\\"q\\\"\\\\\",quantile=\"0.95\"}"));
+        assert!(text.contains("pipes_node_latency_seconds_count{node=\"sink \\\"q\\\"\\\\\"} 1000"));
+        assert!(!text.contains("pipes_node_latency_seconds{node=\"src\""));
+    }
 
+    /// Text-format conformance of the one entry point, with and without
+    /// samples: the whole dump must parse line by line — every family
+    /// announces HELP and TYPE before its first sample, every sample
+    /// belongs to an announced family (modulo the summary `_count` suffix),
+    /// labels (when present — the graph-level gauges are bare) are
+    /// well-formed, and values parse as f64 (Prometheus accepts `NaN`).
+    /// Returns the announced families and the number of samples.
+    fn check_exposition_format(text: &str) -> (Vec<String>, usize) {
         let mut announced: Vec<String> = Vec::new();
         let mut samples = 0;
         for line in text.lines() {
@@ -410,56 +330,20 @@ mod tests {
                 "unparseable value in {line}"
             );
         }
+        (announced, samples)
+    }
+
+    #[test]
+    fn dump_conforms_to_text_exposition_format() {
+        let (full, samples) = check_exposition_format(&render(&sample_snapshot()));
         assert!(samples > 10, "dump looked empty: {samples} samples");
-        assert!(announced.len() >= 14, "families: {announced:?}");
-    }
-
-    #[test]
-    fn renders_shuffle_instance_gauges() {
-        let a = Arc::new(NodeStats::new("src"));
-        let with = render_with_shuffles(
-            &[(Arc::clone(&a), None)],
-            None,
-            &[
-                ShuffleGauge {
-                    group: "join".to_string(),
-                    instances: 4,
-                },
-                ShuffleGauge {
-                    group: "grouped-max".to_string(),
-                    instances: 2,
-                },
-            ],
-        );
-        assert!(with.contains("# TYPE pipes_node_instances gauge"));
-        assert!(with.contains("pipes_node_instances{node=\"join\"} 4"));
-        assert!(with.contains("pipes_node_instances{node=\"grouped-max\"} 2"));
-        // Header-stable schema: every entry point announces the family.
-        let without = render(&[a]);
-        assert!(without.contains("# TYPE pipes_node_instances gauge"));
-        assert!(!without.contains("pipes_node_instances{"));
-    }
-
-    #[test]
-    fn renders_graph_level_topology_gauges() {
-        let a = Arc::new(NodeStats::new("src"));
-        let with = render_with_graph(
-            &[(Arc::clone(&a), None)],
-            Some(GraphGauges {
-                nodes: 7,
-                topology_epoch: 42,
-            }),
-        );
-        assert!(with.contains("# TYPE pipes_graph_nodes gauge"));
-        assert!(with.contains("pipes_graph_nodes 7"));
-        assert!(with.contains("# TYPE pipes_topology_epoch gauge"));
-        assert!(with.contains("pipes_topology_epoch 42"));
-        // Header-stable schema: the families are announced even when no
-        // graph values are supplied, just with no samples.
-        let without = render(&[a]);
-        assert!(without.contains("# TYPE pipes_graph_nodes gauge"));
-        assert!(!without.contains("pipes_graph_nodes 7"));
-        assert!(without.contains("# TYPE pipes_topology_epoch gauge"));
+        assert_eq!(full.len(), 13, "families: {full:?}");
+        // Header-stable schema: an empty graph announces the same families
+        // and carries only the two graph-level samples.
+        let (empty, samples) = check_exposition_format(&render(&Telemetry::default()));
+        assert_eq!(empty, full);
+        assert_eq!(samples, 2);
+        assert!(!full.contains(&"pipes_node_heartbeats_total".to_string()));
     }
 
     /// Splits `k1="v1",k2="v2"` on commas outside quotes (label values may
@@ -492,18 +376,5 @@ mod tests {
             out.push(cur);
         }
         out
-    }
-
-    #[test]
-    fn renders_latency_summary_when_recorded() {
-        let s = Arc::new(NodeStats::new("sink"));
-        let samples: Vec<u64> = (1..=1000).map(|i| i * 1_000_000).collect();
-        s.record_latency_ns(&samples);
-        let text = render(&[s]);
-        assert!(text.contains("# TYPE pipes_node_latency_seconds summary"));
-        assert!(text.contains("pipes_node_latency_seconds{node=\"sink\",quantile=\"0.5\"}"));
-        assert!(text.contains("pipes_node_latency_seconds{node=\"sink\",quantile=\"0.95\"}"));
-        assert!(text.contains("pipes_node_latency_seconds{node=\"sink\",quantile=\"0.99\"}"));
-        assert!(text.contains("pipes_node_latency_seconds_count{node=\"sink\"} 1000"));
     }
 }

@@ -1,11 +1,13 @@
 //! pipes-top: a `top(1)`-style live view of a running query graph.
 //!
 //! Drives a bursty filter/aggregate pipeline one scheduling round at a
-//! time and, between rounds, renders the monitor's live table — one row
-//! per node with the metadata plane's online estimates (input/output
-//! rate, run-level selectivity, state footprint) next to the queue depth
-//! from the stats plane. Nodes whose estimator block has not warmed up
-//! yet show `-` in the estimator columns.
+//! time and, between rounds, samples the graph's telemetry snapshot into
+//! the monitor and renders its live table — one row per node with the
+//! splice epoch, the metadata plane's online estimates (input/output
+//! rate, run-level selectivity), the state footprint and the queue depth.
+//! Nodes whose estimator block has not warmed up yet show `-` in the
+//! estimator columns. Nothing is registered anywhere: every node the
+//! graph holds, including the ones spliced in mid-run, is in the snapshot.
 //!
 //! After the run it takes a full `MetaSnapshot` and prints each node's
 //! topology-aware estimate with its confidence tag, then splices a cold
@@ -61,18 +63,7 @@ fn main() {
     let (bucket_sink, bucket_results) = CollectSink::new();
     graph.add_sink("buckets", bucket_sink, &buckets);
 
-    // Attach the monitor with each node's live metadata block and the
-    // topology epoch it was spliced at, so `render_top` can show the
-    // estimator values beside the queue depths and tag each row with its
-    // splice time in the `epoch` column.
     let monitor = Monitor::new();
-    for id in graph.node_ids() {
-        monitor.register_at_epoch(
-            graph.stats(id),
-            Some(graph.meta(id)),
-            graph.topology_epoch(),
-        );
-    }
 
     // Step every node round-robin; every `rounds_per_frame` rounds, draw a
     // frame. (A terminal deployment would clear the screen and redraw in
@@ -89,73 +80,54 @@ fn main() {
             }
         }
         frame += 1;
+        monitor.sample(&graph.telemetry());
         if frame <= 4 {
             println!("--- frame {frame} ---");
             print!("{}", monitor.render_top());
         }
         // Live re-shard: once the metadata plane has warmed up, widen the
         // keyed branch from 2 to 4 instances against the running graph.
-        // The new instances splice in mid-stream; their rows join the
-        // monitor at the current topology epoch.
+        // The new instances splice in mid-stream; their rows show up in
+        // the next frame, tagged with the epoch they entered at.
         if frame == 2 && !widened {
             widened = true;
             let group = graph
                 .shuffle_groups()
                 .pop()
                 .expect("the keyed branch registered a shuffle group");
-            for id in graph.parallelize(group.handle, 4) {
-                monitor.register_at_epoch(
-                    graph.stats(id),
-                    Some(graph.meta(id)),
-                    graph.topology_epoch(),
-                );
-            }
+            graph.parallelize(group.handle, 4);
             println!(
                 "--- widened 'bucket-count' to 4 instances at epoch {} ---",
                 graph.topology_epoch()
             );
         }
     }
+    let telemetry = graph.telemetry();
+    monitor.sample(&telemetry);
     println!("--- final ({frame} frames) ---");
     print!("{}", monitor.render_top());
     println!("window counts delivered: {}", results.lock().len());
     println!("bucket counts delivered: {}", bucket_results.lock().len());
 
     // Shuffle-group introspection: live instance counts per keyed group,
-    // and the same values as the `pipes_node_instances` Prometheus gauge.
+    // and the same snapshot as Prometheus text (the widened group's
+    // instances among the per-node families, without anyone having
+    // registered them).
     println!("\nshuffle groups:");
-    let shuffle_gauges: Vec<pipes::trace::prometheus::ShuffleGauge> = graph
-        .shuffle_groups()
-        .into_iter()
-        .map(|sg| {
-            println!(
-                "  {:<14} {} instances (merge node {})",
-                sg.name,
-                sg.instance_ids.len(),
-                sg.handle
-            );
-            pipes::trace::prometheus::ShuffleGauge {
-                group: sg.name,
-                instances: sg.instance_ids.len() as u64,
-            }
-        })
-        .collect();
-    let stats: Vec<_> = graph
-        .node_ids()
-        .map(|id| (graph.stats(id), None::<pipes::meta::NodeMetaSnapshot>))
-        .collect();
-    let dump = pipes::trace::prometheus::render_with_shuffles(
-        &stats,
-        Some(pipes::trace::prometheus::GraphGauges {
-            nodes: graph.node_ids().count() as u64,
-            topology_epoch: graph.topology_epoch(),
-        }),
-        &shuffle_gauges,
-    );
-    for line in dump
-        .lines()
-        .filter(|l| l.starts_with("pipes_node_instances") || l.starts_with("pipes_topology_epoch"))
-    {
+    for sg in &telemetry.groups {
+        println!(
+            "  {:<14} {} instances (merge node {})",
+            sg.name,
+            sg.instance_ids.len(),
+            sg.handle
+        );
+    }
+    let dump = pipes::trace::prometheus::render(&telemetry);
+    for line in dump.lines().filter(|l| {
+        l.starts_with("pipes_node_instances")
+            || l.starts_with("pipes_topology_epoch")
+            || l.starts_with("pipes_node_in_total{node=\"bucket-count#")
+    }) {
         println!("{line}");
     }
 
@@ -174,11 +146,6 @@ fn main() {
     // measured upstream output, selectivity from the prior.
     let (cold_sink, _cold_buf) = CollectSink::new();
     let cold = graph.add_sink("cold-tap", cold_sink, &high);
-    monitor.register_at_epoch(
-        graph.stats(cold),
-        Some(graph.meta(cold)),
-        graph.topology_epoch(),
-    );
     let snap = graph.meta_snapshot(&MetaConfig::default());
     let est = snap.get(cold).expect("cold tap estimate");
     println!(
@@ -189,5 +156,6 @@ fn main() {
         est.in_rate,
         est.confidence
     );
+    monitor.sample(&graph.telemetry());
     println!("\n{}", monitor.render_top());
 }

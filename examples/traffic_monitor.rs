@@ -25,7 +25,7 @@ fn main() {
     traffic::register(&mut catalog, config);
 
     // --- install three continuous queries through the optimizer ----------
-    let graph = QueryGraph::new();
+    let graph = std::sync::Arc::new(QueryGraph::new());
     let mut optimizer = Optimizer::new();
 
     let q1 = compile_cql(
@@ -62,17 +62,18 @@ fn main() {
     let (s2, incidents) = CollectSink::new();
     graph.add_sink("q2:slowdowns", s2, &r2.handle);
 
-    // --- attach the performance monitor -----------------------------------
+    // --- the performance monitor: nothing to register, it samples the ------
+    // --- graph's telemetry snapshot ----------------------------------------
     let monitor = Monitor::new();
-    for info in graph.infos() {
-        monitor.register(graph.stats(info.id));
-    }
 
     // --- run with the Chain scheduler, sampling metadata as we go ---------
     let executor = SingleThreadExecutor::new().with_quantum(128);
     let mut strategy = ChainStrategy::new(64);
     // Sample the monitor on a wall-clock thread while the executor runs.
-    let guard = monitor.spawn(std::time::Duration::from_millis(20));
+    let sampled = std::sync::Arc::clone(&graph);
+    let guard = monitor.spawn(std::time::Duration::from_millis(20), move || {
+        sampled.telemetry()
+    });
     let report = executor.run(&graph, &mut strategy);
     guard.stop();
 

@@ -55,6 +55,17 @@ python3 -c 'import json,sys; json.load(open("target/quickstart_trace.json")); js
     || node -e 'JSON.parse(require("fs").readFileSync("target/quickstart_trace.json")); JSON.parse(require("fs").readFileSync("target/quickstart_meta.json"))' 2>/dev/null \
     || echo "==> NOTICE: no python3/node on PATH; skipped JSON parse check (files are non-empty)"
 
+# Telemetry smoke: `pipes_top` registers nothing with its monitor, so the
+# four instances `parallelize` splices in mid-run reach its final table and
+# its Prometheus lines only through `QueryGraph::telemetry()` — the
+# end-to-end proof that nobody has to register a node to observe it.
+echo "==> pipes_top: the widened keyed group is observable without registration"
+top_out=$(cargo run -q --example pipes_top)
+final_table=$(sed -n '/^--- final/,/^window counts delivered/p' <<<"$top_out")
+test "$(grep -c '^bucket-count#' <<<"$final_table")" -eq 4
+test "$(grep -c '^pipes_node_in_total{node="bucket-count#' <<<"$top_out")" -eq 4
+grep -qx 'pipes_node_instances{node="bucket-count"} 4' <<<"$top_out"
+
 # The experiment smoke runs below write their `BENCH_*.json` into the
 # directory they run in. They run in a scratch directory, so quick-run
 # numbers never land on the checked-in artifacts (those are regenerated
