@@ -22,10 +22,15 @@
 //!   provided the aggregate exposes an associative, commutative
 //!   [`AggregateFn::combine`].
 //!
-//! Both emit byte-identical output for exact (integer-like) aggregates;
-//! the default [`AggStrategy::Auto`] starts naive and converts once an
-//! insert is observed covering [`TREE_CONVERT_WIDTH`] partials, so narrow
-//! windows never pay the tree's bookkeeping.
+//! Both emit byte-identical output. The layouts fold the same payloads in
+//! different orders (arrival order, pre-folded bursts, the tree's
+//! `(end, seq)` order), so every built-in combine is *exact*: counts are
+//! integers, extrema pick under a total order, and sums and averages
+//! accumulate into an [`ExactSum`], which rounds once, when finalized, and
+//! so depends only on the multiset of addends. The default
+//! [`AggStrategy::Auto`] starts naive and converts once an insert is
+//! observed covering [`TREE_CONVERT_WIDTH`] partials, so narrow windows
+//! never pay the tree's bookkeeping.
 //!
 //! The output is a stream of aggregate values whose snapshots equal the
 //! relational aggregate of the input snapshot at every instant (empty
@@ -37,6 +42,8 @@ use pipes_meta::estimators::{StateSize, Welford};
 use pipes_time::{Element, Message, TimeInterval, Timestamp};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+
+pub use crate::exactsum::ExactSum;
 
 /// An incremental aggregate function, pluggable into [`ScalarAggregate`] and
 /// [`crate::groupby::GroupedAggregate`].
@@ -51,10 +58,11 @@ use std::marker::PhantomData;
 /// instead of re-adding individual payloads. `combine` must be associative
 /// and commutative with respect to `add` — for accumulators built from any
 /// payload partition, merging them in any order must equal accumulating all
-/// payloads into one accumulator. All combinable built-ins (count, sum,
-/// avg, min, max) satisfy this; [`StatsAgg`] deliberately does not claim it
-/// because merging Welford states rounds differently than sequential
-/// observation.
+/// payloads into one accumulator — *exactly*, or the layouts' outputs
+/// drift apart. All combinable built-ins (count, sum, avg, min, max)
+/// satisfy this, sums and averages through [`ExactSum`]; [`StatsAgg`]
+/// deliberately does not claim it because merging Welford states rounds
+/// differently than sequential observation.
 pub trait AggregateFn<T>: Send + 'static {
     /// Accumulator state.
     type Acc: Clone + Send + 'static;
@@ -566,23 +574,27 @@ where
                 Message::Heartbeat(t) => {
                     let t = *t;
                     self.on_heartbeat(port, t, out);
-                    pipes_trace::instant_coarse(
-                        pipes_trace::names::AGG_FINALIZE,
-                        [
-                            t.ticks(),
-                            self.partials.len() as u64,
-                            self.partials.is_tree() as u64,
-                        ],
-                    );
+                    if pipes_trace::enabled() {
+                        pipes_trace::instant_coarse(
+                            pipes_trace::names::AGG_FINALIZE,
+                            [
+                                t.ticks(),
+                                self.partials.len() as u64,
+                                self.partials.is_tree() as u64,
+                            ],
+                        );
+                    }
                     i += 1;
                 }
                 Message::Close => i += 1,
             }
         }
-        pipes_trace::instant_coarse(
-            pipes_trace::names::AGG_INSERT_RUN,
-            [run_len as u64, bursts, self.partials.len() as u64],
-        );
+        if pipes_trace::enabled() {
+            pipes_trace::instant_coarse(
+                pipes_trace::names::AGG_INSERT_RUN,
+                [run_len as u64, bursts, self.partials.len() as u64],
+            );
+        }
         run.clear();
     }
 
@@ -634,55 +646,65 @@ impl<T> AggregateFn<T> for CountAgg {
 }
 
 /// Sums a numeric projection of the payload.
+///
+/// The sum is an [`ExactSum`]: the exact sum of the contributing values,
+/// rounded once to the nearest `f64`, so it does not depend on the order
+/// the payloads were folded or combined in (a plain `+=` fold would).
 pub struct SumAgg<F>(pub F);
 
 impl<T, F> AggregateFn<T> for SumAgg<F>
 where
     F: Fn(&T) -> f64 + Send + 'static,
 {
-    type Acc = f64;
+    type Acc = ExactSum;
     type Out = f64;
-    fn init(&self, v: &T) -> f64 {
-        (self.0)(v)
+    fn init(&self, v: &T) -> ExactSum {
+        ExactSum::of((self.0)(v))
     }
-    fn add(&self, acc: &mut f64, v: &T) {
-        *acc += (self.0)(v);
+    fn add(&self, acc: &mut ExactSum, v: &T) {
+        acc.add((self.0)(v));
     }
-    fn finalize(&self, acc: &f64) -> f64 {
-        *acc
+    fn finalize(&self, acc: &ExactSum) -> f64 {
+        acc.value()
     }
     fn combinable(&self) -> bool {
         true
     }
-    fn combine(&self, a: &f64, b: &f64) -> f64 {
-        a + b
+    fn combine(&self, a: &ExactSum, b: &ExactSum) -> ExactSum {
+        let mut s = a.clone();
+        s.merge(b);
+        s
     }
 }
 
-/// Averages a numeric projection of the payload.
+/// Averages a numeric projection of the payload: the [`ExactSum`] of the
+/// values, rounded once, divided by their count — as order-independent as
+/// [`SumAgg`].
 pub struct AvgAgg<F>(pub F);
 
 impl<T, F> AggregateFn<T> for AvgAgg<F>
 where
     F: Fn(&T) -> f64 + Send + 'static,
 {
-    type Acc = (f64, u64);
+    type Acc = (ExactSum, u64);
     type Out = f64;
-    fn init(&self, v: &T) -> (f64, u64) {
-        ((self.0)(v), 1)
+    fn init(&self, v: &T) -> (ExactSum, u64) {
+        (ExactSum::of((self.0)(v)), 1)
     }
-    fn add(&self, acc: &mut (f64, u64), v: &T) {
-        acc.0 += (self.0)(v);
+    fn add(&self, acc: &mut (ExactSum, u64), v: &T) {
+        acc.0.add((self.0)(v));
         acc.1 += 1;
     }
-    fn finalize(&self, acc: &(f64, u64)) -> f64 {
-        acc.0 / acc.1 as f64
+    fn finalize(&self, acc: &(ExactSum, u64)) -> f64 {
+        acc.0.value() / acc.1 as f64
     }
     fn combinable(&self) -> bool {
         true
     }
-    fn combine(&self, a: &(f64, u64), b: &(f64, u64)) -> (f64, u64) {
-        (a.0 + b.0, a.1 + b.1)
+    fn combine(&self, a: &(ExactSum, u64), b: &(ExactSum, u64)) -> (ExactSum, u64) {
+        let mut s = a.0.clone();
+        s.merge(&b.0);
+        (s, a.1 + b.1)
     }
 }
 

@@ -22,9 +22,11 @@
 //!
 //! Because combining happens in canonical `(end, seq)`-ascending order
 //! rather than arrival order, the aggregate's `combine` must be associative
-//! and commutative for results to equal the naive scan's. All combinable
-//! built-ins satisfy this exactly (integer count, min/max; floating-point
-//! sums may differ in rounding from the naive fold order).
+//! and commutative — exactly, not up to rounding — for results to equal the
+//! naive scan's. All combinable built-ins satisfy this: integer counts,
+//! min/max under a total order, and sums/averages over an
+//! [`ExactSum`](crate::aggregate::ExactSum), which rounds once at
+//! finalization and so depends only on the multiset of addends.
 //!
 //! The slot structure (splits at element endpoints, one slot per maximal
 //! gap, watermark splits on flush) mirrors the naive table's evolution

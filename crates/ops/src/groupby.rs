@@ -141,23 +141,29 @@ where
                 Message::Heartbeat(t) => {
                     let t = *t;
                     self.on_heartbeat(port, t, out);
-                    pipes_trace::instant_coarse(
-                        pipes_trace::names::AGG_FINALIZE,
-                        [
-                            t.ticks(),
-                            self.memory() as u64,
-                            self.groups.values().any(Partials::is_tree) as u64,
-                        ],
-                    );
+                    // The arguments walk every group: build them only when
+                    // the recorder is on.
+                    if pipes_trace::enabled() {
+                        pipes_trace::instant_coarse(
+                            pipes_trace::names::AGG_FINALIZE,
+                            [
+                                t.ticks(),
+                                self.memory() as u64,
+                                self.groups.values().any(Partials::is_tree) as u64,
+                            ],
+                        );
+                    }
                     i += 1;
                 }
                 Message::Close => i += 1,
             }
         }
-        pipes_trace::instant_coarse(
-            pipes_trace::names::AGG_INSERT_RUN,
-            [run_len as u64, bursts, self.memory() as u64],
-        );
+        if pipes_trace::enabled() {
+            pipes_trace::instant_coarse(
+                pipes_trace::names::AGG_INSERT_RUN,
+                [run_len as u64, bursts, self.memory() as u64],
+            );
+        }
         run.clear();
     }
 

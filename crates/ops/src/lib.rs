@@ -22,6 +22,7 @@
 //!   parameterized by exchangeable [`join::SweepArea`]s,
 //! * aggregation — [`aggregate::ScalarAggregate`] and
 //!   [`groupby::GroupedAggregate`] over pluggable [`aggregate::AggregateFn`]s,
+//!   with sums kept exact by [`aggregate::ExactSum`],
 //! * [`distinct::Distinct`] (snapshot duplicate elimination),
 //! * [`difference::Difference`] (snapshot bag difference, monus),
 //! * rate reduction — [`coalesce::Coalesce`] and
@@ -44,6 +45,7 @@ pub mod coalesce;
 pub mod difference;
 pub mod distinct;
 pub mod drive;
+mod exactsum;
 pub mod granularity;
 pub mod groupby;
 pub mod join;

@@ -6,15 +6,19 @@
 //! random watermark-valid traces whose intervals regularly straddle the
 //! in-trace heartbeats.
 //!
-//! Exact (integer-accumulator) aggregates are used throughout so equality is
-//! byte-for-byte: the tree combines accumulators in canonical `(end, seq)`
-//! order, which for exact aggregates equals the naive left-fold. The naive
-//! output itself is checked against the `pipes_time::snapshot` ground truth,
-//! so transitively the tree path is snapshot-equivalent too.
+//! Equality is byte-for-byte: the tree combines accumulators in canonical
+//! `(end, seq)` order, not the naive left-fold's arrival order, so every
+//! combine must be exact — integer accumulators, and non-integral float
+//! sums and averages, which `SumAgg`/`AvgAgg` keep as an `ExactSum` (their
+//! outputs are compared as bit patterns). The naive output itself is
+//! checked against the `pipes_time::snapshot` ground truth, so transitively
+//! the tree path is snapshot-equivalent too.
 
 use pipes_graph::run::coalesce_adjacent_heartbeats;
 use pipes_graph::Operator;
-use pipes_ops::aggregate::{AggStrategy, CountAgg, FoldAgg, MaxAgg, ScalarAggregate, WithCombine};
+use pipes_ops::aggregate::{
+    AggStrategy, AvgAgg, CountAgg, FoldAgg, MaxAgg, ScalarAggregate, SumAgg, WithCombine,
+};
 use pipes_ops::GroupedAggregate;
 use pipes_time::{snapshot, Element, Message, TimeInterval, Timestamp};
 use proptest::prelude::*;
@@ -114,6 +118,17 @@ fn combinable_sum() -> impl pipes_ops::aggregate::AggregateFn<i64, Acc = i64, Ou
         ),
         |a: &i64, b: &i64| a + b,
     )
+}
+
+/// A non-integral float view of a payload: sums of these round, so only an
+/// exact combine keeps the layouts identical.
+fn tenths(v: &i64) -> f64 {
+    *v as f64 * 0.1 + 0.01
+}
+
+/// Float outputs as bit patterns (`0.0 == -0.0`, but not byte-identical).
+fn bits(msgs: Vec<Message<f64>>) -> Vec<Message<u64>> {
+    msgs.into_iter().map(|m| m.map(f64::to_bits)).collect()
 }
 
 proptest! {
@@ -216,5 +231,36 @@ proptest! {
         let auto = feed_runs(
             GroupedAggregate::new(|v: &i64| v % 2, CountAgg), &msgs, &cuts);
         prop_assert_eq!(naive, auto);
+    }
+
+    #[test]
+    fn float_sum_and_avg_tree_match_naive_bitwise(msgs in arb_wide_trace(24), cuts in arb_cuts()) {
+        for strategy in [AggStrategy::Tree, AggStrategy::Auto] {
+            let sum = |s| ScalarAggregate::with_strategy(SumAgg(tenths), s);
+            prop_assert_eq!(
+                bits(feed_messages(sum(AggStrategy::Naive), &msgs)),
+                bits(feed_messages(sum(strategy), &msgs)));
+            prop_assert_eq!(
+                bits(feed_runs(sum(AggStrategy::Naive), &msgs, &cuts)),
+                bits(feed_runs(sum(strategy), &msgs, &cuts)));
+            let avg = |s| ScalarAggregate::with_strategy(AvgAgg(tenths), s);
+            prop_assert_eq!(
+                bits(feed_messages(avg(AggStrategy::Naive), &msgs)),
+                bits(feed_messages(avg(strategy), &msgs)));
+            prop_assert_eq!(
+                bits(feed_runs(avg(AggStrategy::Naive), &msgs, &cuts)),
+                bits(feed_runs(avg(strategy), &msgs, &cuts)));
+        }
+    }
+
+    #[test]
+    fn grouped_float_sum_tree_matches_naive_bitwise(msgs in arb_wide_trace(24), cuts in arb_cuts()) {
+        let sum = |s| GroupedAggregate::with_strategy(|v: &i64| v % 2, SumAgg(tenths), s);
+        let bits = |msgs: Vec<Message<(i64, f64)>>| -> Vec<Message<(i64, u64)>> {
+            msgs.into_iter().map(|m| m.map(|(k, x)| (k, x.to_bits()))).collect()
+        };
+        let naive = bits(feed_runs(sum(AggStrategy::Naive), &msgs, &cuts));
+        prop_assert_eq!(&naive, &bits(feed_runs(sum(AggStrategy::Tree), &msgs, &cuts)));
+        prop_assert_eq!(&naive, &bits(feed_runs(sum(AggStrategy::Auto), &msgs, &cuts)));
     }
 }

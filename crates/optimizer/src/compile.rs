@@ -2,15 +2,16 @@
 
 use crate::catalog::Catalog;
 use crate::expr::{BinOp, BoundExpr, Expr};
-use crate::plan::{AggFunc, LogicalPlan, WindowSpec};
+use crate::plan::{AggFunc, AggSpec, LogicalPlan, WindowSpec};
 use crate::value::{Schema, Tuple, Value};
 use pipes_graph::{QueryGraph, StreamHandle};
-use pipes_ops::aggregate::AggregateFn;
+use pipes_ops::aggregate::{AggregateFn, ExactSum};
 use pipes_ops::{
     Coalesce, CountWindow, Difference, Distinct, Filter, Granularity, GroupedAggregate, Map,
     NowWindow, PartitionedCountWindow, RippleJoin, ScalarAggregate, TimeWindow, Union,
 };
 use pipes_rel::RelationLookup;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Computes the output schema of a logical plan.
@@ -101,32 +102,113 @@ pub fn output_schema(plan: &LogicalPlan, catalog: &Catalog) -> Result<Schema, St
 // ---------------------------------------------------------------------------
 
 /// Accumulator of one aggregate call.
+///
+/// Every variant merges exactly (see [`TupleAggs`]), so a window's result
+/// does not depend on the order its rows were folded in.
 #[derive(Clone, Debug)]
 pub enum AggAcc {
     /// Running row count.
     Count(u64),
-    /// Running sum.
-    Sum(f64),
-    /// Running sum and count.
-    Avg(f64, u64),
-    /// Running minimum.
+    /// Running exact sum; NULL and non-numeric values add 0.
+    Sum(ExactSum),
+    /// Running exact sum (as for `Sum`) and row count.
+    Avg(ExactSum, u64),
+    /// Running minimum (see [`TupleAggs`] for the order); NULL until a
+    /// non-NULL value arrives.
     Min(Value),
-    /// Running maximum.
+    /// Running maximum (see [`TupleAggs`] for the order); NULL until a
+    /// non-NULL value arrives.
     Max(Value),
+}
+
+impl AggAcc {
+    /// Folds `other` (built from other rows of the same call) into `self`.
+    fn merge(&mut self, other: &AggAcc) {
+        match (self, other) {
+            (AggAcc::Count(a), AggAcc::Count(b)) => *a += b,
+            (AggAcc::Sum(a), AggAcc::Sum(b)) => a.merge(b),
+            (AggAcc::Avg(a, n), AggAcc::Avg(b, m)) => {
+                a.merge(b);
+                *n += m;
+            }
+            (AggAcc::Min(a), AggAcc::Min(b)) => {
+                if beats(b, a, Ordering::Less) {
+                    *a = b.clone();
+                }
+            }
+            (AggAcc::Max(a), AggAcc::Max(b)) => {
+                if beats(b, a, Ordering::Greater) {
+                    *a = b.clone();
+                }
+            }
+            (a, b) => unreachable!("accumulators of different calls: {a:?} vs {b:?}"),
+        }
+    }
+}
+
+/// Whether `x` replaces the running extremum `cur` of MIN (`side` Less) or
+/// MAX (Greater): NULL never does, any other value replaces NULL; otherwise
+/// SQL comparison decides, and ties and incomparable pairs (Int 2 vs Float
+/// 2.0, a number vs a string) fall back to `Value`'s own total order — so
+/// the pick never depends on which value arrived first.
+fn beats(x: &Value, cur: &Value, side: Ordering) -> bool {
+    match (x, cur) {
+        (Value::Null, _) => false,
+        (_, Value::Null) => true,
+        _ => {
+            let order = x.sql_cmp(cur).unwrap_or(Ordering::Equal);
+            order.then_with(|| x.cmp(cur)) == side
+        }
+    }
 }
 
 /// The combined aggregate over tuples: evaluates each call's argument and
 /// folds all accumulators side by side; output is one value per call.
+///
+/// It is combinable, so CQL window aggregates run on the partial-aggregate
+/// tree once their windows are wide ([`pipes_ops::aggregate::AggStrategy`]).
+/// Every call folds exactly, so all layouts and batchings agree bit for bit:
+///
+/// * `COUNT` counts rows (NULLs included);
+/// * `SUM` and `AVG` keep an [`ExactSum`] — rounded once, at finalization —
+///   with NULL and non-numeric values adding 0 (`AVG` still counts them);
+/// * `MIN` and `MAX` skip NULL and pick under one total order: SQL
+///   comparison ([`Value::sql_cmp`]), with ties and incomparable pairs
+///   broken by `Value`'s own [`Ord`]; a window holding only NULLs yields
+///   NULL.
 pub struct TupleAggs {
     specs: Vec<(AggFunc, Option<BoundExpr>)>,
 }
 
 impl TupleAggs {
+    /// Binds the calls' arguments against the input `schema` (`COUNT`'s is
+    /// ignored).
+    pub fn bind<'a>(
+        calls: impl IntoIterator<Item = &'a AggSpec>,
+        schema: &Schema,
+    ) -> Result<TupleAggs, String> {
+        let specs = calls
+            .into_iter()
+            .map(|a| {
+                let arg = match a.func {
+                    AggFunc::Count => None,
+                    _ => Some(a.arg.bind(schema)?),
+                };
+                Ok((a.func, arg))
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(TupleAggs { specs })
+    }
+
     fn value(&self, i: usize, t: &Tuple) -> Value {
         match &self.specs[i].1 {
             Some(e) => e.eval(t),
             None => Value::Null,
         }
+    }
+
+    fn number(&self, i: usize, t: &Tuple) -> f64 {
+        self.value(i, t).as_f64().unwrap_or(0.0)
     }
 }
 
@@ -140,8 +222,8 @@ impl AggregateFn<Tuple> for TupleAggs {
             .enumerate()
             .map(|(i, (f, _))| match f {
                 AggFunc::Count => AggAcc::Count(1),
-                AggFunc::Sum => AggAcc::Sum(self.value(i, v).as_f64().unwrap_or(0.0)),
-                AggFunc::Avg => AggAcc::Avg(self.value(i, v).as_f64().unwrap_or(0.0), 1),
+                AggFunc::Sum => AggAcc::Sum(ExactSum::of(self.number(i, v))),
+                AggFunc::Avg => AggAcc::Avg(ExactSum::of(self.number(i, v)), 1),
                 AggFunc::Min => AggAcc::Min(self.value(i, v)),
                 AggFunc::Max => AggAcc::Max(self.value(i, v)),
             })
@@ -152,20 +234,20 @@ impl AggregateFn<Tuple> for TupleAggs {
         for (i, a) in acc.iter_mut().enumerate() {
             match a {
                 AggAcc::Count(c) => *c += 1,
-                AggAcc::Sum(s) => *s += self.value(i, v).as_f64().unwrap_or(0.0),
+                AggAcc::Sum(s) => s.add(self.number(i, v)),
                 AggAcc::Avg(s, c) => {
-                    *s += self.value(i, v).as_f64().unwrap_or(0.0);
+                    s.add(self.number(i, v));
                     *c += 1;
                 }
                 AggAcc::Min(m) => {
                     let x = self.value(i, v);
-                    if x.sql_cmp(m).is_some_and(|o| o.is_lt()) {
+                    if beats(&x, m, Ordering::Less) {
                         *m = x;
                     }
                 }
                 AggAcc::Max(m) => {
                     let x = self.value(i, v);
-                    if x.sql_cmp(m).is_some_and(|o| o.is_gt()) {
+                    if beats(&x, m, Ordering::Greater) {
                         *m = x;
                     }
                 }
@@ -177,11 +259,23 @@ impl AggregateFn<Tuple> for TupleAggs {
         acc.iter()
             .map(|a| match a {
                 AggAcc::Count(c) => Value::Int(*c as i64),
-                AggAcc::Sum(s) => Value::Float(*s),
-                AggAcc::Avg(s, c) => Value::Float(*s / *c as f64),
+                AggAcc::Sum(s) => Value::Float(s.value()),
+                AggAcc::Avg(s, c) => Value::Float(s.value() / *c as f64),
                 AggAcc::Min(v) | AggAcc::Max(v) => v.clone(),
             })
             .collect()
+    }
+
+    fn combinable(&self) -> bool {
+        true
+    }
+
+    fn combine(&self, a: &Vec<AggAcc>, b: &Vec<AggAcc>) -> Vec<AggAcc> {
+        let mut out = a.clone();
+        for (x, y) in out.iter_mut().zip(b) {
+            x.merge(y);
+        }
+        out
     }
 }
 
@@ -343,20 +437,7 @@ fn compile_new(
             aggs,
         } => {
             let in_schema = output_schema(input, ctx.catalog)?;
-            let specs: Vec<(AggFunc, Option<BoundExpr>)> = aggs
-                .iter()
-                .map(|(a, _)| {
-                    Ok((
-                        a.func,
-                        if a.func == AggFunc::Count {
-                            None
-                        } else {
-                            Some(a.arg.bind(&in_schema)?)
-                        },
-                    ))
-                })
-                .collect::<Result<_, String>>()?;
-            let tuple_aggs = TupleAggs { specs };
+            let tuple_aggs = TupleAggs::bind(aggs.iter().map(|(a, _)| a), &in_schema)?;
             let up = compile(input, ctx)?;
             if group_by.is_empty() {
                 Ok(ctx
@@ -714,6 +795,72 @@ mod tests {
             .unwrap();
         assert_eq!(g0[1], Value::Int(4));
         assert_eq!(g0[2], Value::Int(9));
+    }
+
+    /// `SELECT MIN(x), MAX(x) FROM xs [RANGE 10 TICKS]` over rows that all
+    /// arrive at tick 0, in the given order.
+    fn min_max_of(xs: &[Value]) -> Vec<Tuple> {
+        let mut cat = Catalog::new();
+        let rows: Vec<Element<Tuple>> = xs
+            .iter()
+            .map(|x| Element::at(vec![x.clone()], Timestamp::new(0)))
+            .collect();
+        cat.add_stream(
+            "xs",
+            Schema::of(&["x"]),
+            1.0,
+            Box::new(move || Box::new(VecSource::new(rows.clone()))),
+        );
+        let call = |func| {
+            let spec = AggSpec {
+                func,
+                arg: Expr::col("x"),
+            };
+            (spec, format!("{func:?}"))
+        };
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(windowed_stream("xs", 10)),
+            group_by: Vec::new(),
+            aggs: vec![call(AggFunc::Min), call(AggFunc::Max)],
+        };
+        run(&plan, &cat)
+    }
+
+    #[test]
+    fn min_max_skip_null_in_every_arrival_order() {
+        let (null, one, three) = (Value::Null, Value::Int(1), Value::Int(3));
+        let orders = [
+            [&null, &three, &one],
+            [&null, &one, &three],
+            [&three, &null, &one],
+            [&one, &null, &three],
+            [&three, &one, &null],
+            [&one, &three, &null],
+        ];
+        for order in orders {
+            let xs: Vec<Value> = order.into_iter().cloned().collect();
+            assert_eq!(
+                min_max_of(&xs),
+                vec![vec![one.clone(), three.clone()]],
+                "arrival order {xs:?}"
+            );
+        }
+        assert_eq!(
+            min_max_of(&[Value::Null, Value::Null]),
+            vec![vec![Value::Null, Value::Null]],
+            "an all-NULL window yields NULL"
+        );
+        // Ties across types pick by `Value`'s order whatever arrives first:
+        // Int sorts before Float.
+        for xs in [
+            [Value::Float(2.0), Value::Int(2)],
+            [Value::Int(2), Value::Float(2.0)],
+        ] {
+            assert_eq!(
+                min_max_of(&xs),
+                vec![vec![Value::Int(2), Value::Float(2.0)]]
+            );
+        }
     }
 
     #[test]

@@ -136,6 +136,21 @@ echo "==> benchmark smoke run (quick) + its unit tests"
 benchmark/run.sh --quick >/dev/null
 (cd benchmark && CARGO_TARGET_DIR=../target cargo test -q --offline)
 
+# Aggregate-layer gate: the two window workloads, traced for 3 s each, must
+# keep their CQL aggregates on the partial-aggregate tree. The tree reads
+# about 2-3.5 us per aggregated message on a 2-core Xeon host, the naive
+# boundary scan 53-107 us; the bar sits between, so a CQL aggregate
+# that stops converting (a combine gone missing) fails here, not only in
+# the end-to-end throughput.
+echo "==> window aggregates stay on the tree (ops.aggregate_ns < 10 us)"
+for workload in nexmark_window_agg traffic_window_agg; do
+    result=$(benchmark/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 1 2>/dev/null | tail -n 1)
+    grep -q '"correct": true' <<<"$result"
+    ns=$(sed -n 's/.*"ops\.aggregate_ns": {"value": \([0-9.eE+-]*\),.*/\1/p' <<<"$result")
+    echo "    $workload: ops.aggregate_ns = ${ns:-missing} ns"
+    awk -v ns="$ns" 'BEGIN { exit !(ns != "" && ns + 0 < 10000) }'
+done
+
 # Model-checked concurrency suite: compile the kernel against the
 # instrumented loom-shim primitives and exhaustively explore interleavings
 # of the data-path/scheduler invariants (see DESIGN.md § "Concurrency
