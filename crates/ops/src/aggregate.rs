@@ -35,12 +35,24 @@
 //! The output is a stream of aggregate values whose snapshots equal the
 //! relational aggregate of the input snapshot at every instant (empty
 //! snapshots produce no row).
+//!
+//! A third layout, the **grid**, computes the aggregate *sampled* every
+//! `period` (CQL's `EVERY`): [`ScalarAggregate::sampled`] and
+//! [`crate::groupby::GroupedAggregate::sampled`] keep one accumulator per
+//! pending grid instant `g = k·period` and nothing else — no partials, no
+//! tree, no combines. An insert `[s, e)` folds its payload (`init`/`add`,
+//! in arrival order) into the instants in `[s, e)`; a heartbeat at `t`
+//! emits every instant `g < t` as `(finalize(acc), [g, g + period))` and
+//! drops it. The rows equal what [`crate::granularity::Granularity`]
+//! samples from the unsampled aggregate's output (for an exact aggregate,
+//! bit for bit), at one accumulator touch per covered instant instead of
+//! a row per partial boundary.
 
 use crate::aggtree::TreePartials;
 use pipes_graph::{Collector, Operator};
 use pipes_meta::estimators::{StateSize, Welford};
-use pipes_time::{Element, Message, TimeInterval, Timestamp};
-use std::collections::BTreeMap;
+use pipes_time::{Duration, Element, Message, TimeInterval, Timestamp};
+use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 
 pub use crate::exactsum::ExactSum;
@@ -166,9 +178,20 @@ pub const TREE_CONVERT_WIDTH: usize = 48;
 /// for state-size reporting, on top of the accumulator payload itself.
 const PARTIAL_OVERHEAD_BYTES: usize = 32;
 
+/// How a [`Partials`] table is laid out: a partial table under an
+/// [`AggStrategy`] (with what the aggregate's
+/// [`combinable`](AggregateFn::combinable) reported), or the grid sampled
+/// every `period`.
+#[derive(Clone, Copy)]
+pub(crate) enum Layout {
+    Partials(AggStrategy, bool),
+    Grid(Duration),
+}
+
 /// The partial-aggregate table: disjoint intervals, each with accumulated
 /// state, ordered by start. Shared by scalar and grouped aggregation;
-/// dispatches between the naive boundary table and the sub-linear tree.
+/// dispatches between the naive boundary table, the sub-linear tree and
+/// the sampled grid.
 pub(crate) struct Partials<A> {
     state: PartialsState<A>,
     auto_convert: bool,
@@ -177,6 +200,7 @@ pub(crate) struct Partials<A> {
 enum PartialsState<A> {
     Naive(NaivePartials<A>),
     Tree(TreePartials<A>),
+    Grid(GridPartials<A>),
 }
 
 /// The eager boundary table: every insert folds the payload into each
@@ -335,6 +359,91 @@ impl<A: Clone> NaivePartials<A> {
     }
 }
 
+/// The sampled layout: one accumulator per pending grid instant
+/// `g = k·period` (see the module docs).
+struct GridPartials<A> {
+    period: Duration,
+    /// The grid instant of `slots[0]`.
+    first: Timestamp,
+    /// Accumulators of `first`, `first + period`, …; `None` where no
+    /// element covers the instant.
+    slots: VecDeque<Option<A>>,
+}
+
+impl<A> GridPartials<A> {
+    fn new(period: Duration) -> Self {
+        assert!(!period.is_zero(), "sampling period must be positive");
+        GridPartials {
+            period,
+            first: Timestamp::ZERO,
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// The slot of grid instant `g`, created empty if need be.
+    fn slot(&mut self, g: Timestamp) -> &mut Option<A> {
+        let p = self.period.ticks();
+        if self.slots.is_empty() {
+            self.first = g;
+        } else if g < self.first {
+            // Only an element arriving behind the watermark lands here.
+            for _ in 0..(self.first.ticks() - g.ticks()) / p {
+                self.slots.push_front(None);
+            }
+            self.first = g;
+        }
+        let i = ((g.ticks() - self.first.ticks()) / p) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        &mut self.slots[i]
+    }
+
+    /// Folds the payloads of `group` into every grid instant in `iv`, in
+    /// arrival order.
+    fn insert<'a, T: 'a>(
+        &mut self,
+        iv: TimeInterval,
+        group: impl Iterator<Item = &'a T> + Clone,
+        agg: &impl AggregateFn<T, Acc = A>,
+    ) {
+        let mut g = iv.start().align_up(self.period);
+        while g < iv.end() {
+            let slot = self.slot(g);
+            for v in group.clone() {
+                match &mut *slot {
+                    Some(acc) => agg.add(acc, v),
+                    empty => *empty = Some(agg.init(v)),
+                }
+            }
+            g = g.saturating_add(self.period);
+        }
+    }
+
+    /// Emits and drops every grid instant before `wm`, in instant order.
+    fn flush(&mut self, wm: Timestamp, mut emit: impl FnMut(TimeInterval, &A)) {
+        while self.first < wm {
+            let Some(slot) = self.slots.pop_front() else {
+                return;
+            };
+            let g = self.first;
+            self.first = g.saturating_add(self.period);
+            if let Some(acc) = slot {
+                emit(TimeInterval::new(g, self.first), &acc);
+            }
+        }
+    }
+
+    /// Drops the oldest grid instants until at most `target` remain.
+    fn shed_oldest(&mut self, target: usize) -> usize {
+        while self.slots.len() > target {
+            self.slots.pop_front();
+            self.first = self.first.saturating_add(self.period);
+        }
+        self.slots.len()
+    }
+}
+
 impl<A: Clone> Partials<A> {
     /// A plain naive table (no Auto conversion); the conservative default
     /// for callers that never probed the aggregate for combinability.
@@ -368,11 +477,33 @@ impl<A: Clone> Partials<A> {
         }
     }
 
-    /// Live partial count (identical across layouts).
+    /// Builds the table for `layout`.
+    pub(crate) fn with_layout(layout: Layout) -> Self {
+        match layout {
+            Layout::Partials(strategy, combinable) => Partials::with_strategy(strategy, combinable),
+            Layout::Grid(period) => Partials {
+                state: PartialsState::Grid(GridPartials::new(period)),
+                auto_convert: false,
+            },
+        }
+    }
+
+    /// Live partial count (identical across the naive and tree layouts);
+    /// pending grid instants on the grid.
     pub(crate) fn len(&self) -> usize {
         match &self.state {
             PartialsState::Naive(n) => n.map.len(),
             PartialsState::Tree(t) => t.len(),
+            PartialsState::Grid(g) => g.slots.len(),
+        }
+    }
+
+    /// The earliest pending grid instant (`None` off the grid, or when
+    /// nothing is pending).
+    pub(crate) fn next_instant(&self) -> Option<Timestamp> {
+        match &self.state {
+            PartialsState::Grid(g) if !g.slots.is_empty() => Some(g.first),
+            _ => None,
         }
     }
 
@@ -383,11 +514,13 @@ impl<A: Clone> Partials<A> {
 
     /// Index/accumulator entries held, for state-size estimation: the
     /// naive table has one per partial; the tree additionally counts its
-    /// coverage index and pending/active range accumulators.
+    /// coverage index and pending/active range accumulators; the grid has
+    /// one per pending instant.
     pub(crate) fn size_units(&self) -> usize {
         match &self.state {
             PartialsState::Naive(n) => n.map.len(),
             PartialsState::Tree(t) => t.size_units(),
+            PartialsState::Grid(g) => g.slots.len(),
         }
     }
 
@@ -427,6 +560,7 @@ impl<A: Clone> Partials<A> {
                 self.maybe_convert(covered);
             }
             PartialsState::Tree(t) => t.insert_range(iv, agg.init(v)),
+            PartialsState::Grid(g) => g.insert(iv, std::iter::once(v), agg),
         }
     }
 
@@ -461,12 +595,20 @@ impl<A: Clone> Partials<A> {
                     None => t.split_only(iv),
                 }
             }
+            PartialsState::Grid(g) => {
+                let payloads = group.iter().filter_map(|m| match m {
+                    Message::Element(el) => Some(&el.payload),
+                    _ => None,
+                });
+                g.insert(iv, payloads, agg);
+            }
         }
     }
 
     /// Finalizes and removes every partial ending at or before `wm`,
-    /// splitting a partial that straddles the watermark. Calls `emit` in
-    /// start order. `agg` supplies `combine` for the tree layout.
+    /// splitting a partial that straddles the watermark — on the grid,
+    /// every instant before `wm`. Calls `emit` in start order. `agg`
+    /// supplies `combine` for the tree layout.
     pub(crate) fn flush<T>(
         &mut self,
         wm: Timestamp,
@@ -476,6 +618,7 @@ impl<A: Clone> Partials<A> {
         match &mut self.state {
             PartialsState::Naive(n) => n.flush(wm, emit),
             PartialsState::Tree(t) => t.flush(wm, &|a: &A, b: &A| agg.combine(a, b), emit),
+            PartialsState::Grid(g) => g.flush(wm, emit),
         }
     }
 
@@ -488,6 +631,7 @@ impl<A: Clone> Partials<A> {
         match &mut self.state {
             PartialsState::Naive(n) => n.flush_all(emit),
             PartialsState::Tree(t) => t.flush_all(&|a: &A, b: &A| agg.combine(a, b), emit),
+            PartialsState::Grid(g) => g.flush(Timestamp::MAX, emit),
         }
     }
 
@@ -497,6 +641,7 @@ impl<A: Clone> Partials<A> {
         match &mut self.state {
             PartialsState::Naive(n) => n.shed_oldest(target),
             PartialsState::Tree(t) => t.shed_oldest(target),
+            PartialsState::Grid(g) => g.shed_oldest(target),
         }
     }
 }
@@ -521,6 +666,21 @@ impl<T, A: AggregateFn<T>> ScalarAggregate<T, A> {
         ScalarAggregate {
             agg,
             partials,
+            _marker: PhantomData,
+        }
+    }
+
+    /// Creates the operator on the grid layout: the aggregate sampled at
+    /// every `g = k·period`, each value valid over `[g, g + period)` (see
+    /// the module docs). `agg` need not be combinable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn sampled(agg: A, period: Duration) -> Self {
+        ScalarAggregate {
+            agg,
+            partials: Partials::with_layout(Layout::Grid(period)),
             _marker: PhantomData,
         }
     }
@@ -1076,6 +1236,79 @@ mod tests {
             input,
         );
         assert_eq!(tree, naive);
+    }
+
+    #[test]
+    fn sampled_matches_granularity_over_the_aggregate() {
+        use crate::granularity::Granularity;
+        use pipes_graph::OperatorExt;
+        // Overlaps, a gap with empty grid instants, an element between two
+        // instants, one starting on an instant, and bursts.
+        let input = vec![
+            el(3, 0, 25),
+            el(9, 4, 12),
+            el(1, 10, 11),
+            el(5, 12, 19),
+            el(7, 20, 30),
+            el(2, 20, 30),
+            el(8, 71, 95),
+        ];
+        for period in [1, 3, 10, 40] {
+            let p = Duration::from_ticks(period);
+            let sampled = run_unary(
+                ScalarAggregate::sampled(MaxAgg(|v: &i64| *v), p),
+                input.clone(),
+            );
+            let mut want = run_unary(
+                ScalarAggregate::new(MaxAgg(|v: &i64| *v)).then(Granularity::new(p)),
+                input.clone(),
+            );
+            want.sort_by_key(|e| e.start());
+            assert_eq!(sampled, want, "period {period}");
+        }
+    }
+
+    #[test]
+    fn sampled_emits_on_heartbeats_and_flushes_on_close() {
+        let mut op = ScalarAggregate::sampled(CountAgg, Duration::from_ticks(10));
+        let mut out: Vec<Message<u64>> = Vec::new();
+        op.on_element(0, el(1, 5, 25), &mut out);
+        op.on_element(0, el(1, 7, 12), &mut out);
+        assert_eq!(op.memory(), 2, "instants 10 and 20 pending");
+        assert!(op.state_bytes() > 0);
+        // No grid instant before 9: nothing to emit yet.
+        op.on_heartbeat(0, Timestamp::new(9), &mut out);
+        assert_eq!(out, vec![Message::Heartbeat(Timestamp::new(9))]);
+        out.clear();
+        op.on_heartbeat(0, Timestamp::new(11), &mut out);
+        assert_eq!(
+            out,
+            vec![
+                Message::Element(Element::new(2, iv(10, 20))),
+                Message::Heartbeat(Timestamp::new(11)),
+            ]
+        );
+        out.clear();
+        op.on_close(&mut out);
+        assert_eq!(out, vec![Message::Element(Element::new(1, iv(20, 30)))]);
+        assert_eq!(op.memory(), 0);
+    }
+
+    #[test]
+    fn sampled_sheds_the_oldest_instants() {
+        let mut op = ScalarAggregate::sampled(CountAgg, Duration::from_ticks(10));
+        let mut out: Vec<Message<u64>> = Vec::new();
+        op.on_element(0, el(1, 0, 50), &mut out);
+        assert_eq!(op.memory(), 5);
+        assert_eq!(op.shed(2), 2);
+        op.on_close(&mut out);
+        assert_eq!(
+            out,
+            vec![
+                Message::Element(Element::new(1, iv(30, 40))),
+                Message::Element(Element::new(1, iv(40, 50))),
+            ]
+        );
     }
 
     #[test]

@@ -9,6 +9,16 @@
 //! This is a deliberate, bounded approximation (snapshots *between* grid
 //! points reflect the last grid point), traded for a hard cap on the output
 //! rate — the second of the paper's rate-reduction mechanisms.
+//!
+//! Over a window aggregate, sampling the aggregate's output throws away
+//! nearly every row it finalized. The CQL compiler therefore samples such
+//! aggregates inside the aggregate instead — the grid layout of
+//! [`crate::aggregate`] ([`crate::ScalarAggregate::sampled`],
+//! [`crate::GroupedAggregate::sampled`]), which gives the same rows per
+//! grid instant — and keeps `Granularity` for every other input: streams
+//! that are not an aggregate, aggregates over count windows or joins,
+//! grids finer than `TREE_CONVERT_WIDTH` instants per window, and
+//! aggregates another query already runs.
 
 use pipes_graph::{Collector, Operator};
 use pipes_time::{Duration, Element, TimeInterval, Timestamp};

@@ -1,9 +1,9 @@
 //! Grouped aggregation: hash partitioning plus per-group temporal
 //! aggregation.
 
-use crate::aggregate::{AggStrategy, AggregateFn, Partials};
+use crate::aggregate::{AggStrategy, AggregateFn, Layout, Partials};
 use pipes_graph::{key_hash, Collector, KeyedState, Operator, Rekey};
-use pipes_time::{Element, Message, Timestamp};
+use pipes_time::{Duration, Element, Message, TimeInterval, Timestamp};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::marker::PhantomData;
@@ -18,11 +18,17 @@ use std::marker::PhantomData;
 /// from the key map entirely, so long-tail key spaces (keys seen once and
 /// never again) do not grow the state map unboundedly — the group is
 /// re-created from scratch if the key reappears.
+///
+/// [`GroupedAggregate::sampled`] runs every group on the grid layout (see
+/// [`crate::aggregate`]): a heartbeat that passes no pending grid instant
+/// costs no per-group work, and one that does emits the passed instants in
+/// instant order and, within an instant, in key order.
 pub struct GroupedAggregate<T, K, KF, A: AggregateFn<T>> {
     key: KF,
     agg: A,
-    strategy: AggStrategy,
-    combinable: bool,
+    layout: Layout,
+    /// On the grid, no group holds an instant before this one.
+    due: Timestamp,
     groups: HashMap<K, Partials<A::Acc>>,
     _marker: PhantomData<fn(T) -> K>,
 }
@@ -43,17 +49,82 @@ where
     /// layout.
     pub fn with_strategy(key: KF, agg: A, strategy: AggStrategy) -> Self {
         let combinable = agg.combinable();
+        Self::with_layout(key, agg, Layout::Partials(strategy, combinable))
+    }
+
+    /// Creates the operator on the grid layout: each group's aggregate
+    /// sampled at every `g = k·period`, valid over `[g, g + period)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn sampled(key: KF, agg: A, period: Duration) -> Self {
+        Self::with_layout(key, agg, Layout::Grid(period))
+    }
+
+    fn with_layout(key: KF, agg: A, layout: Layout) -> Self {
         // Surface an incompatible explicit choice at construction, not at
         // the first element of some unlucky key.
-        let _probe = Partials::<A::Acc>::with_strategy(strategy, combinable);
+        let _probe = Partials::<A::Acc>::with_layout(layout);
         GroupedAggregate {
             key,
             agg,
-            strategy,
-            combinable,
+            layout,
+            due: Timestamp::MAX,
             groups: HashMap::new(),
             _marker: PhantomData,
         }
+    }
+
+    /// The group of key `k`, created empty if need be, and the aggregate
+    /// to fold into it. On the grid, lowers `due` to the first instant an
+    /// insert over `iv` will touch.
+    fn group(&mut self, k: K, iv: TimeInterval) -> (&mut Partials<A::Acc>, &A) {
+        if let Layout::Grid(period) = self.layout {
+            let g = iv.start().align_up(period);
+            if g < iv.end() {
+                self.due = self.due.min(g);
+            }
+        }
+        let layout = self.layout;
+        let group = self
+            .groups
+            .entry(k)
+            .or_insert_with(|| Partials::with_layout(layout));
+        (group, &self.agg)
+    }
+
+    /// Emits every grid instant before `wm`: instant by instant, key order
+    /// within an instant — so the output does not depend on which
+    /// heartbeats a batched run coalesced. Drops emptied groups.
+    fn flush_grid(&mut self, wm: Timestamp, out: &mut dyn Collector<(K, A::Out)>)
+    where
+        K: Ord,
+    {
+        if wm <= self.due {
+            return;
+        }
+        let agg = &self.agg;
+        let mut groups: Vec<(&K, &mut Partials<A::Acc>)> = self.groups.iter_mut().collect();
+        groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut rows = Vec::new();
+        for (k, group) in groups {
+            group.flush(wm, agg, |iv, acc| {
+                rows.push(Element::new((k.clone(), agg.finalize(acc)), iv));
+            });
+        }
+        // Stable: key order survives within each instant.
+        rows.sort_by_key(Element::start);
+        for row in rows {
+            out.element(row);
+        }
+        self.groups.retain(|_, g| g.len() > 0);
+        self.due = self
+            .groups
+            .values()
+            .filter_map(Partials::next_instant)
+            .min()
+            .unwrap_or(Timestamp::MAX);
     }
 
     /// Number of keys currently holding live (unfinalized) partial state.
@@ -74,15 +145,16 @@ where
 
     fn on_element(&mut self, _port: usize, e: Element<T>, _out: &mut dyn Collector<Self::Out>) {
         let k = (self.key)(&e.payload);
-        let agg = &self.agg;
-        let (strategy, combinable) = (self.strategy, self.combinable);
-        self.groups
-            .entry(k)
-            .or_insert_with(|| Partials::with_strategy(strategy, combinable))
-            .insert(e.interval, &e.payload, agg);
+        let (group, agg) = self.group(k, e.interval);
+        group.insert(e.interval, &e.payload, agg);
     }
 
     fn on_heartbeat(&mut self, _port: usize, t: Timestamp, out: &mut dyn Collector<Self::Out>) {
+        if let Layout::Grid(_) = self.layout {
+            self.flush_grid(t, out);
+            out.heartbeat(t);
+            return;
+        }
         // Flush in deterministic key order so runs are reproducible.
         let mut keys: Vec<K> = self.groups.keys().cloned().collect();
         keys.sort();
@@ -129,12 +201,8 @@ where
                             _ => break,
                         }
                     }
-                    let agg = &self.agg;
-                    let (strategy, combinable) = (self.strategy, self.combinable);
-                    self.groups
-                        .entry(k)
-                        .or_insert_with(|| Partials::with_strategy(strategy, combinable))
-                        .insert_group(iv, &run[i..j], agg);
+                    let (group, agg) = self.group(k, iv);
+                    group.insert_group(iv, &run[i..j], agg);
                     bursts += 1;
                     i = j;
                 }
@@ -168,6 +236,10 @@ where
     }
 
     fn on_close(&mut self, out: &mut dyn Collector<Self::Out>) {
+        if let Layout::Grid(_) = self.layout {
+            self.flush_grid(Timestamp::MAX, out);
+            return;
+        }
         let mut keys: Vec<K> = self.groups.keys().cloned().collect();
         keys.sort();
         for k in keys {
@@ -234,6 +306,9 @@ where
                 .expect("keyed-parallel hand-off delivered foreign state to GroupedAggregate");
             // A group exists on exactly one instance (same key ⇒ same
             // routing hash), so entries never collide on import.
+            if let Some(g) = partials.next_instant() {
+                self.due = self.due.min(g);
+            }
             self.groups.insert(k, partials);
         }
     }
@@ -358,6 +433,59 @@ mod tests {
             input,
         );
         assert_eq!(naive, tree);
+    }
+
+    #[test]
+    fn sampled_emits_instant_by_instant_in_key_order() {
+        let mut op = GroupedAggregate::sampled(
+            |p: &(i64, i64)| p.0,
+            CountAgg,
+            pipes_time::Duration::from_ticks(10),
+        );
+        let mut out: Vec<Message<(i64, u64)>> = Vec::new();
+        op.on_element(0, el((2, 0), 5, 25), &mut out);
+        op.on_element(0, el((1, 0), 6, 25), &mut out);
+        op.on_element(0, el((3, 0), 7, 9), &mut out); // covers no instant
+        op.on_heartbeat(0, Timestamp::new(8), &mut out);
+        assert_eq!(out, vec![Message::Heartbeat(Timestamp::new(8))]);
+        // Two instants passed at once: instant order first, keys within.
+        out.clear();
+        op.on_heartbeat(0, Timestamp::new(21), &mut out);
+        assert_eq!(
+            out,
+            vec![
+                Message::Element(Element::new((1, 1), iv(10, 20))),
+                Message::Element(Element::new((2, 1), iv(10, 20))),
+                Message::Element(Element::new((1, 1), iv(20, 30))),
+                Message::Element(Element::new((2, 1), iv(20, 30))),
+                Message::Heartbeat(Timestamp::new(21)),
+            ]
+        );
+        assert_eq!(op.live_groups(), 0, "emptied groups are dropped");
+    }
+
+    #[test]
+    fn sampled_heartbeats_before_the_next_instant_touch_no_group() {
+        let mut op = GroupedAggregate::sampled(
+            |p: &(i64, i64)| p.0,
+            CountAgg,
+            pipes_time::Duration::from_ticks(100),
+        );
+        let mut out: Vec<Message<(i64, u64)>> = Vec::new();
+        for k in 0..4 {
+            op.on_element(0, el((k, 0), 1, 150), &mut out);
+        }
+        // Every group's first pending instant is 100: heartbeats before it
+        // return on the `due` check alone.
+        assert_eq!(op.due, Timestamp::new(100));
+        for t in 2..100 {
+            op.on_heartbeat(0, Timestamp::new(t), &mut out);
+        }
+        assert_eq!(out.iter().filter(|m| m.is_element()).count(), 0);
+        assert_eq!(op.live_groups(), 4);
+        op.on_heartbeat(0, Timestamp::new(101), &mut out);
+        assert_eq!(out.iter().filter(|m| m.is_element()).count(), 4);
+        assert_eq!(op.live_groups(), 0);
     }
 
     #[test]

@@ -1,16 +1,35 @@
 //! Physical compilation: logical plans → operators in a query graph.
+//!
+//! Two rewrites happen here rather than in [`crate::rules`], because they
+//! change which physical operators run, not which logical plan does:
+//!
+//! * **Sampled aggregates.** `Every(p)` over `Project`/`Filter` nodes, over
+//!   an optional `Coalesce`, over an `Aggregate` whose input rows live at
+//!   most `R` (a `RANGE R` window under `Filter`/`Project` nodes), with
+//!   `⌈R/p⌉ ≤` [`TREE_CONVERT_WIDTH`], compiles to those `Project`/`Filter`
+//!   nodes over the aggregate on the grid layout
+//!   ([`ScalarAggregate::sampled`], [`GroupedAggregate::sampled`]): the
+//!   same rows per grid instant as `Granularity` over the aggregate, with
+//!   no `every`, `coalesce` or per-partial finalization. The window below
+//!   stays shared. Every other `Every` keeps [`Granularity`], and so does
+//!   one whose `Aggregate` already runs for another query: it is reused.
+//! * **No flatten node.** A grouped aggregate publishes `(key, aggregates)`
+//!   pairs ([`Published::Groups`]); a `Project` or `Filter` above it
+//!   flattens each pair into a row as it consumes it. Only other consumers
+//!   get an `aggregate[flatten]` node.
 
 use crate::catalog::Catalog;
 use crate::expr::{BinOp, BoundExpr, Expr};
 use crate::plan::{AggFunc, AggSpec, LogicalPlan, WindowSpec};
 use crate::value::{Schema, Tuple, Value};
-use pipes_graph::{QueryGraph, StreamHandle};
-use pipes_ops::aggregate::{AggregateFn, ExactSum};
+use pipes_graph::{NodeId, QueryGraph, StreamHandle};
+use pipes_ops::aggregate::{AggregateFn, ExactSum, TREE_CONVERT_WIDTH};
 use pipes_ops::{
-    Coalesce, CountWindow, Difference, Distinct, Filter, Granularity, GroupedAggregate, Map,
-    NowWindow, PartitionedCountWindow, RippleJoin, ScalarAggregate, TimeWindow, Union,
+    Coalesce, CountWindow, Difference, Distinct, Filter, FlatMap, Granularity, GroupedAggregate,
+    Map, NowWindow, PartitionedCountWindow, RippleJoin, ScalarAggregate, TimeWindow, Union,
 };
 use pipes_rel::RelationLookup;
+use pipes_time::Duration;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -283,6 +302,26 @@ impl AggregateFn<Tuple> for TupleAggs {
 // Compilation
 // ---------------------------------------------------------------------------
 
+/// A publication point the compiler shares by signature.
+#[derive(Clone, Debug)]
+pub enum Published {
+    /// A stream of rows.
+    Rows(StreamHandle<Tuple>),
+    /// The `(group key, aggregates)` pairs of a grouped aggregate, which
+    /// its consumer flattens into rows.
+    Groups(StreamHandle<(Vec<Value>, Tuple)>),
+}
+
+impl Published {
+    /// The publishing node.
+    pub fn node(&self) -> NodeId {
+        match self {
+            Published::Rows(h) => h.node(),
+            Published::Groups(h) => h.node(),
+        }
+    }
+}
+
 /// Mutable compilation state: the target graph, the catalog, and the map of
 /// already-installed subplans (signature → publication point) that enables
 /// multi-query sharing.
@@ -292,7 +331,7 @@ pub struct CompileContext<'a> {
     /// Stream and relation definitions.
     pub catalog: &'a Catalog,
     /// Already-running subplans by signature.
-    pub installed: &'a mut HashMap<String, StreamHandle<Tuple>>,
+    pub installed: &'a mut HashMap<String, Published>,
     /// Nodes newly created by this compilation.
     pub created: usize,
     /// Subplans reused from the running graph.
@@ -304,7 +343,7 @@ impl<'a> CompileContext<'a> {
     pub fn new(
         graph: &'a QueryGraph,
         catalog: &'a Catalog,
-        installed: &'a mut HashMap<String, StreamHandle<Tuple>>,
+        installed: &'a mut HashMap<String, Published>,
     ) -> Self {
         CompileContext {
             graph,
@@ -322,21 +361,227 @@ pub fn compile(
     plan: &LogicalPlan,
     ctx: &mut CompileContext<'_>,
 ) -> Result<StreamHandle<Tuple>, String> {
-    let sig = plan.signature();
-    if let Some(handle) = ctx.installed.get(&sig) {
-        ctx.reused += 1;
-        return Ok(handle.clone());
+    match compile_published(plan, ctx)? {
+        Published::Rows(h) => Ok(h),
+        Published::Groups(h) => {
+            let flat = shared(ctx, format!("flatten({})", plan.signature()), |ctx| {
+                Ok(Published::Rows(ctx.graph.add_unary(
+                    "aggregate[flatten]",
+                    Map::new(|(k, aggs): (Vec<Value>, Tuple)| flatten(k, aggs)),
+                    &h,
+                )))
+            })?;
+            let Published::Rows(flat) = flat else {
+                unreachable!("a flatten node publishes rows");
+            };
+            Ok(flat)
+        }
     }
-    let handle = compile_new(plan, ctx)?;
-    ctx.created += 1;
-    ctx.installed.insert(sig, handle.clone());
-    Ok(handle)
 }
 
-fn compile_new(
+/// Compiles `plan` as [`compile`] does, but leaves a grouped aggregate's
+/// pairs unflattened.
+fn compile_published(
     plan: &LogicalPlan,
     ctx: &mut CompileContext<'_>,
-) -> Result<StreamHandle<Tuple>, String> {
+) -> Result<Published, String> {
+    shared(ctx, plan.signature(), |ctx| compile_new(plan, ctx))
+}
+
+/// The publication installed under `sig`, or the one `build` adds to the
+/// graph (and registers under `sig`).
+fn shared(
+    ctx: &mut CompileContext<'_>,
+    sig: String,
+    build: impl FnOnce(&mut CompileContext<'_>) -> Result<Published, String>,
+) -> Result<Published, String> {
+    if let Some(published) = ctx.installed.get(&sig) {
+        ctx.reused += 1;
+        return Ok(published.clone());
+    }
+    let published = build(ctx)?;
+    ctx.created += 1;
+    ctx.installed.insert(sig, published.clone());
+    Ok(published)
+}
+
+/// A grouped aggregate's `(key, aggregates)` pair as one row.
+fn flatten(mut key: Vec<Value>, aggs: Tuple) -> Tuple {
+    key.extend(aggs);
+    key
+}
+
+/// A `Project` or `Filter`, bound against its input schema.
+enum RowOp {
+    Filter(String, BoundExpr),
+    Project(Vec<BoundExpr>),
+}
+
+impl RowOp {
+    /// Binds `plan` if it is a `Project` or a `Filter`.
+    fn bind(plan: &LogicalPlan, catalog: &Catalog) -> Result<Option<RowOp>, String> {
+        Ok(match plan {
+            LogicalPlan::Filter { input, predicate } => {
+                let in_schema = output_schema(input, catalog)?;
+                Some(RowOp::Filter(
+                    format!("filter[{predicate}]"),
+                    predicate.bind(&in_schema)?,
+                ))
+            }
+            LogicalPlan::Project { input, exprs } => {
+                let in_schema = output_schema(input, catalog)?;
+                let bound = exprs
+                    .iter()
+                    .map(|(e, _)| e.bind(&in_schema))
+                    .collect::<Result<_, _>>()?;
+                Some(RowOp::Project(bound))
+            }
+            _ => None,
+        })
+    }
+
+    /// Adds the operator over `up`; over a grouped aggregate's pairs it
+    /// flattens each pair as it consumes it.
+    fn add(self, graph: &QueryGraph, up: &Published) -> StreamHandle<Tuple> {
+        match (self, up) {
+            (RowOp::Filter(name, pred), Published::Rows(up)) => graph.add_unary(
+                &name,
+                Filter::new(move |t: &Tuple| pred.eval(t).truthy()),
+                up,
+            ),
+            (RowOp::Filter(name, pred), Published::Groups(up)) => graph.add_unary(
+                &name,
+                FlatMap::new(move |(k, aggs): (Vec<Value>, Tuple)| {
+                    let row = flatten(k, aggs);
+                    pred.eval(&row).truthy().then_some(row)
+                }),
+                up,
+            ),
+            (RowOp::Project(exprs), Published::Rows(up)) => graph.add_unary(
+                "project",
+                Map::new(move |t: Tuple| exprs.iter().map(|b| b.eval(&t)).collect::<Tuple>()),
+                up,
+            ),
+            (RowOp::Project(exprs), Published::Groups(up)) => graph.add_unary(
+                "project",
+                Map::new(move |(k, aggs): (Vec<Value>, Tuple)| {
+                    let row = flatten(k, aggs);
+                    exprs.iter().map(|b| b.eval(&row)).collect::<Tuple>()
+                }),
+                up,
+            ),
+        }
+    }
+}
+
+/// How long a row of `plan` lives at most: the range of the time window
+/// under its `Filter`/`Project` nodes.
+fn lifetime_bound(plan: &LogicalPlan) -> Option<Duration> {
+    match plan {
+        LogicalPlan::Window {
+            spec: WindowSpec::Time(range),
+            ..
+        } => Some(*range),
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+            lifetime_bound(input)
+        }
+        _ => None,
+    }
+}
+
+/// Compiles `Every(period)` over `input` onto a sampled aggregate (see
+/// the module docs); `None` if `input` does not have that shape or its
+/// aggregate already runs.
+fn compile_sampled(
+    input: &LogicalPlan,
+    period: Duration,
+    ctx: &mut CompileContext<'_>,
+) -> Result<Option<Published>, String> {
+    let mut chain = Vec::new();
+    let mut node = input;
+    while let Some(op) = RowOp::bind(node, ctx.catalog)? {
+        chain.push((op, node));
+        node = node.inputs()[0];
+    }
+    if let LogicalPlan::Coalesce { input } = node {
+        node = input;
+    }
+    let LogicalPlan::Aggregate { input: rows, .. } = node else {
+        return Ok(None);
+    };
+    let narrow = lifetime_bound(rows)
+        .is_some_and(|r| r.ticks().div_ceil(period.ticks()) <= TREE_CONVERT_WIDTH as u64);
+    if !narrow || ctx.installed.contains_key(&node.signature()) {
+        return Ok(None);
+    }
+    // Intermediate nodes share under their own signatures: they publish
+    // sampled rows, not what the plain subplan's signature promises. The
+    // top node is registered under the `Every`'s signature by the caller.
+    let sampled_sig = |plan: &LogicalPlan| format!("sampled({period:?} of {})", plan.signature());
+    let mut chain = chain.into_iter();
+    let Some((top, _)) = chain.next() else {
+        return compile_aggregate(node, Some(period), ctx).map(Some);
+    };
+    let mut up = shared(ctx, sampled_sig(node), |ctx| {
+        compile_aggregate(node, Some(period), ctx)
+    })?;
+    for (op, plan) in chain.rev() {
+        up = shared(ctx, sampled_sig(plan), |ctx| {
+            Ok(Published::Rows(op.add(ctx.graph, &up)))
+        })?;
+    }
+    Ok(Some(Published::Rows(top.add(ctx.graph, &up))))
+}
+
+/// Compiles an `Aggregate` plan; with `period`, on the grid layout.
+fn compile_aggregate(
+    plan: &LogicalPlan,
+    period: Option<Duration>,
+    ctx: &mut CompileContext<'_>,
+) -> Result<Published, String> {
+    let LogicalPlan::Aggregate {
+        input,
+        group_by,
+        aggs,
+    } = plan
+    else {
+        unreachable!("compile_aggregate takes an Aggregate plan");
+    };
+    let in_schema = output_schema(input, ctx.catalog)?;
+    let tuple_aggs = TupleAggs::bind(aggs.iter().map(|(a, _)| a), &in_schema)?;
+    let keys: Vec<BoundExpr> = group_by
+        .iter()
+        .map(|(e, _)| e.bind(&in_schema))
+        .collect::<Result<_, _>>()?;
+    let up = compile(input, ctx)?;
+    let graph = ctx.graph;
+    if keys.is_empty() {
+        return Ok(Published::Rows(match period {
+            None => graph.add_unary("aggregate", ScalarAggregate::new(tuple_aggs), &up),
+            Some(p) => graph.add_unary(
+                &format!("aggregate[sampled {p}]"),
+                ScalarAggregate::sampled(tuple_aggs, p),
+                &up,
+            ),
+        }));
+    }
+    let key_fn = move |t: &Tuple| -> Vec<Value> { keys.iter().map(|k| k.eval(t)).collect() };
+    Ok(Published::Groups(match period {
+        None => graph.add_unary(
+            "aggregate[grouped]",
+            GroupedAggregate::new(key_fn, tuple_aggs),
+            &up,
+        ),
+        Some(p) => graph.add_unary(
+            &format!("aggregate[grouped, sampled {p}]"),
+            GroupedAggregate::sampled(key_fn, tuple_aggs, p),
+            &up,
+        ),
+    }))
+}
+
+fn compile_new(plan: &LogicalPlan, ctx: &mut CompileContext<'_>) -> Result<Published, String> {
+    let rows = |h: StreamHandle<Tuple>| Ok(Published::Rows(h));
     match plan {
         LogicalPlan::Stream { name, .. } => {
             let def = ctx
@@ -344,12 +589,12 @@ fn compile_new(
                 .stream(name)
                 .ok_or_else(|| format!("unknown stream '{name}'"))?;
             let source = (def.factory)();
-            Ok(ctx.graph.add_source(name, source))
+            rows(ctx.graph.add_source(name, source))
         }
         LogicalPlan::Window { input, spec } => {
             let in_schema = output_schema(input, ctx.catalog)?;
             let up = compile(input, ctx)?;
-            Ok(match spec {
+            rows(match spec {
                 WindowSpec::Time(d) => {
                     ctx.graph
                         .add_unary(&format!("window[{d}]"), TimeWindow::new(*d), &up)
@@ -375,34 +620,16 @@ fn compile_new(
                 }
             })
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let in_schema = output_schema(input, ctx.catalog)?;
-            let bound = predicate.bind(&in_schema)?;
-            let up = compile(input, ctx)?;
-            Ok(ctx.graph.add_unary(
-                &format!("filter[{predicate}]"),
-                Filter::new(move |t: &Tuple| bound.eval(t).truthy()),
-                &up,
-            ))
-        }
-        LogicalPlan::Project { input, exprs } => {
-            let in_schema = output_schema(input, ctx.catalog)?;
-            let bound: Vec<BoundExpr> = exprs
-                .iter()
-                .map(|(e, _)| e.bind(&in_schema))
-                .collect::<Result<_, _>>()?;
-            let up = compile(input, ctx)?;
-            Ok(ctx.graph.add_unary(
-                "project",
-                Map::new(move |t: Tuple| bound.iter().map(|b| b.eval(&t)).collect::<Tuple>()),
-                &up,
-            ))
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+            let op = RowOp::bind(plan, ctx.catalog)?.expect("a filter or projection");
+            let up = compile_published(input, ctx)?;
+            rows(op.add(ctx.graph, &up))
         }
         LogicalPlan::Join {
             left,
             right,
             predicate,
-        } => compile_join(left, right, predicate, ctx),
+        } => rows(compile_join(left, right, predicate, ctx)?),
         LogicalPlan::RelationJoin {
             input,
             relation,
@@ -417,7 +644,7 @@ fn compile_new(
                 .ok_or_else(|| format!("unknown relation '{relation}'"))?;
             let shared = def.relation.clone();
             let up = compile(input, ctx)?;
-            Ok(ctx.graph.add_unary(
+            rows(ctx.graph.add_unary(
                 &format!("reljoin[{relation}]"),
                 RelationLookup::new(
                     shared,
@@ -431,71 +658,42 @@ fn compile_new(
                 &up,
             ))
         }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let in_schema = output_schema(input, ctx.catalog)?;
-            let tuple_aggs = TupleAggs::bind(aggs.iter().map(|(a, _)| a), &in_schema)?;
-            let up = compile(input, ctx)?;
-            if group_by.is_empty() {
-                Ok(ctx
-                    .graph
-                    .add_unary("aggregate", ScalarAggregate::new(tuple_aggs), &up))
-            } else {
-                let keys: Vec<BoundExpr> = group_by
-                    .iter()
-                    .map(|(e, _)| e.bind(&in_schema))
-                    .collect::<Result<_, _>>()?;
-                let key_fn =
-                    move |t: &Tuple| -> Vec<Value> { keys.iter().map(|k| k.eval(t)).collect() };
-                let grouped = ctx.graph.add_unary(
-                    "aggregate[grouped]",
-                    GroupedAggregate::new(key_fn, tuple_aggs),
-                    &up,
-                );
-                // Flatten (key, aggs) pairs into plain tuples.
-                Ok(ctx.graph.add_unary(
-                    "aggregate[flatten]",
-                    Map::new(|(k, aggs): (Vec<Value>, Tuple)| {
-                        let mut out = k;
-                        out.extend(aggs);
-                        out
-                    }),
-                    &grouped,
-                ))
-            }
-        }
+        LogicalPlan::Aggregate { .. } => compile_aggregate(plan, None, ctx),
         LogicalPlan::Distinct { input } => {
             let up = compile(input, ctx)?;
-            Ok(ctx.graph.add_unary("distinct", Distinct::new(), &up))
+            rows(ctx.graph.add_unary("distinct", Distinct::new(), &up))
         }
         LogicalPlan::Union { inputs } => {
             let handles: Vec<StreamHandle<Tuple>> = inputs
                 .iter()
                 .map(|p| compile(p, ctx))
                 .collect::<Result<_, _>>()?;
-            Ok(ctx
-                .graph
-                .add_nary("union", Union::new(handles.len()), &handles))
+            rows(
+                ctx.graph
+                    .add_nary("union", Union::new(handles.len()), &handles),
+            )
         }
         LogicalPlan::Difference { left, right } => {
             let l = compile(left, ctx)?;
             let r = compile(right, ctx)?;
-            Ok(ctx
-                .graph
-                .add_binary("difference", Difference::new(), &l, &r))
+            rows(
+                ctx.graph
+                    .add_binary("difference", Difference::new(), &l, &r),
+            )
         }
         LogicalPlan::Every { input, period } => {
+            if let Some(sampled) = compile_sampled(input, *period, ctx)? {
+                return Ok(sampled);
+            }
             let up = compile(input, ctx)?;
-            Ok(ctx
-                .graph
-                .add_unary(&format!("every[{period}]"), Granularity::new(*period), &up))
+            rows(
+                ctx.graph
+                    .add_unary(&format!("every[{period}]"), Granularity::new(*period), &up),
+            )
         }
         LogicalPlan::Coalesce { input } => {
             let up = compile(input, ctx)?;
-            Ok(ctx.graph.add_unary("coalesce", Coalesce::new(), &up))
+            rows(ctx.graph.add_unary("coalesce", Coalesce::new(), &up))
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The multi-query optimizer.
 
 use crate::catalog::Catalog;
-use crate::compile::{compile, output_schema, CompileContext};
+use crate::compile::{compile, output_schema, CompileContext, Published};
 use crate::cost::{estimate_live, estimate_with_sunk, LiveCostSource, PlanEstimate};
 use crate::plan::LogicalPlan;
 use crate::rules;
@@ -36,7 +36,7 @@ pub struct InstallReport {
 /// plan by marginal cost, and splices only the missing operators into the
 /// graph via the publish–subscribe architecture.
 pub struct Optimizer {
-    installed: HashMap<String, StreamHandle<Tuple>>,
+    installed: HashMap<String, Published>,
 }
 
 impl Default for Optimizer {
@@ -83,8 +83,8 @@ impl Optimizer {
         // unsubscribes it from its children, which may free them in turn.
         let mut removed = 0;
         self.retire_walk(plan, graph, &mut removed);
-        // Sweep physical helper nodes (e.g. the grouped stage below an
-        // aggregate's flatten map) that are not tracked by signature.
+        // Sweep physical nodes the plan's own signatures do not name (a
+        // flatten node, the nodes of a sampled aggregate).
         removed += graph.collect_unconsumed();
         // Drop index entries whose nodes the sweep removed.
         self.installed
@@ -430,6 +430,146 @@ mod tests {
             "fresh node below a warm upstream must enter Derived: {e:?}"
         );
         assert!(e.in_rate > 0.0, "derived in-rate follows the upstream");
+    }
+
+    /// `SELECT MAX(v), COUNT(*) FROM s [RANGE 8] GROUP BY k` (grouped) or
+    /// its scalar form, with `EVERY 4` when `every`.
+    fn max_query(grouped: bool, every: bool) -> LogicalPlan {
+        use crate::plan::{AggFunc, AggSpec};
+        let call = |func, name: &str| {
+            let arg = Expr::col("v");
+            (AggSpec { func, arg }, name.to_string())
+        };
+        let group_by = if grouped {
+            vec![(Expr::col("k"), "k".to_string())]
+        } else {
+            Vec::new()
+        };
+        let mut exprs = vec![(Expr::col("hi"), "hi".to_string())];
+        exprs.extend(group_by.iter().cloned());
+        let plan = LogicalPlan::Project {
+            input: Box::new(LogicalPlan::Aggregate {
+                input: Box::new(windowed()),
+                group_by,
+                aggs: vec![call(AggFunc::Max, "hi"), call(AggFunc::Count, "n")],
+            }),
+            exprs,
+        };
+        if every {
+            LogicalPlan::Every {
+                input: Box::new(plan),
+                period: Duration::from_ticks(4),
+            }
+        } else {
+            plan
+        }
+    }
+
+    /// The multiset of rows valid at each tick: the continuous twin's
+    /// rows are cut at whichever watermarks its aggregate saw, so only
+    /// its snapshots are fixed.
+    type Rows = Vec<Vec<Tuple>>;
+
+    fn sorted(buf: &pipes_graph::io::Collected<Tuple>) -> Rows {
+        let out = buf.lock();
+        (0..40)
+            .map(|t| {
+                let mut rows: Vec<Tuple> = out
+                    .iter()
+                    .filter(|e| e.interval.contains(Timestamp::new(t)))
+                    .map(|e| e.payload.clone())
+                    .collect();
+                rows.sort();
+                rows
+            })
+            .collect()
+    }
+
+    /// `plan`'s rows when it runs alone.
+    fn solo(plan: &LogicalPlan) -> Rows {
+        let cat = catalog();
+        let graph = QueryGraph::new();
+        let r = Optimizer::new().install(plan, &graph, &cat).unwrap();
+        let (sink, buf) = CollectSink::new();
+        graph.add_sink("solo", sink, &r.handle);
+        graph.run_to_completion(4);
+        sorted(&buf)
+    }
+
+    fn names(graph: &QueryGraph) -> Vec<String> {
+        graph
+            .infos()
+            .into_iter()
+            .filter(|i| !i.removed)
+            .map(|i| i.name)
+            .collect()
+    }
+
+    #[test]
+    fn every_query_and_its_twin_share_in_both_orders_and_uninstall_cleanly() {
+        for grouped in [false, true] {
+            let every = max_query(grouped, true);
+            let twin = max_query(grouped, false);
+            let want = [solo(&every), solo(&twin)];
+            assert!(want.iter().all(|rows| rows.iter().any(|r| !r.is_empty())));
+            for every_first in [true, false] {
+                for uninstall in [None, Some(0), Some(1)] {
+                    let cat = catalog();
+                    let graph = QueryGraph::new();
+                    let mut opt = Optimizer::new();
+                    let order = if every_first { [0, 1] } else { [1, 0] };
+                    let plans = [&every, &twin];
+                    let mut sinks = [None, None];
+                    for q in order {
+                        let r = opt.install(plans[q], &graph, &cat).unwrap();
+                        let (sink, buf) = CollectSink::new();
+                        let id = graph.add_sink("q", sink, &r.handle);
+                        sinks[q] = Some((id, buf));
+                    }
+                    let sampled = names(&graph).iter().any(|n| n.contains("sampled"));
+                    // The grid serves EVERY only when it compiles first;
+                    // installed second, it reuses the twin's aggregate.
+                    assert_eq!(sampled, every_first, "grouped {grouped}");
+                    let Some(gone) = uninstall else {
+                        graph.run_to_completion(4);
+                        for q in 0..2 {
+                            let (_, buf) = sinks[q].as_ref().unwrap();
+                            assert_eq!(sorted(buf), want[q], "query {q}, grouped {grouped}");
+                        }
+                        continue;
+                    };
+                    // Mid-run: the survivor keeps producing everything.
+                    for _ in 0..3 {
+                        for id in graph.node_ids() {
+                            graph.step_node(id, 2);
+                        }
+                    }
+                    let (sink, _) = sinks[gone].take().unwrap();
+                    opt.uninstall(plans[gone], sink, &graph);
+                    assert_eq!(graph.collect_unconsumed(), 0, "orphans survived");
+                    if gone == 0 {
+                        assert!(
+                            names(&graph).iter().all(|n| !n.contains("sampled")),
+                            "a grid node outlived its query: {:?}",
+                            names(&graph)
+                        );
+                    }
+                    graph.run_to_completion(4);
+                    let keep = 1 - gone;
+                    let (_, buf) = sinks[keep].as_ref().unwrap();
+                    assert_eq!(
+                        sorted(buf),
+                        want[keep],
+                        "survivor {keep}, grouped {grouped}"
+                    );
+                    // Uninstalling the survivor drains the graph.
+                    let (sink, _) = sinks[keep].take().unwrap();
+                    opt.uninstall(plans[keep], sink, &graph);
+                    assert_eq!(graph.node_ids().count(), 0, "{:?}", names(&graph));
+                    assert_eq!(opt.installed_count(), 0);
+                }
+            }
+        }
     }
 
     #[test]

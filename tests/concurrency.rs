@@ -13,21 +13,74 @@
 //! model-checked test first and a stress form here only if they need
 //! scale.
 
-use pipes::nexmark::{self, generator::NexmarkConfig};
+use pipes::nexmark::generator::{NexmarkConfig, NexmarkGenerator};
+use pipes::nexmark::{self, Event};
 use pipes::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// NEXMark bids released up to a gate the test raises as it splices, so
+/// the stream outlives the splicing however fast the workers drain it.
+struct GatedBids {
+    gen: NexmarkGenerator,
+    emitted: u64,
+    gate: Arc<AtomicU64>,
+}
+
+impl SourceOp for GatedBids {
+    type Out = Tuple;
+
+    fn produce(&mut self, budget: usize, out: &mut dyn Collector<Tuple>) -> SourceStatus {
+        // ordering: Relaxed — the gate carries no data; a late read only
+        // delays the next release by one quantum.
+        let gate = self.gate.load(Ordering::Relaxed);
+        let (mut last, mut produced) = (None, 0);
+        let mut status = SourceStatus::Idle;
+        while produced < budget && self.emitted < gate {
+            match self.gen.next_event() {
+                Some(Event::Bid(b)) => {
+                    last = Some(b.ts);
+                    out.element(Element::at(b.to_tuple(), b.ts));
+                    self.emitted += 1;
+                    produced += 1;
+                    status = SourceStatus::Active;
+                }
+                Some(_) => {}
+                None => {
+                    status = SourceStatus::Exhausted;
+                    break;
+                }
+            }
+        }
+        if let Some(t) = last {
+            out.heartbeat(t);
+        }
+        status
+    }
+}
 
 #[test]
 fn install_and_remove_queries_under_live_execution() {
+    let gate = Arc::new(AtomicU64::new(4_000));
+    // ordering: Relaxed — see `GatedBids::produce`.
+    let open = |bids: u64| gate.fetch_add(bids, Ordering::Relaxed);
     let mut cat = Catalog::new();
-    nexmark::register(
-        &mut cat,
-        NexmarkConfig {
-            max_events: 40_000,
-            mean_inter_event_ms: 100.0,
-            ..Default::default()
-        },
+    let source_gate = Arc::clone(&gate);
+    cat.add_stream(
+        "bid",
+        nexmark::bid_schema(),
+        10.0,
+        Box::new(move || {
+            Box::new(GatedBids {
+                gen: NexmarkGenerator::new(NexmarkConfig {
+                    max_events: 40_000,
+                    mean_inter_event_ms: 100.0,
+                    ..Default::default()
+                }),
+                emitted: 0,
+                gate: Arc::clone(&source_gate),
+            })
+        }),
     );
     let cat = Arc::new(cat);
     let graph = Arc::new(QueryGraph::new());
@@ -77,6 +130,7 @@ fn install_and_remove_queries_under_live_execution() {
         let (sink, buf) = CollectSink::new();
         let sink_id = graph.add_sink(&format!("q{i}"), sink, &report.handle);
         buffers.push((q, report, sink_id, buf));
+        open(2_000);
         std::thread::sleep(std::time::Duration::from_millis(15));
     }
     // Remove half of them while execution continues.
@@ -84,8 +138,11 @@ fn install_and_remove_queries_under_live_execution() {
         graph.remove_node(*sink_id);
         let _ = q;
         let _ = optimizer.retire(&report.chosen, &graph);
+        open(1_000);
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
+    // Splicing is over: release the rest of the stream.
+    open(u64::MAX / 2);
 
     // Drain to completion.
     while !graph.all_finished() {
