@@ -6,89 +6,38 @@
 //! quanta. Setting the batch limit to 1 reproduces the original
 //! per-message cost model (every message pays its own lock round and
 //! sequence allocation), so the same graph measured under both limits
-//! isolates exactly what batching buys.
+//! isolates exactly what batching buys. Each larger limit is paired
+//! against limit 1 (see [`method`](super::method)).
 //!
 //! Acceptance: the batched path sustains at least 2x the per-message
-//! throughput on a queued 4-operator chain. Results are also written to
-//! `BENCH_batching.json` for the tracking harness.
+//! throughput on the queued 4-map chain.
 
-use crate::{f, table};
-use pipes::prelude::*;
-use std::time::Instant;
+use super::method::{map_chain, paired, Record, CHAIN_OPS};
 
-fn input(n: u64) -> Vec<Element<i64>> {
-    (0..n)
-        .map(|i| Element::at(i as i64, Timestamp::new(i)))
-        .collect()
-}
-
-/// Runs a queued chain of `k` cheap maps under the given batch limit
-/// (`None` = kernel default, unbounded) and returns elements/second.
-fn run_chain(n: u64, k: usize, batch_limit: Option<usize>) -> f64 {
-    let g = QueryGraph::new();
-    let src = g.add_source("src", VecSource::new(input(n)));
-    let mut cur = g.add_unary("op0", Map::new(|v: i64| v + 1), &src);
-    for i in 1..k {
-        cur = g.add_unary(&format!("op{i}"), Map::new(|v: i64| v ^ 7), &cur);
-    }
-    let (sink, buf) = CollectSink::new();
-    g.add_sink("sink", sink, &cur);
-    if let Some(limit) = batch_limit {
-        g.set_batch_limit(limit);
-    }
-    let start = Instant::now();
-    g.run_to_completion(256);
-    let secs = start.elapsed().as_secs_f64();
-    assert_eq!(buf.lock().len(), n as usize);
-    n as f64 / secs
-}
-
-/// Best-of-`r` to damp scheduler and allocator noise.
-fn best_of(r: usize, mut run: impl FnMut() -> f64) -> f64 {
-    (0..r).map(|_| run()).fold(f64::MIN, f64::max)
-}
-
-/// Runs E14 and prints the table; writes `BENCH_batching.json`.
+/// Runs E14 and prints the table; a full run appends its record.
 pub fn e14_batching(quick: bool) {
     let n: u64 = if quick { 100_000 } else { 1_000_000 };
-    const K: usize = 4;
-    let reps = if quick { 2 } else { 3 };
+    let reps = if quick { 2 } else { 9 };
+    let pairs = [("8", Some(8)), ("64", Some(64)), ("unbounded", None)].map(|(label, limit)| {
+        let p = paired(reps, |batched| {
+            (map_chain(n, if batched { limit } else { Some(1) }), ())
+        });
+        (label, p)
+    });
+    let mut record = Record::new("e14", reps);
+    record.row("batch limit 1", "throughput", "Melem/s", pairs[0].1.base);
+    for (label, p) in &pairs {
+        let case = format!("batch limit {label}");
+        record.row(&case, "throughput", "Melem/s", p.treat);
+        record.row(&case, "vs limit 1", "ratio", p.ratio);
+    }
 
-    let mut rows = Vec::new();
-    let mut tput_at = |limit: Option<usize>| {
-        let t = best_of(reps, || run_chain(n, K, limit));
-        let label = match limit {
-            Some(l) => l.to_string(),
-            None => "unbounded".to_string(),
-        };
-        rows.push(vec![label, f(t / 1e6, 2)]);
-        t
-    };
-    let before = tput_at(Some(1));
-    tput_at(Some(8));
-    tput_at(Some(64));
-    let after = tput_at(None);
-    let speedup = after / before;
-
-    table(
-        &format!("E14 — batched data path, queued {K}-op chain, {n} elements"),
-        &["batch limit", "Melem/s"],
-        &rows,
-    );
-    println!("speedup (unbounded vs per-message): {}x", f(speedup, 2));
+    record.print(&format!(
+        "E14 — batched data path, queued {CHAIN_OPS}-op chain, {n} elements"
+    ));
     println!(
         "shape check: throughput grows monotonically with the batch limit; \
          the unbounded batched path is >= 2x the per-message baseline."
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"batching\",\n  \"chain_ops\": {K},\n  \
-         \"elements\": {n},\n  \"quantum\": 256,\n  \
-         \"before_elem_per_s\": {before:.0},\n  \
-         \"after_elem_per_s\": {after:.0},\n  \"speedup\": {speedup:.3}\n}}\n"
-    );
-    match std::fs::write("BENCH_batching.json", &json) {
-        Ok(()) => println!("wrote BENCH_batching.json"),
-        Err(e) => eprintln!("could not write BENCH_batching.json: {e}"),
-    }
+    record.save(quick);
 }

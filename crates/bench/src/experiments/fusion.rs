@@ -6,15 +6,10 @@
 //! over the same input, once as k queued graph nodes and once fused into a
 //! single virtual node, and report throughput.
 
+use super::method::ticks;
 use crate::{f, table};
 use pipes::prelude::*;
 use std::time::Instant;
-
-fn input(n: u64) -> Vec<Element<i64>> {
-    (0..n)
-        .map(|i| Element::at(i as i64, Timestamp::new(i)))
-        .collect()
-}
 
 /// A cheap operator: one branch + one add.
 fn cheap() -> Map<i64, i64, impl FnMut(i64) -> i64> {
@@ -23,7 +18,7 @@ fn cheap() -> Map<i64, i64, impl FnMut(i64) -> i64> {
 
 fn run_queued(n: u64, k: usize) -> (f64, usize) {
     let g = QueryGraph::new();
-    let src = g.add_source("src", VecSource::new(input(n)));
+    let src = g.add_source("src", VecSource::new(ticks(n)));
     let mut cur = g.add_unary("op0", cheap(), &src);
     for i in 1..k {
         cur = g.add_unary(&format!("op{i}"), cheap(), &cur);
@@ -45,7 +40,7 @@ fn run_fused(n: u64, k: usize) -> (f64, usize) {
         chain = Box::new(chain.then(cheap()));
     }
     let g = QueryGraph::new();
-    let src = g.add_source("src", VecSource::new(input(n)));
+    let src = g.add_source("src", VecSource::new(ticks(n)));
     let cur = g.add_unary("virtual", chain, &src);
     let (sink, buf) = CollectSink::new();
     g.add_sink("sink", sink, &cur);

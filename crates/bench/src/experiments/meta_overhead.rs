@@ -6,74 +6,15 @@
 //! experiment prices that on E17's NEXMark-style plan — auctions ⋈ bursty
 //! bids → map → grouped max — by running the identical workload with
 //! collection disabled (`meta::set_meta_enabled(false)` — the per-quantum
-//! flag check is the only residual cost) and enabled.
+//! flag check is the only residual cost) and enabled, paired (see
+//! [`method`](super::method)).
 //!
 //! Acceptance: the plane-on run stays within 3% of plane-off throughput,
 //! the bar the flight recorder set. Building with `--features meta-off`
-//! compiles every collection site out (`meta_compiled_out: true` in the
-//! JSON), which is the true-zero-cost configuration.
-//!
-//! Results are written to `BENCH_meta_overhead.json`.
+//! compiles every collection site out, the true-zero-cost configuration.
 
-use crate::{f, table};
+use super::method::{bids, join_plan, paired, Record, AUCTIONS, BURST};
 use pipes::prelude::*;
-use std::time::Instant;
-
-/// Bids per burst (one auction, one timestamp — NEXMark-style flurries).
-const BURST: u64 = 16;
-/// Distinct auctions (the join's key domain).
-const AUCTIONS: u64 = 512;
-/// Aggregation categories.
-const CATEGORIES: i64 = 8;
-
-/// Payloads are `(auction_id, x)` pairs: `x` is the category on the
-/// auctions stream and the price on the bids stream.
-type Pair = (i64, i64);
-
-fn auctions() -> Vec<Element<Pair>> {
-    let horizon = Timestamp::new(u64::MAX / 2);
-    (0..AUCTIONS)
-        .map(|id| {
-            Element::new(
-                (id as i64, id as i64 % CATEGORIES),
-                TimeInterval::new(Timestamp::ZERO, horizon),
-            )
-        })
-        .collect()
-}
-
-fn bids(n: u64) -> Vec<Element<Pair>> {
-    (0..n)
-        .map(|i| {
-            let burst = i / BURST;
-            let auction = (burst * 7919) % AUCTIONS;
-            let price = 100 + (i % BURST) as i64 * 3;
-            Element::at((auction as i64, price), Timestamp::new(burst + 1))
-        })
-        .collect()
-}
-
-/// Builds E17's run-native plan, runs it to completion, and returns
-/// elements/s over both inputs.
-fn run_plan(n_bids: u64) -> f64 {
-    let g = QueryGraph::new();
-    let a = g.add_source("auctions", VecSource::new(auctions()));
-    let b = g.add_source("bids", VecSource::new(bids(n_bids)));
-    let join = RippleJoin::equi(|l: &Pair| l.0, |r: &Pair| r.0, |l, r| (l.1, r.1));
-    let joined = g.add_binary("join", join, &a, &b);
-    let mapped = g.add_unary("fee", Map::new(|p: Pair| (p.0, p.1 + p.1 / 50)), &joined);
-    let agg = GroupedAggregate::new(|p: &Pair| p.0, MaxAgg(|p: &Pair| p.1));
-    let top = g.add_unary("top-price", agg, &mapped);
-    let (sink, buf) = CollectSink::new();
-    g.add_sink("sink", sink, &top);
-
-    let total = AUCTIONS + n_bids;
-    let start = Instant::now();
-    g.run_to_completion(256);
-    let secs = start.elapsed().as_secs_f64();
-    assert!(!buf.lock().is_empty(), "plan produced no aggregates");
-    total as f64 / secs
-}
 
 /// Sanity check (plane compiled in): after a run with collection enabled,
 /// a snapshot of a warm graph reports measured estimates.
@@ -93,83 +34,40 @@ fn check_plane_feeds_estimates() {
     assert!(est.out_rate > 0.0);
 }
 
-/// Runs E19 and prints the table; writes `BENCH_meta_overhead.json`.
+/// Runs E19 and prints the table; a full run appends its record.
 pub fn e19_meta_overhead(quick: bool) {
     let n_bids: u64 = if quick { 64_000 } else { 256_000 };
     let reps = if quick { 8 } else { 48 };
 
     // Warm up allocator and page cache (and the estimator blocks) off the
-    // clock, then run the two configurations back to back per rep in
-    // alternating order — the per-pair throughput ratio cancels machine
-    // drift and the median over pairs damps outliers (E15 methodology).
+    // clock.
     pipes::meta::set_meta_enabled(true);
-    run_plan(n_bids.min(8_000));
+    join_plan(n_bids.min(8_000), false);
     check_plane_feeds_estimates();
-    let run = |collect: bool| {
+    let p = paired(reps, |collect| {
         pipes::meta::set_meta_enabled(collect);
-        run_plan(n_bids)
-    };
-    let mut off = f64::MIN;
-    let mut on = f64::MIN;
-    let mut ratios = Vec::with_capacity(reps);
-    for rep in 0..reps {
-        let (a, b) = if rep % 2 == 0 {
-            let on_t = run(true);
-            (run(false), on_t)
-        } else {
-            (run(false), run(true))
-        };
-        off = off.max(a);
-        on = on.max(b);
-        ratios.push(b / a);
-        if std::env::var_os("PIPES_E19_DEBUG").is_some() {
-            eprintln!("rep {rep:>2}: off {a:.3e} on {b:.3e} ratio {:.4}", b / a);
-        }
-    }
+        join_plan(n_bids, false)
+    });
     pipes::meta::set_meta_enabled(true);
-    ratios.sort_by(f64::total_cmp);
-    let median_ratio = if ratios.len() % 2 == 1 {
-        ratios[ratios.len() / 2]
-    } else {
-        (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-    };
-    let overhead_pct = (1.0 - median_ratio) * 100.0;
+    let overhead = p.ratio.overhead_pct();
 
-    table(
-        &format!(
-            "E19 — metadata-plane overhead, auctions({AUCTIONS}) ⋈ bids({n_bids}, \
-             bursts of {BURST}) → map → group-by-category max"
-        ),
-        &["metadata plane", "Melem/s"],
-        &[
-            vec!["disabled".into(), f(off / 1e6, 2)],
-            vec!["enabled".into(), f(on / 1e6, 2)],
-        ],
-    );
-    println!(
-        "overhead: {}% (compiled out: {})",
-        f(overhead_pct, 2),
-        pipes::meta::META_COMPILED_OUT
-    );
+    let mut record = Record::new("e19", reps);
+    let case = if pipes::meta::META_COMPILED_OUT {
+        "metadata plane compiled out"
+    } else {
+        "metadata plane"
+    };
+    record.row(case, "throughput off", "Melem/s", p.base);
+    record.row(case, "throughput on", "Melem/s", p.treat);
+    record.row(case, "overhead", "%", overhead);
+    record.print(&format!(
+        "E19 — metadata-plane overhead, auctions({AUCTIONS}) ⋈ bids({n_bids}, \
+         bursts of {BURST}) → map → group-by-category max"
+    ));
     println!(
         "shape check: one estimator update per drained run (not per message) \
          keeps the live metadata plane within 3% of plane-off throughput; \
          `--features meta-off` removes even the flag check."
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"meta_overhead\",\n  \"auctions\": {AUCTIONS},\n  \
-         \"bids\": {n_bids},\n  \"burst\": {BURST},\n  \
-         \"categories\": {CATEGORIES},\n  \"quantum\": 256,\n  \
-         \"off_elem_per_s\": {off:.0},\n  \
-         \"on_elem_per_s\": {on:.0},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \
-         \"bar_pct\": 3,\n  \
-         \"meta_compiled_out\": {}\n}}\n",
-        pipes::meta::META_COMPILED_OUT
-    );
-    match std::fs::write("BENCH_meta_overhead.json", &json) {
-        Ok(()) => println!("wrote BENCH_meta_overhead.json"),
-        Err(e) => eprintln!("could not write BENCH_meta_overhead.json: {e}"),
-    }
+    record.save(quick);
 }

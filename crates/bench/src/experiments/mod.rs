@@ -1,16 +1,16 @@
-//! The experiments E1–E21 (see `DESIGN.md` for the paper mapping).
+//! The experiments E1–E19 (see `DESIGN.md` for the paper mapping). E14–E19
+//! measure through the one shared method in [`method`].
 
 mod ablation;
 mod apps;
 mod batching;
 mod fusion;
 mod join;
-mod keyed_parallel;
 mod memory;
 mod meta_overhead;
+pub mod method;
 mod monitoring;
 mod mqo;
-mod mqo_live;
 mod ops_runs;
 mod plans;
 mod rate;
@@ -20,72 +20,39 @@ mod scheduling;
 mod trace_overhead;
 mod window_agg;
 
-/// Runs one experiment by id (`e1`..`e21`) or `all`. `quick` shrinks the
-/// workloads so a full pass finishes in seconds (used by `cargo bench`).
+/// An experiment's entry point; the flag asks for a quick run.
+type Experiment = fn(bool);
+
+/// Every experiment, by id.
+const ALL: [(&str, Experiment); 19] = [
+    ("e1", apps::e1_architecture),
+    ("e2", plans::e2_query_plans),
+    ("e3", monitoring::e3_monitoring),
+    ("e4", fusion::e4_fusion),
+    ("e5", scheduling::e5_scheduling),
+    ("e6", join::e6_join_framework),
+    ("e7", memory::e7_memory_manager),
+    ("e8", mqo::e8_multi_query),
+    ("e9", rate::e9_rate_reduction),
+    ("e10", apps::e10_traffic),
+    ("e11", apps::e11_nexmark),
+    ("e12", reuse::e12_code_reuse),
+    ("e13", ablation::e13_ablation),
+    ("e14", batching::e14_batching),
+    ("e15", trace_overhead::e15_trace_overhead),
+    ("e16", sched_layers::e16_sched_layers),
+    ("e17", ops_runs::e17_ops_runs),
+    ("e18", window_agg::e18_window_agg),
+    ("e19", meta_overhead::e19_meta_overhead),
+];
+
+/// Runs one experiment by id (`e1`..`e19`) or `all`. `quick` shrinks the
+/// workloads so a full pass finishes in seconds and writes no record.
 pub fn run(which: &str, quick: bool) {
     let all = which.eq_ignore_ascii_case("all");
-    let want = |id: &str| all || which.eq_ignore_ascii_case(id);
-    if want("e1") {
-        apps::e1_architecture(quick);
-    }
-    if want("e2") {
-        plans::e2_query_plans(quick);
-    }
-    if want("e3") {
-        monitoring::e3_monitoring(quick);
-    }
-    if want("e4") {
-        fusion::e4_fusion(quick);
-    }
-    if want("e5") {
-        scheduling::e5_scheduling(quick);
-    }
-    if want("e6") {
-        join::e6_join_framework(quick);
-    }
-    if want("e7") {
-        memory::e7_memory_manager(quick);
-    }
-    if want("e8") {
-        mqo::e8_multi_query(quick);
-    }
-    if want("e9") {
-        rate::e9_rate_reduction(quick);
-    }
-    if want("e10") {
-        apps::e10_traffic(quick);
-    }
-    if want("e11") {
-        apps::e11_nexmark(quick);
-    }
-    if want("e12") {
-        reuse::e12_code_reuse(quick);
-    }
-    if want("e13") {
-        ablation::e13_ablation(quick);
-    }
-    if want("e14") {
-        batching::e14_batching(quick);
-    }
-    if want("e15") {
-        trace_overhead::e15_trace_overhead(quick);
-    }
-    if want("e16") {
-        sched_layers::e16_sched_layers(quick);
-    }
-    if want("e17") {
-        ops_runs::e17_ops_runs(quick);
-    }
-    if want("e18") {
-        window_agg::e18_window_agg(quick);
-    }
-    if want("e19") {
-        meta_overhead::e19_meta_overhead(quick);
-    }
-    if want("e20") {
-        mqo_live::e20_mqo_live(quick);
-    }
-    if want("e21") {
-        keyed_parallel::e21_keyed_parallel(quick);
+    for (id, experiment) in ALL {
+        if all || which.eq_ignore_ascii_case(id) {
+            experiment(quick);
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! per auction, valid over the whole session) equi-joined with a bursty
 //! bids stream (bursts of same-auction, same-timestamp bids — the shape
 //! real bidding traffic has), the matches mapped, then grouped-aggregated
-//! by category. Two variants run the *identical* batched kernel:
+//! by category ([`join_plan`]). Two variants run the *identical* batched
+//! kernel:
 //!
 //! * **run-native** — the operators as shipped: `RippleJoin` probes a
 //!   whole same-side segment with one hash lookup per distinct adjacent
@@ -13,168 +14,35 @@
 //!   same-key/same-interval burst as one boundary split
 //!   ([`Partials::insert_group`]-style) instead of one per element;
 //! * **per-message** — the same operators wrapped in
-//!   [`ElementWise`]/[`BinaryElementWise`], which suppress the native
+//!   `ElementWise`/`BinaryElementWise`, which suppress the native
 //!   `on_run` overrides so every message takes the trait's default
 //!   per-message loop.
 //!
 //! Since the wrappers change *only* the dispatch granularity, the ratio
-//! isolates what the run-level algebra buys. Methodology follows E15:
-//! paired back-to-back runs in alternating order per rep, per-rep ratio,
-//! median over reps. Acceptance: run-native reaches ≥ 1.5× the
-//! per-message throughput. Results go to `BENCH_ops_runs.json`.
+//! isolates what the run-level algebra buys; both variants must produce
+//! the same number of sink messages on every rep. Paired runs (see
+//! [`method`](super::method)). Acceptance: run-native reaches ≥ 1.5× the
+//! per-message throughput.
 
-use crate::{f, table};
-use pipes::ops::drive::{BinaryElementWise, ElementWise};
-use pipes::prelude::*;
-use std::time::Instant;
+use super::method::{join_plan, paired, Record, AUCTIONS, BURST};
 
-/// Bids per burst (one auction, one timestamp — NEXMark-style flurries).
-const BURST: u64 = 16;
-/// Distinct auctions (the join's key domain).
-const AUCTIONS: u64 = 512;
-/// Aggregation categories.
-const CATEGORIES: i64 = 8;
-
-/// Payloads are `(auction_id, x)` pairs: `x` is the category on the
-/// auctions stream and the price on the bids stream.
-type Pair = (i64, i64);
-
-fn auctions() -> Vec<Element<Pair>> {
-    // Every auction is open for the whole session, so each burst's probe
-    // hits exactly one live match and no variant-dependent purging occurs.
-    let horizon = Timestamp::new(u64::MAX / 2);
-    (0..AUCTIONS)
-        .map(|id| {
-            Element::new(
-                (id as i64, id as i64 % CATEGORIES),
-                TimeInterval::new(Timestamp::ZERO, horizon),
-            )
-        })
-        .collect()
-}
-
-fn bids(n: u64) -> Vec<Element<Pair>> {
-    // `n` bids in bursts of `BURST`: every burst picks one auction and one
-    // timestamp, prices vary inside the burst.
-    (0..n)
-        .map(|i| {
-            let burst = i / BURST;
-            let auction = (burst * 7919) % AUCTIONS; // stride over the key domain
-            let price = 100 + (i % BURST) as i64 * 3;
-            Element::at((auction as i64, price), Timestamp::new(burst + 1))
-        })
-        .collect()
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Variant {
-    RunNative,
-    PerMessage,
-}
-
-fn join_op() -> RippleJoin<Pair, Pair, Pair> {
-    // Left: auctions (id, category); right: bids (id, price);
-    // out: (category, price).
-    RippleJoin::equi(|a: &Pair| a.0, |b: &Pair| b.0, |a, b| (a.1, b.1))
-}
-
-/// Builds the plan, runs it to completion on the single-threaded batched
-/// kernel, and returns (elements/s over both inputs, sink message count).
-fn run_variant(variant: Variant, n_bids: u64) -> (f64, usize) {
-    let g = QueryGraph::new();
-    let a = g.add_source("auctions", VecSource::new(auctions()));
-    let b = g.add_source("bids", VecSource::new(bids(n_bids)));
-    let joined = match variant {
-        Variant::RunNative => g.add_binary("join", join_op(), &a, &b),
-        Variant::PerMessage => g.add_binary("join", BinaryElementWise(join_op()), &a, &b),
-    };
-    let fee = |p: Pair| (p.0, p.1 + p.1 / 50);
-    let mapped = match variant {
-        Variant::RunNative => g.add_unary("fee", Map::new(fee), &joined),
-        Variant::PerMessage => g.add_unary("fee", ElementWise(Map::new(fee)), &joined),
-    };
-    let agg = || GroupedAggregate::new(|p: &Pair| p.0, MaxAgg(|p: &Pair| p.1));
-    let top = match variant {
-        Variant::RunNative => g.add_unary("top-price", agg(), &mapped),
-        Variant::PerMessage => g.add_unary("top-price", ElementWise(agg()), &mapped),
-    };
-    let (sink, buf) = CollectSink::new();
-    g.add_sink("sink", sink, &top);
-
-    let total = AUCTIONS + n_bids;
-    let start = Instant::now();
-    g.run_to_completion(256);
-    let secs = start.elapsed().as_secs_f64();
-    let produced = buf.lock().len();
-    assert!(produced > 0, "plan produced no aggregates");
-    (total as f64 / secs, produced)
-}
-
-fn median(ratios: &mut [f64]) -> f64 {
-    ratios.sort_by(f64::total_cmp);
-    if ratios.len() % 2 == 1 {
-        ratios[ratios.len() / 2]
-    } else {
-        (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-    }
-}
-
-/// Runs E17 and prints the table; writes `BENCH_ops_runs.json`.
+/// Runs E17 and prints the table; a full run appends its record.
 pub fn e17_ops_runs(quick: bool) {
     let n_bids: u64 = if quick { 64_000 } else { 384_000 };
     let reps = if quick { 6 } else { 16 };
 
     // Warm up allocator and page cache off the clock.
-    run_variant(Variant::RunNative, n_bids.min(8_000));
+    join_plan(n_bids.min(8_000), false);
+    let p = paired(reps, |run_native| join_plan(n_bids, !run_native));
 
-    // Per E15: back-to-back paired runs in alternating order; the per-rep
-    // ratio cancels machine drift, the median damps outliers. The two
-    // variants must also agree on the exact sink output count — dispatch
-    // granularity is not allowed to change what the plan computes.
-    let mut best = [f64::MIN; 2];
-    let mut ratios = Vec::with_capacity(reps);
-    let mut produced = [0usize; 2];
-    for rep in 0..reps {
-        let order = if rep % 2 == 0 {
-            [Variant::PerMessage, Variant::RunNative]
-        } else {
-            [Variant::RunNative, Variant::PerMessage]
-        };
-        let mut thr = [0.0f64; 2];
-        for v in order {
-            let (t, out) = run_variant(v, n_bids);
-            let slot = if v == Variant::PerMessage { 0 } else { 1 };
-            thr[slot] = t;
-            best[slot] = best[slot].max(t);
-            produced[slot] = out;
-        }
-        assert_eq!(
-            produced[0], produced[1],
-            "run-native and per-message dispatch must produce the same output"
-        );
-        ratios.push(thr[1] / thr[0]);
-        if std::env::var_os("PIPES_E17_DEBUG").is_some() {
-            eprintln!(
-                "rep {rep:>2}: per-message {:.3e} run-native {:.3e} (x{:.2})",
-                thr[0],
-                thr[1],
-                thr[1] / thr[0]
-            );
-        }
-    }
-    let ratio = median(&mut ratios);
-
-    table(
-        &format!(
-            "E17 — run-at-a-time algebra, auctions({AUCTIONS}) ⋈ bids({n_bids}, \
-             bursts of {BURST}) → map → group-by-category max"
-        ),
-        &["dispatch", "Melem/s", "vs per-message (median)"],
-        &[
-            vec!["per-message".into(), f(best[0] / 1e6, 2), "1.00".into()],
-            vec!["run-native".into(), f(best[1] / 1e6, 2), f(ratio, 2)],
-        ],
-    );
+    let mut record = Record::new("e17", reps);
+    record.row("per-message", "throughput", "Melem/s", p.base);
+    record.row("run-native", "throughput", "Melem/s", p.treat);
+    record.row("run-native", "vs per-message", "ratio", p.ratio);
+    record.print(&format!(
+        "E17 — run-at-a-time algebra, auctions({AUCTIONS}) ⋈ bids({n_bids}, \
+         bursts of {BURST}) → map → group-by-category max"
+    ));
     println!(
         "shape check: handing whole drained runs to operators turns per-element \
          hash probes, bucket inserts, and aggregate boundary splits into \
@@ -182,18 +50,5 @@ pub fn e17_ops_runs(quick: bool) {
          distinct timestamp); the run-native plan sustains >= 1.5x the \
          per-message dispatch throughput on the identical kernel."
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"ops_runs\",\n  \"auctions\": {AUCTIONS},\n  \
-         \"bids\": {n_bids},\n  \"burst\": {BURST},\n  \
-         \"categories\": {CATEGORIES},\n  \"quantum\": 256,\n  \
-         \"per_message_elem_per_s\": {:.0},\n  \
-         \"run_native_elem_per_s\": {:.0},\n  \
-         \"run_vs_message_median_ratio\": {ratio:.3}\n}}\n",
-        best[0], best[1]
-    );
-    match std::fs::write("BENCH_ops_runs.json", &json) {
-        Ok(()) => println!("wrote BENCH_ops_runs.json"),
-        Err(e) => eprintln!("could not write BENCH_ops_runs.json: {e}"),
-    }
+    record.save(quick);
 }

@@ -4,121 +4,49 @@
 //! and scheduler quantum records into per-thread rings. This experiment
 //! prices that on the same queued 4-map chain E14 uses, by measuring the
 //! identical workload with recording disabled (`trace::set_enabled(false)`
-//! — the per-event check is the only residual cost) and enabled.
+//! — the per-event check is the only residual cost) and enabled, paired
+//! (see [`method`](super::method)). Many short pairs beat few long ones on
+//! a shared machine: the noise is per scheduling quantum, so the error of
+//! the median shrinks with the number of pairs, not with run length.
 //!
 //! Acceptance: the recorder-on run stays within 5% of recorder-off
 //! throughput. Building with `--features trace-off` compiles every
-//! recording site out entirely (`trace_compiled_out: true` in the JSON),
-//! which is the true-zero-cost configuration.
-//!
-//! Results are written to `BENCH_trace_overhead.json`.
+//! recording site out entirely, the true-zero-cost configuration.
 
-use crate::{f, table};
-use pipes::prelude::*;
-use std::time::Instant;
+use super::method::{map_chain, paired, Record, CHAIN_OPS};
 
-fn input(n: u64) -> Vec<Element<i64>> {
-    (0..n)
-        .map(|i| Element::at(i as i64, Timestamp::new(i)))
-        .collect()
-}
-
-/// Runs the E14 chain (kernel-default batching) and returns elements/s.
-fn run_chain(n: u64, k: usize) -> f64 {
-    let g = QueryGraph::new();
-    let src = g.add_source("src", VecSource::new(input(n)));
-    let mut cur = g.add_unary("op0", Map::new(|v: i64| v + 1), &src);
-    for i in 1..k {
-        cur = g.add_unary(&format!("op{i}"), Map::new(|v: i64| v ^ 7), &cur);
-    }
-    let (sink, buf) = CollectSink::new();
-    g.add_sink("sink", sink, &cur);
-    let start = Instant::now();
-    g.run_to_completion(256);
-    let secs = start.elapsed().as_secs_f64();
-    assert_eq!(buf.lock().len(), n as usize);
-    n as f64 / secs
-}
-
-/// Runs E15 and prints the table; writes `BENCH_trace_overhead.json`.
+/// Runs E15 and prints the table; a full run appends its record.
 pub fn e15_trace_overhead(quick: bool) {
-    // Many short paired runs beat few long ones on a shared machine: the
-    // noise floor here is per-scheduling-quantum (±10% between adjacent
-    // 100 ms runs), so the estimator's error shrinks with the number of
-    // pairs, not with per-run length.
     let n: u64 = if quick { 100_000 } else { 250_000 };
-    const K: usize = 4;
     let reps = if quick { 12 } else { 96 };
 
     // Warm up the allocator, page cache, and the recorder's ring + name
-    // table before timing anything. Each rep then runs the two
-    // configurations back to back (alternating which goes first), so a
-    // rep's pair shares whatever the machine is doing at that moment;
-    // the per-pair throughput ratio cancels that drift, and the median
-    // over all pairs damps the outliers a single loaded-core rep
-    // produces. Best-of throughputs are reported alongside for scale.
+    // table off the clock.
     pipes::trace::set_enabled(true);
-    run_chain(n.min(100_000), K);
-    let run = |record: bool| {
+    map_chain(n.min(100_000), None);
+    let p = paired(reps, |record| {
         pipes::trace::set_enabled(record);
         pipes::trace::clear();
-        run_chain(n, K)
-    };
-    let mut off = f64::MIN;
-    let mut on = f64::MIN;
-    let mut ratios = Vec::with_capacity(reps);
-    for rep in 0..reps {
-        let (a, b) = if rep % 2 == 0 {
-            let on_t = run(true);
-            (run(false), on_t)
-        } else {
-            (run(false), run(true))
-        };
-        off = off.max(a);
-        on = on.max(b);
-        ratios.push(b / a);
-        if std::env::var_os("PIPES_E15_DEBUG").is_some() {
-            eprintln!("rep {rep:>2}: off {a:.3e} on {b:.3e} ratio {:.4}", b / a);
-        }
-    }
+        (map_chain(n, None), ())
+    });
     pipes::trace::set_enabled(true);
-    ratios.sort_by(f64::total_cmp);
-    let median_ratio = if ratios.len() % 2 == 1 {
-        ratios[ratios.len() / 2]
-    } else {
-        (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-    };
-    let overhead_pct = (1.0 - median_ratio) * 100.0;
+    let overhead = p.ratio.overhead_pct();
 
-    table(
-        &format!("E15 — flight-recorder overhead, queued {K}-op chain, {n} elements"),
-        &["recorder", "Melem/s"],
-        &[
-            vec!["disabled".into(), f(off / 1e6, 2)],
-            vec!["enabled".into(), f(on / 1e6, 2)],
-        ],
-    );
-    println!(
-        "overhead: {}% (compiled out: {})",
-        f(overhead_pct, 2),
-        pipes::trace::COMPILED_OUT
-    );
+    let mut record = Record::new("e15", reps);
+    let case = if pipes::trace::COMPILED_OUT {
+        "recorder compiled out"
+    } else {
+        "recorder"
+    };
+    record.row(case, "throughput off", "Melem/s", p.base);
+    record.row(case, "throughput on", "Melem/s", p.treat);
+    record.row(case, "overhead", "%", overhead);
+    record.print(&format!(
+        "E15 — flight-recorder overhead, queued {CHAIN_OPS}-op chain, {n} elements"
+    ));
     println!(
         "shape check: the always-on recorder costs < 5% throughput on the \
          batched chain; `--features trace-off` removes even that."
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"trace_overhead\",\n  \"chain_ops\": {K},\n  \
-         \"elements\": {n},\n  \"quantum\": 256,\n  \
-         \"off_elem_per_s\": {off:.0},\n  \
-         \"on_elem_per_s\": {on:.0},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \
-         \"trace_compiled_out\": {}\n}}\n",
-        pipes::trace::COMPILED_OUT
-    );
-    match std::fs::write("BENCH_trace_overhead.json", &json) {
-        Ok(()) => println!("wrote BENCH_trace_overhead.json"),
-        Err(e) => eprintln!("could not write BENCH_trace_overhead.json: {e}"),
-    }
+    record.save(quick);
 }

@@ -17,19 +17,17 @@
 //!   conversion threshold (so narrow windows keep the naive fast path).
 //!
 //! Both variants must produce the **byte-identical** sink message
-//! sequence — asserted on every rep, heartbeats included. Methodology
-//! follows E15: paired back-to-back runs in alternating order per rep,
-//! per-rep ratio, median over reps. Acceptance (full run): ≥ 20× at
+//! sequence — asserted on every rep, heartbeats included. Paired runs
+//! (see [`method`](super::method)). Acceptance (full run): ≥ 20× at
 //! window 1024, no regression at window 16 beyond the paired-median
-//! noise bound. Results go to `BENCH_window_agg.json`.
+//! noise bound.
 
-use crate::{f, table};
+use super::method::{paired, Record};
 use pipes::ops::drive::run_unary_messages;
 use pipes::prelude::*;
 use std::time::Instant;
 
-/// Elements valid on `[i, i+window)`: the exact sliding-window shape the
-/// criterion `temporal_aggregate/count_window` series uses.
+/// Elements valid on `[i, i+window)`.
 fn input(n: u64, window: u64) -> Vec<Element<i64>> {
     (0..n)
         .map(|i| {
@@ -41,28 +39,25 @@ fn input(n: u64, window: u64) -> Vec<Element<i64>> {
         .collect()
 }
 
-/// Runs one variant over a pre-built input, returning elements/s and the
-/// produced message sequence (for the byte-identical check).
-fn run_variant(strategy: AggStrategy, input: &[Element<i64>]) -> (f64, Vec<Message<u64>>) {
+/// Runs the tree (`AggStrategy::Auto`) or the naive layout over a pre-built
+/// input, returning kelem/s and the produced message sequence (for the
+/// byte-identical check).
+fn run_variant(tree: bool, input: &[Element<i64>]) -> (f64, Vec<Message<u64>>) {
+    let strategy = if tree {
+        AggStrategy::Auto
+    } else {
+        AggStrategy::Naive
+    };
     let op = ScalarAggregate::with_strategy(CountAgg, strategy);
     let cloned = input.to_vec();
     let start = Instant::now();
     let out = run_unary_messages(op, cloned);
     let secs = start.elapsed().as_secs_f64();
-    (input.len() as f64 / secs, out)
+    (input.len() as f64 / secs / 1e3, out)
 }
 
-fn median(ratios: &mut [f64]) -> f64 {
-    ratios.sort_by(f64::total_cmp);
-    if ratios.len() % 2 == 1 {
-        ratios[ratios.len() / 2]
-    } else {
-        (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-    }
-}
-
-/// Runs E18 and prints the window-sweep table; writes
-/// `BENCH_window_agg.json`.
+/// Runs E18 and prints the window-sweep table; a full run appends its
+/// record.
 pub fn e18_window_agg(quick: bool) {
     // (window, elements, reps): larger windows get smaller inputs so the
     // naive baseline finishes in reasonable time; reps stay odd for a
@@ -80,91 +75,33 @@ pub fn e18_window_agg(quick: bool) {
     };
 
     // Warm up allocator and page cache off the clock.
-    run_variant(AggStrategy::Auto, &input(2_000, 64));
+    run_variant(true, &input(2_000, 64));
 
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut record = Record::new("e18", plan.iter().map(|p| p.2).max().unwrap_or(0));
     for &(window, n, reps) in &plan {
         let elems = input(n, window);
-        let mut best = [f64::MIN; 2]; // [naive, tree]
-        let mut ratios = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            let order = if rep % 2 == 0 {
-                [AggStrategy::Naive, AggStrategy::Auto]
-            } else {
-                [AggStrategy::Auto, AggStrategy::Naive]
-            };
-            let mut thr = [0.0f64; 2];
-            let mut outs: [Option<Vec<Message<u64>>>; 2] = [None, None];
-            for v in order {
-                let (t, out) = run_variant(v, &elems);
-                let slot = usize::from(v != AggStrategy::Naive);
-                thr[slot] = t;
-                best[slot] = best[slot].max(t);
-                outs[slot] = Some(out);
-            }
-            // Byte-identical sink output, heartbeats included, every rep:
-            // the state layout is not allowed to change what the operator
-            // computes or when it emits it.
-            assert_eq!(
-                outs[0], outs[1],
-                "naive and tree layouts diverged at window {window}"
-            );
-            ratios.push(thr[1] / thr[0]);
-            if std::env::var_os("PIPES_E18_DEBUG").is_some() {
-                eprintln!(
-                    "w={window:>5} rep {rep}: naive {:.3e} tree {:.3e} (x{:.2})",
-                    thr[0],
-                    thr[1],
-                    thr[1] / thr[0]
-                );
-            }
-        }
-        let ratio = median(&mut ratios);
-        rows.push(vec![
-            window.to_string(),
-            n.to_string(),
-            f(best[0] / 1e3, 1),
-            f(best[1] / 1e3, 1),
-            f(ratio, 2),
-        ]);
-        json_rows.push(format!(
-            "    {{\"window\": {window}, \"elements\": {n}, \
-             \"naive_elem_per_s\": {:.0}, \"tree_elem_per_s\": {:.0}, \
-             \"tree_vs_naive_median_ratio\": {ratio:.3}}}",
-            best[0], best[1]
-        ));
+        // Byte-identical sink output, heartbeats included, every rep: the
+        // state layout is not allowed to change what the operator computes
+        // or when it emits it.
+        let p = paired(reps, |tree| run_variant(tree, &elems));
+        let case = format!("window {window}, {n} elements");
+        record.row(&case, "naive throughput", "kelem/s", p.base);
+        record.row(&case, "tree throughput", "kelem/s", p.treat);
+        record.row(&case, "tree vs naive", "ratio", p.ratio);
     }
 
-    table(
+    record.print(
         "E18 — sliding-window count, partial-aggregate tree vs naive scan \
          (exact temporal aggregation, per-element heartbeats)",
-        &[
-            "window",
-            "elements",
-            "naive kelem/s",
-            "tree kelem/s",
-            "tree/naive (median)",
-        ],
-        &rows,
     );
     println!(
         "shape check: the naive boundary table folds every element into all w \
-         covered partials (O(r*w) — the cliff from 2.75 Melem/s at w=16 to \
-         31.6 kelem/s at w=1024); the tree keeps the identical boundary index \
-         but defers combining to the heartbeat sweep, touching O(1) amortized \
-         accumulators per insert, so throughput stays flat as w grows. Bar \
-         (full run): >= 20x at window 1024, parity at window 16 (Auto stays \
-         on the naive fast path below the conversion threshold)."
+         covered partials (O(r*w) — throughput falls linearly with w); the \
+         tree keeps the identical boundary index but defers combining to the \
+         heartbeat sweep, touching O(1) amortized accumulators per insert, so \
+         throughput stays flat as w grows. Bar (full run): >= 20x at window \
+         1024, parity at window 16 (Auto stays on the naive fast path below \
+         the conversion threshold)."
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"window_agg\",\n  \"aggregate\": \"count\",\n  \
-         \"quick\": {quick},\n  \"windows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    match std::fs::write("BENCH_window_agg.json", &json) {
-        Ok(()) => println!("wrote BENCH_window_agg.json"),
-        Err(e) => eprintln!("could not write BENCH_window_agg.json: {e}"),
-    }
+    record.save(quick);
 }

@@ -1,43 +1,40 @@
 //! # pipes-bench
 //!
 //! The experiment harness: one reproducible experiment per demonstrated
-//! claim of the PIPES paper (see `DESIGN.md`, experiment index E1–E16).
+//! claim of the PIPES paper (see `DESIGN.md`, experiment index E1–E19).
 //!
-//! Each experiment prints the table/series it regenerates. Run everything:
+//! Each experiment prints the table/series it regenerates; E14–E19 measure
+//! through one paired method and each full run of them appends one
+//! host-stamped line to `bench-history/experiments.jsonl`
+//! ([`experiments::method`]). Run everything:
 //!
 //! ```text
 //! cargo run --release -p pipes-bench --bin experiments -- all
-//! cargo run --release -p pipes-bench --bin experiments -- e5      # one exp
-//! cargo bench -p pipes-bench                                      # quick pass + criterion micro-benches
+//! cargo run --release -p pipes-bench --bin experiments -- e5        # one exp
+//! cargo run --release -p pipes-bench --bin experiments -- all --quick  # seconds, no record
 //! ```
 
 pub mod experiments;
-
-use std::fmt::Write as _;
 
 /// Prints an aligned ASCII table with a title.
 pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let mut line = String::new();
-    for (h, w) in headers.iter().zip(&widths) {
-        let _ = write!(line, "{h:>w$}  ");
-    }
-    println!("{line}");
-    println!("{}", "-".repeat(line.len().min(120)));
+    let line = |cells: &[&str]| -> String {
+        let padded = cells.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}  "));
+        padded.collect()
+    };
+    let head = line(headers);
+    println!("{head}");
+    println!("{}", "-".repeat(head.len().min(120)));
     for row in rows {
-        let mut line = String::new();
-        for (cell, w) in row.iter().zip(&widths) {
-            let _ = write!(line, "{cell:>w$}  ");
-        }
-        println!("{line}");
+        let cells: Vec<&str> = row.iter().map(String::as_str).collect();
+        println!("{}", line(&cells));
     }
 }
 
@@ -63,8 +60,8 @@ mod tests {
 
     #[test]
     fn quick_experiments_run() {
-        // The full quick pass is exercised by `cargo bench`; here we smoke
-        // the cheapest two to keep unit tests fast.
+        // `scripts/ci.sh` smoke-runs E14–E19 quick; here we smoke the
+        // cheapest two to keep unit tests fast.
         super::experiments::run("e4", true);
         super::experiments::run("e9", true);
     }

@@ -585,9 +585,9 @@ impl<S: SourceOp> Runnable for SourceNode<S> {
 pub(crate) struct OpNode<O: Operator, E> {
     pub(crate) op: O,
     inputs: Vec<Arc<Edge<O::In>>>,
-    /// Per port: it has not delivered its `Close` yet. (A flag, not a
-    /// count: a subscription racing the publisher's close can deliver
-    /// `Close` twice.)
+    /// Per port: it has not delivered its `Close` yet. Each edge carries
+    /// exactly one `Close`, also when its subscription races the
+    /// publisher's close (`Outputs` serialises the two on its `subs` lock).
     open: Vec<bool>,
     emit: E,
     closed: bool,

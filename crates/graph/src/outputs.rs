@@ -56,11 +56,17 @@ impl<T: Clone> Outputs<T> {
                 Message::Heartbeat(Timestamp::new(wm)),
             );
         }
-        // ordering: Relaxed — see priming comment above.
+        // The close check and the push share the `subs` lock with
+        // `publish_close`'s swap and fan-out, so the edge either sees the
+        // flag set here or joins the list the close fans out over — exactly
+        // one `Close` either way. Lock order: subs before edge.
+        let mut subs = self.subs.write();
+        // ordering: Relaxed — the flag is only written under `subs` (read
+        // side, in publish_close), which this write lock excludes.
         if self.closed.load(Ordering::Relaxed) {
             edge.push(self.seq.fetch_add(1, Ordering::Relaxed), Message::Close);
         }
-        self.subs.write().push(edge);
+        subs.push(edge);
     }
 
     /// Detaches the subscriber edge with the given id; returns whether it
@@ -157,6 +163,9 @@ impl<T: Clone> Outputs<T> {
 
     /// Publishes end-of-stream (idempotent).
     pub fn publish_close(&self) {
+        // Swap and fan-out under the `subs` lock: a racing `subscribe`
+        // lands wholly before (on the list) or wholly after (sees the flag).
+        let subs = self.subs.read();
         // ordering: Relaxed — the swap makes exactly one caller the
         // closer; subscribers observe the close via the edge queues.
         if self.closed.swap(true, Ordering::Relaxed) {
@@ -164,9 +173,10 @@ impl<T: Clone> Outputs<T> {
         }
         // ordering: Relaxed — unique-id allocation; see subscribe().
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        for edge in self.subs.read().iter() {
+        for edge in subs.iter() {
             edge.push(seq, Message::Close);
         }
+        drop(subs);
         pipes_trace::instant(pipes_trace::names::CLOSE, [0; 3]);
     }
 

@@ -225,6 +225,34 @@ fn racing_closes_deliver_exactly_one_close() {
     assert!(report.complete);
 }
 
+/// A subscription racing the publisher's close: whichever lands first, the
+/// new edge sees exactly one `Close` — not none (the close fanned out over
+/// the old subscriber list after the subscriber read `closed` as false),
+/// not two (the subscriber pushed its own `Close` and then joined the list
+/// the close fans out over).
+#[test]
+fn subscribe_racing_close_delivers_exactly_one_close() {
+    let report = pipes_sync::model(|| {
+        let out: Arc<Outputs<i32>> = Arc::new(Outputs::new(Arc::new(AtomicU64::new(0))));
+        let e = Arc::new(Edge::new(1));
+        let subscriber = {
+            let out = Arc::clone(&out);
+            let e = Arc::clone(&e);
+            pipes_sync::thread::spawn(move || out.subscribe(e))
+        };
+        out.publish_close();
+        subscriber.join().unwrap();
+        let mut closes = 0;
+        while let Some((_, m)) = e.pop() {
+            assert_eq!(m, Message::Close);
+            closes += 1;
+        }
+        assert_eq!(closes, 1, "a late subscriber must see exactly one Close");
+    });
+    assert!(report.complete);
+    assert!(report.executions > 1, "expected multiple schedules");
+}
+
 /// A `PublishCollector` flushing at its cap races another collector into
 /// the same output port: both quanta's messages arrive, each flush in one
 /// contiguous block.

@@ -7,6 +7,7 @@
 //! these drivers and checks the collected output against the naive snapshot
 //! semantics.
 
+use pipes_graph::run::coalesce_adjacent_heartbeats;
 use pipes_graph::{BinaryOperator, Collector, Operator};
 use pipes_time::{Element, Message, Timestamp};
 
@@ -95,6 +96,52 @@ pub fn run_unary_messages<O: Operator>(
         op.on_heartbeat(0, hb, &mut out);
     }
     op.on_heartbeat(0, Timestamp::MAX, &mut out);
+    op.on_close(&mut out);
+    out
+}
+
+/// Feeds a recorded message trace to port 0 one message at a time through
+/// the per-message callbacks, then closes; returns everything produced.
+/// `Close` messages in the trace are skipped (the close comes at the end).
+pub fn feed_messages<O>(mut op: O, msgs: &[Message<O::In>]) -> Vec<Message<O::Out>>
+where
+    O: Operator,
+    O::In: Clone,
+{
+    let mut out: Vec<Message<O::Out>> = Vec::new();
+    for m in msgs {
+        match m.clone() {
+            Message::Element(e) => op.on_element(0, e, &mut out),
+            Message::Heartbeat(t) => op.on_heartbeat(0, t, &mut out),
+            Message::Close => {}
+        }
+    }
+    op.on_close(&mut out);
+    out
+}
+
+/// Feeds the same trace as runs through [`Operator::on_run`], cut by the
+/// chunk sizes in `sizes` (cycled), with the heartbeat coalescing the graph
+/// node applies before dispatch; then closes. Against [`feed_messages`]
+/// this is the batched-vs-per-message equivalence the run proptests pin.
+pub fn feed_runs<O>(mut op: O, msgs: &[Message<O::In>], sizes: &[usize]) -> Vec<Message<O::Out>>
+where
+    O: Operator,
+    O::In: Clone,
+{
+    let mut out: Vec<Message<O::Out>> = Vec::new();
+    let mut run: Vec<Message<O::In>> = Vec::new();
+    let (mut i, mut s) = (0, 0);
+    while i < msgs.len() {
+        let take = sizes[s % sizes.len()];
+        s += 1;
+        let end = (i + take).min(msgs.len());
+        run.extend(msgs[i..end].iter().cloned());
+        i = end;
+        coalesce_adjacent_heartbeats(&mut run);
+        op.on_run(0, &mut run, &mut out);
+        run.clear();
+    }
     op.on_close(&mut out);
     out
 }

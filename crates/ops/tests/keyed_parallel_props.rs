@@ -3,7 +3,8 @@
 //! and `RippleJoin` behind a shuffle edge must produce exactly the output
 //! of the single-instance plan — same payloads, same intervals, same
 //! order — for arbitrary inputs, instance counts and node-stepping
-//! schedules.
+//! schedules. The composed auctions ⋈ bids → fee → grouped-max plan, with
+//! both stateful stages keyed at once, is pinned the same way.
 //!
 //! Sources are stepped first in id order at a pinned budget in *both*
 //! plans: `VecSource` punctuates per batch and the graph stamps arrival
@@ -16,10 +17,10 @@
 
 use pipes_graph::io::{CollectSink, Collected, CountSink, VecSource};
 use pipes_graph::{key_hash, NodeId, QueryGraph};
-use pipes_ops::aggregate::SumAgg;
-use pipes_ops::{Distinct, GroupedAggregate, RippleJoin};
+use pipes_ops::aggregate::{MaxAgg, SumAgg};
+use pipes_ops::{Distinct, GroupedAggregate, Map, RippleJoin};
 use pipes_sync::Arc;
-use pipes_time::{Element, Timestamp};
+use pipes_time::{Element, TimeInterval, Timestamp};
 use proptest::prelude::*;
 
 /// Pinned source budget — part of the observable input (batch punctuation).
@@ -352,6 +353,92 @@ fn join_told_its_build_side_closed_streams_progress_and_drops_its_partners() {
             ROUNDS * SRC_BUDGET
         );
         drive(&g, &[l, r], &[]);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The composed plan: auctions ⋈ bursty bids → fee → grouped max
+// ---------------------------------------------------------------------------
+
+/// NEXMark-style inputs: 512 auctions `(id, category)`, open for the whole
+/// session, and `n` bids `(auction, price)` in bursts of 16 that share one
+/// auction and one timestamp.
+fn bursty_inputs(n: u64) -> (Vec<Element<Pair>>, Vec<Element<Pair>>) {
+    const AUCTIONS: u64 = 512;
+    const BURST: u64 = 16;
+    let horizon = TimeInterval::new(Timestamp::ZERO, Timestamp::new(u64::MAX / 2));
+    let auctions = (0..AUCTIONS as i64)
+        .map(|id| Element::new((id, id % 8), horizon))
+        .collect();
+    let bids = (0..n)
+        .map(|i| {
+            let burst = i / BURST;
+            let auction = ((burst * 7919) % AUCTIONS) as i64;
+            let price = 100 + (i % BURST) as i64 * 3;
+            Element::at((auction, price), Timestamp::new(burst + 1))
+        })
+        .collect();
+    (auctions, bids)
+}
+
+/// The join, a fee map and the max price per category, single-instance or
+/// with the join and the aggregate each behind a shuffle edge of
+/// `instances` copies; drained by `run_to_completion`.
+fn composed_plan(n_bids: u64, instances: Option<usize>) -> Vec<Element<Pair>> {
+    let bid_join = || RippleJoin::equi(|a: &Pair| a.0, |b: &Pair| b.0, |a, b| (a.1, b.1));
+    let top = || GroupedAggregate::new(|p: &Pair| p.0, MaxAgg(|p: &Pair| p.1));
+    let (auctions, bids) = bursty_inputs(n_bids);
+    let g = QueryGraph::new();
+    let a = g.add_source("auctions", VecSource::new(auctions));
+    let b = g.add_source("bids", VecSource::new(bids));
+    let joined = match instances {
+        None => g.add_binary("join", bid_join(), &a, &b),
+        Some(n) => g.add_keyed_binary(
+            "join",
+            move || bid_join().with_rekey(|a: &Pair| key_hash(&a.0), |b: &Pair| key_hash(&b.0)),
+            Arc::new(|a: &Pair| key_hash(&a.0)),
+            Arc::new(|b: &Pair| key_hash(&b.0)),
+            n,
+            None,
+            &a,
+            &b,
+        ),
+    };
+    let fee = g.add_unary("fee", Map::new(|p: Pair| (p.0, p.1 + p.1 / 50)), &joined);
+    let max = match instances {
+        None => g.add_unary("top-price", top(), &fee),
+        Some(n) => g.add_keyed_unary(
+            "top-price",
+            top,
+            Arc::new(|p: &Pair| key_hash(&p.0)),
+            n,
+            // Heartbeat flushes are key-sorted in the single plan.
+            Some(Arc::new(|a: &Element<Pair>, b: &Element<Pair>| {
+                a.payload.0.cmp(&b.payload.0)
+            })),
+            &fee,
+        ),
+    };
+    let (sink, out) = CollectSink::new();
+    g.add_sink("sink", sink, &max);
+    g.run_to_completion(256);
+    let v = out.lock().clone();
+    v
+}
+
+/// Keyed operators compose: the whole join → map → aggregate plan with both
+/// stateful stages keyed reproduces the single-instance sink stream byte
+/// for byte on bursty input, at 2, 3 and 4 instances.
+#[test]
+fn composed_join_fee_max_plan_keyed_is_byte_identical() {
+    let want = composed_plan(16_000, None);
+    assert!(!want.is_empty(), "plan produced no aggregates");
+    for instances in 2..=4 {
+        assert_eq!(
+            composed_plan(16_000, Some(instances)),
+            want,
+            "keyed plan with {instances} instances diverged from the single plan"
+        );
     }
 }
 

@@ -14,9 +14,9 @@
 //! `crates/graph/tests/run_props.rs`.
 
 use pipes_graph::run::coalesce_adjacent_heartbeats;
-use pipes_graph::{BinaryOperator, Operator};
+use pipes_graph::BinaryOperator;
 use pipes_ops::aggregate::{CountAgg, ScalarAggregate, SumAgg};
-use pipes_ops::drive::{BinaryElementWise, ElementWise};
+use pipes_ops::drive::{feed_runs, BinaryElementWise, ElementWise};
 use pipes_ops::{Filter, FlatMap, GroupedAggregate, Map, RippleJoin};
 use pipes_time::{Element, Message, TimeInterval, Timestamp};
 use proptest::prelude::*;
@@ -63,31 +63,6 @@ fn arb_trace(max_bursts: usize) -> impl Strategy<Value = Vec<Message<i64>>> {
 /// Random run-boundary pattern: chunk sizes cycled over the trace.
 fn arb_cuts() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..6, 1..24)
-}
-
-/// Feeds `msgs` to `op` as runs cut at the given boundary pattern, with
-/// the same heartbeat coalescing the graph node applies before dispatch,
-/// and returns every message the operator produced.
-fn feed_runs<O>(mut op: O, msgs: &[Message<O::In>], sizes: &[usize]) -> Vec<Message<O::Out>>
-where
-    O: Operator,
-    O::In: Clone,
-{
-    let mut out: Vec<Message<O::Out>> = Vec::new();
-    let mut run: Vec<Message<O::In>> = Vec::new();
-    let (mut i, mut s) = (0, 0);
-    while i < msgs.len() {
-        let take = sizes[s % sizes.len()];
-        s += 1;
-        let end = (i + take).min(msgs.len());
-        run.extend(msgs[i..end].iter().cloned());
-        i = end;
-        coalesce_adjacent_heartbeats(&mut run);
-        op.on_run(0, &mut run, &mut out);
-        run.clear();
-    }
-    op.on_close(&mut out);
-    out
 }
 
 /// Binary counterpart of [`feed_runs`]: `msgs` carries a port tag; maximal

@@ -13,9 +13,9 @@
 //! Byte identity is what `Value`'s equality checks: floats compare by
 //! `total_cmp`, so `-0.0 != 0.0` and two NaNs are equal only bit for bit.
 
-use pipes_graph::run::coalesce_adjacent_heartbeats;
 use pipes_graph::Operator;
 use pipes_ops::aggregate::{AggStrategy, ExactSum, ScalarAggregate};
+use pipes_ops::drive::{feed_messages, feed_runs};
 use pipes_ops::GroupedAggregate;
 use pipes_optimizer::compile::TupleAggs;
 use pipes_optimizer::{AggFunc, AggSpec, Expr, Schema, Tuple, Value};
@@ -128,48 +128,6 @@ fn arb_trace() -> impl Strategy<Value = Vec<Message<Tuple>>> {
 /// Random run-boundary pattern: chunk sizes cycled over the trace.
 fn arb_cuts() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..8, 1..24)
-}
-
-/// Feeds `msgs` one by one through the per-message callbacks.
-fn feed_messages<O>(mut op: O, msgs: &[Message<O::In>]) -> Vec<Message<O::Out>>
-where
-    O: Operator,
-    O::In: Clone,
-{
-    let mut out: Vec<Message<O::Out>> = Vec::new();
-    for m in msgs {
-        match m.clone() {
-            Message::Element(e) => op.on_element(0, e, &mut out),
-            Message::Heartbeat(t) => op.on_heartbeat(0, t, &mut out),
-            Message::Close => {}
-        }
-    }
-    op.on_close(&mut out);
-    out
-}
-
-/// Feeds `msgs` as runs cut at the given boundary pattern (the burst /
-/// `insert_group` path), with node-style heartbeat coalescing.
-fn feed_runs<O>(mut op: O, msgs: &[Message<O::In>], sizes: &[usize]) -> Vec<Message<O::Out>>
-where
-    O: Operator,
-    O::In: Clone,
-{
-    let mut out: Vec<Message<O::Out>> = Vec::new();
-    let mut run: Vec<Message<O::In>> = Vec::new();
-    let (mut i, mut s) = (0, 0);
-    while i < msgs.len() {
-        let take = sizes[s % sizes.len()];
-        s += 1;
-        let end = (i + take).min(msgs.len());
-        run.extend(msgs[i..end].iter().cloned());
-        i = end;
-        coalesce_adjacent_heartbeats(&mut run);
-        op.on_run(0, &mut run, &mut out);
-        run.clear();
-    }
-    op.on_close(&mut out);
-    out
 }
 
 fn elements<T: Clone>(msgs: &[Message<T>]) -> Vec<Element<T>> {

@@ -66,72 +66,29 @@ test "$(grep -c '^bucket-count#' <<<"$final_table")" -eq 4
 test "$(grep -c '^pipes_node_in_total{node="bucket-count#' <<<"$top_out")" -eq 4
 grep -qx 'pipes_node_instances{node="bucket-count"} 4' <<<"$top_out"
 
-# The experiment smoke runs below write their `BENCH_*.json` into the
-# directory they run in. They run in a scratch directory, so quick-run
-# numbers never land on the checked-in artifacts (those are regenerated
-# only by full, non-quick runs from the repository root).
-quick_dir=target/ci-quick
-mkdir -p "$quick_dir"
-experiment() {
-    (cd "$quick_dir" && cargo run -q --release -p pipes-bench --bin experiments -- "$@")
-}
-
-# Scheduler-layers smoke run: E16 exercises both drivers (the
-# single-thread executor, and work stealing at every worker count up to
-# the core count) end to end on the skewed multi-chain workload and
-# asserts full delivery; quick mode keeps it to seconds. The ratios are
-# recorded from the full (non-quick) run in EXPERIMENTS.md, not gated here.
-# Its first table — ns per strategy pick against installed nodes, 4 ready —
-# is printed: a pick that grows with the installed nodes again shows here
-# (the 2x bar itself is checked on the full run; quick medians are noisy).
-echo "==> E16 scheduler-layers smoke run (quick) + pick-cost scaling table"
-experiment e16 --quick | grep -A 6 "ns per strategy pick"
-
-# Run-algebra smoke run: E17 drives the NEXMark-style join + aggregate
-# plan under both dispatch granularities and asserts they produce the
-# same sink output; quick mode keeps it to seconds. As with E16, the
-# ratio acceptance bar lives in the full run recorded in EXPERIMENTS.md.
-echo "==> E17 run-at-a-time algebra smoke run (quick)"
-experiment e17 --quick >/dev/null
-
-# Window-aggregation smoke run: E18 sweeps the sliding-window count under
-# both partial-state layouts (naive boundary scan vs partial-aggregate
-# tree) and asserts byte-identical sink output on every rep; quick mode
-# keeps it to seconds. The >= 20x acceptance bar at window 1024 lives in
-# the full run recorded in EXPERIMENTS.md.
-echo "==> E18 window-aggregation smoke run (quick)"
-experiment e18 --quick >/dev/null
-
-# Metadata-plane smoke run: E19 runs the E17 join plan with collection
-# disabled and enabled in alternating pairs and checks that a warm graph
-# feeds measured estimates through the snapshot; quick mode keeps it to
-# seconds. The <= 3% overhead bar is checked in the full run recorded in
-# EXPERIMENTS.md, not gated here (quick-run medians are too noisy).
-echo "==> E19 metadata-plane smoke run (quick)"
-experiment e19 --quick >/dev/null
-
-# Hot-topology smoke run: E20 splices a fleet of prefix-sharing queries
-# into a graph a work-stealing executor is already draining, watching
-# install-to-first-result latency from the side; quick mode keeps it to
-# seconds. The >= 5x sharing and no-throughput-degradation bars live in
-# the full run recorded in EXPERIMENTS.md.
-echo "==> E20 hot-topology splice smoke run (quick)"
-experiment e20 --quick >/dev/null
-
-# Keyed-parallelism smoke run: E21 builds the NEXMark join + aggregate
-# plan single-instance and behind shuffle edges, asserts byte-identical
-# sink output at several instance counts, then sweeps the work-stealing
-# executor over the available cores; quick mode keeps it to seconds. The
-# scaling bar lives in the full run recorded in EXPERIMENTS.md (and needs
-# a multi-core host — see the E21 caveat there).
-echo "==> E21 keyed-parallelism smoke run (quick)"
-experiment e21 --quick >/dev/null
+# Experiment smoke run: E14–E19, quick, from the repository root. They
+# share one paired runner (alternating order per rep) and each asserts what
+# its comparison must keep: E14/E15 deliver the whole chain, E16 full
+# delivery under both drivers, E17 identical sink output per dispatch
+# granularity, E18 byte-identical naive and tree output on every rep, E19
+# a warm snapshot fed by measured estimates. A quick run prints its tables
+# and writes nothing; the acceptance bars are read from full runs, whose
+# records accumulate in bench-history/experiments.jsonl (quick medians are
+# too noisy to gate on). The E16 pick-cost rows (ns per strategy pick
+# against installed nodes, 4 ready) are printed: a pick that grows with the
+# installed nodes again shows here.
+echo "==> E14–E19 experiment smoke run (quick)"
+cargo run -q --release -p pipes-bench --bin experiments -- e14 e15 e16 e17 e18 e19 --quick \
+    | grep -E '^=== E1[4-9]|installed +select|^shape check: from'
 
 # End-to-end benchmark smoke run: all five workloads of BENCHMARK.json from
 # CQL text to the sink, 0.5 s phases. Fails on a verify mismatch against
 # the in-benchmark reference, a lost event, or a malformed/unlisted metric
 # name; the numbers of a quick run are not compared against anything. The
-# package is a workspace of its own, so its unit tests run here too.
+# package is a workspace of its own, so its unit tests run here too. Its
+# `nexmark_fleet_churn` splices queries into a running executor (what E20
+# did) and `nexmark_join_keyed` checks the keyed join plan against the
+# single-instance one (what E21 did).
 echo "==> benchmark smoke run (quick) + its unit tests"
 benchmark/run.sh --quick >/dev/null
 (cd benchmark && CARGO_TARGET_DIR=../target cargo test -q --offline)
