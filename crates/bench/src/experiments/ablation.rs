@@ -111,7 +111,7 @@ pub fn e13_ablation(quick: bool) {
     // Ablated: choose the variant with an empty sunk set, then compile with
     // dedup only.
     let g2 = QueryGraph::new();
-    let mut installed: HashMap<String, pipes::optimizer::Published> = HashMap::new();
+    let mut installed = HashMap::new();
     for q in &queries {
         let variants = pipes::optimizer::rules::enumerate(q, &cat);
         let chosen = variants

@@ -8,11 +8,39 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::marker::PhantomData;
 
+/// How a [`GroupedAggregate`] builds the payload of one result row from a
+/// group's key and accumulator.
+pub trait GroupRow<T, K, A: AggregateFn<T>>: Send + 'static {
+    /// The result payload.
+    type Out: Send + Clone + 'static;
+
+    /// The row of group `key` whose accumulator (of `agg`) is `acc`.
+    fn row(&self, agg: &A, key: &K, acc: &A::Acc) -> Self::Out;
+}
+
+/// The default [`GroupRow`]: the `(key, finalized aggregate)` pair.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct KeyAndValue;
+
+impl<T, K, A> GroupRow<T, K, A> for KeyAndValue
+where
+    K: Clone + Send + 'static,
+    A: AggregateFn<T>,
+{
+    type Out = (K, A::Out);
+
+    fn row(&self, agg: &A, key: &K, acc: &A::Acc) -> (K, A::Out) {
+        (key.clone(), agg.finalize(acc))
+    }
+}
+
 /// `GROUP BY key` + aggregate: each group runs the partial-aggregate
-/// machinery of [`crate::aggregate::ScalarAggregate`] independently; outputs
-/// are `(key, aggregate)` pairs whose snapshots match relational grouped
-/// aggregation at every instant (groups with an empty snapshot produce no
-/// row).
+/// machinery of [`crate::aggregate::ScalarAggregate`] independently; each
+/// output row is built by `R` from the group's key and accumulator —
+/// `(key, aggregate)` pairs by default ([`KeyAndValue`]; see
+/// [`GroupedAggregate::with_rows`]) — and the rows' snapshots match
+/// relational grouped aggregation at every instant (groups with an empty
+/// snapshot produce no row).
 ///
 /// A group whose partials are fully finalized by a heartbeat is dropped
 /// from the key map entirely, so long-tail key spaces (keys seen once and
@@ -23,9 +51,10 @@ use std::marker::PhantomData;
 /// [`crate::aggregate`]): a heartbeat that passes no pending grid instant
 /// costs no per-group work, and one that does emits the passed instants in
 /// instant order and, within an instant, in key order.
-pub struct GroupedAggregate<T, K, KF, A: AggregateFn<T>> {
+pub struct GroupedAggregate<T, K, KF, A: AggregateFn<T>, R = KeyAndValue> {
     key: KF,
     agg: A,
+    rows: R,
     layout: Layout,
     /// On the grid, no group holds an instant before this one.
     due: Timestamp,
@@ -69,6 +98,7 @@ where
         GroupedAggregate {
             key,
             agg,
+            rows: KeyAndValue,
             layout,
             due: Timestamp::MAX,
             groups: HashMap::new(),
@@ -76,6 +106,28 @@ where
         }
     }
 
+    /// The same operator, building each output row with `rows` instead of
+    /// as a `(key, aggregate)` pair.
+    pub fn with_rows<R: GroupRow<T, K, A>>(self, rows: R) -> GroupedAggregate<T, K, KF, A, R> {
+        GroupedAggregate {
+            key: self.key,
+            agg: self.agg,
+            rows,
+            layout: self.layout,
+            due: self.due,
+            groups: self.groups,
+            _marker: PhantomData,
+        }
+    }
+}
+
+impl<T, K, KF, A, R> GroupedAggregate<T, K, KF, A, R>
+where
+    K: Hash + Eq + Clone,
+    KF: Fn(&T) -> K,
+    A: AggregateFn<T>,
+    R: GroupRow<T, K, A>,
+{
     /// The group of key `k`, created empty if need be, and the aggregate
     /// to fold into it. On the grid, lowers `due` to the first instant an
     /// insert over `iv` will touch.
@@ -97,25 +149,23 @@ where
     /// Emits every grid instant before `wm`: instant by instant, key order
     /// within an instant — so the output does not depend on which
     /// heartbeats a batched run coalesced. Drops emptied groups.
-    fn flush_grid(&mut self, wm: Timestamp, out: &mut dyn Collector<(K, A::Out)>)
+    fn flush_grid(&mut self, wm: Timestamp, out: &mut dyn Collector<R::Out>)
     where
         K: Ord,
     {
         if wm <= self.due {
             return;
         }
-        let agg = &self.agg;
-        let mut groups: Vec<(&K, &mut Partials<A::Acc>)> = self.groups.iter_mut().collect();
-        groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut rows = Vec::new();
-        for (k, group) in groups {
+        let (agg, rows) = (&self.agg, &self.rows);
+        let mut passed = Vec::new();
+        for (k, group) in self.groups.iter_mut() {
             group.flush(wm, agg, |iv, acc| {
-                rows.push(Element::new((k.clone(), agg.finalize(acc)), iv));
+                passed.push((k, Element::new(rows.row(agg, k, acc), iv)));
             });
         }
-        // Stable: key order survives within each instant.
-        rows.sort_by_key(Element::start);
-        for row in rows {
+        // A group emits each instant once, so `(instant, key)` is unique.
+        passed.sort_unstable_by(|(k, a), (l, b)| (a.start(), *k).cmp(&(b.start(), *l)));
+        for (_, row) in passed {
             out.element(row);
         }
         self.groups.retain(|_, g| g.len() > 0);
@@ -133,15 +183,16 @@ where
     }
 }
 
-impl<T, K, KF, A> Operator for GroupedAggregate<T, K, KF, A>
+impl<T, K, KF, A, R> Operator for GroupedAggregate<T, K, KF, A, R>
 where
     T: Send + Clone + 'static,
     K: Hash + Eq + Clone + Ord + Send + 'static,
     KF: Fn(&T) -> K + Send + 'static,
     A: AggregateFn<T>,
+    R: GroupRow<T, K, A>,
 {
     type In = T;
-    type Out = (K, A::Out);
+    type Out = R::Out;
 
     fn on_element(&mut self, _port: usize, e: Element<T>, _out: &mut dyn Collector<Self::Out>) {
         let k = (self.key)(&e.payload);
@@ -160,9 +211,9 @@ where
         keys.sort();
         for k in keys {
             let group = self.groups.get_mut(&k).expect("group exists");
-            let agg = &self.agg;
+            let (agg, rows) = (&self.agg, &self.rows);
             group.flush(t, agg, |iv, acc| {
-                out.element(Element::new((k.clone(), agg.finalize(acc)), iv));
+                out.element(Element::new(rows.row(agg, &k, acc), iv));
             });
         }
         // Fully-finalized keys release their map entry (long-tail GC).
@@ -172,10 +223,11 @@ where
 
     /// Applies adjacent elements sharing both key and interval as one
     /// [`Partials::insert_group`]: one hash lookup and one boundary-split
-    /// pair per burst instead of per element. Emits the aggregate
-    /// hot-path trace instants (`agg.insert_run` per run, `agg.finalize`
-    /// per in-run heartbeat); the per-message callbacks stay
-    /// uninstrumented.
+    /// pair per burst instead of per element, and one key evaluation per
+    /// element (the key that ends a burst heads the next one). Emits the
+    /// aggregate hot-path trace instants (`agg.insert_run` per run,
+    /// `agg.finalize` per in-run heartbeat); the per-message callbacks
+    /// stay uninstrumented.
     fn on_run(
         &mut self,
         port: usize,
@@ -184,22 +236,24 @@ where
     ) {
         let run_len = run.len();
         let mut bursts = 0u64;
+        let mut next_key = None;
         let mut i = 0;
         while i < run.len() {
             match &run[i] {
                 Message::Element(e) => {
                     let iv = e.interval;
-                    let k = (self.key)(&e.payload);
+                    let k = next_key.take().unwrap_or_else(|| (self.key)(&e.payload));
                     let mut j = i + 1;
-                    while j < run.len() {
-                        match &run[j] {
-                            Message::Element(n)
-                                if n.interval == iv && (self.key)(&n.payload) == k =>
-                            {
-                                j += 1
-                            }
-                            _ => break,
+                    while let Some(Message::Element(n)) = run.get(j) {
+                        if n.interval != iv {
+                            break;
                         }
+                        let nk = (self.key)(&n.payload);
+                        if nk != k {
+                            next_key = Some(nk);
+                            break;
+                        }
+                        j += 1;
                     }
                     let (group, agg) = self.group(k, iv);
                     group.insert_group(iv, &run[i..j], agg);
@@ -244,9 +298,9 @@ where
         keys.sort();
         for k in keys {
             let group = self.groups.get_mut(&k).expect("group exists");
-            let agg = &self.agg;
+            let (agg, rows) = (&self.agg, &self.rows);
             group.flush_all(agg, |iv, acc| {
-                out.element(Element::new((k.clone(), agg.finalize(acc)), iv));
+                out.element(Element::new(rows.row(agg, &k, acc), iv));
             });
         }
         self.groups.clear();
@@ -281,12 +335,13 @@ where
 /// a `pipes_graph::key_hash`-based partitioner key function computes for
 /// elements of that group, so relocated partials land on the instance that
 /// will receive the group's future elements.
-impl<T, K, KF, A> Rekey for GroupedAggregate<T, K, KF, A>
+impl<T, K, KF, A, R> Rekey for GroupedAggregate<T, K, KF, A, R>
 where
     T: Send + Clone + 'static,
     K: Hash + Eq + Clone + Ord + Send + 'static,
     KF: Fn(&T) -> K + Send + 'static,
     A: AggregateFn<T>,
+    R: GroupRow<T, K, A>,
     Partials<A::Acc>: Send + 'static,
 {
     fn export_keyed(&mut self) -> KeyedState {
@@ -486,6 +541,58 @@ mod tests {
         op.on_heartbeat(0, Timestamp::new(101), &mut out);
         assert_eq!(out.iter().filter(|m| m.is_element()).count(), 4);
         assert_eq!(op.live_groups(), 0);
+    }
+
+    #[test]
+    fn a_run_evaluates_each_key_once() {
+        use pipes_sync::atomic::{AtomicUsize, Ordering};
+        use pipes_sync::Arc;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let mut op = GroupedAggregate::new(
+            move |p: &(i64, i64)| {
+                // ordering: Relaxed — a single-threaded call counter.
+                counted.fetch_add(1, Ordering::Relaxed);
+                p.0
+            },
+            CountAgg,
+        );
+        // No `(key, interval)` repeats back to back: every element breaks
+        // the burst before it, half of them on the key alone.
+        let mut run: Vec<Message<(i64, i64)>> = (0..40)
+            .map(|i| Message::Element(el((i % 4, i), (i / 2) as u64, 100)))
+            .collect();
+        let mut out: Vec<Message<(i64, u64)>> = Vec::new();
+        op.on_run(0, &mut run, &mut out);
+        // ordering: Relaxed — read after the run, on the same thread.
+        assert_eq!(calls.load(Ordering::Relaxed), 40);
+        assert_eq!(op.memory(), 40);
+    }
+
+    #[test]
+    fn with_rows_builds_each_row_from_key_and_accumulator() {
+        struct Flat;
+        impl GroupRow<(i64, i64), i64, CountAgg> for Flat {
+            type Out = [i64; 2];
+            fn row(&self, _: &CountAgg, key: &i64, count: &u64) -> [i64; 2] {
+                [*key, *count as i64]
+            }
+        }
+        let input = vec![el((1, 10), 0, 10), el((2, 20), 0, 10), el((1, 30), 5, 15)];
+        let pairs = run_unary_messages(
+            GroupedAggregate::sampled(|p: &(i64, i64)| p.0, CountAgg, Duration::from_ticks(5)),
+            input.clone(),
+        );
+        let flat = run_unary_messages(
+            GroupedAggregate::sampled(|p: &(i64, i64)| p.0, CountAgg, Duration::from_ticks(5))
+                .with_rows(Flat),
+            input,
+        );
+        let as_pairs: Vec<Message<(i64, u64)>> = flat
+            .into_iter()
+            .map(|m| m.map(|[k, n]| (k, n as u64)))
+            .collect();
+        assert_eq!(as_pairs, pairs);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use coalesce::Coalesce;
 pub use difference::Difference;
 pub use distinct::Distinct;
 pub use granularity::Granularity;
-pub use groupby::GroupedAggregate;
+pub use groupby::{GroupRow, GroupedAggregate, KeyAndValue};
 pub use join::{
     HashSweepArea, ListSweepArea, MultiwayJoin, OrderedSweepArea, RippleJoin, SweepArea,
 };

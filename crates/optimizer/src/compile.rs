@@ -13,10 +13,13 @@
 //!   no `every`, `coalesce` or per-partial finalization. The window below
 //!   stays shared. Every other `Every` keeps [`Granularity`], and so does
 //!   one whose `Aggregate` already runs for another query: it is reused.
-//! * **No flatten node.** A grouped aggregate publishes `(key, aggregates)`
-//!   pairs ([`Published::Groups`]); a `Project` or `Filter` above it
-//!   flattens each pair into a row as it consumes it. Only other consumers
-//!   get an `aggregate[flatten]` node.
+//! * **Flat rows; rename-only projections elided.** A grouped aggregate
+//!   builds each result row itself, key values then finalized aggregates
+//!   in one allocation ([`FlatRow`]), so whatever consumes it reads plain
+//!   rows. A `Project` whose select list is exactly the input's columns in
+//!   order (`Col(0), …, Col(n-1)` over an `n`-wide input) only renames
+//!   them: it adds no node, and its signature is registered under its
+//!   input's publication point.
 
 use crate::catalog::Catalog;
 use crate::expr::{BinOp, BoundExpr, Expr};
@@ -25,7 +28,7 @@ use crate::value::{Schema, Tuple, Value};
 use pipes_graph::{NodeId, QueryGraph, StreamHandle};
 use pipes_ops::aggregate::{AggregateFn, ExactSum, TREE_CONVERT_WIDTH};
 use pipes_ops::{
-    Coalesce, CountWindow, Difference, Distinct, Filter, FlatMap, Granularity, GroupedAggregate,
+    Coalesce, CountWindow, Difference, Distinct, Filter, Granularity, GroupRow, GroupedAggregate,
     Map, NowWindow, PartitionedCountWindow, RippleJoin, ScalarAggregate, TimeWindow, Union,
 };
 use pipes_rel::RelationLookup;
@@ -229,6 +232,16 @@ impl TupleAggs {
     fn number(&self, i: usize, t: &Tuple) -> f64 {
         self.value(i, t).as_f64().unwrap_or(0.0)
     }
+
+    /// Appends the finalized value of each call in `acc` to `row`.
+    fn finalize_into(&self, acc: &[AggAcc], row: &mut Tuple) {
+        row.extend(acc.iter().map(|a| match a {
+            AggAcc::Count(c) => Value::Int(*c as i64),
+            AggAcc::Sum(s) => Value::Float(s.value()),
+            AggAcc::Avg(s, c) => Value::Float(s.value() / *c as f64),
+            AggAcc::Min(v) | AggAcc::Max(v) => v.clone(),
+        }));
+    }
 }
 
 impl AggregateFn<Tuple> for TupleAggs {
@@ -275,14 +288,9 @@ impl AggregateFn<Tuple> for TupleAggs {
     }
 
     fn finalize(&self, acc: &Vec<AggAcc>) -> Tuple {
-        acc.iter()
-            .map(|a| match a {
-                AggAcc::Count(c) => Value::Int(*c as i64),
-                AggAcc::Sum(s) => Value::Float(s.value()),
-                AggAcc::Avg(s, c) => Value::Float(s.value() / *c as f64),
-                AggAcc::Min(v) | AggAcc::Max(v) => v.clone(),
-            })
-            .collect()
+        let mut row = Vec::with_capacity(acc.len());
+        self.finalize_into(acc, &mut row);
+        row
     }
 
     fn combinable(&self) -> bool {
@@ -302,23 +310,20 @@ impl AggregateFn<Tuple> for TupleAggs {
 // Compilation
 // ---------------------------------------------------------------------------
 
-/// A publication point the compiler shares by signature.
-#[derive(Clone, Debug)]
-pub enum Published {
-    /// A stream of rows.
-    Rows(StreamHandle<Tuple>),
-    /// The `(group key, aggregates)` pairs of a grouped aggregate, which
-    /// its consumer flattens into rows.
-    Groups(StreamHandle<(Vec<Value>, Tuple)>),
-}
+/// The result row of a CQL grouped aggregate: the group key's values, then
+/// one finalized value per aggregate call, built in one allocation of
+/// exact size.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FlatRow;
 
-impl Published {
-    /// The publishing node.
-    pub fn node(&self) -> NodeId {
-        match self {
-            Published::Rows(h) => h.node(),
-            Published::Groups(h) => h.node(),
-        }
+impl GroupRow<Tuple, Vec<Value>, TupleAggs> for FlatRow {
+    type Out = Tuple;
+
+    fn row(&self, aggs: &TupleAggs, key: &Vec<Value>, acc: &Vec<AggAcc>) -> Tuple {
+        let mut row = Vec::with_capacity(key.len() + acc.len());
+        row.extend_from_slice(key);
+        aggs.finalize_into(acc, &mut row);
+        row
     }
 }
 
@@ -331,11 +336,13 @@ pub struct CompileContext<'a> {
     /// Stream and relation definitions.
     pub catalog: &'a Catalog,
     /// Already-running subplans by signature.
-    pub installed: &'a mut HashMap<String, Published>,
+    pub installed: &'a mut HashMap<String, StreamHandle<Tuple>>,
     /// Nodes newly created by this compilation.
     pub created: usize,
     /// Subplans reused from the running graph.
     pub reused: usize,
+    /// The node the latest shared subplan resolved to.
+    last_shared: Option<NodeId>,
 }
 
 impl<'a> CompileContext<'a> {
@@ -343,7 +350,7 @@ impl<'a> CompileContext<'a> {
     pub fn new(
         graph: &'a QueryGraph,
         catalog: &'a Catalog,
-        installed: &'a mut HashMap<String, Published>,
+        installed: &'a mut HashMap<String, StreamHandle<Tuple>>,
     ) -> Self {
         CompileContext {
             graph,
@@ -351,6 +358,7 @@ impl<'a> CompileContext<'a> {
             installed,
             created: 0,
             reused: 0,
+            last_shared: None,
         }
     }
 }
@@ -361,60 +369,38 @@ pub fn compile(
     plan: &LogicalPlan,
     ctx: &mut CompileContext<'_>,
 ) -> Result<StreamHandle<Tuple>, String> {
-    match compile_published(plan, ctx)? {
-        Published::Rows(h) => Ok(h),
-        Published::Groups(h) => {
-            let flat = shared(ctx, format!("flatten({})", plan.signature()), |ctx| {
-                Ok(Published::Rows(ctx.graph.add_unary(
-                    "aggregate[flatten]",
-                    Map::new(|(k, aggs): (Vec<Value>, Tuple)| flatten(k, aggs)),
-                    &h,
-                )))
-            })?;
-            let Published::Rows(flat) = flat else {
-                unreachable!("a flatten node publishes rows");
-            };
-            Ok(flat)
-        }
-    }
-}
-
-/// Compiles `plan` as [`compile`] does, but leaves a grouped aggregate's
-/// pairs unflattened.
-fn compile_published(
-    plan: &LogicalPlan,
-    ctx: &mut CompileContext<'_>,
-) -> Result<Published, String> {
     shared(ctx, plan.signature(), |ctx| compile_new(plan, ctx))
 }
 
-/// The publication installed under `sig`, or the one `build` adds to the
-/// graph (and registers under `sig`).
+/// The publication installed under `sig`, or the one `build` returns
+/// (registered under `sig`).
 fn shared(
     ctx: &mut CompileContext<'_>,
     sig: String,
-    build: impl FnOnce(&mut CompileContext<'_>) -> Result<Published, String>,
-) -> Result<Published, String> {
-    if let Some(published) = ctx.installed.get(&sig) {
+    build: impl FnOnce(&mut CompileContext<'_>) -> Result<StreamHandle<Tuple>, String>,
+) -> Result<StreamHandle<Tuple>, String> {
+    if let Some(handle) = ctx.installed.get(&sig) {
         ctx.reused += 1;
-        return Ok(published.clone());
+        ctx.last_shared = Some(handle.node());
+        return Ok(handle.clone());
     }
-    let published = build(ctx)?;
-    ctx.created += 1;
-    ctx.installed.insert(sig, published.clone());
-    Ok(published)
-}
-
-/// A grouped aggregate's `(key, aggregates)` pair as one row.
-fn flatten(mut key: Vec<Value>, aggs: Tuple) -> Tuple {
-    key.extend(aggs);
-    key
+    let handle = build(ctx)?;
+    // An elided projection hands back the subplan it was compiled over,
+    // which a nested call resolved last; anything else is a new node.
+    if ctx.last_shared != Some(handle.node()) {
+        ctx.created += 1;
+    }
+    ctx.last_shared = Some(handle.node());
+    ctx.installed.insert(sig, handle.clone());
+    Ok(handle)
 }
 
 /// A `Project` or `Filter`, bound against its input schema.
 enum RowOp {
     Filter(String, BoundExpr),
     Project(Vec<BoundExpr>),
+    /// A `Project` that keeps every input column in order.
+    Rename,
 }
 
 impl RowOp {
@@ -430,46 +416,37 @@ impl RowOp {
             }
             LogicalPlan::Project { input, exprs } => {
                 let in_schema = output_schema(input, catalog)?;
-                let bound = exprs
+                let bound: Vec<BoundExpr> = exprs
                     .iter()
                     .map(|(e, _)| e.bind(&in_schema))
                     .collect::<Result<_, _>>()?;
-                Some(RowOp::Project(bound))
+                let renames = bound.len() == in_schema.len()
+                    && (bound.iter().enumerate())
+                        .all(|(i, b)| matches!(b, BoundExpr::Col(c) if *c == i));
+                Some(if renames {
+                    RowOp::Rename
+                } else {
+                    RowOp::Project(bound)
+                })
             }
             _ => None,
         })
     }
 
-    /// Adds the operator over `up`; over a grouped aggregate's pairs it
-    /// flattens each pair as it consumes it.
-    fn add(self, graph: &QueryGraph, up: &Published) -> StreamHandle<Tuple> {
-        match (self, up) {
-            (RowOp::Filter(name, pred), Published::Rows(up)) => graph.add_unary(
+    /// Adds the operator over `up`; a rename adds nothing and returns `up`.
+    fn add(self, graph: &QueryGraph, up: &StreamHandle<Tuple>) -> StreamHandle<Tuple> {
+        match self {
+            RowOp::Filter(name, pred) => graph.add_unary(
                 &name,
                 Filter::new(move |t: &Tuple| pred.eval(t).truthy()),
                 up,
             ),
-            (RowOp::Filter(name, pred), Published::Groups(up)) => graph.add_unary(
-                &name,
-                FlatMap::new(move |(k, aggs): (Vec<Value>, Tuple)| {
-                    let row = flatten(k, aggs);
-                    pred.eval(&row).truthy().then_some(row)
-                }),
-                up,
-            ),
-            (RowOp::Project(exprs), Published::Rows(up)) => graph.add_unary(
+            RowOp::Project(exprs) => graph.add_unary(
                 "project",
                 Map::new(move |t: Tuple| exprs.iter().map(|b| b.eval(&t)).collect::<Tuple>()),
                 up,
             ),
-            (RowOp::Project(exprs), Published::Groups(up)) => graph.add_unary(
-                "project",
-                Map::new(move |(k, aggs): (Vec<Value>, Tuple)| {
-                    let row = flatten(k, aggs);
-                    exprs.iter().map(|b| b.eval(&row)).collect::<Tuple>()
-                }),
-                up,
-            ),
+            RowOp::Rename => up.clone(),
         }
     }
 }
@@ -496,7 +473,7 @@ fn compile_sampled(
     input: &LogicalPlan,
     period: Duration,
     ctx: &mut CompileContext<'_>,
-) -> Result<Option<Published>, String> {
+) -> Result<Option<StreamHandle<Tuple>>, String> {
     let mut chain = Vec::new();
     let mut node = input;
     while let Some(op) = RowOp::bind(node, ctx.catalog)? {
@@ -526,11 +503,9 @@ fn compile_sampled(
         compile_aggregate(node, Some(period), ctx)
     })?;
     for (op, plan) in chain.rev() {
-        up = shared(ctx, sampled_sig(plan), |ctx| {
-            Ok(Published::Rows(op.add(ctx.graph, &up)))
-        })?;
+        up = shared(ctx, sampled_sig(plan), |ctx| Ok(op.add(ctx.graph, &up)))?;
     }
-    Ok(Some(Published::Rows(top.add(ctx.graph, &up))))
+    Ok(Some(top.add(ctx.graph, &up)))
 }
 
 /// Compiles an `Aggregate` plan; with `period`, on the grid layout.
@@ -538,7 +513,7 @@ fn compile_aggregate(
     plan: &LogicalPlan,
     period: Option<Duration>,
     ctx: &mut CompileContext<'_>,
-) -> Result<Published, String> {
+) -> Result<StreamHandle<Tuple>, String> {
     let LogicalPlan::Aggregate {
         input,
         group_by,
@@ -556,32 +531,34 @@ fn compile_aggregate(
     let up = compile(input, ctx)?;
     let graph = ctx.graph;
     if keys.is_empty() {
-        return Ok(Published::Rows(match period {
+        return Ok(match period {
             None => graph.add_unary("aggregate", ScalarAggregate::new(tuple_aggs), &up),
             Some(p) => graph.add_unary(
                 &format!("aggregate[sampled {p}]"),
                 ScalarAggregate::sampled(tuple_aggs, p),
                 &up,
             ),
-        }));
+        });
     }
     let key_fn = move |t: &Tuple| -> Vec<Value> { keys.iter().map(|k| k.eval(t)).collect() };
-    Ok(Published::Groups(match period {
+    Ok(match period {
         None => graph.add_unary(
             "aggregate[grouped]",
-            GroupedAggregate::new(key_fn, tuple_aggs),
+            GroupedAggregate::new(key_fn, tuple_aggs).with_rows(FlatRow),
             &up,
         ),
         Some(p) => graph.add_unary(
             &format!("aggregate[grouped, sampled {p}]"),
-            GroupedAggregate::sampled(key_fn, tuple_aggs, p),
+            GroupedAggregate::sampled(key_fn, tuple_aggs, p).with_rows(FlatRow),
             &up,
         ),
-    }))
+    })
 }
 
-fn compile_new(plan: &LogicalPlan, ctx: &mut CompileContext<'_>) -> Result<Published, String> {
-    let rows = |h: StreamHandle<Tuple>| Ok(Published::Rows(h));
+fn compile_new(
+    plan: &LogicalPlan,
+    ctx: &mut CompileContext<'_>,
+) -> Result<StreamHandle<Tuple>, String> {
     match plan {
         LogicalPlan::Stream { name, .. } => {
             let def = ctx
@@ -589,12 +566,12 @@ fn compile_new(plan: &LogicalPlan, ctx: &mut CompileContext<'_>) -> Result<Publi
                 .stream(name)
                 .ok_or_else(|| format!("unknown stream '{name}'"))?;
             let source = (def.factory)();
-            rows(ctx.graph.add_source(name, source))
+            Ok(ctx.graph.add_source(name, source))
         }
         LogicalPlan::Window { input, spec } => {
             let in_schema = output_schema(input, ctx.catalog)?;
             let up = compile(input, ctx)?;
-            rows(match spec {
+            Ok(match spec {
                 WindowSpec::Time(d) => {
                     ctx.graph
                         .add_unary(&format!("window[{d}]"), TimeWindow::new(*d), &up)
@@ -622,14 +599,14 @@ fn compile_new(plan: &LogicalPlan, ctx: &mut CompileContext<'_>) -> Result<Publi
         }
         LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
             let op = RowOp::bind(plan, ctx.catalog)?.expect("a filter or projection");
-            let up = compile_published(input, ctx)?;
-            rows(op.add(ctx.graph, &up))
+            let up = compile(input, ctx)?;
+            Ok(op.add(ctx.graph, &up))
         }
         LogicalPlan::Join {
             left,
             right,
             predicate,
-        } => rows(compile_join(left, right, predicate, ctx)?),
+        } => Ok(compile_join(left, right, predicate, ctx)?),
         LogicalPlan::RelationJoin {
             input,
             relation,
@@ -644,7 +621,7 @@ fn compile_new(plan: &LogicalPlan, ctx: &mut CompileContext<'_>) -> Result<Publi
                 .ok_or_else(|| format!("unknown relation '{relation}'"))?;
             let shared = def.relation.clone();
             let up = compile(input, ctx)?;
-            rows(ctx.graph.add_unary(
+            Ok(ctx.graph.add_unary(
                 &format!("reljoin[{relation}]"),
                 RelationLookup::new(
                     shared,
@@ -661,39 +638,36 @@ fn compile_new(plan: &LogicalPlan, ctx: &mut CompileContext<'_>) -> Result<Publi
         LogicalPlan::Aggregate { .. } => compile_aggregate(plan, None, ctx),
         LogicalPlan::Distinct { input } => {
             let up = compile(input, ctx)?;
-            rows(ctx.graph.add_unary("distinct", Distinct::new(), &up))
+            Ok(ctx.graph.add_unary("distinct", Distinct::new(), &up))
         }
         LogicalPlan::Union { inputs } => {
             let handles: Vec<StreamHandle<Tuple>> = inputs
                 .iter()
                 .map(|p| compile(p, ctx))
                 .collect::<Result<_, _>>()?;
-            rows(
-                ctx.graph
-                    .add_nary("union", Union::new(handles.len()), &handles),
-            )
+            Ok(ctx
+                .graph
+                .add_nary("union", Union::new(handles.len()), &handles))
         }
         LogicalPlan::Difference { left, right } => {
             let l = compile(left, ctx)?;
             let r = compile(right, ctx)?;
-            rows(
-                ctx.graph
-                    .add_binary("difference", Difference::new(), &l, &r),
-            )
+            Ok(ctx
+                .graph
+                .add_binary("difference", Difference::new(), &l, &r))
         }
         LogicalPlan::Every { input, period } => {
             if let Some(sampled) = compile_sampled(input, *period, ctx)? {
                 return Ok(sampled);
             }
             let up = compile(input, ctx)?;
-            rows(
-                ctx.graph
-                    .add_unary(&format!("every[{period}]"), Granularity::new(*period), &up),
-            )
+            Ok(ctx
+                .graph
+                .add_unary(&format!("every[{period}]"), Granularity::new(*period), &up))
         }
         LogicalPlan::Coalesce { input } => {
             let up = compile(input, ctx)?;
-            rows(ctx.graph.add_unary("coalesce", Coalesce::new(), &up))
+            Ok(ctx.graph.add_unary("coalesce", Coalesce::new(), &up))
         }
     }
 }
@@ -993,6 +967,42 @@ mod tests {
             .unwrap();
         assert_eq!(g0[1], Value::Int(4));
         assert_eq!(g0[2], Value::Int(9));
+    }
+
+    #[test]
+    fn renaming_projection_adds_no_node() {
+        let cat = catalog();
+        let agg = LogicalPlan::Aggregate {
+            input: Box::new(windowed_stream("nums", 5)),
+            group_by: vec![(Expr::col("k"), "k".into())],
+            aggs: vec![(
+                AggSpec {
+                    func: AggFunc::Max,
+                    arg: Expr::col("v"),
+                },
+                "maxv".into(),
+            )],
+        };
+        let project = |cols: [(&str, &str); 2]| LogicalPlan::Project {
+            input: Box::new(agg.clone()),
+            exprs: cols.map(|(c, n)| (Expr::col(c), n.to_string())).to_vec(),
+        };
+        let renamed = project([("k", "key"), ("maxv", "top")]);
+        let reordered = project([("maxv", "top"), ("k", "key")]);
+        assert_eq!(run(&renamed, &cat), run(&agg, &cat));
+
+        let graph = QueryGraph::new();
+        let mut installed = HashMap::new();
+        let mut ctx = CompileContext::new(&graph, &cat, &mut installed);
+        let h = compile(&renamed, &mut ctx).unwrap();
+        // Source, window, aggregate: the rename is registered, not built.
+        assert_eq!((ctx.created, graph.len()), (3, 3));
+        assert_eq!(compile(&renamed, &mut ctx).unwrap().node(), h.node());
+        assert_eq!(compile(&agg, &mut ctx).unwrap().node(), h.node());
+        assert_eq!(ctx.reused, 2);
+        compile(&reordered, &mut ctx).unwrap();
+        assert_eq!((ctx.created, graph.len()), (4, 4));
+        assert_eq!(graph.info(3).name, "project");
     }
 
     /// `SELECT MIN(x), MAX(x) FROM xs [RANGE 10 TICKS]` over rows that all

@@ -39,7 +39,7 @@ pub mod sexpr;
 mod value;
 
 pub use catalog::{Catalog, RelationDef, StreamDef, TupleSourceFactory};
-pub use compile::{compile, CompileContext, Published};
+pub use compile::{compile, CompileContext};
 pub use expr::{BinOp, BoundExpr, Expr, UnOp};
 pub use mqo::{InstallReport, Optimizer};
 pub use plan::{AggFunc, AggSpec, LogicalPlan, WindowSpec};

@@ -1,7 +1,7 @@
 //! The multi-query optimizer.
 
 use crate::catalog::Catalog;
-use crate::compile::{compile, output_schema, CompileContext, Published};
+use crate::compile::{compile, output_schema, CompileContext};
 use crate::cost::{estimate_live, estimate_with_sunk, LiveCostSource, PlanEstimate};
 use crate::plan::LogicalPlan;
 use crate::rules;
@@ -36,7 +36,7 @@ pub struct InstallReport {
 /// plan by marginal cost, and splices only the missing operators into the
 /// graph via the publish–subscribe architecture.
 pub struct Optimizer {
-    installed: HashMap<String, Published>,
+    installed: HashMap<String, StreamHandle<Tuple>>,
 }
 
 impl Default for Optimizer {
@@ -83,8 +83,8 @@ impl Optimizer {
         // unsubscribes it from its children, which may free them in turn.
         let mut removed = 0;
         self.retire_walk(plan, graph, &mut removed);
-        // Sweep physical nodes the plan's own signatures do not name (a
-        // flatten node, the nodes of a sampled aggregate).
+        // Sweep physical nodes the plan's own signatures do not name (the
+        // nodes of a sampled aggregate).
         removed += graph.collect_unconsumed();
         // Drop index entries whose nodes the sweep removed.
         self.installed

@@ -5,23 +5,23 @@
 //! aggregate on the grid layout.
 //!
 //! * The compiled plan and the old-shape graph hand-built from public
-//!   `pipes_ops` parts — aggregate → flatten `Map` → `Coalesce` → HAVING
-//!   filter → projection → `Granularity` — give the same multiset of rows
-//!   at every grid instant, for random rows (NULL, ints, non-integral
-//!   floats, strings), random `R` and `p`, scalar and grouped
-//!   `COUNT`/`SUM`/`AVG`/`MIN`/`MAX`, with and without HAVING. Plans past
-//!   the width bound keep `Granularity` and must agree just the same.
+//!   `pipes_ops` parts — `(key, aggregates)` pairs → flatten `Map` →
+//!   `Coalesce` → HAVING filter → projection → `Granularity` — give the
+//!   same multiset of rows at every grid instant, for random rows (NULL,
+//!   ints, non-integral floats, strings), random `R` and `p`, scalar and
+//!   grouped `COUNT`/`SUM`/`AVG`/`MIN`/`MAX`, with and without HAVING, and
+//!   for a reordering, computing select list as for one that only renames
+//!   the aggregate's columns (which compiles to no `project` node). Plans
+//!   past the width bound keep `Granularity` and must agree just the same.
 //! * The compiled plan's output is byte-identical under default batching
 //!   and `set_batch_limit(1)`, and a keyed-parallel copy of the grouped
-//!   node, widened mid-run with `parallelize`, reproduces it.
+//!   node (flat rows), widened mid-run with `parallelize`, reproduces it.
 
 use pipes_graph::io::{CollectSink, Collected, VecSource};
 use pipes_graph::{key_hash, NodeId, NodeKind, QueryGraph, StreamHandle};
 use pipes_ops::aggregate::TREE_CONVERT_WIDTH;
-use pipes_ops::{
-    Coalesce, FlatMap, Granularity, GroupedAggregate, Map, ScalarAggregate, TimeWindow,
-};
-use pipes_optimizer::compile::TupleAggs;
+use pipes_ops::{Coalesce, Granularity, GroupedAggregate, Map, ScalarAggregate, TimeWindow};
+use pipes_optimizer::compile::{FlatRow, TupleAggs};
 use pipes_optimizer::{
     compile, AggFunc, AggSpec, BinOp, BoundExpr, Catalog, CompileContext, Expr, LogicalPlan,
     Schema, Tuple, Value, WindowSpec,
@@ -43,6 +43,8 @@ struct Case {
     grouped: bool,
     having: bool,
     coalesce: bool,
+    /// The select list only renames the aggregate's columns.
+    renames: bool,
 }
 
 impl Case {
@@ -80,9 +82,17 @@ fn having() -> Expr {
     Expr::bin(Expr::col("cnt"), BinOp::Ge, Expr::lit(2i64))
 }
 
-/// The select list: the aggregates in another order, one computed column,
-/// and the key (when grouped) last.
-fn select(grouped: bool) -> Vec<(Expr, String)> {
+/// The select list: every column of the aggregate in order, renamed, if
+/// `renames`; otherwise the aggregates in another order, one computed
+/// column, and the key (when grouped) last.
+fn select(grouped: bool, renames: bool) -> Vec<(Expr, String)> {
+    if renames {
+        return agg_schema(grouped)
+            .columns()
+            .iter()
+            .map(|c| (Expr::col(c), format!("{c}_out")))
+            .collect();
+    }
     let mut exprs: Vec<(Expr, String)> = ["mx", "mn", "cnt", "ax", "sx"]
         .into_iter()
         .map(|c| (Expr::col(c), c.to_string()))
@@ -129,7 +139,7 @@ fn logical_plan(c: &Case) -> LogicalPlan {
     LogicalPlan::Every {
         input: Box::new(LogicalPlan::Project {
             input: Box::new(plan),
-            exprs: select(c.grouped),
+            exprs: select(c.grouped, c.renames),
         }),
         period: Duration::from_ticks(c.period),
     }
@@ -213,6 +223,7 @@ fn group_key(t: &Tuple) -> Vec<Value> {
     vec![t[0].clone()]
 }
 
+/// An old-shape `(key, aggregates)` pair as one row.
 fn flatten((mut k, aggs): (Vec<Value>, Tuple)) -> Tuple {
     k.extend(aggs);
     k
@@ -231,7 +242,7 @@ fn add_select(graph: &QueryGraph, c: &Case, rows: &StreamHandle<Tuple>) -> Strea
     } else {
         rows.clone()
     };
-    let exprs: Vec<BoundExpr> = select(c.grouped)
+    let exprs: Vec<BoundExpr> = select(c.grouped, c.renames)
         .iter()
         .map(|(e, _)| bind(e, c.grouped))
         .collect();
@@ -277,8 +288,8 @@ fn run_old_shape(c: &Case) -> Vec<Element<Tuple>> {
 }
 
 /// A grouped case hand-built with the sampled grouped aggregate behind a
-/// keyed-parallel shuffle edge (one instance), its select list flattening
-/// the pairs as the compiled plan's does.
+/// keyed-parallel shuffle edge (one instance), publishing flat rows as the
+/// compiled plan's does, under its HAVING and select list.
 fn keyed_sampled(c: &Case) -> (QueryGraph, NodeId, Collected<Tuple>) {
     let graph = QueryGraph::new();
     let src = graph.add_source("src", VecSource::new(c.rows.clone()));
@@ -288,39 +299,19 @@ fn keyed_sampled(c: &Case) -> (QueryGraph, NodeId, Collected<Tuple>) {
         &src,
     );
     let period = Duration::from_ticks(c.period);
-    let groups = graph.add_keyed_unary(
+    let rows = graph.add_keyed_unary(
         "aggregate[grouped, sampled]",
-        move || GroupedAggregate::sampled(group_key, tuple_aggs(), period),
+        move || GroupedAggregate::sampled(group_key, tuple_aggs(), period).with_rows(FlatRow),
         Arc::new(|t: &Tuple| key_hash(&group_key(t))),
         1,
         // The single instance emits instant by instant, keys in order
-        // within an instant.
-        Some(Arc::new(
-            |a: &Element<(Vec<Value>, Tuple)>, b: &Element<(Vec<Value>, Tuple)>| {
-                (a.start(), &a.payload.0).cmp(&(b.start(), &b.payload.0))
-            },
-        )),
+        // within an instant; a row starts with its one key column.
+        Some(Arc::new(|a: &Element<Tuple>, b: &Element<Tuple>| {
+            (a.start(), &a.payload[..1]).cmp(&(b.start(), &b.payload[..1]))
+        })),
         &win,
     );
-    let rows = if c.having {
-        let pred = bind(&having(), true);
-        graph.add_unary(
-            "having",
-            FlatMap::new(move |pair: (Vec<Value>, Tuple)| {
-                let row = flatten(pair);
-                pred.eval(&row).truthy().then_some(row)
-            }),
-            &groups,
-        )
-    } else {
-        graph.add_unary("flatten", Map::new(flatten), &groups)
-    };
-    let exprs: Vec<BoundExpr> = select(true).iter().map(|(e, _)| bind(e, true)).collect();
-    let out_h = graph.add_unary(
-        "project",
-        Map::new(move |t: Tuple| exprs.iter().map(|b| b.eval(&t)).collect::<Tuple>()),
-        &rows,
-    );
+    let out_h = add_select(&graph, c, &rows);
     let (sink, out) = CollectSink::new();
     graph.add_sink("sink", sink, &out_h);
     let src = src.node();
@@ -342,8 +333,10 @@ fn per_instant(out: &[Element<Tuple>]) -> Vec<(TimeInterval, Tuple)> {
 fn check_case(c: &Case, sched: &[usize]) -> Result<Vec<Element<Tuple>>, TestCaseError> {
     let (names, batched) = run_compiled(c, None, sched);
     let has = |needle: &str| names.iter().any(|n| n.contains(needle));
+    prop_assert_eq!(has("project"), !c.renames, "select list vs {:?}", names);
+    prop_assert!(!has("flatten"), "a flatten node in {:?}", names);
     if c.sampled() {
-        for banned in ["every[", "coalesce", "aggregate[flatten]"] {
+        for banned in ["every[", "coalesce"] {
             prop_assert!(!has(banned), "{} in {:?}", banned, names);
         }
         prop_assert!(has("sampled"), "no sampled aggregate in {:?}", names);
@@ -396,15 +389,19 @@ fn arb_case() -> impl Strategy<Value = Case> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
+        any::<bool>(),
     )
-        .prop_map(|(rows, range, period, grouped, having, coalesce)| Case {
-            rows,
-            range,
-            period,
-            grouped,
-            having,
-            coalesce,
-        })
+        .prop_map(
+            |(rows, range, period, grouped, having, coalesce, renames)| Case {
+                rows,
+                range,
+                period,
+                grouped,
+                having,
+                coalesce,
+                renames,
+            },
+        )
 }
 
 fn arb_sched() -> impl Strategy<Value = Vec<usize>> {
@@ -433,6 +430,7 @@ fn case(rows: Vec<Element<Tuple>>, range: u64, period: u64, grouped: bool) -> Ca
         grouped,
         having: false,
         coalesce: true,
+        renames: false,
     }
 }
 
@@ -473,6 +471,22 @@ fn width_bound_is_forty_eight_instants() {
         let past = case(steady_rows(), 48 * 4 + 1, 4, grouped);
         assert!(!past.sampled());
         check_case(&past, &[2]).unwrap();
+    }
+}
+
+#[test]
+fn renaming_select_lists_compile_to_no_project() {
+    for grouped in [false, true] {
+        // Sampled, and past the width bound (`Granularity` over the
+        // aggregate): `check_case` asserts there is no `project` node.
+        for range in [48 * 4, 48 * 4 + 1] {
+            let c = Case {
+                renames: true,
+                having: grouped,
+                ..case(steady_rows(), range, 4, grouped)
+            };
+            assert!(!check_case(&c, &[2]).unwrap().is_empty());
+        }
     }
 }
 

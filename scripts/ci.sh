@@ -100,14 +100,24 @@ benchmark/run.sh --quick >/dev/null
 # 2-3.5 us and the naive boundary scan 53-107 us; the bar stays at 10 us,
 # so an aggregate that falls back to the naive scan (a combine gone
 # missing, the grid rewrite and the tree both lost) fails here, not only
-# in the end-to-end throughput.
-echo "==> window aggregates stay sampled on the grid (ops.aggregate_ns < 10 us)"
+# in the end-to-end throughput. The traced node table must also name no
+# `project` (every select list of these queries only renames the
+# aggregate's columns, so it compiles to nothing) and no
+# `aggregate[flatten]` (grouped aggregates publish finished rows).
+echo "==> window aggregates stay sampled on the grid (ops.aggregate_ns < 10 us), no project/flatten node"
 for workload in nexmark_window_agg traffic_window_agg; do
+    trace="benchmark/out/$workload.trace.json"
+    rm -f "$trace"
     result=$(benchmark/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 1 2>/dev/null | tail -n 1)
     grep -q '"correct": true' <<<"$result"
     ns=$(sed -n 's/.*"ops\.aggregate_ns": {"value": \([0-9.eE+-]*\),.*/\1/p' <<<"$result")
     echo "    $workload: ops.aggregate_ns = ${ns:-missing} ns"
     awk -v ns="$ns" 'BEGIN { exit !(ns != "" && ns + 0 < 10000) }'
+    test -s "$trace"
+    if grep -qE '"name": *"(project|aggregate\[flatten\])"' "$trace"; then
+        echo "    $workload: the plan holds a project or aggregate[flatten] node" >&2
+        exit 1
+    fi
 done
 
 # Model-checked concurrency suite: compile the kernel against the

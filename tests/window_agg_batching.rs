@@ -1,8 +1,9 @@
 //! The paper's window queries from CQL text deliver the same results
-//! whatever the batching: NEXMark q3 + q4 and FSP traffic q1 + q3 + q4, run
-//! once with default batching and once one message at a time
-//! (`set_batch_limit(1)`), give every sink the same multiset of
-//! `(payload, interval)`.
+//! whatever the batching: NEXMark q3 + q4, FSP traffic q1 + q3 + q4 and
+//! FSP q3's grouped aggregate without `EVERY` (flat rows from the partial
+//! layouts, naive and then tree), run once with default batching and once
+//! one message at a time (`set_batch_limit(1)`), give every sink the same
+//! multiset of `(payload, interval)`.
 //!
 //! Batching changes how the window aggregates fold their rows: a run-native
 //! burst of same-interval rows is pre-folded into one accumulator, and once
@@ -146,6 +147,8 @@ fn traffic_window_aggregates_do_not_depend_on_batching() {
             traffic_queries::q1_hov_avg_speed_cql(),
             traffic_queries::q3_section_flow_cql(),
             traffic_queries::q4_truck_share_cql(),
+            "SELECT section, COUNT(*) AS vehicles, AVG(speed) AS avg_speed \
+             FROM traffic [RANGE 5 MINUTES] GROUP BY section",
         ],
     );
 }
