@@ -1,8 +1,12 @@
-//! Queued edges between nodes.
+//! Queued edges between nodes: the one transport of the data path.
+//!
+//! Publishers move messages onto an edge in batches (one lock per flush,
+//! see [`crate::Outputs::publish_batch`]) and consumers take them off in
+//! runs (one lock per run, see [`Edge::pop_run`]). Both mirror the queue
+//! into the consumer's readiness port inside that same critical section.
 
 use crate::node::PortView;
 use crate::ready::{Port, ReadyCell};
-use pipes_sync::atomic::{AtomicUsize, Ordering};
 use pipes_sync::{Arc, Mutex};
 use pipes_time::Message;
 use std::collections::VecDeque;
@@ -19,10 +23,12 @@ pub type EdgeId = u64;
 /// which the FIFO scheduling strategy and multi-port nodes use to process
 /// messages in arrival order.
 ///
-/// Besides the per-message [`push`](Edge::push)/[`pop`](Edge::pop) pair, the
-/// edge offers batch transfers ([`push_batch`](Edge::push_batch),
-/// [`pop_run`](Edge::pop_run)) that move many messages under a single lock
-/// acquisition — the foundation of the batched data path.
+/// Messages move in batches: [`push_batch`](Edge::push_batch) (and its
+/// stamped and cloning forms) in, [`pop_run`](Edge::pop_run) out, many
+/// messages under one lock acquisition. The single-message
+/// [`push`](Edge::push) remains for the two control messages a publisher
+/// sends on its own: the heartbeat that primes a new subscriber, and
+/// `Close`.
 ///
 /// Every push and pop also mirrors the queue's length and head sequence
 /// into the edge's readiness port while the queue lock is held, and a push
@@ -33,7 +39,6 @@ pub struct Edge<T> {
     port: Arc<Port>,
     /// The consuming node's readiness cell; `None` for a free-standing edge.
     consumer: Option<Arc<ReadyCell>>,
-    high_water: AtomicUsize,
 }
 
 impl<T> Edge<T> {
@@ -55,7 +60,6 @@ impl<T> Edge<T> {
             queue: Mutex::new(VecDeque::new()),
             port,
             consumer,
-            high_water: AtomicUsize::new(0),
         }
     }
 
@@ -94,8 +98,6 @@ impl<T> Edge<T> {
     fn mirror(&self, q: &Queue<T>) -> usize {
         let len = q.len();
         self.port.mirror(len, q.front().map(|(s, _)| *s));
-        // ordering: Relaxed — an advisory statistic.
-        self.high_water.fetch_max(len, Ordering::Relaxed);
         len
     }
 
@@ -114,7 +116,8 @@ impl<T> Edge<T> {
         self.id
     }
 
-    /// Enqueues a message stamped with arrival sequence `seq`.
+    /// Enqueues one control message stamped with arrival sequence `seq`:
+    /// the heartbeat that primes a new subscriber, or a `Close`.
     pub fn push(&self, seq: u64, msg: Message<T>) {
         let len = {
             let mut q = self.queue.lock();
@@ -169,20 +172,6 @@ impl<T> Edge<T> {
         self.notify();
     }
 
-    /// Dequeues the oldest message, if any.
-    pub fn pop(&self) -> Option<(u64, Message<T>)> {
-        let mut q = self.queue.lock();
-        let item = q.pop_front();
-        self.mirror(&q);
-        item
-    }
-
-    /// Dequeues up to `max` oldest messages under one lock acquisition,
-    /// appending them to `out`. Returns the number of messages moved.
-    pub fn pop_batch(&self, max: usize, out: &mut Vec<(u64, Message<T>)>) -> usize {
-        self.pop_run(max, u64::MAX, out)
-    }
-
     /// Dequeues a *run*: up to `max` oldest messages whose arrival sequence
     /// is at most `seq_bound`, under one lock acquisition. A `Close` message
     /// ends the run (it is included), so consumers observe end-of-stream at
@@ -228,11 +217,6 @@ impl<T> Edge<T> {
         n
     }
 
-    /// Arrival sequence of the oldest queued message, if any.
-    pub fn head_seq(&self) -> Option<u64> {
-        self.queue.lock().front().map(|(s, _)| *s)
-    }
-
     /// Current queue length (racy but monotonic enough for scheduling).
     pub fn len(&self) -> usize {
         self.port.len()
@@ -242,11 +226,24 @@ impl<T> Edge<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// The largest queue length ever observed.
-    pub fn high_water(&self) -> usize {
-        // ordering: Relaxed — advisory statistic.
-        self.high_water.load(Ordering::Relaxed)
+/// Type-erased view of an input edge, which the graph keeps next to the
+/// consuming node for its locked reference probe
+/// ([`crate::QueryGraph::locked_probes`]).
+pub(crate) trait InputPort: Send + Sync {
+    /// The edge's id.
+    fn id(&self) -> EdgeId;
+    /// What the consumer's frontier probe needs of this port.
+    fn view(&self) -> PortView;
+}
+
+impl<T: Send> InputPort for Edge<T> {
+    fn id(&self) -> EdgeId {
+        self.id
+    }
+    fn view(&self) -> PortView {
+        Edge::view(self)
     }
 }
 
@@ -274,26 +271,39 @@ mod tests {
     use super::*;
     use pipes_time::{Element, Timestamp};
 
+    /// Pops everything queued, one run at a time.
+    fn drain<T>(e: &Edge<T>) -> Vec<(u64, Message<T>)> {
+        let mut out = Vec::new();
+        while e.pop_run(usize::MAX, u64::MAX, &mut out) > 0 {}
+        out
+    }
+
+    fn seqs<T>(msgs: &[(u64, Message<T>)]) -> Vec<u64> {
+        msgs.iter().map(|(s, _)| *s).collect()
+    }
+
     #[test]
     fn fifo_order_and_lengths() {
         let e: Edge<i32> = Edge::new(7);
         assert_eq!(e.id(), 7);
         assert!(e.is_empty());
-        e.push(1, Message::Element(Element::at(10, Timestamp::new(0))));
-        e.push(2, Message::Heartbeat(Timestamp::new(1)));
+        let mut batch = vec![
+            Message::Element(Element::at(10, Timestamp::new(0))),
+            Message::Heartbeat(Timestamp::new(1)),
+        ];
+        e.push_batch(1, &mut batch);
         e.push(3, Message::Close);
         assert_eq!(e.len(), 3);
-        assert_eq!(e.high_water(), 3);
-        assert_eq!(e.head_seq(), Some(1));
-        let (s1, m1) = e.pop().unwrap();
-        assert_eq!(s1, 1);
-        assert!(m1.is_element());
+        assert_eq!(e.view().head, Some(1));
+        let mut out = Vec::new();
+        assert_eq!(e.pop_run(1, u64::MAX, &mut out), 1);
+        assert!(out[0].1.is_element());
         assert_eq!(e.len(), 2);
-        assert_eq!(e.head_seq(), Some(2));
-        e.pop();
-        assert_eq!(e.pop().unwrap().1, Message::Close);
-        assert!(e.pop().is_none());
-        assert_eq!(e.high_water(), 3);
+        assert_eq!(e.view().head, Some(2));
+        let rest = drain(&e);
+        assert_eq!(seqs(&rest), [2, 3]);
+        assert_eq!(rest[1].1, Message::Close);
+        assert!(e.is_empty());
     }
 
     #[test]
@@ -305,7 +315,8 @@ mod tests {
                 let e = Arc::clone(&e);
                 pipes_sync::thread::spawn(move || {
                     for i in 0..500 {
-                        e.push(tid * 1000 + i, Message::Heartbeat(Timestamp::new(i)));
+                        let mut one = vec![Message::Heartbeat(Timestamp::new(i))];
+                        e.push_batch(tid * 1000 + i, &mut one);
                     }
                 })
             })
@@ -314,11 +325,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(e.len(), 2000);
-        let mut n = 0;
-        while e.pop().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 2000);
+        assert_eq!(drain(&e).len(), 2000);
     }
 
     /// Regression test for the stale-length race: `push` used to store the
@@ -337,7 +344,8 @@ mod tests {
                     let e = Arc::clone(&e);
                     pipes_sync::thread::spawn(move || {
                         for i in 0..200 {
-                            e.push(tid * 1000 + i, Message::Heartbeat(Timestamp::new(i)));
+                            let mut one = vec![Message::Heartbeat(Timestamp::new(i))];
+                            e.push_batch(tid * 1000 + i, &mut one);
                         }
                     })
                 })
@@ -345,11 +353,9 @@ mod tests {
             let popper = {
                 let e = Arc::clone(&e);
                 pipes_sync::thread::spawn(move || {
-                    let mut got = 0;
-                    while got < 100 {
-                        if e.pop().is_some() {
-                            got += 1;
-                        } else {
+                    let mut got = Vec::new();
+                    while got.len() < 100 {
+                        if e.pop_run(1, u64::MAX, &mut got) == 0 {
                             pipes_sync::hint::spin_loop();
                         }
                     }
@@ -360,10 +366,7 @@ mod tests {
             }
             popper.join().unwrap();
             let reported = e.len();
-            let mut actual = 0;
-            while e.pop().is_some() {
-                actual += 1;
-            }
+            let actual = drain(&e).len();
             assert_eq!(reported, actual, "cached len diverged from queue");
             assert_eq!(actual, 300);
         }
@@ -382,10 +385,7 @@ mod tests {
         assert!(batch.is_empty());
         assert!(batch.capacity() >= cap, "scratch capacity must survive");
         assert_eq!(e.len(), 3);
-        assert_eq!(e.high_water(), 3);
-        assert_eq!(e.pop().unwrap().0, 10);
-        assert_eq!(e.pop().unwrap().0, 11);
-        assert_eq!(e.pop().unwrap().0, 12);
+        assert_eq!(seqs(&drain(&e)), [10, 11, 12]);
     }
 
     #[test]
@@ -398,8 +398,7 @@ mod tests {
         ];
         a.push_batch_cloned(7, &batch);
         b.push_batch(7, &mut batch);
-        assert_eq!(a.pop().unwrap(), b.pop().unwrap());
-        assert_eq!(a.pop().unwrap(), b.pop().unwrap());
+        assert_eq!(drain(&a), drain(&b));
     }
 
     #[test]
@@ -415,41 +414,47 @@ mod tests {
         assert!(batch.is_empty());
         assert!(batch.capacity() >= cap, "scratch capacity must survive");
         assert_eq!(e.len(), 3);
-        assert_eq!(e.pop().unwrap().0, 4);
-        assert_eq!(e.pop().unwrap().0, 9);
-        assert_eq!(e.pop().unwrap().0, 9);
+        assert_eq!(seqs(&drain(&e)), [4, 9, 9]);
     }
 
     #[test]
-    fn pop_batch_drains_up_to_max() {
+    fn pop_run_drains_up_to_max() {
         let e: Edge<i32> = Edge::new(1);
-        for i in 0..5 {
-            e.push(i, Message::Heartbeat(Timestamp::new(i)));
-        }
+        let mut batch: Vec<_> = (0..5)
+            .map(|i| Message::Heartbeat(Timestamp::new(i)))
+            .collect();
+        e.push_batch(0, &mut batch);
         let mut out = Vec::new();
-        assert_eq!(e.pop_batch(3, &mut out), 3);
-        assert_eq!(out.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(e.pop_run(3, u64::MAX, &mut out), 3);
+        assert_eq!(seqs(&out), [0, 1, 2]);
         assert_eq!(e.len(), 2);
         out.clear();
-        assert_eq!(e.pop_batch(10, &mut out), 2);
-        assert_eq!(e.pop_batch(10, &mut out), 0);
+        assert_eq!(e.pop_run(10, u64::MAX, &mut out), 2);
+        assert_eq!(e.pop_run(10, u64::MAX, &mut out), 0);
+        assert_eq!(e.pop_run(0, u64::MAX, &mut out), 0);
     }
 
     #[test]
     fn pop_run_respects_seq_bound_and_stops_after_close() {
         let e: Edge<i32> = Edge::new(1);
-        e.push(1, Message::Heartbeat(Timestamp::new(0)));
-        e.push(3, Message::Heartbeat(Timestamp::new(1)));
-        e.push(8, Message::Heartbeat(Timestamp::new(2)));
+        let mut batch = vec![
+            (1, Message::Heartbeat(Timestamp::new(0))),
+            (3, Message::Heartbeat(Timestamp::new(1))),
+            (8, Message::Heartbeat(Timestamp::new(2))),
+        ];
+        e.push_stamped_batch(&mut batch);
         let mut out = Vec::new();
         // Bound 5: only seqs 1 and 3 may move.
         assert_eq!(e.pop_run(10, 5, &mut out), 2);
-        assert_eq!(e.head_seq(), Some(8));
+        assert_eq!(e.view().head, Some(8));
 
         let c: Edge<i32> = Edge::new(2);
-        c.push(1, Message::Heartbeat(Timestamp::new(0)));
-        c.push(2, Message::Close);
-        c.push(3, Message::Heartbeat(Timestamp::new(1)));
+        let mut batch = vec![
+            Message::Heartbeat(Timestamp::new(0)),
+            Message::Close,
+            Message::Heartbeat(Timestamp::new(1)),
+        ];
+        c.push_batch(1, &mut batch);
         out.clear();
         // Close ends the run even though more messages are within bounds.
         assert_eq!(c.pop_run(10, u64::MAX, &mut out), 2);

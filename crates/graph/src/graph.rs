@@ -1,8 +1,10 @@
 //! The query graph: nodes, subscriptions and a minimal executor.
 
-use crate::edge::{Edge, EdgeId};
+use crate::edge::{Edge, EdgeId, InputPort};
 use crate::meta::{derive, MetaConfig, MetaSnapshot};
-use crate::node::{BinNode, OpNode, Published, Runnable, SinkNode, SourceNode, StepReport};
+use crate::node::{
+    frontier, BinNode, OpNode, Published, Runnable, SinkNode, SourceNode, StepReport,
+};
 use crate::operator::{BinaryOperator, NodeId, Operator, SinkOp, SourceOp};
 use crate::outputs::{OutputPort, Outputs};
 use crate::ready::{ReadyCell, ReadySet, WakeHook};
@@ -52,8 +54,11 @@ pub(crate) struct NodeCell {
     pub(crate) stats: Arc<NodeStats>,
     pub(crate) meta: Arc<NodeMeta>,
     pub(crate) out_port: Option<Arc<dyn OutputPort>>,
-    /// (upstream node, edge id) for every input subscription.
+    /// (upstream node, edge id) for every current input subscription.
     pub(crate) incoming: Mutex<Vec<(NodeId, EdgeId)>>,
+    /// Every input edge the node was ever given, for
+    /// [`QueryGraph::locked_probes`]; unlike `incoming`, kept on removal.
+    inputs: Mutex<Vec<Arc<dyn InputPort>>>,
     pub(crate) removed: AtomicBool,
     /// The node's lock-free readiness; its input edges mirror into it.
     pub(crate) ready: Arc<ReadyCell>,
@@ -68,9 +73,11 @@ impl NodeCell {
         kind: NodeKind,
         runnable: Box<dyn Runnable>,
         out_port: Option<Arc<dyn OutputPort>>,
-        incoming: Vec<(NodeId, EdgeId)>,
+        incoming: Incoming,
         ready: Arc<ReadyCell>,
     ) -> Self {
+        let ids = incoming.iter().map(|(up, edge)| (*up, edge.id())).collect();
+        let inputs = incoming.into_iter().map(|(_, edge)| edge).collect();
         NodeCell {
             name: name.to_string(),
             kind,
@@ -78,11 +85,26 @@ impl NodeCell {
             stats: Arc::new(NodeStats::new()),
             meta: Arc::new(NodeMeta::new()),
             out_port,
-            incoming: Mutex::new(incoming),
+            incoming: Mutex::new(ids),
+            inputs: Mutex::new(inputs),
             removed: AtomicBool::new(false),
             ready,
             spliced_epoch: 0,
         }
+    }
+
+    /// Subscribes the node to one more input edge.
+    pub(crate) fn add_input(&self, (up, edge): (NodeId, Arc<dyn InputPort>)) {
+        self.incoming.lock().push((up, edge.id()));
+        self.inputs.lock().push(edge);
+    }
+
+    /// Publishes what `runnable` (this cell's, under its lock) retains: the
+    /// element count into the readiness cell, the byte estimate into the
+    /// counters. The probes read them there.
+    pub(crate) fn publish_state(&self, runnable: &dyn Runnable) {
+        self.ready.set_memory(runnable.memory());
+        self.stats.set_state_bytes(runnable.state_bytes());
     }
 
     fn info(&self, id: NodeId) -> NodeInfo {
@@ -95,6 +117,18 @@ impl NodeCell {
             removed: self.removed.load(Ordering::Relaxed),
         }
     }
+}
+
+/// The input subscriptions of a node being built: per input edge, the
+/// upstream node and the edge.
+pub(crate) type Incoming = Vec<(NodeId, Arc<dyn InputPort>)>;
+
+/// One entry of [`Incoming`].
+pub(crate) fn input_of<T>(up: NodeId, edge: &Arc<Edge<T>>) -> (NodeId, Arc<dyn InputPort>)
+where
+    T: Send + 'static,
+{
+    (up, Arc::clone(edge) as Arc<dyn InputPort>)
 }
 
 /// A directed acyclic graph of sources, operators and sinks, built through
@@ -169,6 +203,8 @@ impl QueryGraph {
             nodes.push(Arc::clone(&cell));
             let id = nodes.len() - 1;
             let woke = self.ready.register(id, &cell.ready);
+            // A keyed instance enters with the state it imported.
+            cell.publish_state(&**cell.runnable.lock());
             (id, epoch, cell, woke)
         };
         // Ready from here on: a source, or a consumer whose edges were
@@ -248,7 +284,7 @@ impl QueryGraph {
         let mut incoming = Vec::with_capacity(inputs.len());
         for input in inputs {
             let edge = self.new_edge::<O::In>(&ready, false);
-            incoming.push((input.node, edge.id()));
+            incoming.push(input_of(input.node, &edge));
             input.outputs.subscribe(Arc::clone(&edge));
             edges.push(edge);
         }
@@ -282,7 +318,7 @@ impl QueryGraph {
         let ready = self.new_ready_cell(NodeKind::Operator);
         let le = self.new_edge::<B::Left>(&ready, false);
         let re = self.new_edge::<B::Right>(&ready, false);
-        let incoming = vec![(left.node, le.id()), (right.node, re.id())];
+        let incoming = vec![input_of(left.node, &le), input_of(right.node, &re)];
         left.outputs.subscribe(Arc::clone(&le));
         right.outputs.subscribe(Arc::clone(&re));
         let node = BinNode::new(op, le, re, Published::new(Arc::clone(&outputs)));
@@ -322,7 +358,7 @@ impl QueryGraph {
         let mut incoming = Vec::with_capacity(inputs.len());
         for input in inputs {
             let edge = self.new_edge::<K::In>(&ready, false);
-            incoming.push((input.node, edge.id()));
+            incoming.push(input_of(input.node, &edge));
             input.outputs.subscribe(Arc::clone(&edge));
             edges.push(edge);
         }
@@ -507,10 +543,11 @@ impl QueryGraph {
         self.ready.set_hook(None);
     }
 
-    /// The lock-free readiness of every node: what schedulers consult per
-    /// quantum instead of the locked [`QueryGraph::queued`] /
-    /// [`QueryGraph::oldest_pending_seq`] / [`QueryGraph::is_finished`]
-    /// probes, which stay the authoritative accessors.
+    /// The lock-free readiness of every node, which schedulers consult per
+    /// quantum: what [`QueryGraph::queued`],
+    /// [`QueryGraph::oldest_pending_seq`], [`QueryGraph::is_finished`] and
+    /// [`QueryGraph::memory`] answer one node at a time, for every node at
+    /// once and with its ready bit.
     #[inline]
     pub fn ready(&self) -> &ReadySet {
         &self.ready
@@ -532,7 +569,7 @@ impl QueryGraph {
     /// The one telemetry snapshot: a plain-data copy of everything the
     /// graph publishes about itself — per live node its description, splice
     /// epoch, counters and latency quantiles ([`NodeStats`]), queue depth
-    /// and retained elements (its readiness cell) and estimators
+    /// and retained elements (the ready set's summary) and estimators
     /// ([`NodeMeta`]); plus the topology epoch and the shuffle groups. The
     /// only walk over the nodes that reads counters or estimators for
     /// reporting: monitors, renderers and [`QueryGraph::meta_snapshot`] are
@@ -554,7 +591,7 @@ impl QueryGraph {
                 info: cell.info(id),
                 spliced_epoch: cell.spliced_epoch,
                 stats: cell.stats.snapshot(),
-                queue_len: cell.ready.queued(),
+                queue_len: self.ready.queued(id),
                 memory: self.ready.memory(id),
                 meta: cell.meta.snapshot(),
             });
@@ -594,11 +631,8 @@ impl QueryGraph {
         cell.stats.record_in(report.consumed as u64);
         cell.stats.record_out(report.produced as u64);
         cell.stats.record_batches(report.batches as u64);
-        // One home per published value: retained elements in the readiness
-        // cell (where executors read them lock-free), the byte estimate in
-        // the counters; the queue depth is the readiness cell's own mirror.
-        cell.ready.set_memory(runnable.memory());
-        cell.stats.set_state_bytes(runnable.state_bytes());
+        // The queue depth is the readiness cell's own mirror.
+        cell.publish_state(&**runnable);
         if report.consumed > 0 || report.produced > 0 {
             // One metadata-plane update per drained run, while the runnable
             // lock still serializes us: NodeMeta's seqlock publication
@@ -644,61 +678,89 @@ impl QueryGraph {
         tracker
     }
 
-    /// Caps the input-run / output-flush batch size of `node` (see
-    /// [`Runnable::set_batch_limit`]). A limit of 1 reproduces the
-    /// per-message data path; the default is effectively unbounded.
-    pub fn set_node_batch_limit(&self, id: NodeId, limit: usize) {
-        self.cell(id).runnable.lock().set_batch_limit(limit);
-    }
-
-    /// Caps the batch size of every node currently in the graph.
+    /// Caps the input-run / output-flush batch size of every node currently
+    /// in the graph (see [`Runnable::set_batch_limit`]). A limit of 1
+    /// reproduces the per-message data path; the default is effectively
+    /// unbounded.
     pub fn set_batch_limit(&self, limit: usize) {
         for id in self.node_ids() {
-            self.set_node_batch_limit(id, limit);
+            self.cell(id).runnable.lock().set_batch_limit(limit);
         }
     }
 
-    /// Messages currently queued at `node`'s inputs.
+    // The probes below take no node lock: each reads what `step_node` (and
+    // `shed`) published last, or what the input edges mirror on every push
+    // and pop.
+
+    /// Messages queued at `node`'s inputs (0 while a strict-frontier node
+    /// is blocked on an empty open port).
     pub fn queued(&self, id: NodeId) -> usize {
-        self.cell(id).runnable.lock().queued()
+        self.ready.queued(id)
     }
 
     /// Arrival sequence of the oldest message queued at `node`, if any.
     pub fn oldest_pending_seq(&self, id: NodeId) -> Option<u64> {
-        self.cell(id).runnable.lock().oldest_pending_seq()
+        self.ready.oldest_seq(id)
     }
 
     /// Whether `node` has finished (closed or removed).
     pub fn is_finished(&self, id: NodeId) -> bool {
-        let cell = self.cell(id);
-        // ordering: Relaxed — scheduling filter; see remove_node().
-        cell.removed.load(Ordering::Relaxed) || cell.runnable.lock().is_finished()
+        self.ready.is_finished(id)
     }
 
     /// Whether every node has finished (removed nodes count as finished).
     pub fn all_finished(&self) -> bool {
-        self.node_ids().all(|id| self.is_finished(id))
+        self.ready.all_finished()
     }
 
     /// Operator state size of `node` in retained elements.
     pub fn memory(&self, id: NodeId) -> usize {
-        self.cell(id).runnable.lock().memory()
+        self.ready.memory(id)
     }
 
     /// Estimated operator state footprint of `node` in bytes (0 when the
     /// operator does not report one).
     pub fn state_bytes(&self, id: NodeId) -> usize {
-        self.cell(id).runnable.lock().state_bytes()
-    }
-
-    /// Sheds `node`'s operator state to roughly `target` elements.
-    pub fn shed(&self, id: NodeId, target: usize) -> usize {
-        self.cell(id).runnable.lock().shed(target)
+        self.cell(id).stats.snapshot().state_bytes
     }
 
     /// Total messages queued across the whole graph.
     pub fn total_queued(&self) -> usize {
-        self.node_ids().map(|id| self.queued(id)).sum()
+        self.node_ids().map(|id| self.ready.queued(id)).sum()
+    }
+
+    /// Sheds `node`'s operator state to roughly `target` elements.
+    pub fn shed(&self, id: NodeId, target: usize) -> usize {
+        let cell = self.cell(id);
+        let mut runnable = cell.runnable.lock();
+        let left = runnable.shed(target);
+        cell.publish_state(&**runnable);
+        left
+    }
+
+    /// The reference the published probes are checked against: `node`'s
+    /// `(queued, oldest_pending_seq, is_finished, memory, state_bytes)`,
+    /// computed under its runnable lock from its input queues and its
+    /// operator. It waits for a step in progress; for tests only.
+    #[doc(hidden)]
+    pub fn locked_probes(&self, id: NodeId) -> (usize, Option<u64>, bool, usize, usize) {
+        let cell = self.cell(id);
+        let runnable = cell.runnable.lock();
+        let (queued, oldest) = if cell.ready.parked() {
+            (0, None)
+        } else {
+            let f = frontier(cell.inputs.lock().iter().map(|edge| edge.view()));
+            (f.queued, f.next.map(|n| n.seq))
+        };
+        // ordering: Relaxed — scheduling filter; see remove_node().
+        let finished = cell.removed.load(Ordering::Relaxed) || runnable.is_finished();
+        (
+            queued,
+            oldest,
+            finished,
+            runnable.memory(),
+            runnable.state_bytes(),
+        )
     }
 
     /// Garbage-collects dangling producers: repeatedly removes sources and
@@ -980,12 +1042,15 @@ mod tests {
         let k = g.add_sink("sink", sink, &a);
         let agree = |g: &QueryGraph| {
             let ready = g.ready();
+            let mut all_finished = true;
             for id in g.node_ids() {
-                assert_eq!(ready.queued(id), g.queued(id), "queued of {id}");
-                assert_eq!(ready.oldest_seq(id), g.oldest_pending_seq(id));
-                assert_eq!(ready.is_finished(id), g.is_finished(id));
+                let (queued, oldest, finished, _, _) = g.locked_probes(id);
+                assert_eq!(ready.queued(id), queued, "queued of {id}");
+                assert_eq!(ready.oldest_seq(id), oldest);
+                assert_eq!(ready.is_finished(id), finished);
+                all_finished &= finished;
             }
-            assert_eq!(ready.all_finished(), g.all_finished());
+            assert_eq!(ready.all_finished(), all_finished);
         };
         agree(&g);
         assert_eq!(

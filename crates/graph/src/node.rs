@@ -28,6 +28,15 @@
 //! [`Stamped`]. Sinks consume per message — they record every message
 //! anyway, so heartbeat coalescing would change what tests observe for no
 //! gain — and have no output side.
+//!
+//! **A closed input is at the horizon.** No element will ever arrive on a
+//! port whose `Close` has been taken, so its function of time is known up
+//! to `Timestamp::MAX`. When `OpNode` or `BinNode` takes a port's `Close`
+//! while another port is still open, it hands the operator a heartbeat at
+//! `Timestamp::MAX` on that port (under [`Stamped`], at the `Close`'s
+//! stamp). A multi-input operator already combines per-port heartbeats
+//! into its output progress, so this is all it needs to keep progressing
+//! on the ports still open. The last `Close` goes to `on_close` alone.
 
 use crate::edge::Edge;
 use crate::operator::{BinaryOperator, Collector, Operator, SinkOp, SourceOp, SourceStatus};
@@ -66,16 +75,13 @@ impl StepReport {
     }
 }
 
-/// The type-erased face of a node, as seen by schedulers and the memory
-/// manager. Payload types are hidden inside; strategies operate purely on
-/// queue lengths, arrival order, statistics and memory counts.
+/// The type-erased face of a node, as [`crate::QueryGraph::step_node`] and
+/// the memory manager drive it. Payload types are hidden inside. What a
+/// node has queued is not asked of it: its input edges publish that into
+/// the graph's [`crate::ReadySet`], where schedulers read it.
 pub trait Runnable: Send {
     /// Runs one scheduling quantum of at most `budget` messages.
     fn step(&mut self, budget: usize) -> StepReport;
-    /// Total messages currently queued on the input edges.
-    fn queued(&self) -> usize;
-    /// Arrival sequence of the oldest queued message, if any.
-    fn oldest_pending_seq(&self) -> Option<u64>;
     /// Whether the node will never produce work again.
     fn is_finished(&self) -> bool;
     /// Current operator state size in retained elements. Default: 0
@@ -556,14 +562,6 @@ impl<S: SourceOp> Runnable for SourceNode<S> {
         }
     }
 
-    fn queued(&self) -> usize {
-        0
-    }
-
-    fn oldest_pending_seq(&self) -> Option<u64> {
-        None
-    }
-
     fn is_finished(&self) -> bool {
         self.exhausted
     }
@@ -585,10 +583,10 @@ impl<S: SourceOp> Runnable for SourceNode<S> {
 pub(crate) struct OpNode<O: Operator, E> {
     pub(crate) op: O,
     inputs: Vec<Arc<Edge<O::In>>>,
-    /// Per port: it has not delivered its `Close` yet. Each edge carries
+    /// Ports that have not delivered their `Close` yet. Each edge carries
     /// exactly one `Close`, also when its subscription races the
     /// publisher's close (`Outputs` serialises the two on its `subs` lock).
-    open: Vec<bool>,
+    open: usize,
     emit: E,
     closed: bool,
     batch_limit: usize,
@@ -600,7 +598,7 @@ impl<O: Operator, E: Emit<O::Out>> OpNode<O, E> {
     pub(crate) fn new(op: O, inputs: Vec<Arc<Edge<O::In>>>, emit: E) -> Self {
         OpNode {
             op,
-            open: vec![true; inputs.len()],
+            open: inputs.len(),
             inputs,
             emit,
             closed: false,
@@ -634,8 +632,11 @@ impl<O: Operator, E: Emit<O::Out>> Runnable for OpNode<O, E> {
             );
             let Some(close) = drained else { break };
             if let Some(stamp) = close {
-                self.open[port] = false;
-                if !self.open.contains(&true) {
+                self.open -= 1;
+                if self.open > 0 {
+                    // A closed input is at the horizon (module docs).
+                    self.op.on_heartbeat(port, Timestamp::MAX, out.at(stamp));
+                } else {
                     self.op.on_close(out.at(stamp));
                     out.close(stamp);
                     self.closed = true;
@@ -645,14 +646,6 @@ impl<O: Operator, E: Emit<O::Out>> Runnable for OpNode<O, E> {
         }
         report.produced = out.end();
         report
-    }
-
-    fn queued(&self) -> usize {
-        frontier_of(&self.inputs).queued
-    }
-
-    fn oldest_pending_seq(&self) -> Option<u64> {
-        frontier_of(&self.inputs).next.map(|n| n.seq)
     }
 
     fn is_finished(&self) -> bool {
@@ -689,8 +682,8 @@ pub(crate) struct BinNode<B: BinaryOperator, E> {
     pub(crate) op: B,
     left: Arc<Edge<B::Left>>,
     right: Arc<Edge<B::Right>>,
-    /// Per side: it has not delivered its `Close` yet.
-    open: [bool; 2],
+    /// Sides that have not delivered their `Close` yet.
+    open: usize,
     emit: E,
     closed: bool,
     batch_limit: usize,
@@ -711,7 +704,7 @@ impl<B: BinaryOperator, E: Emit<B::Out>> BinNode<B, E> {
             op,
             left,
             right,
-            open: [true; 2],
+            open: 2,
             emit,
             closed: false,
             batch_limit: usize::MAX,
@@ -752,13 +745,16 @@ impl<B: BinaryOperator, E: Emit<B::Out>> Runnable for BinNode<B, E> {
             };
             let Some(close) = drained else { break };
             if let Some(stamp) = close {
-                // The one place a binary operator learns that a side ended.
-                match (std::mem::replace(&mut self.open[next.port], false), is_left) {
-                    (false, _) => {}
-                    (true, true) => self.op.on_close_left(out.at(stamp)),
-                    (true, false) => self.op.on_close_right(out.at(stamp)),
-                }
-                if self.open == [false; 2] {
+                self.open -= 1;
+                if self.open > 0 {
+                    // A closed input is at the horizon (module docs).
+                    let out = out.at(stamp);
+                    if is_left {
+                        self.op.on_heartbeat_left(Timestamp::MAX, out);
+                    } else {
+                        self.op.on_heartbeat_right(Timestamp::MAX, out);
+                    }
+                } else {
                     self.op.on_close(out.at(stamp));
                     out.close(stamp);
                     self.closed = true;
@@ -768,14 +764,6 @@ impl<B: BinaryOperator, E: Emit<B::Out>> Runnable for BinNode<B, E> {
         }
         report.produced = out.end();
         report
-    }
-
-    fn queued(&self) -> usize {
-        Self::frontier(&self.left, &self.right).queued
-    }
-
-    fn oldest_pending_seq(&self) -> Option<u64> {
-        Self::frontier(&self.left, &self.right).next.map(|n| n.seq)
     }
 
     fn is_finished(&self) -> bool {
@@ -811,8 +799,8 @@ impl<B: BinaryOperator, E: Emit<B::Out>> Runnable for BinNode<B, E> {
 pub(crate) struct SinkNode<K: SinkOp> {
     op: K,
     inputs: Vec<Arc<Edge<K::In>>>,
-    /// Per port: it has not delivered its `Close` yet.
-    open: Vec<bool>,
+    /// Ports that have not delivered their `Close` yet.
+    open: usize,
     batch_limit: usize,
     in_scratch: Vec<(u64, Message<K::In>)>,
     latency: Option<(Arc<LatencyTracker>, Arc<NodeStats>)>,
@@ -824,7 +812,7 @@ impl<K: SinkOp> SinkNode<K> {
     pub(crate) fn new(op: K, inputs: Vec<Arc<Edge<K::In>>>) -> Self {
         SinkNode {
             op,
-            open: vec![true; inputs.len()],
+            open: inputs.len(),
             inputs,
             batch_limit: usize::MAX,
             in_scratch: Vec::new(),
@@ -853,7 +841,7 @@ impl<K: SinkOp> Runnable for SinkNode<K> {
             report.drained(n);
             for (_, msg) in run.drain(..) {
                 match &msg {
-                    Message::Close => self.open[port] = false,
+                    Message::Close => self.open -= 1,
                     Message::Element(e) => {
                         if let Some((tracker, _)) = &self.latency {
                             self.latency_ctr += 1;
@@ -879,16 +867,10 @@ impl<K: SinkOp> Runnable for SinkNode<K> {
         report
     }
 
-    fn queued(&self) -> usize {
-        frontier_of(&self.inputs).queued
-    }
-
-    fn oldest_pending_seq(&self) -> Option<u64> {
-        frontier_of(&self.inputs).next.map(|n| n.seq)
-    }
-
+    /// `Close` is the last message of its edge: with every one taken,
+    /// nothing is left to consume.
     fn is_finished(&self) -> bool {
-        !self.open.contains(&true) && self.queued() == 0
+        self.open == 0
     }
 
     fn set_batch_limit(&mut self, limit: usize) {

@@ -75,7 +75,9 @@ pub trait SourceOp: Send + 'static {
 ///
 /// Operators are driven by the runtime: `on_element`/`on_heartbeat` are
 /// invoked per incoming message, `on_close` once after **all** input ports
-/// have delivered end-of-stream. The `port` argument identifies which
+/// have delivered end-of-stream. A port that ends while another is still
+/// open is at the horizon: the runtime delivers it a heartbeat at
+/// [`Timestamp::MAX`] instead. The `port` argument identifies which
 /// upstream subscription delivered the message (an n-ary operator such as
 /// union has one port per upstream).
 ///
@@ -218,22 +220,9 @@ pub trait BinaryOperator: Send + 'static {
         }
     }
 
-    /// The left input ended (the right one may still deliver): no left
-    /// element will ever arrive, so its watermark is at the horizon and
-    /// whatever state only waits for left partners can go. Called once,
-    /// after the left input's last run. Default: nothing.
-    fn on_close_left(&mut self, out: &mut dyn Collector<Self::Out>) {
-        let _ = out;
-    }
-
-    /// Mirror of [`on_close_left`](BinaryOperator::on_close_left) for the
-    /// right input.
-    fn on_close_right(&mut self, out: &mut dyn Collector<Self::Out>) {
-        let _ = out;
-    }
-
-    /// Flushes remaining state after both inputs closed (and both side
-    /// callbacks ran). Default: nothing.
+    /// Flushes remaining state after both inputs closed. The side that
+    /// closed first was delivered a heartbeat at [`Timestamp::MAX`] when it
+    /// did (see [`Operator`]). Default: nothing.
     fn on_close(&mut self, out: &mut dyn Collector<Self::Out>) {
         let _ = out;
     }

@@ -1,4 +1,10 @@
 //! The publishing side of a node: its set of subscribed edges.
+//!
+//! Data leaves a node one way: [`Outputs::publish_batch`], which drops
+//! stale heartbeats, stamps the survivors from one sequence block and
+//! pushes them to every subscriber under one lock each. A node's
+//! [`PublishCollector`] buffers a quantum's output for it; a cap of one
+//! message gives the per-message baseline.
 
 use crate::edge::{Edge, EdgeId};
 use crate::operator::Collector;
@@ -17,12 +23,11 @@ pub const DEFAULT_FLUSH_CAP: usize = 1024;
 /// attaches mid-stream is primed with the last published heartbeat so its
 /// consumer knows the temporal progress already made.
 ///
-/// Publishing comes in two granularities: the per-message
-/// [`publish_element`](Outputs::publish_element) /
-/// [`publish_heartbeat`](Outputs::publish_heartbeat) pair, and
-/// [`publish_batch`](Outputs::publish_batch), which allocates one contiguous
-/// block of arrival sequences and takes each subscriber's queue lock once
-/// for the whole batch.
+/// Elements and heartbeats go out through
+/// [`publish_batch`](Outputs::publish_batch), which allocates one
+/// contiguous block of arrival sequences and takes each subscriber's queue
+/// lock once for the whole batch; end-of-stream through
+/// [`publish_close`](Outputs::publish_close).
 pub struct Outputs<T> {
     subs: RwLock<Vec<Arc<Edge<T>>>>,
     seq: Arc<AtomicU64>,
@@ -83,43 +88,10 @@ impl<T: Clone> Outputs<T> {
         self.subs.read().len()
     }
 
-    /// Publishes a data element to every subscriber.
-    pub fn publish_element(&self, e: Element<T>) {
-        // ordering: Relaxed — unique-id allocation; see subscribe().
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let subs = self.subs.read();
-        match subs.split_last() {
-            None => {}
-            Some((last, rest)) => {
-                for edge in rest {
-                    edge.push(seq, Message::Element(e.clone()));
-                }
-                last.push(seq, Message::Element(e));
-            }
-        }
-    }
-
-    /// Publishes a heartbeat, suppressing non-monotonic duplicates.
-    pub fn publish_heartbeat(&self, t: Timestamp) {
-        // ordering: Relaxed — the fetch_max itself is the whole protocol:
-        // exactly one publisher observes prev < t and forwards t, so a
-        // given timestamp is delivered at most once regardless of order.
-        let prev = self.last_heartbeat.fetch_max(t.ticks(), Ordering::Relaxed);
-        if t.ticks() <= prev {
-            return; // stale or duplicate punctuation: suppress
-        }
-        // ordering: Relaxed — unique-id allocation; see subscribe().
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        for edge in self.subs.read().iter() {
-            edge.push(seq, Message::Heartbeat(t));
-        }
-        pipes_trace::instant(pipes_trace::names::HEARTBEAT, [t.ticks(), 0, 0]);
-    }
-
     /// Publishes a whole batch of elements and heartbeats.
     ///
-    /// Stale and duplicate heartbeats are dropped (same dedup rule as
-    /// [`publish_heartbeat`](Outputs::publish_heartbeat)); the `k` surviving
+    /// Stale and duplicate heartbeats are dropped, so a given timestamp is
+    /// delivered at most once whichever publisher races it; the `k` surviving
     /// messages are stamped from one contiguous sequence block allocated
     /// with a single `fetch_add(k)`, and each subscriber's queue lock is
     /// taken once for the whole batch. `batch` is drained but keeps its
@@ -127,8 +99,10 @@ impl<T: Clone> Outputs<T> {
     pub fn publish_batch(&self, batch: &mut Vec<Message<T>>) {
         batch.retain(|m| match m {
             Message::Heartbeat(t) => {
-                // ordering: Relaxed — same single-winner fetch_max dedup
-                // protocol as publish_heartbeat().
+                // ordering: Relaxed — the fetch_max itself is the whole
+                // protocol: exactly one publisher observes prev < t and
+                // forwards t, so a timestamp goes out at most once
+                // regardless of order.
                 let prev = self.last_heartbeat.fetch_max(t.ticks(), Ordering::Relaxed);
                 t.ticks() > prev
             }
@@ -302,6 +276,21 @@ mod tests {
         Outputs::new(Arc::new(AtomicU64::new(0)))
     }
 
+    fn publish(out: &Outputs<i32>, msgs: &[Message<i32>]) {
+        out.publish_batch(&mut msgs.to_vec());
+    }
+
+    fn hb(t: u64) -> Message<i32> {
+        Message::Heartbeat(Timestamp::new(t))
+    }
+
+    /// Pops everything queued on `e`.
+    fn drain(e: &Edge<i32>) -> Vec<(u64, Message<i32>)> {
+        let mut out = Vec::new();
+        while e.pop_run(usize::MAX, u64::MAX, &mut out) > 0 {}
+        out
+    }
+
     #[test]
     fn fan_out_clones_to_all_subscribers() {
         let out = outputs();
@@ -310,11 +299,11 @@ mod tests {
         out.subscribe(Arc::clone(&e1));
         out.subscribe(Arc::clone(&e2));
         assert_eq!(out.subscriber_count(), 2);
-        out.publish_element(Element::at(5, Timestamp::new(1)));
+        publish(&out, &[Message::Element(Element::at(5, Timestamp::new(1)))]);
         assert_eq!(e1.len(), 1);
         assert_eq!(e2.len(), 1);
         // Both copies carry the same arrival sequence.
-        assert_eq!(e1.pop().unwrap().0, e2.pop().unwrap().0);
+        assert_eq!(drain(&e1), drain(&e2));
     }
 
     #[test]
@@ -322,10 +311,10 @@ mod tests {
         let out = outputs();
         let e = Arc::new(Edge::new(1));
         out.subscribe(Arc::clone(&e));
-        out.publish_heartbeat(Timestamp::new(5));
-        out.publish_heartbeat(Timestamp::new(5)); // duplicate: suppressed
-        out.publish_heartbeat(Timestamp::new(3)); // stale: suppressed
-        out.publish_heartbeat(Timestamp::new(8));
+        publish(&out, &[hb(5)]);
+        publish(&out, &[hb(5)]); // duplicate: suppressed
+        publish(&out, &[hb(3)]); // stale: suppressed
+        publish(&out, &[hb(8)]);
         assert_eq!(e.len(), 2);
     }
 
@@ -337,7 +326,7 @@ mod tests {
         let e2 = Arc::new(Edge::new(2));
         out.subscribe(Arc::clone(&e1));
         out.subscribe(Arc::clone(&e2));
-        out.publish_heartbeat(Timestamp::new(4)); // seq 0
+        publish(&out, &[hb(4)]); // seq 0
 
         let mut batch = vec![
             Message::Element(Element::at(1, Timestamp::new(5))),
@@ -352,11 +341,9 @@ mod tests {
         // ordering: Relaxed — single-threaded test readback.
         assert_eq!(seq.load(Ordering::Relaxed), 4);
         for edge in [&e1, &e2] {
-            assert_eq!(edge.len(), 4); // priming heartbeat + 3 batch messages
-            edge.pop(); // priming heartbeat (seq 0)
-            assert_eq!(edge.pop().unwrap().0, 1);
-            assert_eq!(edge.pop().unwrap().0, 2);
-            assert_eq!(edge.pop().unwrap().0, 3);
+            // The heartbeat at seq 0, then the 3 batch messages.
+            let seqs: Vec<u64> = drain(edge).iter().map(|(s, _)| *s).collect();
+            assert_eq!(seqs, [0, 1, 2, 3]);
         }
     }
 
@@ -373,7 +360,7 @@ mod tests {
         let out = outputs();
         let early = Arc::new(Edge::new(1));
         out.subscribe(Arc::clone(&early));
-        out.publish_heartbeat(Timestamp::new(9));
+        publish(&out, &[hb(9)]);
         out.publish_close();
         out.publish_close();
         assert_eq!(early.len(), 2); // heartbeat + one close
@@ -382,8 +369,8 @@ mod tests {
         let late = Arc::new(Edge::new(2));
         out.subscribe(Arc::clone(&late));
         // Late subscriber is primed with progress and the close.
-        assert_eq!(late.pop().unwrap().1, Message::Heartbeat(Timestamp::new(9)));
-        assert_eq!(late.pop().unwrap().1, Message::Close);
+        let msgs: Vec<Message<i32>> = drain(&late).into_iter().map(|(_, m)| m).collect();
+        assert_eq!(msgs, [hb(9), Message::Close]);
     }
 
     #[test]
@@ -393,7 +380,7 @@ mod tests {
         out.subscribe(Arc::clone(&e));
         assert!(out.unsubscribe(4));
         assert!(!out.unsubscribe(4));
-        out.publish_element(Element::at(1, Timestamp::new(0)));
+        publish(&out, &[Message::Element(Element::at(1, Timestamp::new(0)))]);
         assert!(e.is_empty());
     }
 

@@ -3,20 +3,24 @@
 //! Every input edge mirrors its queue into a [`Port`] (length, head
 //! sequence) under the queue lock it already holds for the push or pop, and
 //! every node owns one [`ReadyCell`] that lists its ports. From those
-//! mirrors the cell derives the node's *demand* — the node-defined
-//! `queued` / `oldest_pending_seq` pair the locked [`crate::Runnable`]
-//! accessors report: `ReadyCell::demand` is the lock-free mirror of the one
-//! locked frontier probe (`node::frontier`), strict frontier included (an
-//! empty open *gated* port hides the other ports' backlog) — and publishes
-//! it at the two kinds of site where it changes: after a push into one of
-//! the node's edges, and at the end of [`crate::QueryGraph::step_node`].
+//! mirrors the cell derives the node's *demand*, its `queued` /
+//! `oldest_pending_seq` pair: `ReadyCell::demand` is the lock-free mirror
+//! of the frontier rule the node steps by (`node::frontier`), strict
+//! frontier included (an empty open *gated* port hides the other ports'
+//! backlog). It publishes the demand at the two kinds of site where it
+//! changes: after a push into one of the node's edges, and at the end of
+//! [`crate::QueryGraph::step_node`].
 //!
 //! What is published lives in the graph-wide [`ReadySet`]: per node id one
 //! summary (queued count, head sequence, finished flag, state size) in
-//! contiguous arrays, plus one ready bit per node in a bitmap. Schedulers
-//! scan the bitmap and read the summaries of the set bits — no node lock,
-//! no pointer into the node — and the not-ready → ready transition of a bit
-//! is the one place the wake hook fires.
+//! contiguous arrays, plus one ready bit per node in a bitmap. It is the
+//! one readiness authority: schedulers scan the bitmap and read the
+//! summaries of the set bits, and the graph's own probes
+//! ([`crate::QueryGraph::queued`], `is_finished`, `all_finished`, `memory`,
+//! …) read the same summaries — no node lock, no pointer into the node.
+//! The not-ready → ready transition of a bit is the one place the wake hook
+//! fires. [`crate::QueryGraph::locked_probes`] recomputes the same facts
+//! under the node's lock, as the reference the tests hold the summaries to.
 //!
 //! See DESIGN.md § 6a for the ordering argument and the two model-checked
 //! races (push vs end-of-step, push vs park).
@@ -238,11 +242,6 @@ impl ReadyCell {
         (queued, head)
     }
 
-    /// Messages the node can get at, as of the port mirrors.
-    pub(crate) fn queued(&self) -> usize {
-        self.demand().0
-    }
-
     /// Publishes the node's readiness after one of its inputs changed: a
     /// push mirrored into a port, the node's own step, a gate, the parked
     /// or finished flag. Safe from any thread at any time: publications of
@@ -303,6 +302,14 @@ impl ReadyCell {
             }
         }
         self.publish();
+    }
+
+    /// Whether the node's runnable is out of its cell; exact under its
+    /// runnable lock, which every writer of the flag holds once the node is
+    /// registered.
+    pub(crate) fn parked(&self) -> bool {
+        // ordering: Relaxed — see `demand`.
+        self.parked.load(Ordering::Relaxed)
     }
 
     pub(crate) fn set_parked(&self, parked: bool) -> Option<NodeId> {

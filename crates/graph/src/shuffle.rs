@@ -46,8 +46,8 @@
 //! partitioner and the old instances retired. A unary group has one
 //! partitioned `Side`, a binary group two; they differ in nothing else.
 
-use crate::edge::{Edge, EdgeId};
-use crate::graph::{NodeCell, NodeKind, QueryGraph, StreamHandle};
+use crate::edge::Edge;
+use crate::graph::{input_of, Incoming, NodeCell, NodeKind, QueryGraph, StreamHandle};
 use crate::node::{frontier_of, BinNode, OpNode, Runnable, Stamped, StepReport};
 use crate::operator::{BinaryOperator, Collector, NodeId, Operator};
 use crate::outputs::{OutputPort, Outputs, PublishCollector, DEFAULT_FLUSH_CAP};
@@ -218,14 +218,6 @@ impl<T: Send + Clone + 'static> Runnable for PartitionNode<T> {
         }
     }
 
-    fn queued(&self) -> usize {
-        self.input.len()
-    }
-
-    fn oldest_pending_seq(&self) -> Option<u64> {
-        self.input.head_seq()
-    }
-
     fn is_finished(&self) -> bool {
         self.closed && self.input.is_empty()
     }
@@ -340,14 +332,6 @@ impl<T: Clone + Send + 'static> Runnable for MergeNode<T> {
         report
     }
 
-    fn queued(&self) -> usize {
-        frontier_of(&self.ports).queued
-    }
-
-    fn oldest_pending_seq(&self) -> Option<u64> {
-        frontier_of(&self.ports).next.map(|n| n.seq)
-    }
-
     fn is_finished(&self) -> bool {
         self.closed_downstream
     }
@@ -456,12 +440,6 @@ impl Runnable for ParkedPartition {
     fn step(&mut self, _budget: usize) -> StepReport {
         StepReport::default()
     }
-    fn queued(&self) -> usize {
-        0
-    }
-    fn oldest_pending_seq(&self) -> Option<u64> {
-        None
-    }
     fn is_finished(&self) -> bool {
         false
     }
@@ -484,14 +462,18 @@ fn take_runnable(g: &QueryGraph, id: NodeId) -> Box<dyn Runnable> {
 /// Puts a runnable taken by [`take_runnable`] back into its cell.
 fn restore_runnable(g: &QueryGraph, id: NodeId, runnable: Box<dyn Runnable>) {
     let cell = g.cell(id);
-    *cell.runnable.lock() = runnable;
-    cell.ready.wake(cell.ready.set_parked(false));
+    let woke = {
+        let mut guard = cell.runnable.lock();
+        *guard = runnable;
+        cell.ready.set_parked(false)
+    };
+    cell.ready.wake(woke);
 }
 
 fn instance_cell(
     name: String,
     runnable: Box<dyn Runnable>,
-    incoming: Vec<(NodeId, EdgeId)>,
+    incoming: Incoming,
     ready: Arc<ReadyCell>,
 ) -> NodeCell {
     NodeCell::new(&name, NodeKind::Operator, runnable, None, incoming, ready)
@@ -533,7 +515,7 @@ impl<T: Send + Clone + 'static> Side<T> {
         let edge = g.new_edge::<T>(&ready, false);
         input.outputs.subscribe(Arc::clone(&edge));
         ready.set_parked(true);
-        let incoming = vec![(input.node, edge.id())];
+        let incoming = vec![input_of(input.node, &edge)];
         let part_id = g.push_node(instance_cell(
             name,
             Box::new(ParkedPartition),
@@ -568,7 +550,7 @@ trait Sides: Send + 'static {
         &mut self,
         g: &QueryGraph,
         instance: &Arc<ReadyCell>,
-        incoming: &mut Vec<(NodeId, EdgeId)>,
+        incoming: &mut Incoming,
     ) -> Self::Ports;
     /// Points the partitioner at the new generation, replays the backlog
     /// through it and lets it run again. `stamp` closes a stream that had
@@ -604,10 +586,10 @@ impl<T: Send + Clone + 'static> Sides for Side<T> {
         &mut self,
         g: &QueryGraph,
         instance: &Arc<ReadyCell>,
-        incoming: &mut Vec<(NodeId, EdgeId)>,
+        incoming: &mut Incoming,
     ) -> Arc<Edge<T>> {
         let edge = g.new_edge::<T>(instance, self.gate);
-        incoming.push((self.part_id, edge.id()));
+        incoming.push(input_of(self.part_id, &edge));
         self.edges.push(Arc::clone(&edge));
         edge
     }
@@ -652,7 +634,7 @@ impl<L: Send + Clone + 'static, R: Send + Clone + 'static> Sides for (Side<L>, S
         &mut self,
         g: &QueryGraph,
         instance: &Arc<ReadyCell>,
-        incoming: &mut Vec<(NodeId, EdgeId)>,
+        incoming: &mut Incoming,
     ) -> Self::Ports {
         let left = self.0.connect(g, instance, incoming);
         (left, self.1.connect(g, instance, incoming))
@@ -697,12 +679,13 @@ impl<S: Sides, T: Clone + Send + 'static> Group<S, T> {
         for (id, _) in &self.instances {
             let cell = g.cell(*id);
             let mut node = cell.runnable.lock();
-            let node = node
+            let any = node
                 .as_any_mut()
                 .expect("shuffle instance node changed type");
-            for entry in (self.export)(node) {
+            for entry in (self.export)(any) {
                 split[(entry.0 % n_new as u64) as usize].push(entry);
             }
+            cell.publish_state(&**node);
         }
         let merge_cell = g.cell(self.merge_id);
         let mut fresh = Vec::with_capacity(n_new);
@@ -723,11 +706,11 @@ impl<S: Sides, T: Clone + Send + 'static> Group<S, T> {
                 .as_any_mut()
                 .and_then(|a| a.downcast_mut::<MergeNode<T>>())
                 .expect("shuffle merge node changed type");
-            let mut incoming = merge_cell.incoming.lock();
-            incoming.retain(|(up, _)| !self.instances.iter().any(|(id, _)| id == up));
+            let retired = |up: &NodeId| self.instances.iter().any(|(id, _)| id == up);
+            merge_cell.incoming.lock().retain(|(up, _)| !retired(up));
             for (id, out) in &fresh {
                 merge.ports.push(Arc::clone(out));
-                incoming.push((*id, out.id()));
+                merge_cell.add_input(input_of(*id, out));
             }
         }
         // One fresh stamp: greater than every stamp the retiring instances

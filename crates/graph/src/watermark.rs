@@ -38,11 +38,6 @@ impl Watermarks {
         None
     }
 
-    /// Marks a port closed: it stops constraining progress.
-    pub fn close_port(&mut self, port: usize) -> Option<Timestamp> {
-        self.update(port, Timestamp::MAX)
-    }
-
     /// The current combined watermark.
     pub fn combined(&self) -> Timestamp {
         self.combined
@@ -76,11 +71,13 @@ mod tests {
         assert_eq!(w.combined(), Timestamp::new(5));
     }
 
+    /// A closed port is delivered a heartbeat at the horizon, after which
+    /// it stops constraining progress.
     #[test]
-    fn closed_port_stops_constraining() {
+    fn port_at_the_horizon_stops_constraining() {
         let mut w = Watermarks::new(2);
         w.update(0, Timestamp::new(7));
-        assert_eq!(w.close_port(1), Some(Timestamp::new(7)));
+        assert_eq!(w.update(1, Timestamp::MAX), Some(Timestamp::new(7)));
         assert_eq!(w.update(0, Timestamp::new(9)), Some(Timestamp::new(9)));
     }
 

@@ -29,6 +29,24 @@ fn el(p: i32, t: u64) -> Message<i32> {
     Message::Element(Element::at(p, Timestamp::new(t)))
 }
 
+/// Pops everything queued on `e`, one message per run.
+fn drain(e: &Edge<i32>) -> Vec<(u64, Message<i32>)> {
+    let mut out = Vec::new();
+    while e.pop_run(1, u64::MAX, &mut out) > 0 {}
+    out
+}
+
+/// The elements queued on `e`, as `(payload, seq)`.
+fn elements(e: &Edge<i32>) -> Vec<(i32, u64)> {
+    let mut out = Vec::new();
+    for (seq, m) in drain(e) {
+        if let Message::Element(e) = m {
+            out.push((e.payload, seq));
+        }
+    }
+    out
+}
+
 /// PR-1 invariant: the cached length is stored *inside* the queue's
 /// critical section, so once all threads join it exactly matches the queue
 /// — no interleaving of a racing push and pop can leave it stale.
@@ -36,24 +54,20 @@ fn el(p: i32, t: u64) -> Message<i32> {
 fn cached_len_matches_queue_under_push_pop_race() {
     let report = pipes_sync::model(|| {
         let e: Arc<Edge<i32>> = Arc::new(Edge::new(0));
-        e.push(1, hb(1));
+        e.push_batch(1, &mut vec![hb(1)]);
         let pusher = {
             let e = Arc::clone(&e);
-            pipes_sync::thread::spawn(move || e.push(2, hb(2)))
+            pipes_sync::thread::spawn(move || e.push_batch(2, &mut vec![hb(2)]))
         };
         let popper = {
             let e = Arc::clone(&e);
-            pipes_sync::thread::spawn(move || e.pop().is_some())
+            pipes_sync::thread::spawn(move || e.pop_run(1, u64::MAX, &mut Vec::new()))
         };
         pusher.join().unwrap();
         let popped = popper.join().unwrap();
-        let expected = if popped { 1 } else { 2 };
+        let expected = 2 - popped;
         assert_eq!(e.len(), expected, "cached len diverged from queue");
-        let mut actual = 0;
-        while e.pop().is_some() {
-            actual += 1;
-        }
-        assert_eq!(actual, expected, "queue content diverged");
+        assert_eq!(drain(&e).len(), expected, "queue content diverged");
     });
     assert!(report.complete);
     assert!(report.executions > 1, "expected multiple schedules");
@@ -160,10 +174,7 @@ fn racing_batch_flushes_get_disjoint_contiguous_seq_blocks() {
         out.publish_batch(&mut buf);
         flusher.join().unwrap();
 
-        let mut by_payload = std::collections::HashMap::new();
-        while let Some((seq, Message::Element(e))) = e.pop() {
-            by_payload.insert(e.payload, seq);
-        }
+        let by_payload: std::collections::HashMap<i32, u64> = elements(&e).into_iter().collect();
         assert_eq!(by_payload.len(), 4, "a flush lost messages");
         for pair in [(10, 11), (20, 21)] {
             assert_eq!(
@@ -187,16 +198,17 @@ fn racing_heartbeats_deliver_exactly_once() {
         out.subscribe(Arc::clone(&e));
         let racer = {
             let out = Arc::clone(&out);
-            pipes_sync::thread::spawn(move || out.publish_heartbeat(Timestamp::new(5)))
+            pipes_sync::thread::spawn(move || out.publish_batch(&mut vec![hb(5)]))
         };
-        out.publish_heartbeat(Timestamp::new(5));
+        out.publish_batch(&mut vec![hb(5)]);
         racer.join().unwrap();
-        let mut beats = 0;
-        while let Some((_, m)) = e.pop() {
-            assert_eq!(m, hb(5));
-            beats += 1;
-        }
-        assert_eq!(beats, 1, "duplicate heartbeat slipped through the dedup");
+        let beats = drain(&e);
+        assert!(beats.iter().all(|(_, m)| *m == hb(5)));
+        assert_eq!(
+            beats.len(),
+            1,
+            "duplicate heartbeat slipped through the dedup"
+        );
     });
     assert!(report.complete);
 }
@@ -215,12 +227,9 @@ fn racing_closes_deliver_exactly_one_close() {
         out.publish_close();
         racer.join().unwrap();
         assert!(out.is_closed());
-        let mut closes = 0;
-        while let Some((_, m)) = e.pop() {
-            assert_eq!(m, Message::Close);
-            closes += 1;
-        }
-        assert_eq!(closes, 1, "close must be published exactly once");
+        let closes = drain(&e);
+        assert!(closes.iter().all(|(_, m)| *m == Message::Close));
+        assert_eq!(closes.len(), 1, "close must be published exactly once");
     });
     assert!(report.complete);
 }
@@ -242,12 +251,13 @@ fn subscribe_racing_close_delivers_exactly_one_close() {
         };
         out.publish_close();
         subscriber.join().unwrap();
-        let mut closes = 0;
-        while let Some((_, m)) = e.pop() {
-            assert_eq!(m, Message::Close);
-            closes += 1;
-        }
-        assert_eq!(closes, 1, "a late subscriber must see exactly one Close");
+        let closes = drain(&e);
+        assert!(closes.iter().all(|(_, m)| *m == Message::Close));
+        assert_eq!(
+            closes.len(),
+            1,
+            "a late subscriber must see exactly one Close"
+        );
     });
     assert!(report.complete);
     assert!(report.executions > 1, "expected multiple schedules");
@@ -279,12 +289,8 @@ fn racing_collector_flushes_into_one_subscriber() {
         drop(c);
         assert_eq!(other.join().unwrap(), 2);
         assert_eq!(mine, 1);
-        let mut payloads: Vec<i32> = Vec::new();
-        let mut seqs = std::collections::HashMap::new();
-        while let Some((seq, Message::Element(e))) = e.pop() {
-            payloads.push(e.payload);
-            seqs.insert(e.payload, seq);
-        }
+        let seqs: std::collections::HashMap<i32, u64> = elements(&e).into_iter().collect();
+        let mut payloads: Vec<i32> = seqs.keys().copied().collect();
         payloads.sort_unstable();
         assert_eq!(payloads, [10, 11, 20], "a flush lost messages");
         assert_eq!(seqs[&10] + 1, seqs[&11], "capped flush split its block");
@@ -298,7 +304,7 @@ fn racing_collector_flushes_into_one_subscriber() {
 /// are serialized and re-run while requests keep coming in, so whichever
 /// order the two land in, the last word covers the last change: a consumer
 /// left holding a message is marked ready, and its published demand is what
-/// the locked probes report.
+/// the locked reference reports.
 #[test]
 fn push_racing_the_end_of_step_publication_leaves_the_node_ready() {
     let report = pipes_sync::Builder::new().preemption_bound(2).check(|| {
@@ -324,11 +330,12 @@ fn push_racing_the_end_of_step_publication_leaves_the_node_ready() {
         assert!(consumer.join().unwrap() >= 1);
         assert_eq!(producer.join().unwrap(), 1);
         let ready = g.ready();
-        assert_eq!(ready.queued(k), g.queued(k), "published queue length");
-        assert_eq!(ready.oldest_seq(k), g.oldest_pending_seq(k));
+        let (queued, oldest, ..) = g.locked_probes(k);
+        assert_eq!(ready.queued(k), queued, "published queue length");
+        assert_eq!(ready.oldest_seq(k), oldest);
         assert_eq!(
             ready.is_ready(k),
-            g.queued(k) > 0,
+            queued > 0,
             "a consumer holding input must be marked ready, a drained one not"
         );
     });

@@ -125,22 +125,16 @@ fn keyed_plan(elems: Vec<Element<(i64, i64)>>, instances: usize) -> KeyedPlan {
     }
 }
 
-/// The lock-free readiness cells say what the locked probes say, for every
-/// node — partitioners, strict-frontier instances and the merge included.
+/// The lock-free readiness cells say what the locked reference says, for
+/// every node — partitioners, strict-frontier instances and the merge
+/// included.
 fn assert_cells_agree_with_locks(graph: &QueryGraph) {
     let ready = graph.ready();
     for id in 0..graph.len() {
-        assert_eq!(ready.queued(id), graph.queued(id), "queued of node {id}");
-        assert_eq!(
-            ready.oldest_seq(id),
-            graph.oldest_pending_seq(id),
-            "oldest seq of node {id}"
-        );
-        assert_eq!(
-            ready.is_finished(id),
-            graph.is_finished(id),
-            "finished of node {id}"
-        );
+        let (queued, oldest, finished, _, _) = graph.locked_probes(id);
+        assert_eq!(ready.queued(id), queued, "queued of node {id}");
+        assert_eq!(ready.oldest_seq(id), oldest, "oldest seq of node {id}");
+        assert_eq!(ready.is_finished(id), finished, "finished of node {id}");
     }
 }
 

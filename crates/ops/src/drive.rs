@@ -63,12 +63,6 @@ impl<B: BinaryOperator> BinaryOperator for BinaryElementWise<B> {
         self.0.on_heartbeat_right(t, out)
     }
     // The run pair deliberately not forwarded.
-    fn on_close_left(&mut self, out: &mut dyn Collector<B::Out>) {
-        self.0.on_close_left(out)
-    }
-    fn on_close_right(&mut self, out: &mut dyn Collector<B::Out>) {
-        self.0.on_close_right(out)
-    }
     fn on_close(&mut self, out: &mut dyn Collector<B::Out>) {
         self.0.on_close(out)
     }

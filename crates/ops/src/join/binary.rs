@@ -21,10 +21,11 @@ enum JoinEntry<L, R> {
 
 /// Generalized ripple join: each arriving element probes the opposite
 /// input's [`SweepArea`], emits a result per match (validity = intersection
-/// of the two intervals), then inserts itself into its own side's area.
-/// Heartbeats purge the *opposite* area — an entry whose validity ended at
-/// or before this side's watermark can never be matched again — and certify
-/// combined progress downstream.
+/// of the two intervals), then inserts itself into its own side's area —
+/// unless the opposite watermark is at the horizon (that input ended), so
+/// no partner is left to probe it. Heartbeats purge the *opposite* area —
+/// an entry whose validity ended at or before this side's watermark can
+/// never be matched again — and certify combined progress downstream.
 ///
 /// The sweep areas are exchangeable boxed trait objects; the constructors
 /// below cover the common cases.
@@ -146,7 +147,11 @@ where
                 out.element(Element::new(combine(&probe.payload, &matched.payload), iv));
             }
         });
-        self.left_area.insert_run(&mut self.left_seg);
+        if self.right_wm < Timestamp::MAX {
+            self.left_area.insert_run(&mut self.left_seg);
+        } else {
+            self.left_seg.clear();
+        }
     }
 
     /// Mirror of [`flush_left`](Self::flush_left) for the right input.
@@ -162,7 +167,11 @@ where
                 out.element(Element::new(combine(&matched.payload, &probe.payload), iv));
             }
         });
-        self.right_area.insert_run(&mut self.right_seg);
+        if self.left_wm < Timestamp::MAX {
+            self.right_area.insert_run(&mut self.right_seg);
+        } else {
+            self.right_seg.clear();
+        }
     }
 }
 
@@ -183,7 +192,9 @@ where
                 out.element(Element::new(combine(&e.payload, &matched.payload), iv));
             }
         });
-        self.left_area.insert(e);
+        if self.right_wm < Timestamp::MAX {
+            self.left_area.insert(e);
+        }
     }
 
     fn on_right(&mut self, e: Element<R>, out: &mut dyn Collector<O>) {
@@ -193,7 +204,9 @@ where
                 out.element(Element::new(combine(&matched.payload, &e.payload), iv));
             }
         });
-        self.right_area.insert(e);
+        if self.left_wm < Timestamp::MAX {
+            self.right_area.insert(e);
+        }
     }
 
     /// Buffers consecutive elements into the left segment; a heartbeat
@@ -241,18 +254,6 @@ where
         self.right_wm = self.right_wm.max(t);
         self.left_area.purge(self.right_wm);
         self.advance(out);
-    }
-
-    /// The left input ended: its watermark is at the horizon, so every
-    /// right entry has met its last partner, and the join's progress is the
-    /// right input's alone from here on.
-    fn on_close_left(&mut self, out: &mut dyn Collector<O>) {
-        self.on_heartbeat_left(Timestamp::MAX, out);
-    }
-
-    /// Mirror of [`on_close_left`](Self::on_close_left).
-    fn on_close_right(&mut self, out: &mut dyn Collector<O>) {
-        self.on_heartbeat_right(Timestamp::MAX, out);
     }
 
     fn on_close(&mut self, out: &mut dyn Collector<O>) {
@@ -430,6 +431,42 @@ mod tests {
             right,
         );
         check_watermark_contract(&msgs).unwrap();
+    }
+
+    /// Once one input is at the horizon, the other side's elements still
+    /// probe, but no longer stay.
+    #[test]
+    fn nothing_is_stored_for_a_partner_at_the_horizon() {
+        let mut join: RippleJoin<i64, i64, (i64, i64)> =
+            RippleJoin::equi(|x| *x, |y| *y, |x, y| (*x, *y));
+        let mut out: Vec<Message<(i64, i64)>> = Vec::new();
+        join.on_left(el(1, 0, 100), &mut out);
+        join.on_heartbeat_left(Timestamp::MAX, &mut out);
+        assert_eq!(join.memory(), 1, "no right element purges the left one");
+        let mut run: Vec<Message<i64>> = (0..50)
+            .map(|i| Message::Element(el(i % 3, i as u64, 200)))
+            .collect();
+        join.on_run_right(&mut run, &mut out);
+        for i in 50..60 {
+            join.on_right(el(i % 3, i as u64, 200), &mut out);
+        }
+        assert_eq!(join.memory(), 1);
+        let matched = out.iter().filter(|m| m.is_element()).count();
+        assert_eq!(
+            matched, 20,
+            "right elements keyed 1 still meet the left one"
+        );
+
+        // And mirrored.
+        let mut join: RippleJoin<i64, i64, (i64, i64)> =
+            RippleJoin::equi(|x| *x, |y| *y, |x, y| (*x, *y));
+        join.on_heartbeat_right(Timestamp::MAX, &mut out);
+        let mut run: Vec<Message<i64>> = (0..50)
+            .map(|i| Message::Element(el(i, i as u64, 200)))
+            .collect();
+        join.on_run_left(&mut run, &mut out);
+        join.on_left(el(7, 60, 200), &mut out);
+        assert_eq!(join.memory(), 0);
     }
 
     #[test]

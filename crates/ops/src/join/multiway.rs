@@ -14,7 +14,8 @@ use std::hash::Hash;
 /// matched intervals.
 ///
 /// Purging and shedding are the sweep area's own — the join adds no
-/// bucket bookkeeping of its own.
+/// bucket bookkeeping of its own. An element is not stored once every
+/// other input is at the horizon (ended): nothing is left to probe it.
 pub struct MultiwayJoin<T, K, KF> {
     key: KF,
     areas: Vec<HashSweepArea<T, T, K, KF, KF>>,
@@ -94,7 +95,12 @@ where
             ));
         }
 
-        self.areas[port].insert(e);
+        // Nothing can probe it once every other input is at the horizon.
+        let partners_open =
+            (0..self.areas.len()).any(|p| p != port && self.watermarks.port(p) < Timestamp::MAX);
+        if partners_open {
+            self.areas[port].insert(e);
+        }
     }
 
     fn on_heartbeat(&mut self, port: usize, t: Timestamp, out: &mut dyn Collector<Vec<T>>) {
@@ -193,6 +199,27 @@ mod tests {
         j.on_heartbeat(0, Timestamp::new(100), &mut out);
         j.on_heartbeat(1, Timestamp::new(100), &mut out);
         assert_eq!(j.memory(), 0);
+    }
+
+    #[test]
+    fn nothing_is_stored_once_every_partner_is_at_the_horizon() {
+        let mut j = MultiwayJoin::new(3, |v: &i64| *v % 2);
+        let mut out: Vec<pipes_time::Message<Vec<i64>>> = Vec::new();
+        j.on_element(1, el(1, 0, 100), &mut out);
+        j.on_element(2, el(3, 0, 100), &mut out);
+        j.on_heartbeat(1, Timestamp::MAX, &mut out);
+        // Port 2 is still open: port 0's elements are kept for it.
+        j.on_element(0, el(5, 1, 100), &mut out);
+        assert_eq!(j.memory(), 3);
+        j.on_heartbeat(2, Timestamp::MAX, &mut out);
+        let before = j.memory();
+        for i in 0..20 {
+            j.on_element(0, el(i, 2 + i as u64, 100), &mut out);
+        }
+        assert_eq!(j.memory(), before);
+        // Odd keys still joined the stored pair from ports 1 and 2.
+        let joined = out.iter().filter(|m| m.is_element()).count();
+        assert_eq!(joined, 1 + 10);
     }
 
     #[test]

@@ -26,22 +26,16 @@ use proptest::prelude::*;
 /// Pinned source budget — part of the observable input (batch punctuation).
 const SRC_BUDGET: usize = 5;
 
-/// The lock-free readiness cells say what the locked probes say, for every
-/// node — partitioners, strict-frontier instances and the merge included.
+/// The lock-free readiness cells say what the locked reference says, for
+/// every node — partitioners, strict-frontier instances and the merge
+/// included.
 fn assert_cells_agree_with_locks(graph: &QueryGraph) {
     let ready = graph.ready();
     for id in 0..graph.len() {
-        assert_eq!(ready.queued(id), graph.queued(id), "queued of node {id}");
-        assert_eq!(
-            ready.oldest_seq(id),
-            graph.oldest_pending_seq(id),
-            "oldest seq of node {id}"
-        );
-        assert_eq!(
-            ready.is_finished(id),
-            graph.is_finished(id),
-            "finished of node {id}"
-        );
+        let (queued, oldest, finished, _, _) = graph.locked_probes(id);
+        assert_eq!(ready.queued(id), queued, "queued of node {id}");
+        assert_eq!(ready.oldest_seq(id), oldest, "oldest seq of node {id}");
+        assert_eq!(ready.is_finished(id), finished, "finished of node {id}");
     }
 }
 
@@ -263,7 +257,8 @@ fn keyed_join_instance_is_ready_only_once_both_open_ports_hold_a_head() {
         g.step_node(lpart, 64);
         assert!(!ready.is_ready(inst), "right port still empty");
         assert_eq!((ready.queued(inst), ready.oldest_seq(inst)), (0, None));
-        assert_eq!(g.queued(inst), 0, "the locked probe agrees (depth {depth})");
+        let (queued, ..) = g.locked_probes(inst);
+        assert_eq!(queued, 0, "the locked reference agrees (depth {depth})");
     }
     g.step_node(srcs[1], SRC_BUDGET);
     assert!(!ready.is_ready(inst), "still in the right partitioner");

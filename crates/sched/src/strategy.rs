@@ -675,8 +675,8 @@ mod tests {
             ready.iter().map(|r| (r.id, r.pos)).collect::<Vec<_>>(),
             vec![(nodes[0], 0), (nodes[1], 1)]
         );
-        assert_eq!(ready[1].queued, g.queued(nodes[1]));
-        assert_eq!(ready[1].oldest_seq, g.oldest_pending_seq(nodes[1]));
+        let (queued, oldest, ..) = g.locked_probes(nodes[1]);
+        assert_eq!((ready[1].queued, ready[1].oldest_seq), (queued, oldest));
         // A sparse candidate set finds positions by search and skips ready
         // nodes outside it.
         let sparse = [nodes[0], nodes[2]];

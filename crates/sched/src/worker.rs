@@ -166,9 +166,10 @@ impl WorkStealingExecutor {
     }
 
     /// Overrides the initial group placement (one group-id list per
-    /// worker), e.g. to benchmark stealing from a deliberately skewed
-    /// start. Defaults to [`ExecutionPlan::partition_groups`].
-    pub fn with_initial_groups(mut self, groups: Vec<Vec<GroupId>>) -> Self {
+    /// worker), so a test can force a deliberately skewed start. Defaults
+    /// to [`ExecutionPlan::partition_groups`].
+    #[cfg(test)]
+    pub(crate) fn with_initial_groups(mut self, groups: Vec<Vec<GroupId>>) -> Self {
         self.initial_groups = Some(groups);
         self
     }

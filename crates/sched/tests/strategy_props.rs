@@ -1,6 +1,6 @@
 //! Property tests: every scheduling strategy drains every randomly shaped
 //! finite graph, and all strategies agree on the results; the lock-free
-//! readiness cells agree with the locked probes after every quantum, and
+//! readiness cells agree with the locked reference after every quantum, and
 //! every strategy picks from the cells what its lock-probing predecessor
 //! picked from the locks.
 
@@ -119,14 +119,27 @@ fn snapshot_equal(a: &[Element<u64>], b: &[Element<u64>]) -> Result<(), String> 
 }
 
 /// The six strategies as they were before the ready set: every fact probed
-/// under the node's locks (`QueryGraph::{queued, oldest_pending_seq,
-/// is_finished}`), every candidate visited on every pick. Kept here, and
+/// under the node's lock (`QueryGraph::locked_probes`), every candidate
+/// visited on every pick. Kept here, and
 /// only here, as the oracle the cell-reading strategies are checked against.
 mod oracle {
     use super::*;
 
+    /// `QueryGraph::locked_probes`, one fact at a time.
+    pub fn queued(g: &QueryGraph, id: NodeId) -> usize {
+        g.locked_probes(id).0
+    }
+
+    pub fn oldest(g: &QueryGraph, id: NodeId) -> Option<u64> {
+        g.locked_probes(id).1
+    }
+
+    pub fn finished(g: &QueryGraph, id: NodeId) -> bool {
+        g.locked_probes(id).2
+    }
+
     fn runnable(g: &QueryGraph, id: NodeId) -> bool {
-        !g.is_finished(id) && (g.queued(id) > 0 || g.kind(id) == NodeKind::Source)
+        !finished(g, id) && (queued(g, id) > 0 || g.kind(id) == NodeKind::Source)
     }
 
     fn selectivity(g: &QueryGraph, id: NodeId) -> f64 {
@@ -137,7 +150,7 @@ mod oracle {
         nodes
             .iter()
             .copied()
-            .find(|&id| !g.is_finished(id) && g.kind(id) == NodeKind::Source)
+            .find(|&id| !finished(g, id) && g.kind(id) == NodeKind::Source)
     }
 
     pub enum Oracle {
@@ -172,16 +185,16 @@ mod oracle {
                 Oracle::Fifo => nodes
                     .iter()
                     .copied()
-                    .filter_map(|id| g.oldest_pending_seq(id).map(|s| (s, id)))
-                    .filter(|&(_, id)| !g.is_finished(id))
+                    .filter_map(|id| oldest(g, id).map(|s| (s, id)))
+                    .filter(|&(_, id)| !finished(g, id))
                     .min()
                     .map(|(_, id)| id)
                     .or_else(|| first_source(g, nodes)),
                 Oracle::Greedy => nodes
                     .iter()
                     .copied()
-                    .filter(|&id| !g.is_finished(id))
-                    .map(|id| (g.queued(id), id))
+                    .filter(|&id| !finished(g, id))
+                    .map(|id| (queued(g, id), id))
                     .filter(|&(q, _)| q > 0)
                     .max()
                     .map(|(_, id)| id)
@@ -233,7 +246,7 @@ mod oracle {
                     *ticks += 1;
                     priorities
                         .iter()
-                        .filter(|(id, _)| !g.is_finished(*id) && g.queued(*id) > 0)
+                        .filter(|(id, _)| !finished(g, *id) && queued(g, *id) > 0)
                         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("priorities are finite"))
                         .map(|(id, _)| *id)
                         .or_else(|| first_source(g, nodes))
@@ -241,7 +254,7 @@ mod oracle {
                 Oracle::RateBased => nodes
                     .iter()
                     .copied()
-                    .filter(|&id| !g.is_finished(id) && g.queued(id) > 0)
+                    .filter(|&id| !finished(g, id) && queued(g, id) > 0)
                     .map(|id| (selectivity(g, id), id))
                     .max_by(|a, b| a.partial_cmp(b).expect("selectivities are finite"))
                     .map(|(_, id)| id)
@@ -251,27 +264,29 @@ mod oracle {
     }
 }
 
-/// The readiness cells say what the locked probes say, node by node.
+/// The readiness cells say what the locked reference says, node by node.
 fn cells_agree_with_locks(g: &QueryGraph, nodes: &[NodeId]) -> Result<(), TestCaseError> {
+    use oracle::{finished, oldest, queued};
     let ready = g.ready();
     for &id in nodes {
-        prop_assert_eq!(ready.queued(id), g.queued(id), "queued of node {}", id);
+        prop_assert_eq!(ready.queued(id), queued(g, id), "queued of node {}", id);
         prop_assert_eq!(
             ready.oldest_seq(id),
-            g.oldest_pending_seq(id),
+            oldest(g, id),
             "oldest seq of node {}",
             id
         );
         prop_assert_eq!(
             ready.is_finished(id),
-            g.is_finished(id),
+            finished(g, id),
             "finished of node {}",
             id
         );
-        let runnable = !g.is_finished(id) && (g.queued(id) > 0 || g.kind(id) == NodeKind::Source);
+        let runnable = !finished(g, id) && (queued(g, id) > 0 || g.kind(id) == NodeKind::Source);
         prop_assert_eq!(ready.is_ready(id), runnable, "ready bit of node {}", id);
     }
-    prop_assert_eq!(ready.all_finished(), g.all_finished());
+    let all_finished = g.node_ids().all(|id| finished(g, id));
+    prop_assert_eq!(ready.all_finished(), all_finished);
     Ok(())
 }
 

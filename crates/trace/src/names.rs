@@ -44,10 +44,6 @@ pub const OP_RUN: &str = "graph.oprun";
 /// args: `[batch_len, n_subscribers, seq_base]`.
 pub const FLUSH: &str = "graph.flush";
 
-/// Instant for a non-suppressed heartbeat broadcast.
-/// args: `[heartbeat_ticks, 0, 0]`.
-pub const HEARTBEAT: &str = "graph.heartbeat";
-
 /// Instant for the first close broadcast of an output port.
 /// args: `[0, 0, 0]`.
 pub const CLOSE: &str = "graph.close";

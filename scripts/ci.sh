@@ -120,6 +120,28 @@ for workload in nexmark_window_agg traffic_window_agg; do
     fi
 done
 
+# Bounded-state gate on the keyed join: in `nexmark_join_keyed` the
+# auctions close early and the bids keep coming; a join side whose partner
+# is at the horizon stores nothing, so the join's state, and with it the
+# process's peak RSS, stops growing with the run. Two back-to-back runs
+# (2 s and 6 s, seed 1) must both verify, and the 6 s run may peak at most
+# 12 MB above the 2 s one. Before the join stopped storing for a closed
+# partner this read 27.2 -> 59.3 MB; after, 12.9 -> 16.9 MB (2-core Xeon
+# host). The bar is on the difference within one pair: host speed moves an
+# absolute RSS bar from one host or day to the next, not the two runs of a
+# pair.
+echo "==> keyed join state stays bounded (peak_rss_mb at 6 s within 12 MB of 2 s)"
+rss=()
+for seconds in 2 6; do
+    result=$(benchmark/run.sh --workload nexmark_join_keyed --seed 1 --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)
+    grep -q '"correct": true' <<<"$result"
+    mb=$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9.eE+-]*\),.*/\1/p' <<<"$result")
+    echo "    ${seconds} s: peak_rss_mb = ${mb:-missing}"
+    rss+=("${mb:-}")
+done
+awk -v short="${rss[0]}" -v long="${rss[1]}" \
+    'BEGIN { exit !(short != "" && long != "" && long - short <= 12) }'
+
 # Model-checked concurrency suite: compile the kernel against the
 # instrumented loom-shim primitives and exhaustively explore interleavings
 # of the data-path/scheduler invariants (see DESIGN.md § "Concurrency

@@ -13,11 +13,13 @@
 //! model-checked test first and a stress form here only if they need
 //! scale.
 
+use pipes::graph::NodeKind;
 use pipes::nexmark::generator::{NexmarkConfig, NexmarkGenerator};
 use pipes::nexmark::{self, Event};
 use pipes::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// NEXMark bids released up to a gate the test raises as it splices, so
 /// the stream outlives the splicing however fast the workers drain it.
@@ -165,4 +167,230 @@ fn install_and_remove_queries_under_live_execution() {
             assert!(e.payload[1].as_i64().unwrap() > 1000 * (i as i64 + 1));
         }
     }
+}
+
+/// Passes elements through, but parks inside `on_run` until released.
+struct Blocking {
+    entered: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+}
+
+impl Operator for Blocking {
+    type In = i64;
+    type Out = i64;
+
+    fn on_element(&mut self, _port: usize, e: Element<i64>, out: &mut dyn Collector<i64>) {
+        out.element(e);
+    }
+
+    fn on_run(&mut self, port: usize, run: &mut Vec<Message<i64>>, out: &mut dyn Collector<i64>) {
+        let _ = self.entered.send(());
+        // Bounded, so a failing run of the test still ends.
+        let _ = self.release.recv_timeout(Duration::from_secs(10));
+        for msg in run.drain(..) {
+            match msg {
+                Message::Element(e) => self.on_element(port, e, out),
+                Message::Heartbeat(t) => self.on_heartbeat(port, t, out),
+                Message::Close => {}
+            }
+        }
+    }
+
+    fn memory(&self) -> usize {
+        7
+    }
+
+    fn state_bytes(&self) -> usize {
+        700
+    }
+}
+
+/// The graph's probes read what the last step published: none of them
+/// waits for a node that is in the middle of a step.
+#[test]
+fn probes_answer_while_a_node_is_stepping() {
+    let g = Arc::new(QueryGraph::new());
+    let elems = (0..8)
+        .map(|i| Element::at(i, Timestamp::new(i as u64)))
+        .collect();
+    let src = g.add_source("src", VecSource::new(elems));
+    let (entered, entered_rx) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let op = Blocking {
+        entered,
+        release: release_rx,
+    };
+    let id = g.add_unary("blocking", op, &src).node();
+    g.step_node(src.node(), 4);
+    let stepper = {
+        let g = Arc::clone(&g);
+        std::thread::spawn(move || g.step_node(id, 64))
+    };
+    entered_rx.recv().expect("the step reaches the operator");
+    let (tx, rx) = mpsc::channel();
+    let prober = {
+        let g = Arc::clone(&g);
+        std::thread::spawn(move || {
+            let _ = tx.send(("queued", g.queued(id) as u64));
+            let _ = tx.send(("oldest_pending_seq", g.oldest_pending_seq(id).unwrap_or(0)));
+            let _ = tx.send(("is_finished", g.is_finished(id) as u64));
+            let _ = tx.send(("all_finished", g.all_finished() as u64));
+            let _ = tx.send(("memory", g.memory(id) as u64));
+            let _ = tx.send(("state_bytes", g.state_bytes(id) as u64));
+            let _ = tx.send(("total_queued", g.total_queued() as u64));
+        })
+    };
+    let mut answered = Vec::new();
+    while let Ok((probe, _)) = rx.recv_timeout(Duration::from_secs(2)) {
+        answered.push(probe);
+    }
+    let _ = release.send(());
+    stepper.join().expect("stepper panicked");
+    prober.join().expect("prober panicked");
+    assert_eq!(
+        answered,
+        [
+            "queued",
+            "oldest_pending_seq",
+            "is_finished",
+            "all_finished",
+            "memory",
+            "state_bytes",
+            "total_queued"
+        ],
+        "a probe waited for the stepping node"
+    );
+    // Once the step is over, what it published is the operator's state.
+    assert_eq!((g.memory(id), g.state_bytes(id)), (7, 700));
+}
+
+/// Every public probe of every node — live, resized, shed, or removed with
+/// input still queued — says what the locked reference says.
+fn assert_probes_match_reference(g: &QueryGraph) {
+    let (mut all_finished, mut total_queued) = (true, 0);
+    for id in 0..g.len() {
+        let (queued, oldest, finished, memory, state_bytes) = g.locked_probes(id);
+        assert_eq!(g.queued(id), queued, "queued of node {id}");
+        assert_eq!(g.oldest_pending_seq(id), oldest, "oldest seq of node {id}");
+        assert_eq!(g.is_finished(id), finished, "finished of node {id}");
+        assert_eq!(g.memory(id), memory, "memory of node {id}");
+        assert_eq!(g.state_bytes(id), state_bytes, "state bytes of node {id}");
+        if !g.is_removed(id) {
+            all_finished &= finished;
+            total_queued += queued;
+        }
+    }
+    assert_eq!(g.all_finished(), all_finished);
+    assert_eq!(g.total_queued(), total_queued);
+}
+
+fn round(g: &QueryGraph, budget: usize) {
+    for id in g.node_ids() {
+        g.step_node(id, budget);
+    }
+}
+
+#[test]
+fn probes_match_the_locked_reference_through_churn_shed_and_resize() {
+    let mut cat = Catalog::new();
+    nexmark::register(
+        &mut cat,
+        NexmarkConfig {
+            max_events: 3_000,
+            ..Default::default()
+        },
+    );
+    let g = QueryGraph::new();
+    let mut optimizer = Optimizer::new();
+    let install = |optimizer: &mut Optimizer, cql: &str| {
+        let plan = compile_cql(cql, &cat).unwrap();
+        let handle = optimizer.install(&plan, &g, &cat).unwrap().handle;
+        let (sink, _) = CollectSink::new();
+        (plan, g.add_sink("q", sink, &handle))
+    };
+    let fleet = |k: usize| {
+        format!(
+            "SELECT auction, price * {k} AS scaled FROM bid [RANGE 2 MINUTES] WHERE price > 1000"
+        )
+    };
+    let mut queries: Vec<_> = (1..=4)
+        .map(|k| install(&mut optimizer, &fleet(k)))
+        .collect();
+    let (_, counts) = install(
+        &mut optimizer,
+        "SELECT auction, COUNT(*) AS n FROM bid [RANGE 1 MINUTES] GROUP BY auction",
+    );
+
+    // A keyed join beside the fleet, to resize mid-run.
+    let side = |offset: u64| -> Vec<Element<i64>> {
+        (0..300)
+            .map(|i| {
+                let t = i * 3 + offset;
+                Element::new(
+                    i as i64,
+                    TimeInterval::new(Timestamp::new(t), Timestamp::new(t + 40)),
+                )
+            })
+            .collect()
+    };
+    let left = g.add_source("left", VecSource::new(side(0)));
+    let right = g.add_source("right", VecSource::new(side(1)));
+    let key: KeyFn<i64> = Arc::new(|v: &i64| key_hash(&(v % 7)));
+    let joined = g.add_keyed_binary(
+        "join",
+        || {
+            RippleJoin::equi(|l: &i64| l % 7, |r: &i64| r % 7, |l, r| l + r)
+                .with_rekey(|l| key_hash(&(l % 7)), |r| key_hash(&(r % 7)))
+        },
+        Arc::clone(&key),
+        key,
+        2,
+        None,
+        &left,
+        &right,
+    );
+    let (sink, _) = CollectSink::new();
+    g.add_sink("joined", sink, &joined);
+    assert_probes_match_reference(&g);
+
+    for _ in 0..6 {
+        round(&g, 8);
+        assert_probes_match_reference(&g);
+    }
+    // Uninstall two queries right after everything upstream of the sinks
+    // published, so their removed nodes keep messages queued.
+    for id in g.node_ids().filter(|&id| g.kind(id) != NodeKind::Sink) {
+        g.step_node(id, 16);
+    }
+    for (plan, sink) in queries.drain(..2) {
+        optimizer.uninstall(&plan, sink, &g);
+    }
+    assert!(
+        (0..g.len()).any(|id| g.is_removed(id) && g.queued(id) > 0),
+        "a removed node should still hold input"
+    );
+    assert_probes_match_reference(&g);
+
+    round(&g, 8);
+    let stateful = g
+        .node_ids()
+        .max_by_key(|&id| g.memory(id))
+        .expect("a node with state");
+    assert!(g.memory(stateful) > 0);
+    g.shed(stateful, g.memory(stateful) / 2);
+    assert_probes_match_reference(&g);
+
+    g.parallelize(joined.node(), 3);
+    assert_probes_match_reference(&g);
+    let _ = install(&mut optimizer, &fleet(9));
+    for _ in 0..4 {
+        round(&g, 8);
+        assert_probes_match_reference(&g);
+    }
+    g.parallelize(joined.node(), 1);
+    assert_probes_match_reference(&g);
+
+    g.run_to_completion(64);
+    assert_probes_match_reference(&g);
+    assert!(g.is_finished(counts));
 }
