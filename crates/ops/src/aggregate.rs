@@ -39,14 +39,20 @@
 //! A third layout, the **grid**, computes the aggregate *sampled* every
 //! `period` (CQL's `EVERY`): [`ScalarAggregate::sampled`] and
 //! [`crate::groupby::GroupedAggregate::sampled`] keep one accumulator per
-//! pending grid instant `g = k·period` and nothing else — no partials, no
-//! tree, no combines. An insert `[s, e)` folds its payload (`init`/`add`,
-//! in arrival order) into the instants in `[s, e)`; a heartbeat at `t`
-//! emits every instant `g < t` as `(finalize(acc), [g, g + period))` and
-//! drops it. The rows equal what [`crate::granularity::Granularity`]
+//! *span* — the grid instants `[a, b)` an element `[s, e)` covers, with
+//! `a = s.align_up(period)` and `b = e.align_up(period)` — and nothing
+//! else: no partials, no tree. An insert folds its payload (`init`/`add`)
+//! into the one accumulator of its span, so each element is folded once
+//! however many instants it covers. A heartbeat at `t` emits every pending
+//! instant `g < t` as `(finalize(acc), [g, g + period))`, where `acc`
+//! combines the spans covering `g`, and drops the spans that end at or
+//! before the next instant. Under a `RANGE R` window with `period | R`
+//! the spans are the panes of Li et al.'s "No Pane, No Gain"; otherwise at
+//! most two span shapes start per period. The aggregate must be
+//! combinable. The rows equal what [`crate::granularity::Granularity`]
 //! samples from the unsampled aggregate's output (for an exact aggregate,
-//! bit for bit), at one accumulator touch per covered instant instead of
-//! a row per partial boundary.
+//! bit for bit), at one fold per element and one combine per covering
+//! span and emitted row instead of a row per partial boundary.
 
 use crate::aggtree::TreePartials;
 use pipes_graph::{Collector, Operator};
@@ -100,6 +106,12 @@ pub trait AggregateFn<T>: Send + 'static {
     fn combine(&self, a: &Self::Acc, b: &Self::Acc) -> Self::Acc {
         let _ = (a, b);
         unimplemented!("this AggregateFn does not implement combine()")
+    }
+
+    /// Merges `other` into `acc`, as `*acc = combine(acc, other)` does (the
+    /// default). Override it where the accumulator can merge in place.
+    fn combine_into(&self, acc: &mut Self::Acc, other: &Self::Acc) {
+        *acc = self.combine(acc, other);
     }
 }
 
@@ -179,13 +191,12 @@ pub const TREE_CONVERT_WIDTH: usize = 48;
 const PARTIAL_OVERHEAD_BYTES: usize = 32;
 
 /// How a [`Partials`] table is laid out: a partial table under an
-/// [`AggStrategy`] (with what the aggregate's
-/// [`combinable`](AggregateFn::combinable) reported), or the grid sampled
-/// every `period`.
+/// [`AggStrategy`], or the grid sampled every `period` — each with what
+/// the aggregate's [`combinable`](AggregateFn::combinable) reported.
 #[derive(Clone, Copy)]
 pub(crate) enum Layout {
     Partials(AggStrategy, bool),
-    Grid(Duration),
+    Grid(Duration, bool),
 }
 
 /// The partial-aggregate table: disjoint intervals, each with accumulated
@@ -359,88 +370,75 @@ impl<A: Clone> NaivePartials<A> {
     }
 }
 
-/// The sampled layout: one accumulator per pending grid instant
-/// `g = k·period` (see the module docs).
+/// The sampled layout: one accumulator per span of covered grid instants
+/// (see the module docs).
 struct GridPartials<A> {
     period: Duration,
-    /// The grid instant of `slots[0]`.
-    first: Timestamp,
-    /// Accumulators of `first`, `first + period`, …; `None` where no
-    /// element covers the instant.
-    slots: VecDeque<Option<A>>,
+    /// The earliest grid instant not yet emitted.
+    next: Timestamp,
+    /// `(a, b, acc)`: the payloads of the elements covering exactly the
+    /// grid instants `[a, b)`, sorted by `(a, b)`.
+    spans: VecDeque<(Timestamp, Timestamp, A)>,
+    /// The combine of the spans covering one instant, reused.
+    scratch: Option<A>,
 }
 
-impl<A> GridPartials<A> {
-    fn new(period: Duration) -> Self {
-        assert!(!period.is_zero(), "sampling period must be positive");
-        GridPartials {
-            period,
-            first: Timestamp::ZERO,
-            slots: VecDeque::new(),
-        }
-    }
-
-    /// The slot of grid instant `g`, created empty if need be.
-    fn slot(&mut self, g: Timestamp) -> &mut Option<A> {
-        let p = self.period.ticks();
-        if self.slots.is_empty() {
-            self.first = g;
-        } else if g < self.first {
-            // Only an element arriving behind the watermark lands here.
-            for _ in 0..(self.first.ticks() - g.ticks()) / p {
-                self.slots.push_front(None);
-            }
-            self.first = g;
-        }
-        let i = ((g.ticks() - self.first.ticks()) / p) as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
-        }
-        &mut self.slots[i]
-    }
-
-    /// Folds the payloads of `group` into every grid instant in `iv`, in
-    /// arrival order.
+impl<A: Clone> GridPartials<A> {
+    /// Folds the payloads of `group`, in arrival order, into the span of
+    /// the grid instants in `iv` (from `next` on).
     fn insert<'a, T: 'a>(
         &mut self,
         iv: TimeInterval,
-        group: impl Iterator<Item = &'a T> + Clone,
+        mut group: impl Iterator<Item = &'a T>,
         agg: &impl AggregateFn<T, Acc = A>,
     ) {
-        let mut g = iv.start().align_up(self.period);
-        while g < iv.end() {
-            let slot = self.slot(g);
-            for v in group.clone() {
-                match &mut *slot {
-                    Some(acc) => agg.add(acc, v),
-                    empty => *empty = Some(agg.init(v)),
-                }
-            }
-            g = g.saturating_add(self.period);
+        let a = iv.start().align_up(self.period).max(self.next);
+        let b = iv.end().align_up(self.period);
+        if a >= b {
+            return;
         }
+        // In-order input hits or appends at the back.
+        let i = match self.spans.back() {
+            Some(&(x, y, _)) if (x, y) == (a, b) => self.spans.len() - 1,
+            Some(&(x, y, _)) if (x, y) > (a, b) => {
+                self.spans.partition_point(|&(x, y, _)| (x, y) < (a, b))
+            }
+            _ => self.spans.len(),
+        };
+        if self.spans.get(i).is_none_or(|&(x, y, _)| (x, y) != (a, b)) {
+            let Some(first) = group.next() else { return };
+            self.spans.insert(i, (a, b, agg.init(first)));
+        }
+        let acc = &mut self.spans[i].2;
+        group.for_each(|v| agg.add(acc, v));
     }
 
-    /// Emits and drops every grid instant before `wm`, in instant order.
-    fn flush(&mut self, wm: Timestamp, mut emit: impl FnMut(TimeInterval, &A)) {
-        while self.first < wm {
-            let Some(slot) = self.slots.pop_front() else {
+    /// Emits every pending grid instant before `wm`, in instant order,
+    /// dropping the spans that end at or before the next one.
+    fn flush<T>(
+        &mut self,
+        wm: Timestamp,
+        agg: &impl AggregateFn<T, Acc = A>,
+        mut emit: impl FnMut(TimeInterval, &A),
+    ) {
+        while let Some(&(a, b, ref first)) = self.spans.front() {
+            let g = a.max(self.next);
+            if b <= g {
+                self.spans.pop_front();
+                continue;
+            }
+            if g >= wm {
                 return;
-            };
-            let g = self.first;
-            self.first = g.saturating_add(self.period);
-            if let Some(acc) = slot {
-                emit(TimeInterval::new(g, self.first), &acc);
             }
+            let acc = self.scratch.get_or_insert_with(|| first.clone());
+            acc.clone_from(first);
+            let covering = self.spans.iter().skip(1).take_while(|s| s.0 <= g);
+            for (_, _, other) in covering.filter(|s| g < s.1) {
+                agg.combine_into(acc, other);
+            }
+            self.next = g.saturating_add(self.period);
+            emit(TimeInterval::new(g, self.next), acc);
         }
-    }
-
-    /// Drops the oldest grid instants until at most `target` remain.
-    fn shed_oldest(&mut self, target: usize) -> usize {
-        while self.slots.len() > target {
-            self.slots.pop_front();
-            self.first = self.first.saturating_add(self.period);
-        }
-        self.slots.len()
     }
 }
 
@@ -481,20 +479,33 @@ impl<A: Clone> Partials<A> {
     pub(crate) fn with_layout(layout: Layout) -> Self {
         match layout {
             Layout::Partials(strategy, combinable) => Partials::with_strategy(strategy, combinable),
-            Layout::Grid(period) => Partials {
-                state: PartialsState::Grid(GridPartials::new(period)),
-                auto_convert: false,
-            },
+            Layout::Grid(period, combinable) => {
+                assert!(!period.is_zero(), "sampling period must be positive");
+                assert!(
+                    combinable,
+                    "a sampled aggregate requires combine() (combinable() == true)"
+                );
+                let grid = GridPartials {
+                    period,
+                    next: Timestamp::ZERO,
+                    spans: VecDeque::new(),
+                    scratch: None,
+                };
+                Partials {
+                    state: PartialsState::Grid(grid),
+                    auto_convert: false,
+                }
+            }
         }
     }
 
     /// Live partial count (identical across the naive and tree layouts);
-    /// pending grid instants on the grid.
+    /// live spans on the grid.
     pub(crate) fn len(&self) -> usize {
         match &self.state {
             PartialsState::Naive(n) => n.map.len(),
             PartialsState::Tree(t) => t.len(),
-            PartialsState::Grid(g) => g.slots.len(),
+            PartialsState::Grid(g) => g.spans.len(),
         }
     }
 
@@ -502,7 +513,7 @@ impl<A: Clone> Partials<A> {
     /// nothing is pending).
     pub(crate) fn next_instant(&self) -> Option<Timestamp> {
         match &self.state {
-            PartialsState::Grid(g) if !g.slots.is_empty() => Some(g.first),
+            PartialsState::Grid(g) => g.spans.front().map(|&(a, _, _)| a.max(g.next)),
             _ => None,
         }
     }
@@ -515,12 +526,12 @@ impl<A: Clone> Partials<A> {
     /// Index/accumulator entries held, for state-size estimation: the
     /// naive table has one per partial; the tree additionally counts its
     /// coverage index and pending/active range accumulators; the grid has
-    /// one per pending instant.
+    /// one per span.
     pub(crate) fn size_units(&self) -> usize {
         match &self.state {
             PartialsState::Naive(n) => n.map.len(),
             PartialsState::Tree(t) => t.size_units(),
-            PartialsState::Grid(g) => g.slots.len(),
+            PartialsState::Grid(g) => g.spans.len(),
         }
     }
 
@@ -608,7 +619,7 @@ impl<A: Clone> Partials<A> {
     /// Finalizes and removes every partial ending at or before `wm`,
     /// splitting a partial that straddles the watermark — on the grid,
     /// every instant before `wm`. Calls `emit` in start order. `agg`
-    /// supplies `combine` for the tree layout.
+    /// supplies `combine` for the tree and the grid.
     pub(crate) fn flush<T>(
         &mut self,
         wm: Timestamp,
@@ -618,7 +629,7 @@ impl<A: Clone> Partials<A> {
         match &mut self.state {
             PartialsState::Naive(n) => n.flush(wm, emit),
             PartialsState::Tree(t) => t.flush(wm, &|a: &A, b: &A| agg.combine(a, b), emit),
-            PartialsState::Grid(g) => g.flush(wm, emit),
+            PartialsState::Grid(g) => g.flush(wm, agg, emit),
         }
     }
 
@@ -631,7 +642,7 @@ impl<A: Clone> Partials<A> {
         match &mut self.state {
             PartialsState::Naive(n) => n.flush_all(emit),
             PartialsState::Tree(t) => t.flush_all(&|a: &A, b: &A| agg.combine(a, b), emit),
-            PartialsState::Grid(g) => g.flush(Timestamp::MAX, emit),
+            PartialsState::Grid(g) => g.flush(Timestamp::MAX, agg, emit),
         }
     }
 
@@ -641,7 +652,11 @@ impl<A: Clone> Partials<A> {
         match &mut self.state {
             PartialsState::Naive(n) => n.shed_oldest(target),
             PartialsState::Tree(t) => t.shed_oldest(target),
-            PartialsState::Grid(g) => g.shed_oldest(target),
+            PartialsState::Grid(g) => {
+                // A dead span left in front goes at the next flush.
+                g.spans.drain(..g.spans.len().saturating_sub(target));
+                g.spans.len()
+            }
         }
     }
 }
@@ -672,15 +687,16 @@ impl<T, A: AggregateFn<T>> ScalarAggregate<T, A> {
 
     /// Creates the operator on the grid layout: the aggregate sampled at
     /// every `g = k·period`, each value valid over `[g, g + period)` (see
-    /// the module docs). `agg` need not be combinable.
+    /// the module docs). `agg` must be combinable: an instant combines the
+    /// spans of grid instants covering it.
     ///
     /// # Panics
     ///
-    /// Panics if `period` is zero.
+    /// Panics if `period` is zero or `agg` is not combinable.
     pub fn sampled(agg: A, period: Duration) -> Self {
         ScalarAggregate {
+            partials: Partials::with_layout(Layout::Grid(period, agg.combinable())),
             agg,
-            partials: Partials::with_layout(Layout::Grid(period)),
             _marker: PhantomData,
         }
     }
@@ -1274,7 +1290,7 @@ mod tests {
         let mut out: Vec<Message<u64>> = Vec::new();
         op.on_element(0, el(1, 5, 25), &mut out);
         op.on_element(0, el(1, 7, 12), &mut out);
-        assert_eq!(op.memory(), 2, "instants 10 and 20 pending");
+        assert_eq!(op.memory(), 2, "spans [10, 30) and [10, 20) pending");
         assert!(op.state_bytes() > 0);
         // No grid instant before 9: nothing to emit yet.
         op.on_heartbeat(0, Timestamp::new(9), &mut out);
@@ -1295,20 +1311,66 @@ mod tests {
     }
 
     #[test]
-    fn sampled_sheds_the_oldest_instants() {
+    fn sampled_sheds_the_oldest_spans() {
         let mut op = ScalarAggregate::sampled(CountAgg, Duration::from_ticks(10));
         let mut out: Vec<Message<u64>> = Vec::new();
+        // Spans [0, 50), [30, 50), [30, 40) placed before the back and
+        // found there again, then [30, 50) at the back: one accumulator per
+        // distinct span, however many instants it covers.
         op.on_element(0, el(1, 0, 50), &mut out);
-        assert_eq!(op.memory(), 5);
+        op.on_element(0, el(1, 25, 50), &mut out);
+        op.on_element(0, el(1, 26, 35), &mut out);
+        op.on_element(0, el(1, 27, 40), &mut out);
+        op.on_element(0, el(1, 28, 50), &mut out);
+        assert_eq!(op.memory(), 3);
+        // Shedding drops the oldest span, and with it its element's share
+        // of every instant: 0..20 go, 30 and 40 keep the rest.
         assert_eq!(op.shed(2), 2);
         op.on_close(&mut out);
         assert_eq!(
             out,
             vec![
-                Message::Element(Element::new(1, iv(30, 40))),
-                Message::Element(Element::new(1, iv(40, 50))),
+                Message::Element(Element::new(4, iv(30, 40))),
+                Message::Element(Element::new(2, iv(40, 50))),
             ]
         );
+        assert_eq!(op.memory(), 0);
+    }
+
+    #[test]
+    fn sampled_folds_each_element_once() {
+        use pipes_sync::atomic::{AtomicUsize, Ordering};
+        use pipes_sync::Arc;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (on_init, on_add) = (Arc::clone(&calls), Arc::clone(&calls));
+        let agg = WithCombine::new(
+            FoldAgg::new(
+                move |v: &i64| {
+                    // ordering: Relaxed — a single-threaded call counter.
+                    on_init.fetch_add(1, Ordering::Relaxed);
+                    *v
+                },
+                move |acc: &mut i64, v: &i64| {
+                    // ordering: Relaxed — a single-threaded call counter.
+                    on_add.fetch_add(1, Ordering::Relaxed);
+                    *acc += *v
+                },
+                |acc: &i64| *acc,
+            ),
+            |a: &i64, b: &i64| a + b,
+        );
+        // `RANGE 120 … EVERY 10`: every element covers 12 grid instants.
+        let input: Vec<Element<i64>> = (0..100u64).map(|i| el(1, i * 3, i * 3 + 120)).collect();
+        let out = run_unary(
+            ScalarAggregate::sampled(agg, Duration::from_ticks(10)),
+            input,
+        );
+        // ordering: Relaxed — read after the run, on the same thread.
+        assert_eq!(calls.load(Ordering::Relaxed), 100, "one fold per element");
+        // Instant 120 sees the 40 elements starting in [3, 120], the last
+        // instant (410) the 3 starting in (290, 297].
+        assert_eq!(out[12], Element::new(40, iv(120, 130)));
+        assert_eq!(out.last(), Some(&Element::new(3, iv(410, 420))));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::aggregate::{AggStrategy, AggregateFn, Layout, Partials};
 use pipes_graph::{key_hash, Collector, KeyedState, Operator, Rekey};
 use pipes_time::{Duration, Element, Message, TimeInterval, Timestamp};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::hash::Hash;
 use std::marker::PhantomData;
 
@@ -42,15 +42,18 @@ where
 /// relational grouped aggregation at every instant (groups with an empty
 /// snapshot produce no row).
 ///
-/// A group whose partials are fully finalized by a heartbeat is dropped
-/// from the key map entirely, so long-tail key spaces (keys seen once and
-/// never again) do not grow the state map unboundedly — the group is
-/// re-created from scratch if the key reappears.
+/// The groups sit in a map ordered by key, so every flush walks them in
+/// key order, and a group whose partials are fully finalized by a
+/// heartbeat is dropped from the map in the same pass: long-tail key
+/// spaces (keys seen once and never again) do not grow the state map
+/// unboundedly — the group is re-created from scratch if the key
+/// reappears.
 ///
 /// [`GroupedAggregate::sampled`] runs every group on the grid layout (see
 /// [`crate::aggregate`]): a heartbeat that passes no pending grid instant
 /// costs no per-group work, and one that does emits the passed instants in
-/// instant order and, within an instant, in key order.
+/// instant order and, within an instant, in key order — rows of one
+/// instant come out of the key-order walk already sorted.
 pub struct GroupedAggregate<T, K, KF, A: AggregateFn<T>, R = KeyAndValue> {
     key: KF,
     agg: A,
@@ -58,13 +61,13 @@ pub struct GroupedAggregate<T, K, KF, A: AggregateFn<T>, R = KeyAndValue> {
     layout: Layout,
     /// On the grid, no group holds an instant before this one.
     due: Timestamp,
-    groups: HashMap<K, Partials<A::Acc>>,
+    groups: BTreeMap<K, Partials<A::Acc>>,
     _marker: PhantomData<fn(T) -> K>,
 }
 
 impl<T, K, KF, A> GroupedAggregate<T, K, KF, A>
 where
-    K: Hash + Eq + Clone,
+    K: Ord + Clone,
     KF: Fn(&T) -> K,
     A: AggregateFn<T>,
 {
@@ -83,12 +86,15 @@ where
 
     /// Creates the operator on the grid layout: each group's aggregate
     /// sampled at every `g = k·period`, valid over `[g, g + period)`.
+    /// `agg` must be combinable: an instant combines the spans of grid
+    /// instants covering it.
     ///
     /// # Panics
     ///
-    /// Panics if `period` is zero.
+    /// Panics if `period` is zero or `agg` is not combinable.
     pub fn sampled(key: KF, agg: A, period: Duration) -> Self {
-        Self::with_layout(key, agg, Layout::Grid(period))
+        let combinable = agg.combinable();
+        Self::with_layout(key, agg, Layout::Grid(period, combinable))
     }
 
     fn with_layout(key: KF, agg: A, layout: Layout) -> Self {
@@ -101,7 +107,7 @@ where
             rows: KeyAndValue,
             layout,
             due: Timestamp::MAX,
-            groups: HashMap::new(),
+            groups: BTreeMap::new(),
             _marker: PhantomData,
         }
     }
@@ -123,7 +129,7 @@ where
 
 impl<T, K, KF, A, R> GroupedAggregate<T, K, KF, A, R>
 where
-    K: Hash + Eq + Clone,
+    K: Ord + Clone,
     KF: Fn(&T) -> K,
     A: AggregateFn<T>,
     R: GroupRow<T, K, A>,
@@ -132,7 +138,7 @@ where
     /// to fold into it. On the grid, lowers `due` to the first instant an
     /// insert over `iv` will touch.
     fn group(&mut self, k: K, iv: TimeInterval) -> (&mut Partials<A::Acc>, &A) {
-        if let Layout::Grid(period) = self.layout {
+        if let Layout::Grid(period, _) = self.layout {
             let g = iv.start().align_up(period);
             if g < iv.end() {
                 self.due = self.due.min(g);
@@ -148,33 +154,33 @@ where
 
     /// Emits every grid instant before `wm`: instant by instant, key order
     /// within an instant — so the output does not depend on which
-    /// heartbeats a batched run coalesced. Drops emptied groups.
-    fn flush_grid(&mut self, wm: Timestamp, out: &mut dyn Collector<R::Out>)
-    where
-        K: Ord,
-    {
+    /// heartbeats a batched run coalesced. One key-order pass flushes each
+    /// group, drops it once emptied and finds the next `due` instant.
+    fn flush_grid(&mut self, wm: Timestamp, out: &mut dyn Collector<R::Out>) {
         if wm <= self.due {
             return;
         }
         let (agg, rows) = (&self.agg, &self.rows);
         let mut passed = Vec::new();
-        for (k, group) in self.groups.iter_mut() {
+        let mut due = Timestamp::MAX;
+        self.groups.retain(|k, group| {
             group.flush(wm, agg, |iv, acc| {
-                passed.push((k, Element::new(rows.row(agg, k, acc), iv)));
+                passed.push(Element::new(rows.row(agg, k, acc), iv));
             });
+            let next = group.next_instant();
+            due = due.min(next.unwrap_or(Timestamp::MAX));
+            next.is_some()
+        });
+        self.due = due;
+        // Each group's rows are in instant order and the groups in key
+        // order, so only a heartbeat passing several instants needs the
+        // stable sort by instant.
+        if !passed.is_sorted_by_key(|row| row.start()) {
+            passed.sort_by_key(|row| row.start());
         }
-        // A group emits each instant once, so `(instant, key)` is unique.
-        passed.sort_unstable_by(|(k, a), (l, b)| (a.start(), *k).cmp(&(b.start(), *l)));
-        for (_, row) in passed {
+        for row in passed {
             out.element(row);
         }
-        self.groups.retain(|_, g| g.len() > 0);
-        self.due = self
-            .groups
-            .values()
-            .filter_map(Partials::next_instant)
-            .min()
-            .unwrap_or(Timestamp::MAX);
     }
 
     /// Number of keys currently holding live (unfinalized) partial state.
@@ -186,7 +192,7 @@ where
 impl<T, K, KF, A, R> Operator for GroupedAggregate<T, K, KF, A, R>
 where
     T: Send + Clone + 'static,
-    K: Hash + Eq + Clone + Ord + Send + 'static,
+    K: Ord + Clone + Send + 'static,
     KF: Fn(&T) -> K + Send + 'static,
     A: AggregateFn<T>,
     R: GroupRow<T, K, A>,
@@ -201,23 +207,20 @@ where
     }
 
     fn on_heartbeat(&mut self, _port: usize, t: Timestamp, out: &mut dyn Collector<Self::Out>) {
-        if let Layout::Grid(_) = self.layout {
+        if let Layout::Grid(..) = self.layout {
             self.flush_grid(t, out);
             out.heartbeat(t);
             return;
         }
-        // Flush in deterministic key order so runs are reproducible.
-        let mut keys: Vec<K> = self.groups.keys().cloned().collect();
-        keys.sort();
-        for k in keys {
-            let group = self.groups.get_mut(&k).expect("group exists");
-            let (agg, rows) = (&self.agg, &self.rows);
+        // Flush in key order so runs are reproducible; fully-finalized keys
+        // release their map entry (long-tail GC).
+        let (agg, rows) = (&self.agg, &self.rows);
+        self.groups.retain(|k, group| {
             group.flush(t, agg, |iv, acc| {
-                out.element(Element::new(rows.row(agg, &k, acc), iv));
+                out.element(Element::new(rows.row(agg, k, acc), iv));
             });
-        }
-        // Fully-finalized keys release their map entry (long-tail GC).
-        self.groups.retain(|_, g| g.len() > 0);
+            group.len() > 0
+        });
         out.heartbeat(t);
     }
 
@@ -290,20 +293,16 @@ where
     }
 
     fn on_close(&mut self, out: &mut dyn Collector<Self::Out>) {
-        if let Layout::Grid(_) = self.layout {
+        if let Layout::Grid(..) = self.layout {
             self.flush_grid(Timestamp::MAX, out);
             return;
         }
-        let mut keys: Vec<K> = self.groups.keys().cloned().collect();
-        keys.sort();
-        for k in keys {
-            let group = self.groups.get_mut(&k).expect("group exists");
-            let (agg, rows) = (&self.agg, &self.rows);
+        let (agg, rows) = (&self.agg, &self.rows);
+        for (k, mut group) in std::mem::take(&mut self.groups) {
             group.flush_all(agg, |iv, acc| {
                 out.element(Element::new(rows.row(agg, &k, acc), iv));
             });
         }
-        self.groups.clear();
     }
 
     fn memory(&self) -> usize {
@@ -338,15 +337,15 @@ where
 impl<T, K, KF, A, R> Rekey for GroupedAggregate<T, K, KF, A, R>
 where
     T: Send + Clone + 'static,
-    K: Hash + Eq + Clone + Ord + Send + 'static,
+    K: Hash + Ord + Clone + Send + 'static,
     KF: Fn(&T) -> K + Send + 'static,
     A: AggregateFn<T>,
     R: GroupRow<T, K, A>,
     Partials<A::Acc>: Send + 'static,
 {
     fn export_keyed(&mut self) -> KeyedState {
-        self.groups
-            .drain()
+        std::mem::take(&mut self.groups)
+            .into_iter()
             .map(|(k, partials)| {
                 let h = key_hash(&k);
                 (h, Box::new((k, partials)) as Box<dyn std::any::Any + Send>)

@@ -299,10 +299,12 @@ impl AggregateFn<Tuple> for TupleAggs {
 
     fn combine(&self, a: &Vec<AggAcc>, b: &Vec<AggAcc>) -> Vec<AggAcc> {
         let mut out = a.clone();
-        for (x, y) in out.iter_mut().zip(b) {
-            x.merge(y);
-        }
+        self.combine_into(&mut out, b);
         out
+    }
+
+    fn combine_into(&self, acc: &mut Vec<AggAcc>, other: &Vec<AggAcc>) {
+        acc.iter_mut().zip(other).for_each(|(x, y)| x.merge(y));
     }
 }
 
@@ -312,7 +314,7 @@ impl AggregateFn<Tuple> for TupleAggs {
 
 /// The result row of a CQL grouped aggregate: the group key's values, then
 /// one finalized value per aggregate call, built in one allocation of
-/// exact size.
+/// exact size. A one-column `GROUP BY` keys on its [`Value`] alone.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlatRow;
 
@@ -322,6 +324,16 @@ impl GroupRow<Tuple, Vec<Value>, TupleAggs> for FlatRow {
     fn row(&self, aggs: &TupleAggs, key: &Vec<Value>, acc: &Vec<AggAcc>) -> Tuple {
         let mut row = Vec::with_capacity(key.len() + acc.len());
         row.extend_from_slice(key);
+        aggs.finalize_into(acc, &mut row);
+        row
+    }
+}
+
+impl GroupRow<Tuple, Value, TupleAggs> for FlatRow {
+    type Out = Tuple;
+    fn row(&self, aggs: &TupleAggs, key: &Value, acc: &Vec<AggAcc>) -> Tuple {
+        let mut row = Vec::with_capacity(1 + acc.len());
+        row.push(key.clone());
         aggs.finalize_into(acc, &mut row);
         row
     }
@@ -530,29 +542,42 @@ fn compile_aggregate(
         .collect::<Result<_, _>>()?;
     let up = compile(input, ctx)?;
     let graph = ctx.graph;
-    if keys.is_empty() {
-        return Ok(match period {
+    Ok(match <[BoundExpr; 1]>::try_from(keys) {
+        Err(keys) if keys.is_empty() => match period {
             None => graph.add_unary("aggregate", ScalarAggregate::new(tuple_aggs), &up),
             Some(p) => graph.add_unary(
                 &format!("aggregate[sampled {p}]"),
                 ScalarAggregate::sampled(tuple_aggs, p),
                 &up,
             ),
-        });
-    }
-    let key_fn = move |t: &Tuple| -> Vec<Value> { keys.iter().map(|k| k.eval(t)).collect() };
-    Ok(match period {
-        None => graph.add_unary(
-            "aggregate[grouped]",
-            GroupedAggregate::new(key_fn, tuple_aggs).with_rows(FlatRow),
-            &up,
-        ),
-        Some(p) => graph.add_unary(
-            &format!("aggregate[grouped, sampled {p}]"),
-            GroupedAggregate::sampled(key_fn, tuple_aggs, p).with_rows(FlatRow),
-            &up,
-        ),
+        },
+        Ok([key]) => add_grouped(graph, move |t| key.eval(t), tuple_aggs, period, &up),
+        Err(keys) => {
+            let key = move |t: &Tuple| keys.iter().map(|k| k.eval(t)).collect::<Vec<_>>();
+            add_grouped(graph, key, tuple_aggs, period, &up)
+        }
     })
+}
+
+/// Adds the grouped aggregate keyed by `key`; with `period`, on the grid.
+fn add_grouped<K: Ord + Clone + Send + 'static>(
+    graph: &QueryGraph,
+    key: impl Fn(&Tuple) -> K + Send + 'static,
+    aggs: TupleAggs,
+    period: Option<Duration>,
+    up: &StreamHandle<Tuple>,
+) -> StreamHandle<Tuple>
+where
+    FlatRow: GroupRow<Tuple, K, TupleAggs, Out = Tuple>,
+{
+    let op = match period {
+        None => GroupedAggregate::new(key, aggs),
+        Some(p) => GroupedAggregate::sampled(key, aggs, p),
+    };
+    let name = period.map_or("aggregate[grouped]".into(), |p| {
+        format!("aggregate[grouped, sampled {p}]")
+    });
+    graph.add_unary(&name, op.with_rows(FlatRow), up)
 }
 
 fn compile_new(

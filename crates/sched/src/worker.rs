@@ -596,9 +596,10 @@ impl WorkStealingExecutor {
 pub(crate) mod tests {
     use super::*;
     use crate::strategy::{FifoStrategy, RoundRobinStrategy};
-    use pipes_graph::io::{CollectSink, VecSource};
+    use pipes_graph::io::{CollectSink, FnSink, VecSource};
     use pipes_graph::{Collector, Operator};
-    use pipes_time::{Element, Timestamp};
+    use pipes_sync::Condvar;
+    use pipes_time::{Element, Message, Timestamp};
     use std::time::{Duration, Instant};
 
     struct HalfFilter;
@@ -649,9 +650,69 @@ pub(crate) mod tests {
         assert!(!merged.hit_limit);
     }
 
+    /// Rows taken per chain's sink, and a condvar rung at each row.
+    type Taken = Arc<(Mutex<Vec<usize>>, Condvar)>;
+
+    /// [`HalfFilter`] whose first step blocks until the sinks of every
+    /// other chain hold `rows` rows, so the worker running it can finish
+    /// none of them; it panics if that takes longer than 10 s.
+    struct WaitForOthers {
+        taken: Taken,
+        rows: usize,
+        waited: bool,
+    }
+
+    impl Operator for WaitForOthers {
+        type In = i64;
+        type Out = i64;
+        fn on_element(&mut self, p: usize, e: Element<i64>, out: &mut dyn Collector<i64>) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let (taken, rung) = &*self.taken;
+            let mut taken = taken.lock();
+            while !self.waited && taken[1..].iter().any(|&n| n < self.rows) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                assert!(!left.is_zero(), "no other worker drained the chains");
+                rung.wait_for(&mut taken, left);
+            }
+            drop(taken);
+            self.waited = true;
+            HalfFilter.on_element(p, e, out);
+        }
+    }
+
     #[test]
     fn idle_worker_steals_from_a_skewed_start() {
-        let (g, bufs) = multi_chain(8, 4000);
+        // Eight source→filter→sink chains; chain 0's filter waits for the
+        // other seven sinks to fill, so whichever worker steps it first
+        // holds chain 0 until the *other* worker has run chains 1–7.
+        let taken: Taken = Arc::new((Mutex::new(vec![0; 8]), Condvar::new()));
+        let g = QueryGraph::new();
+        for c in 0..8 {
+            let src = g.add_source(&format!("src{c}"), VecSource::new(elems(4000)));
+            let f = if c == 0 {
+                let taken = Arc::clone(&taken);
+                g.add_unary(
+                    "f0",
+                    WaitForOthers {
+                        taken,
+                        rows: 2000,
+                        waited: false,
+                    },
+                    &src,
+                )
+            } else {
+                g.add_unary(&format!("f{c}"), HalfFilter, &src)
+            };
+            let into = Arc::clone(&taken);
+            let sink = FnSink::new(move |m: Message<i64>| {
+                if m.is_element() {
+                    into.0.lock()[c] += 1;
+                    into.1.notify_all();
+                }
+            });
+            g.add_sink(&format!("sink{c}"), sink, &f);
+        }
+        let g = Arc::new(g);
         let plan = ExecutionPlan::analyze(&g);
         assert_eq!(plan.groups().len(), 8);
         // Deliberately park every group on worker 0; worker 1 must steal.
@@ -661,17 +722,16 @@ pub(crate) mod tests {
             .with_initial_groups(vec![all, Vec::new()])
             .run(&g, || Box::new(FifoStrategy));
         assert!(g.all_finished());
-        for buf in &bufs {
-            assert_eq!(buf.lock().len(), 2000);
-        }
+        assert_eq!(*taken.0.lock(), vec![2000; 8]);
         let merged = ExecutionReport::merge(&reports);
         assert!(
-            merged.steals >= 1,
-            "the empty worker should have stolen at least one of the 8 runnable groups"
+            merged.steals >= 7,
+            "the worker not holding chain 0 must steal chains 1–7, stole {}",
+            merged.steals
         );
         assert!(
-            reports[1].quanta > 0,
-            "worker 1 did real work after stealing"
+            reports.iter().all(|r| r.quanta > 0),
+            "both workers did real work"
         );
     }
 

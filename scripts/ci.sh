@@ -95,16 +95,20 @@ benchmark/run.sh --quick >/dev/null
 
 # Aggregate-layer gate: the two window workloads, traced for 3 s each, must
 # keep their CQL `EVERY` aggregates sampled on the grid layout (one
-# accumulator per pending grid instant). The grid reads well under 1 us
-# per aggregated message on a 2-core Xeon host, the partial-aggregate tree
-# 2-3.5 us and the naive boundary scan 53-107 us; the bar stays at 10 us,
-# so an aggregate that falls back to the naive scan (a combine gone
-# missing, the grid rewrite and the tree both lost) fails here, not only
-# in the end-to-end throughput. The traced node table must also name no
-# `project` (every select list of these queries only renames the
-# aggregate's columns, so it compiles to nothing) and no
+# accumulator per span of covered grid instants, so each element is folded
+# once). The grid reads well under 1 us per aggregated message on a 2-core
+# Xeon host, the partial-aggregate tree 2-3.5 us and the naive boundary
+# scan 53-107 us; the bar stays at 10 us, so an aggregate that falls back
+# to the naive scan (a combine gone missing, the grid rewrite and the tree
+# both lost) fails here, not only in the end-to-end throughput. On
+# `nexmark_window_agg` the aggregates' state must also stay under
+# 100 000 bytes (`ops.state_bytes_peak`): it counts accumulators, not time,
+# so host speed does not move it; one accumulator per span reads 41 272 at
+# seed 1, one per pending grid instant read 172 088. The traced node table
+# must also name no `project` (every select list of these queries only
+# renames the aggregate's columns, so it compiles to nothing) and no
 # `aggregate[flatten]` (grouped aggregates publish finished rows).
-echo "==> window aggregates stay sampled on the grid (ops.aggregate_ns < 10 us), no project/flatten node"
+echo "==> window aggregates stay sampled on the grid (ops.aggregate_ns < 10 us, NEXMark state < 100 000 B), no project/flatten node"
 for workload in nexmark_window_agg traffic_window_agg; do
     trace="benchmark/out/$workload.trace.json"
     rm -f "$trace"
@@ -113,6 +117,11 @@ for workload in nexmark_window_agg traffic_window_agg; do
     ns=$(sed -n 's/.*"ops\.aggregate_ns": {"value": \([0-9.eE+-]*\),.*/\1/p' <<<"$result")
     echo "    $workload: ops.aggregate_ns = ${ns:-missing} ns"
     awk -v ns="$ns" 'BEGIN { exit !(ns != "" && ns + 0 < 10000) }'
+    if [ "$workload" = nexmark_window_agg ]; then
+        bytes=$(sed -n 's/.*"ops\.state_bytes_peak": {"value": \([0-9.eE+-]*\),.*/\1/p' <<<"$result")
+        echo "    $workload: ops.state_bytes_peak = ${bytes:-missing} B"
+        awk -v b="$bytes" 'BEGIN { exit !(b != "" && b + 0 < 100000) }'
+    fi
     test -s "$trace"
     if grep -qE '"name": *"(project|aggregate\[flatten\])"' "$trace"; then
         echo "    $workload: the plan holds a project or aggregate[flatten] node" >&2
