@@ -27,10 +27,7 @@
 //! * [`difference::Difference`] (snapshot bag difference, monus),
 //! * rate reduction — [`coalesce::Coalesce`] and
 //!   [`granularity::Granularity`] (the "special mechanisms that
-//!   substantially reduce stream rates" of the paper),
-//! * load shedding — [`shed::RandomDrop`],
-//! * out-of-order tolerance — [`reorder::Reorder`] (bounded-slack
-//!   reordering for autonomous sources).
+//!   substantially reduce stream rates" of the paper).
 //!
 //! All stateful operators are driven by heartbeats (punctuations): state
 //! whose validity ends at or before the combined input watermark is
@@ -49,8 +46,6 @@ mod exactsum;
 pub mod granularity;
 pub mod groupby;
 pub mod join;
-pub mod reorder;
-pub mod shed;
 pub mod stateless;
 pub mod union;
 pub mod window;
@@ -64,7 +59,6 @@ pub use groupby::{GroupRow, GroupedAggregate, KeyAndValue};
 pub use join::{
     HashSweepArea, ListSweepArea, MultiwayJoin, OrderedSweepArea, RippleJoin, SweepArea,
 };
-pub use reorder::Reorder;
 pub use stateless::{Filter, FlatMap, Map};
 pub use union::Union;
 pub use window::{CountWindow, NowWindow, PartitionedCountWindow, TimeWindow};

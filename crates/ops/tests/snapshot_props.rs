@@ -231,44 +231,6 @@ proptest! {
     }
 
     #[test]
-    fn reorder_restores_bounded_disorder(
-        starts in prop::collection::vec(0u64..500, 1..40),
-        slack_extra in 0u64..20,
-    ) {
-        use pipes_ops::Reorder;
-        use pipes_graph::Operator as _;
-        // Build an arrival sequence whose disorder we know exactly.
-        let mut sorted = starts.clone();
-        sorted.sort_unstable();
-        let disorder = starts
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                let max_before = starts[..=i].iter().max().unwrap();
-                max_before - s
-            })
-            .max()
-            .unwrap_or(0);
-        let slack = disorder + slack_extra;
-        let mut op: Reorder<u64> = Reorder::new(Duration::from_ticks(slack));
-        let mut out: Vec<pipes_time::Message<u64>> = Vec::new();
-        for (i, &s) in starts.iter().enumerate() {
-            op.on_element(0, Element::at(i as u64, Timestamp::new(s)), &mut out);
-        }
-        op.on_close(&mut out);
-        prop_assert_eq!(op.dropped(), 0, "slack covers the disorder");
-        let emitted: Vec<u64> = out
-            .iter()
-            .filter_map(|m| match m {
-                pipes_time::Message::Element(e) => Some(e.start().ticks()),
-                _ => None,
-            })
-            .collect();
-        prop_assert_eq!(&emitted, &sorted, "output must be start-ordered and complete");
-        check_watermark_contract(&out).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
     fn watermark_contract_binary(l in arb_bag(16), r in arb_bag(16)) {
         check_watermark_contract(&run_binary_messages(
             RippleJoin::equi(|x: &i64| *x, |y: &i64| *y, |x, y| (*x, *y)),

@@ -18,8 +18,8 @@
 //!   in one allocation ([`FlatRow`]), so whatever consumes it reads plain
 //!   rows. A `Project` whose select list is exactly the input's columns in
 //!   order (`Col(0), …, Col(n-1)` over an `n`-wide input) only renames
-//!   them: it adds no node, and its signature is registered under its
-//!   input's publication point.
+//!   them: it adds no node, and its plan is registered under its input's
+//!   publication point.
 
 use crate::catalog::Catalog;
 use crate::expr::{BinOp, BoundExpr, Expr};
@@ -340,15 +340,16 @@ impl GroupRow<Tuple, Value, TupleAggs> for FlatRow {
 }
 
 /// Mutable compilation state: the target graph, the catalog, and the map of
-/// already-installed subplans (signature → publication point) that enables
+/// already-installed subplans (plan → publication point) that enables
 /// multi-query sharing.
 pub struct CompileContext<'a> {
     /// The running query graph being extended.
     pub graph: &'a QueryGraph,
     /// Stream and relation definitions.
     pub catalog: &'a Catalog,
-    /// Already-running subplans by signature.
-    pub installed: &'a mut HashMap<String, StreamHandle<Tuple>>,
+    /// Already-running subplans, keyed by the plan each one publishes: a
+    /// node is shared only with an equal plan.
+    pub installed: &'a mut HashMap<LogicalPlan, StreamHandle<Tuple>>,
     /// Nodes newly created by this compilation.
     pub created: usize,
     /// Subplans reused from the running graph.
@@ -362,7 +363,7 @@ impl<'a> CompileContext<'a> {
     pub fn new(
         graph: &'a QueryGraph,
         catalog: &'a Catalog,
-        installed: &'a mut HashMap<String, StreamHandle<Tuple>>,
+        installed: &'a mut HashMap<LogicalPlan, StreamHandle<Tuple>>,
     ) -> Self {
         CompileContext {
             graph,
@@ -381,17 +382,17 @@ pub fn compile(
     plan: &LogicalPlan,
     ctx: &mut CompileContext<'_>,
 ) -> Result<StreamHandle<Tuple>, String> {
-    shared(ctx, plan.signature(), |ctx| compile_new(plan, ctx))
+    shared(ctx, plan, |ctx| compile_new(plan, ctx))
 }
 
-/// The publication installed under `sig`, or the one `build` returns
-/// (registered under `sig`).
+/// The publication installed under `key`, or the one `build` returns
+/// (registered under `key`).
 fn shared(
     ctx: &mut CompileContext<'_>,
-    sig: String,
+    key: &LogicalPlan,
     build: impl FnOnce(&mut CompileContext<'_>) -> Result<StreamHandle<Tuple>, String>,
 ) -> Result<StreamHandle<Tuple>, String> {
-    if let Some(handle) = ctx.installed.get(&sig) {
+    if let Some(handle) = ctx.installed.get(key) {
         ctx.reused += 1;
         ctx.last_shared = Some(handle.node());
         return Ok(handle.clone());
@@ -403,7 +404,7 @@ fn shared(
         ctx.created += 1;
     }
     ctx.last_shared = Some(handle.node());
-    ctx.installed.insert(sig, handle.clone());
+    ctx.installed.insert(key.clone(), handle.clone());
     Ok(handle)
 }
 
@@ -500,22 +501,25 @@ fn compile_sampled(
     };
     let narrow = lifetime_bound(rows)
         .is_some_and(|r| r.ticks().div_ceil(period.ticks()) <= TREE_CONVERT_WIDTH as u64);
-    if !narrow || ctx.installed.contains_key(&node.signature()) {
+    if !narrow || ctx.installed.contains_key(node) {
         return Ok(None);
     }
-    // Intermediate nodes share under their own signatures: they publish
-    // sampled rows, not what the plain subplan's signature promises. The
-    // top node is registered under the `Every`'s signature by the caller.
-    let sampled_sig = |plan: &LogicalPlan| format!("sampled({period:?} of {})", plan.signature());
+    // Intermediate nodes publish sampled rows, so each is keyed as what it
+    // publishes, `Every(period)` over its plain subplan. The top node is
+    // registered under the caller's `Every`.
+    let sampled = |plan: &LogicalPlan| LogicalPlan::Every {
+        input: Box::new(plan.clone()),
+        period,
+    };
     let mut chain = chain.into_iter();
     let Some((top, _)) = chain.next() else {
         return compile_aggregate(node, Some(period), ctx).map(Some);
     };
-    let mut up = shared(ctx, sampled_sig(node), |ctx| {
+    let mut up = shared(ctx, &sampled(node), |ctx| {
         compile_aggregate(node, Some(period), ctx)
     })?;
     for (op, plan) in chain.rev() {
-        up = shared(ctx, sampled_sig(plan), |ctx| Ok(op.add(ctx.graph, &up)))?;
+        up = shared(ctx, &sampled(plan), |ctx| Ok(op.add(ctx.graph, &up)))?;
     }
     Ok(Some(top.add(ctx.graph, &up)))
 }

@@ -49,7 +49,7 @@ pub fn selectivity(pred: &Expr) -> f64 {
 pub struct LiveCostSource<'a> {
     snap: &'a MetaSnapshot,
     streams: HashMap<String, NodeId>,
-    subplans: HashMap<String, NodeId>,
+    subplans: HashMap<LogicalPlan, NodeId>,
 }
 
 impl<'a> LiveCostSource<'a> {
@@ -67,10 +67,9 @@ impl<'a> LiveCostSource<'a> {
         self.streams.insert(name.to_string(), node);
     }
 
-    /// Binds an installed subplan (by [`LogicalPlan::signature`]) to the
-    /// graph node publishing its result.
-    pub fn bind_subplan(&mut self, signature: &str, node: NodeId) {
-        self.subplans.insert(signature.to_string(), node);
+    /// Binds an installed subplan to the graph node publishing its result.
+    pub fn bind_subplan(&mut self, plan: &LogicalPlan, node: NodeId) {
+        self.subplans.insert(plan.clone(), node);
     }
 
     /// Observed output rate of a bound node, if its estimate carries any
@@ -88,20 +87,18 @@ impl<'a> LiveCostSource<'a> {
     }
 
     /// Live output rate of an installed subplan, when bound and warm.
-    pub fn subplan_rate(&self, signature: &str) -> Option<f64> {
-        self.subplans
-            .get(signature)
-            .and_then(|n| self.observed_rate(*n))
+    pub fn subplan_rate(&self, plan: &LogicalPlan) -> Option<f64> {
+        self.subplans.get(plan).and_then(|n| self.observed_rate(*n))
     }
 }
 
-/// Estimates rate and cost of `plan`, treating subplans whose signature is
-/// in `sunk` as already running (zero cost, but their output rate still
+/// Estimates rate and cost of `plan`, treating subplans in `sunk` as
+/// already running (zero cost, but their output rate still
 /// feeds parents).
 pub fn estimate_with_sunk(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    sunk: &HashSet<String>,
+    sunk: &HashSet<&LogicalPlan>,
 ) -> PlanEstimate {
     estimate_node(plan, catalog, sunk, None)
 }
@@ -112,7 +109,7 @@ pub fn estimate_with_sunk(
 pub fn estimate_live(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    sunk: &HashSet<String>,
+    sunk: &HashSet<&LogicalPlan>,
     live: &LiveCostSource<'_>,
 ) -> PlanEstimate {
     estimate_node(plan, catalog, sunk, Some(live))
@@ -121,7 +118,7 @@ pub fn estimate_live(
 fn estimate_node(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    sunk: &HashSet<String>,
+    sunk: &HashSet<&LogicalPlan>,
     live: Option<&LiveCostSource<'_>>,
 ) -> PlanEstimate {
     let mut est = estimate_structural(plan, catalog, sunk, live);
@@ -129,11 +126,11 @@ fn estimate_node(
         // An installed fragment's observed rate beats every structural
         // guess below it; the cost of reaching that rate stays structural
         // (and is zeroed just below when the fragment is sunk).
-        if let Some(rate) = live.subplan_rate(&plan.signature()) {
+        if let Some(rate) = live.subplan_rate(plan) {
             est.rate = rate;
         }
     }
-    if sunk.contains(&plan.signature()) {
+    if sunk.contains(plan) {
         est.cost = 0.0;
     }
     est
@@ -142,7 +139,7 @@ fn estimate_node(
 fn estimate_structural(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    sunk: &HashSet<String>,
+    sunk: &HashSet<&LogicalPlan>,
     live: Option<&LiveCostSource<'_>>,
 ) -> PlanEstimate {
     let child = |p: &LogicalPlan| estimate_node(p, catalog, sunk, live);
@@ -315,7 +312,7 @@ mod tests {
         };
         let full = estimate(&plan, &cat);
         let mut sunk = HashSet::new();
-        sunk.insert(plan.signature());
+        sunk.insert(&plan);
         let discounted = estimate_with_sunk(&plan, &cat, &sunk);
         assert_eq!(discounted.cost, 0.0);
         assert_eq!(discounted.rate, full.rate);

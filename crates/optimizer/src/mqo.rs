@@ -32,11 +32,12 @@ pub struct InstallReport {
 ///
 /// For every new query it heuristically enumerates snapshot-equivalent plan
 /// variants, probes each against the currently running query graph (whose
-/// installed subplans are tracked by signature), picks the best-matching
-/// plan by marginal cost, and splices only the missing operators into the
-/// graph via the publish–subscribe architecture.
+/// installed subplans are keyed by their plan value: a node is shared only
+/// with an equal plan), picks the best-matching plan by marginal cost, and
+/// splices only the missing operators into the graph via the
+/// publish–subscribe architecture.
 pub struct Optimizer {
-    installed: HashMap<String, StreamHandle<Tuple>>,
+    installed: HashMap<LogicalPlan, StreamHandle<Tuple>>,
 }
 
 impl Default for Optimizer {
@@ -58,16 +59,15 @@ impl Optimizer {
         self.installed.len()
     }
 
-    /// Which subplans of `plan` already run (by signature).
-    fn sunk_signatures(&self, plan: &LogicalPlan, out: &mut HashSet<String>) {
-        let sig = plan.signature();
-        if self.installed.contains_key(&sig) {
-            out.insert(sig);
+    /// Which subplans of `plan` already run.
+    fn sunk<'p>(&self, plan: &'p LogicalPlan, out: &mut HashSet<&'p LogicalPlan>) {
+        if self.installed.contains_key(plan) {
+            out.insert(plan);
             // Children are covered by the shared node transitively.
             return;
         }
         for child in plan.inputs() {
-            self.sunk_signatures(child, out);
+            self.sunk(child, out);
         }
     }
 
@@ -79,12 +79,12 @@ impl Optimizer {
     /// installed a replacement plan and re-pointed the application).
     /// Returns the number of nodes removed.
     pub fn retire(&mut self, plan: &LogicalPlan, graph: &QueryGraph) -> usize {
-        // Top-down over the installed signatures: removing a parent
+        // Top-down over the installed subplans: removing a parent
         // unsubscribes it from its children, which may free them in turn.
         let mut removed = 0;
         self.retire_walk(plan, graph, &mut removed);
-        // Sweep physical nodes the plan's own signatures do not name (the
-        // nodes of a sampled aggregate).
+        // Sweep physical nodes no subtree of the plan names (the nodes of a
+        // sampled aggregate).
         removed += graph.collect_unconsumed();
         // Drop index entries whose nodes the sweep removed.
         self.installed
@@ -107,12 +107,11 @@ impl Optimizer {
     }
 
     fn retire_walk(&mut self, plan: &LogicalPlan, graph: &QueryGraph, removed: &mut usize) {
-        let sig = plan.signature();
-        if let Some(handle) = self.installed.get(&sig) {
+        if let Some(handle) = self.installed.get(plan) {
             let node = handle.node();
             if graph.subscriber_count(node) == 0 && !graph.is_removed(node) {
                 graph.remove_node(node);
-                self.installed.remove(&sig);
+                self.installed.remove(plan);
                 *removed += 1;
             }
         }
@@ -126,8 +125,8 @@ impl Optimizer {
     /// observed rates wherever a candidate plan overlaps installed work.
     pub fn live_cost_source<'a>(&self, snap: &'a MetaSnapshot) -> LiveCostSource<'a> {
         let mut live = LiveCostSource::new(snap);
-        for (sig, handle) in &self.installed {
-            live.bind_subplan(sig, handle.node());
+        for (plan, handle) in &self.installed {
+            live.bind_subplan(plan, handle.node());
         }
         live
     }
@@ -168,6 +167,7 @@ impl Optimizer {
 
         let variants = rules::enumerate(plan, catalog);
         let variants_considered = variants.len();
+        let live = snap.map(|snap| self.live_cost_source(snap));
         let mut best: Option<(LogicalPlan, PlanEstimate)> = None;
         for v in variants {
             // A variant must still be valid (rules preserve this; verify).
@@ -175,12 +175,9 @@ impl Optimizer {
                 continue;
             }
             let mut sunk = HashSet::new();
-            self.sunk_signatures(&v, &mut sunk);
-            let est = match snap {
-                Some(snap) => {
-                    let live = self.live_cost_source(snap);
-                    estimate_live(&v, catalog, &sunk, &live)
-                }
+            self.sunk(&v, &mut sunk);
+            let est = match &live {
+                Some(live) => estimate_live(&v, catalog, &sunk, live),
                 None => estimate_with_sunk(&v, catalog, &sunk),
             };
             let better = match &best {

@@ -61,6 +61,10 @@ pub struct AggSpec {
 /// intervals, everything above them is the extended relational algebra with
 /// snapshot semantics, plus the granularity operator (`Every`) for periodic
 /// result reporting.
+///
+/// A plan value is also the identity of the subplan it describes: the
+/// multi-query optimizer shares a running node only with an equal plan
+/// (`Eq + Hash`, which keep `Int(2)` and `Float(2.0)` apart).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum LogicalPlan {
     /// A registered stream, optionally aliased.
@@ -172,113 +176,6 @@ impl LogicalPlan {
         }
     }
 
-    /// A canonical, deterministic signature of the (sub)plan — the key the
-    /// multi-query optimizer uses to detect shareable subplans in the
-    /// running graph.
-    pub fn signature(&self) -> String {
-        let mut s = String::new();
-        self.write_sig(&mut s);
-        s
-    }
-
-    fn write_sig(&self, s: &mut String) {
-        match self {
-            LogicalPlan::Stream { name, alias } => {
-                let _ = write!(s, "stream({name}");
-                if let Some(a) = alias {
-                    let _ = write!(s, " as {a}");
-                }
-                s.push(')');
-            }
-            LogicalPlan::Window { input, spec } => {
-                let _ = write!(s, "window({spec:?} over ");
-                input.write_sig(s);
-                s.push(')');
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                let _ = write!(s, "filter({predicate} over ");
-                input.write_sig(s);
-                s.push(')');
-            }
-            LogicalPlan::Project { input, exprs } => {
-                s.push_str("project(");
-                for (e, n) in exprs {
-                    let _ = write!(s, "{e} as {n},");
-                }
-                s.push_str(" over ");
-                input.write_sig(s);
-                s.push(')');
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                predicate,
-            } => {
-                let _ = write!(s, "join({predicate} over ");
-                left.write_sig(s);
-                s.push(',');
-                right.write_sig(s);
-                s.push(')');
-            }
-            LogicalPlan::RelationJoin {
-                input,
-                relation,
-                alias,
-                stream_key,
-            } => {
-                let _ = write!(s, "reljoin({relation} as {alias:?} on {stream_key} over ");
-                input.write_sig(s);
-                s.push(')');
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                s.push_str("agg(");
-                for (e, n) in group_by {
-                    let _ = write!(s, "by {e} as {n},");
-                }
-                for (a, n) in aggs {
-                    let _ = write!(s, "{}({}) as {n},", a.func.name(), a.arg);
-                }
-                s.push_str(" over ");
-                input.write_sig(s);
-                s.push(')');
-            }
-            LogicalPlan::Distinct { input } => {
-                s.push_str("distinct(");
-                input.write_sig(s);
-                s.push(')');
-            }
-            LogicalPlan::Union { inputs } => {
-                s.push_str("union(");
-                for i in inputs {
-                    i.write_sig(s);
-                    s.push(',');
-                }
-                s.push(')');
-            }
-            LogicalPlan::Difference { left, right } => {
-                s.push_str("difference(");
-                left.write_sig(s);
-                s.push(',');
-                right.write_sig(s);
-                s.push(')');
-            }
-            LogicalPlan::Every { input, period } => {
-                let _ = write!(s, "every({period} over ");
-                input.write_sig(s);
-                s.push(')');
-            }
-            LogicalPlan::Coalesce { input } => {
-                s.push_str("coalesce(");
-                input.write_sig(s);
-                s.push(')');
-            }
-        }
-    }
-
     /// One-line node label (for pretty-printing and Graphviz).
     pub fn label(&self) -> String {
         match self {
@@ -383,17 +280,6 @@ mod tests {
             }),
             predicate: Expr::bin(Expr::col("speed"), crate::BinOp::Gt, Expr::lit(50i64)),
         }
-    }
-
-    #[test]
-    fn signatures_are_stable_and_distinguishing() {
-        let a = demo_plan();
-        let b = demo_plan();
-        assert_eq!(a.signature(), b.signature());
-        let c = LogicalPlan::Distinct {
-            input: Box::new(demo_plan()),
-        };
-        assert_ne!(a.signature(), c.signature());
     }
 
     #[test]

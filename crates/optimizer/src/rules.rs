@@ -21,7 +21,6 @@ use crate::catalog::Catalog;
 use crate::compile::output_schema;
 use crate::expr::Expr;
 use crate::plan::LogicalPlan;
-use std::collections::HashSet;
 
 /// Splits every conjunctive filter into a cascade of single-conjunct
 /// filters (enables finer pushdown).
@@ -254,21 +253,18 @@ fn map_children(plan: &LogicalPlan, f: &impl Fn(&LogicalPlan) -> LogicalPlan) ->
 }
 
 /// Heuristically enumerates snapshot-equivalent variants of `plan`
-/// (including the plan itself), deduplicated by signature.
+/// (including the plan itself), without duplicates.
 pub fn enumerate(plan: &LogicalPlan, catalog: &Catalog) -> Vec<LogicalPlan> {
+    let canonical = merge_filters(&push_filters(&split_filters(plan), catalog));
+    let commuted = commute_joins(&canonical, catalog);
+    let coalesced = coalesce_aggregates(&canonical);
+    let candidates = [plan.clone(), canonical, commuted, coalesced];
     let mut variants = Vec::new();
-    let mut seen = HashSet::new();
-    let mut push = |p: LogicalPlan, variants: &mut Vec<LogicalPlan>| {
-        if seen.insert(p.signature()) {
+    for p in candidates {
+        if !variants.contains(&p) {
             variants.push(p);
         }
-    };
-
-    push(plan.clone(), &mut variants);
-    let canonical = merge_filters(&push_filters(&split_filters(plan), catalog));
-    push(canonical.clone(), &mut variants);
-    push(commute_joins(&canonical, catalog), &mut variants);
-    push(coalesce_aggregates(&canonical), &mut variants);
+    }
     variants
 }
 
@@ -279,6 +275,7 @@ mod tests {
     use crate::plan::WindowSpec;
     use crate::value::Schema;
     use pipes_time::Duration;
+    use std::collections::HashSet;
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -403,9 +400,9 @@ mod tests {
         };
         let variants = enumerate(&plan, &cat);
         assert!(!variants.is_empty());
-        let sigs: HashSet<String> = variants.iter().map(|v| v.signature()).collect();
+        let sigs: HashSet<&LogicalPlan> = variants.iter().collect();
         assert_eq!(sigs.len(), variants.len(), "variants must be distinct");
-        assert!(sigs.contains(&plan.signature()));
+        assert!(sigs.contains(&plan));
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn warm_graph_estimates_match_observed_rates() {
     let cat = catalog_with_wrong_hint();
     let mut live = LiveCostSource::new(&snap);
     live.bind_stream("s", src.node());
-    live.bind_subplan(&filtered().signature(), filter.node());
+    live.bind_subplan(&filtered(), filter.node());
 
     // 1. A bound stream is costed at its observed rate, not the hint.
     let sunk = HashSet::new();
@@ -124,7 +124,7 @@ fn warm_graph_estimates_match_observed_rates() {
         exprs: vec![(Expr::col("v"), "v".to_string())],
     };
     let mut sunk_filter = HashSet::new();
-    sunk_filter.insert(filtered().signature());
+    sunk_filter.insert(project.inputs()[0]);
     let marginal = estimate_live(&project, &cat, &sunk_filter, &live);
     assert!(
         (marginal.rate - filter_est.out_rate).abs() < 1e-9,

@@ -23,6 +23,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> pipes-lint (structural static-analysis gate, 7 passes)"
 cargo run -q -p pipes-lint
 
+# A text key for shared subplans printed `2` and `2.0` alike and served a Float query Int rows.
+echo "==> shared subplans are keyed on the plan value, not a text signature"
+if grep -rnE 'fn signature|HashMap<String, StreamHandle' crates/optimizer/src; then
+    echo "    a text identity for shared subplans is back" >&2
+    exit 1
+fi
+
 echo "==> pipes-lint --json machine-readable report parses"
 cargo run -q -p pipes-lint -- --json > target/lint_report.json
 test -s target/lint_report.json

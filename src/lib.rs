@@ -87,8 +87,8 @@ pub mod prelude {
     };
     pub use pipes_ops::{
         Coalesce, CountWindow, Difference, Distinct, Filter, FlatMap, Granularity,
-        GroupedAggregate, Map, MultiwayJoin, NowWindow, PartitionedCountWindow, Reorder,
-        RippleJoin, ScalarAggregate, TimeWindow, Union,
+        GroupedAggregate, Map, MultiwayJoin, NowWindow, PartitionedCountWindow, RippleJoin,
+        ScalarAggregate, TimeWindow, Union,
     };
     pub use pipes_optimizer::{
         Catalog, Expr, LogicalPlan, Optimizer, Schema, Tuple, Value, WindowSpec,
