@@ -451,12 +451,19 @@ impl RowOp {
         match self {
             RowOp::Filter(name, pred) => graph.add_unary(
                 &name,
-                Filter::new(move |t: &Tuple| pred.eval(t).truthy()),
+                Filter::new(move |t: &Tuple| pred.test(t) == Some(true)),
                 up,
             ),
             RowOp::Project(exprs) => graph.add_unary(
                 "project",
-                Map::new(move |t: Tuple| exprs.iter().map(|b| b.eval(&t)).collect::<Tuple>()),
+                Map::new(move |t: Tuple| {
+                    (exprs.iter())
+                        .map(|b| match b {
+                            BoundExpr::Col(i) => t.get(*i).cloned().unwrap_or(Value::Null),
+                            _ => b.eval(&t),
+                        })
+                        .collect::<Tuple>()
+                }),
                 up,
             ),
             RowOp::Rename => up.clone(),
@@ -752,7 +759,7 @@ fn compile_join(
             move |l: &Tuple, r: &Tuple| {
                 let mut t = l.clone();
                 t.extend(r.iter().cloned());
-                pred.eval(&t).truthy()
+                pred.test(&t) == Some(true)
             },
             combine,
         );
@@ -774,7 +781,7 @@ fn compile_join(
         let bound = Expr::conjoin(residual).bind(&combined)?;
         Ok(ctx.graph.add_unary(
             "join[residual]",
-            Filter::new(move |t: &Tuple| bound.eval(t).truthy()),
+            Filter::new(move |t: &Tuple| bound.test(t) == Some(true)),
             &joined,
         ))
     }
@@ -1086,6 +1093,12 @@ mod tests {
             min_max_of(&[Value::Null, Value::Null]),
             vec![vec![Value::Null, Value::Null]],
             "an all-NULL window yields NULL"
+        );
+        // Integers compare exactly, also above 2^53.
+        let (big, next) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        assert_eq!(
+            min_max_of(&[big.clone(), next.clone()]),
+            vec![vec![big, next]]
         );
         // Ties across types pick by `Value`'s order whatever arrives first:
         // Int sorts before Float.

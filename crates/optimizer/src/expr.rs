@@ -1,4 +1,12 @@
 //! Scalar expressions over tuples.
+//!
+//! A [`BoundExpr`] reads columns and literals by reference: comparing or
+//! adding them clones no `Value`. Every predicate goes through one SQL
+//! three-valued truth table, [`BoundExpr::test`]; the logic and comparisons
+//! of [`BoundExpr::eval`] are `test` mapped to `Bool`/`Null`. Arithmetic:
+//! two `Int`s stay integral and `+ - *` wrap on overflow, `Int / 0` and
+//! `Int % 0` are NULL; a `Float` operand widens both sides to `f64`, so
+//! `Float / 0` is `inf`; a non-numeric or NULL operand yields NULL.
 
 use crate::value::{Schema, Tuple, Value};
 use std::fmt;
@@ -185,51 +193,92 @@ pub enum BoundExpr {
     Unary(UnOp, Box<BoundExpr>),
 }
 
+/// What an out-of-range column reads.
+static NULL: Value = Value::Null;
+
 impl BoundExpr {
-    /// Evaluates against a tuple. Type mismatches yield `Value::Null`
-    /// (three-valued logic: predicates treat it as false).
+    /// Evaluates against a tuple; logic and comparisons are
+    /// [`test`](BoundExpr::test) mapped to `Bool`, UNKNOWN to `Null`.
     pub fn eval(&self, t: &Tuple) -> Value {
         match self {
             BoundExpr::Col(i) => t.get(*i).cloned().unwrap_or(Value::Null),
             BoundExpr::Lit(v) => v.clone(),
-            BoundExpr::Unary(UnOp::Not, e) => match e.eval(t) {
-                Value::Bool(b) => Value::Bool(!b),
-                _ => Value::Null,
-            },
-            BoundExpr::Unary(UnOp::Neg, e) => match e.eval(t) {
+            BoundExpr::Unary(UnOp::Neg, e) => match e.operand(t, &mut Value::Null) {
                 Value::Int(i) => Value::Int(-i),
                 Value::Float(f) => Value::Float(-f),
                 _ => Value::Null,
             },
-            BoundExpr::Binary(l, op, r) => {
-                let (lv, rv) = (l.eval(t), r.eval(t));
-                match op {
-                    BinOp::And => match (&lv, &rv) {
-                        (Value::Bool(a), Value::Bool(b)) => Value::Bool(*a && *b),
-                        _ => Value::Null,
-                    },
-                    BinOp::Or => match (&lv, &rv) {
-                        (Value::Bool(a), Value::Bool(b)) => Value::Bool(*a || *b),
-                        _ => Value::Null,
-                    },
-                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                        match lv.sql_cmp(&rv) {
-                            None => Value::Null,
-                            Some(ord) => Value::Bool(match op {
-                                BinOp::Eq => ord.is_eq(),
-                                BinOp::Ne => !ord.is_eq(),
-                                BinOp::Lt => ord.is_lt(),
-                                BinOp::Le => ord.is_le(),
-                                BinOp::Gt => ord.is_gt(),
-                                BinOp::Ge => ord.is_ge(),
-                                _ => unreachable!(),
-                            }),
-                        }
-                    }
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
-                        arith(&lv, *op, &rv)
-                    }
-                }
+            BoundExpr::Binary(
+                l,
+                op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem),
+                r,
+            ) => arith(
+                l.operand(t, &mut Value::Null),
+                *op,
+                r.operand(t, &mut Value::Null),
+            ),
+            _ => self.test(t).map_or(Value::Null, Value::Bool),
+        }
+    }
+
+    /// Evaluates as a predicate under SQL's three-valued logic (`None` is
+    /// UNKNOWN; a `WHERE` keeps a row only on `Some(true)`). A comparison is
+    /// UNKNOWN where [`Value::sql_cmp`] is `None`. `AND` and `OR` are Kleene's
+    /// and read the right side only when the left does not decide (`FALSE
+    /// AND x` is FALSE, `TRUE OR x` TRUE); `NOT` keeps UNKNOWN. Any other
+    /// expression is its value if boolean, else UNKNOWN: `TRUE AND 5` is
+    /// UNKNOWN, `FALSE AND 5` FALSE.
+    pub fn test(&self, t: &Tuple) -> Option<bool> {
+        match self {
+            BoundExpr::Unary(UnOp::Not, e) => e.test(t).map(|b| !b),
+            // Past the deciding value, `Option::and` finishes both tables: two
+            // TRUEs (AND) or two FALSEs (OR) stay, any UNKNOWN is UNKNOWN.
+            BoundExpr::Binary(l, BinOp::And, r) => match l.test(t) {
+                Some(false) => Some(false),
+                a => match r.test(t) {
+                    Some(false) => Some(false),
+                    b => a.and(b),
+                },
+            },
+            BoundExpr::Binary(l, BinOp::Or, r) => match l.test(t) {
+                Some(true) => Some(true),
+                a => match r.test(t) {
+                    Some(true) => Some(true),
+                    b => a.and(b),
+                },
+            },
+            BoundExpr::Binary(
+                l,
+                op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+                r,
+            ) => {
+                let (mut a, mut b) = (Value::Null, Value::Null);
+                let ord = l.operand(t, &mut a).sql_cmp(r.operand(t, &mut b))?;
+                Some(match op {
+                    BinOp::Eq => ord.is_eq(),
+                    BinOp::Ne => ord.is_ne(),
+                    BinOp::Lt => ord.is_lt(),
+                    BinOp::Le => ord.is_le(),
+                    BinOp::Gt => ord.is_gt(),
+                    _ => ord.is_ge(),
+                })
+            }
+            _ => match self.operand(t, &mut Value::Null) {
+                Value::Bool(b) => Some(*b),
+                _ => None,
+            },
+        }
+    }
+
+    /// The value of `self` by reference: a column or literal is borrowed in
+    /// place, anything else is evaluated into `slot`.
+    fn operand<'a>(&'a self, t: &'a Tuple, slot: &'a mut Value) -> &'a Value {
+        match self {
+            BoundExpr::Col(i) => t.get(*i).unwrap_or(&NULL),
+            BoundExpr::Lit(v) => v,
+            _ => {
+                *slot = self.eval(t);
+                slot
             }
         }
     }
@@ -316,6 +365,63 @@ mod tests {
         assert_eq!(e.bind(&schema()).unwrap().eval(&row()), Value::Null);
         // And null is not truthy, so such predicates drop rows.
         assert!(!Value::Null.truthy());
+    }
+
+    #[test]
+    fn logic_follows_kleene_tables() {
+        let (t, f, u) = (Some(true), Some(false), None);
+        let lit = |b: Option<bool>| BoundExpr::Lit(b.map_or(Value::Null, Value::Bool));
+        let bin = |a, op, b| BoundExpr::Binary(Box::new(lit(a)), op, Box::new(lit(b)));
+        // (left, right, AND, OR) over every pair of TRUE, FALSE, NULL.
+        let table = [
+            (t, t, t, t),
+            (t, f, f, t),
+            (t, u, u, t),
+            (f, t, f, t),
+            (f, f, f, f),
+            (f, u, f, u),
+            (u, t, u, t),
+            (u, f, f, u),
+            (u, u, u, u),
+        ];
+        for (a, b, and, or) in table {
+            for (op, want) in [(BinOp::And, and), (BinOp::Or, or)] {
+                let e = bin(a, op, b);
+                assert_eq!(e.test(&row()), want, "{a:?} {op:?} {b:?}");
+                assert_eq!(e.eval(&row()), lit(want).eval(&row()), "{a:?} {op:?} {b:?}");
+            }
+        }
+        for (a, not) in [(t, f), (f, t), (u, u)] {
+            let e = BoundExpr::Unary(UnOp::Not, Box::new(lit(a)));
+            assert_eq!(e.test(&row()), not, "NOT {a:?}");
+            assert_eq!(e.eval(&row()), lit(not).eval(&row()), "NOT {a:?}");
+        }
+        // NOT (FALSE AND NULL) is TRUE.
+        let e = BoundExpr::Unary(UnOp::Not, Box::new(bin(f, BinOp::And, u)));
+        assert_eq!(e.eval(&row()), Value::Bool(true));
+        // A non-boolean operand is UNKNOWN: `a` is Int 10.
+        let with_int = |b, op| BoundExpr::Binary(Box::new(lit(b)), op, Box::new(BoundExpr::Col(0)));
+        assert_eq!(with_int(t, BinOp::And).eval(&row()), Value::Null);
+        assert_eq!(with_int(f, BinOp::And).eval(&row()), Value::Bool(false));
+        assert_eq!(with_int(t, BinOp::Or).eval(&row()), Value::Bool(true));
+        assert_eq!(with_int(f, BinOp::Or).test(&row()), None);
+    }
+
+    #[test]
+    fn integers_compare_exactly() {
+        // 2^53 + 1 and 2^53 are one `f64`.
+        let (big, next) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        let cmp = |op| {
+            let e = BoundExpr::Binary(
+                Box::new(BoundExpr::Lit(next.clone())),
+                op,
+                Box::new(BoundExpr::Lit(big.clone())),
+            );
+            e.eval(&row())
+        };
+        assert_eq!(cmp(BinOp::Eq), Value::Bool(false));
+        assert_eq!(cmp(BinOp::Gt), Value::Bool(true));
+        assert_eq!(cmp(BinOp::Le), Value::Bool(false));
     }
 
     #[test]

@@ -62,11 +62,13 @@ impl Value {
         }
     }
 
-    /// SQL-style comparison for predicates: numeric types compare by value
-    /// across Int/Float; mismatched types (or Null) compare as `None`.
+    /// SQL-style comparison for predicates: two `Int`s compare exactly, an
+    /// `Int` and a `Float` by value through `f64`; mismatched types (or Null)
+    /// compare as `None`.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             _ => {

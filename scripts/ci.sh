@@ -30,6 +30,13 @@ if grep -rnE 'fn signature|HashMap<String, StreamHandle' crates/optimizer/src; t
     exit 1
 fi
 
+# A second truth table (`eval(..).truthy()`) dropped the rows of `TRUE OR NULL`.
+echo "==> predicates go through BoundExpr::test, the one three-valued truth table"
+if grep -rnE 'eval\(.*\)\.truthy\(\)' crates/optimizer/src; then
+    echo "    a predicate is evaluated outside BoundExpr::test" >&2
+    exit 1
+fi
+
 echo "==> pipes-lint --json machine-readable report parses"
 cargo run -q -p pipes-lint -- --json > target/lint_report.json
 test -s target/lint_report.json

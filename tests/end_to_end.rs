@@ -111,6 +111,29 @@ fn cql_results_match_naive_snapshot_semantics() {
     .unwrap();
 }
 
+/// Rows of `sql` over the 4 000-event NEXMark catalog, run to completion.
+fn cql_rows(sql: &str) -> usize {
+    let cat = nexmark_catalog();
+    let plan = compile_cql(sql, &cat).unwrap();
+    let graph = QueryGraph::new();
+    let report = Optimizer::new().install(&plan, &graph, &cat).unwrap();
+    let (sink, out) = CollectSink::new();
+    graph.add_sink("out", sink, &report.handle);
+    graph.run_to_completion(64);
+    let rows = out.lock().len();
+    rows
+}
+
+#[test]
+fn cql_or_keeps_a_row_whose_other_side_is_unknown() {
+    // `price` is an Int, so `price / 0` is NULL and its comparison UNKNOWN;
+    // SQL's `TRUE OR UNKNOWN` is TRUE, so every bid passes.
+    let all = cql_rows("SELECT auction FROM bid [NOW]");
+    assert!(all > 0);
+    let kept = cql_rows("SELECT auction FROM bid [NOW] WHERE auction = auction OR price / 0 = 1");
+    assert_eq!(kept, all);
+}
+
 #[test]
 fn mqo_splices_into_running_graph() {
     let cat = nexmark_catalog();
