@@ -763,42 +763,6 @@ impl QueryGraph {
         )
     }
 
-    /// Garbage-collects dangling producers: repeatedly removes sources and
-    /// operators that no consumer subscribes to, until a fixpoint. Returns
-    /// the number of nodes removed.
-    ///
-    /// Only call while the topology is quiescent — a node added before its
-    /// consumer would be collected prematurely.
-    pub fn collect_unconsumed(&self) -> usize {
-        // Shuffle-group members (partition/instance nodes) publish through
-        // raw stamped edges, not an output port, so their subscriber count
-        // reads 0 even though the merge stage consumes them. Never collect
-        // them as dangling.
-        let shuffled: std::collections::HashSet<NodeId> =
-            self.shuffle.member_ids().into_iter().collect();
-        let mut removed = 0;
-        loop {
-            let victims: Vec<NodeId> = self
-                .infos()
-                .into_iter()
-                .filter(|i| {
-                    !i.removed
-                        && i.kind != NodeKind::Sink
-                        && !shuffled.contains(&i.id)
-                        && self.subscriber_count(i.id) == 0
-                })
-                .map(|i| i.id)
-                .collect();
-            if victims.is_empty() {
-                return removed;
-            }
-            for id in victims {
-                self.remove_node(id);
-                removed += 1;
-            }
-        }
-    }
-
     /// Minimal built-in executor: steps all nodes round-robin until every
     /// node has finished. Returns the number of quanta executed. Intended
     /// for tests and simple examples — real deployments use `pipes-sched`.

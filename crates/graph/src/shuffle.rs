@@ -393,22 +393,6 @@ impl ShuffleRegistry {
         }
     }
 
-    /// Ids of every node that belongs to a shuffle group (partition,
-    /// instance and merge nodes). Partition/instance nodes publish through
-    /// raw stamped edges rather than an output port, so topology passes
-    /// that reason about `subscriber_count` (dangling-producer collection)
-    /// must treat them as internally consumed.
-    pub(crate) fn member_ids(&self) -> Vec<NodeId> {
-        let groups = self.groups.lock();
-        let mut out = Vec::new();
-        for g in groups.iter() {
-            out.extend_from_slice(&g.partition_ids);
-            out.extend_from_slice(&g.instance_ids);
-            out.push(g.handle);
-        }
-        out
-    }
-
     fn snapshot(&self) -> Vec<ShuffleGroup> {
         self.groups
             .lock()

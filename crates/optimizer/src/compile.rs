@@ -4,15 +4,18 @@
 //! change which physical operators run, not which logical plan does:
 //!
 //! * **Sampled aggregates.** `Every(p)` over `Project`/`Filter` nodes, over
-//!   an optional `Coalesce`, over an `Aggregate` whose input rows live at
-//!   most `R` (a `RANGE R` window under `Filter`/`Project` nodes), with
-//!   `⌈R/p⌉ ≤` [`TREE_CONVERT_WIDTH`], compiles to those `Project`/`Filter`
-//!   nodes over the aggregate on the grid layout
+//!   an `Aggregate` whose input rows live at most `R` (see
+//!   `lifetime_bound`: a `RANGE R` window, under `Filter`/`Project` nodes
+//!   and joins), with `⌈R/p⌉ ≤` [`TREE_CONVERT_WIDTH`], compiles to those
+//!   `Project`/`Filter` nodes over the aggregate on the grid layout
 //!   ([`ScalarAggregate::sampled`], [`GroupedAggregate::sampled`]): the
 //!   same rows per grid instant as `Granularity` over the aggregate, with
-//!   no `every`, `coalesce` or per-partial finalization. The window below
-//!   stays shared. Every other `Every` keeps [`Granularity`], and so does
-//!   one whose `Aggregate` already runs for another query: it is reused.
+//!   no `every` node or per-partial finalization. The window below stays
+//!   shared. Every other `Every` keeps [`Granularity`], and so does one
+//!   whose `Aggregate` already runs for another query: it is reused. Each
+//!   node between the aggregate and the top publishes sampled rows, so it
+//!   is registered as `Every { period, X }` for its plain subplan `X`;
+//!   `install_keys` lists those keys with the rest.
 //! * **Flat rows; rename-only projections elided.** A grouped aggregate
 //!   builds each result row itself, key values then finalized aggregates
 //!   in one allocation ([`FlatRow`]), so whatever consumes it reads plain
@@ -28,8 +31,8 @@ use crate::value::{Schema, Tuple, Value};
 use pipes_graph::{NodeId, QueryGraph, StreamHandle};
 use pipes_ops::aggregate::{AggregateFn, ExactSum, TREE_CONVERT_WIDTH};
 use pipes_ops::{
-    Coalesce, CountWindow, Difference, Distinct, Filter, Granularity, GroupRow, GroupedAggregate,
-    Map, NowWindow, PartitionedCountWindow, RippleJoin, ScalarAggregate, TimeWindow, Union,
+    CountWindow, Difference, Distinct, Filter, Granularity, GroupRow, GroupedAggregate, Map,
+    NowWindow, PartitionedCountWindow, RippleJoin, ScalarAggregate, TimeWindow, Union,
 };
 use pipes_rel::RelationLookup;
 use pipes_time::Duration;
@@ -48,8 +51,7 @@ pub fn output_schema(plan: &LogicalPlan, catalog: &Catalog) -> Result<Schema, St
         LogicalPlan::Window { input, .. }
         | LogicalPlan::Filter { input, .. }
         | LogicalPlan::Distinct { input }
-        | LogicalPlan::Every { input, .. }
-        | LogicalPlan::Coalesce { input } => output_schema(input, catalog),
+        | LogicalPlan::Every { input, .. } => output_schema(input, catalog),
         LogicalPlan::Project { input, exprs } => {
             // Validate input columns resolve.
             let in_schema = output_schema(input, catalog)?;
@@ -417,15 +419,12 @@ enum RowOp {
 }
 
 impl RowOp {
-    /// Binds `plan` if it is a `Project` or a `Filter`.
-    fn bind(plan: &LogicalPlan, catalog: &Catalog) -> Result<Option<RowOp>, String> {
+    /// Binds `plan`, a `Project` or a `Filter`.
+    fn bind(plan: &LogicalPlan, catalog: &Catalog) -> Result<RowOp, String> {
         Ok(match plan {
             LogicalPlan::Filter { input, predicate } => {
                 let in_schema = output_schema(input, catalog)?;
-                Some(RowOp::Filter(
-                    format!("filter[{predicate}]"),
-                    predicate.bind(&in_schema)?,
-                ))
+                RowOp::Filter(format!("filter[{predicate}]"), predicate.bind(&in_schema)?)
             }
             LogicalPlan::Project { input, exprs } => {
                 let in_schema = output_schema(input, catalog)?;
@@ -436,13 +435,13 @@ impl RowOp {
                 let renames = bound.len() == in_schema.len()
                     && (bound.iter().enumerate())
                         .all(|(i, b)| matches!(b, BoundExpr::Col(c) if *c == i));
-                Some(if renames {
+                if renames {
                     RowOp::Rename
                 } else {
                     RowOp::Project(bound)
-                })
+                }
             }
-            _ => None,
+            _ => unreachable!("RowOp::bind takes a Filter or a Project"),
         })
     }
 
@@ -472,18 +471,65 @@ impl RowOp {
 }
 
 /// How long a row of `plan` lives at most: the range of the time window
-/// under its `Filter`/`Project` nodes.
+/// under its `Filter`/`Project` nodes. A join row lives in the
+/// intersection of its inputs' rows, so at most as long as the shorter
+/// bound; a relation join's row lives as long as its stream row.
 fn lifetime_bound(plan: &LogicalPlan) -> Option<Duration> {
     match plan {
         LogicalPlan::Window {
             spec: WindowSpec::Time(range),
             ..
         } => Some(*range),
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-            lifetime_bound(input)
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::RelationJoin { input, .. } => lifetime_bound(input),
+        LogicalPlan::Join { left, right, .. } => {
+            match (lifetime_bound(left), lifetime_bound(right)) {
+                (Some(l), Some(r)) => Some(l.min(r)),
+                (l, r) => l.or(r),
+            }
         }
         _ => None,
     }
+}
+
+/// The `Filter`/`Project` nodes from `plan` down, top first, then the plan
+/// below them.
+fn row_chain(plan: &LogicalPlan) -> Vec<&LogicalPlan> {
+    let (mut chain, mut node) = (vec![plan], plan);
+    while let LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } = node {
+        node = input;
+        chain.push(node);
+    }
+    chain
+}
+
+/// `Every(period)` over `plan`: the key of a node that publishes `plan`'s
+/// rows sampled every `period`.
+fn sampled(plan: &LogicalPlan, period: Duration) -> LogicalPlan {
+    LogicalPlan::Every {
+        input: Box::new(plan.clone()),
+        period,
+    }
+}
+
+/// Every key under which an install of `plan` can register a node, each
+/// before the keys of the nodes it consumes (a key can appear more than
+/// once). This includes the `Every` keys of a sampled aggregate's
+/// intermediate nodes (see the module docs), which are not subplans of
+/// `plan`.
+pub(crate) fn install_keys(plan: &LogicalPlan) -> Vec<LogicalPlan> {
+    let mut keys = vec![plan.clone()];
+    if let LogicalPlan::Every { input, period } = plan {
+        let chain = row_chain(input);
+        if let Some(LogicalPlan::Aggregate { .. }) = chain.last() {
+            keys.extend(chain[1..].iter().map(|p| sampled(p, *period)));
+        }
+    }
+    for child in plan.inputs() {
+        keys.extend(install_keys(child));
+    }
+    keys
 }
 
 /// Compiles `Every(period)` over `input` onto a sampled aggregate (see
@@ -494,15 +540,8 @@ fn compile_sampled(
     period: Duration,
     ctx: &mut CompileContext<'_>,
 ) -> Result<Option<StreamHandle<Tuple>>, String> {
-    let mut chain = Vec::new();
-    let mut node = input;
-    while let Some(op) = RowOp::bind(node, ctx.catalog)? {
-        chain.push((op, node));
-        node = node.inputs()[0];
-    }
-    if let LogicalPlan::Coalesce { input } = node {
-        node = input;
-    }
+    let mut chain = row_chain(input);
+    let node = chain.pop().expect("a chain ends at the plan below it");
     let LogicalPlan::Aggregate { input: rows, .. } = node else {
         return Ok(None);
     };
@@ -511,22 +550,23 @@ fn compile_sampled(
     if !narrow || ctx.installed.contains_key(node) {
         return Ok(None);
     }
-    // Intermediate nodes publish sampled rows, so each is keyed as what it
-    // publishes, `Every(period)` over its plain subplan. The top node is
-    // registered under the caller's `Every`.
-    let sampled = |plan: &LogicalPlan| LogicalPlan::Every {
-        input: Box::new(plan.clone()),
-        period,
-    };
+    let chain: Vec<(RowOp, &LogicalPlan)> = (chain.into_iter())
+        .map(|plan| Ok((RowOp::bind(plan, ctx.catalog)?, plan)))
+        .collect::<Result<_, String>>()?;
+    // The top node is registered under the caller's `Every`.
     let mut chain = chain.into_iter();
     let Some((top, _)) = chain.next() else {
         return compile_aggregate(node, Some(period), ctx).map(Some);
     };
-    let mut up = shared(ctx, &sampled(node), |ctx| {
+    let mut up = shared(ctx, &sampled(node, period), |ctx| {
         compile_aggregate(node, Some(period), ctx)
     })?;
     for (op, plan) in chain.rev() {
-        up = shared(ctx, &sampled(plan), |ctx| Ok(op.add(ctx.graph, &up)))?;
+        up = shared(
+            ctx,
+            &sampled(plan, period),
+            |ctx| Ok(op.add(ctx.graph, &up)),
+        )?;
     }
     Ok(Some(top.add(ctx.graph, &up)))
 }
@@ -634,7 +674,7 @@ fn compile_new(
             })
         }
         LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-            let op = RowOp::bind(plan, ctx.catalog)?.expect("a filter or projection");
+            let op = RowOp::bind(plan, ctx.catalog)?;
             let up = compile(input, ctx)?;
             Ok(op.add(ctx.graph, &up))
         }
@@ -700,10 +740,6 @@ fn compile_new(
             Ok(ctx
                 .graph
                 .add_unary(&format!("every[{period}]"), Granularity::new(*period), &up))
-        }
-        LogicalPlan::Coalesce { input } => {
-            let up = compile(input, ctx)?;
-            Ok(ctx.graph.add_unary("coalesce", Coalesce::new(), &up))
         }
     }
 }

@@ -228,13 +228,6 @@ fn estimate_structural(
                 cost: i.cost + i.rate * 0.5,
             }
         }
-        LogicalPlan::Coalesce { input } => {
-            let i = child(input);
-            PlanEstimate {
-                rate: i.rate * 0.3,
-                cost: i.cost + i.rate * 0.5,
-            }
-        }
     }
 }
 

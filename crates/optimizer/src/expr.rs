@@ -3,10 +3,13 @@
 //! A [`BoundExpr`] reads columns and literals by reference: comparing or
 //! adding them clones no `Value`. Every predicate goes through one SQL
 //! three-valued truth table, [`BoundExpr::test`]; the logic and comparisons
-//! of [`BoundExpr::eval`] are `test` mapped to `Bool`/`Null`. Arithmetic:
-//! two `Int`s stay integral and `+ - *` wrap on overflow, `Int / 0` and
-//! `Int % 0` are NULL; a `Float` operand widens both sides to `f64`, so
-//! `Float / 0` is `inf`; a non-numeric or NULL operand yields NULL.
+//! of [`BoundExpr::eval`] are `test` mapped to `Bool`/`Null`. Arithmetic
+//! never fails a row: two `Int`s stay integral and every operation wraps
+//! on overflow — `+ - *`, unary `-`, and `/` and `%` at `i64::MIN` and
+//! `-1` (so `x / -1` is `x * -1` and `x % -1` is 0 for every `x`); `Int /
+//! 0` and `Int % 0` are NULL. A `Float` operand widens both sides to
+//! `f64`, so `Float / 0` is `inf`; a non-numeric or NULL operand yields
+//! NULL.
 
 use crate::value::{Schema, Tuple, Value};
 use std::fmt;
@@ -204,7 +207,7 @@ impl BoundExpr {
             BoundExpr::Col(i) => t.get(*i).cloned().unwrap_or(Value::Null),
             BoundExpr::Lit(v) => v.clone(),
             BoundExpr::Unary(UnOp::Neg, e) => match e.operand(t, &mut Value::Null) {
-                Value::Int(i) => Value::Int(-i),
+                Value::Int(i) => Value::Int(i.wrapping_neg()),
                 Value::Float(f) => Value::Float(-f),
                 _ => Value::Null,
             },
@@ -291,20 +294,9 @@ fn arith(l: &Value, op: BinOp, r: &Value) -> Value {
             BinOp::Add => Value::Int(a.wrapping_add(*b)),
             BinOp::Sub => Value::Int(a.wrapping_sub(*b)),
             BinOp::Mul => Value::Int(a.wrapping_mul(*b)),
-            BinOp::Div => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a / b)
-                }
-            }
-            BinOp::Rem => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a % b)
-                }
-            }
+            BinOp::Div if *b != 0 => Value::Int(a.wrapping_div(*b)),
+            BinOp::Rem if *b != 0 => Value::Int(a.wrapping_rem(*b)),
+            // `/ 0`, `% 0` and the logic operators.
             _ => Value::Null,
         };
     }
@@ -365,6 +357,23 @@ mod tests {
         assert_eq!(e.bind(&schema()).unwrap().eval(&row()), Value::Null);
         // And null is not truthy, so such predicates drop rows.
         assert!(!Value::Null.truthy());
+    }
+
+    #[test]
+    fn integer_overflow_wraps_in_every_operation() {
+        let int = |i: i64| BoundExpr::Lit(Value::Int(i));
+        let bin = |a, op, b| BoundExpr::Binary(Box::new(int(a)), op, Box::new(int(b)));
+        for x in [i64::MIN, i64::MIN + 1, -7, 0, 7, i64::MAX] {
+            assert_eq!(
+                bin(x, BinOp::Div, -1).eval(&row()),
+                bin(x, BinOp::Mul, -1).eval(&row()),
+                "{x} / -1"
+            );
+            assert_eq!(bin(x, BinOp::Rem, -1).eval(&row()), Value::Int(0));
+            assert_eq!(bin(x, BinOp::Rem, 0).eval(&row()), Value::Null);
+        }
+        let neg = BoundExpr::Unary(UnOp::Neg, Box::new(int(i64::MIN)));
+        assert_eq!(neg.eval(&row()), Value::Int(i64::MIN));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The multi-query optimizer.
 
 use crate::catalog::Catalog;
-use crate::compile::{compile, output_schema, CompileContext};
-use crate::cost::{estimate_live, estimate_with_sunk, LiveCostSource, PlanEstimate};
+use crate::compile::{compile, install_keys, output_schema, CompileContext};
+use crate::cost::{estimate_with_sunk, PlanEstimate};
 use crate::plan::LogicalPlan;
 use crate::rules;
 use crate::value::{Schema, Tuple};
-use pipes_graph::{MetaSnapshot, NodeId, QueryGraph, StreamHandle};
+use pipes_graph::{NodeId, QueryGraph, StreamHandle};
 use std::collections::{HashMap, HashSet};
 
 /// Outcome of installing one query into the running graph.
@@ -38,6 +38,9 @@ pub struct InstallReport {
 /// publish–subscribe architecture.
 pub struct Optimizer {
     installed: HashMap<LogicalPlan, StreamHandle<Tuple>>,
+    /// The variant compiled for each installed plan, one per install,
+    /// latest last.
+    compiled: HashMap<LogicalPlan, Vec<LogicalPlan>>,
 }
 
 impl Default for Optimizer {
@@ -51,6 +54,7 @@ impl Optimizer {
     pub fn new() -> Self {
         Optimizer {
             installed: HashMap::new(),
+            compiled: HashMap::new(),
         }
     }
 
@@ -72,63 +76,50 @@ impl Optimizer {
     }
 
     /// Dynamic re-optimization (the paper's "dynamic case"): retires a
-    /// query's plan from the running graph. Walks the plan bottom-up and
-    /// removes every installed subplan node that no consumer subscribes to
-    /// anymore — shared subplans survive as long as any other query uses
-    /// them. Call after unsubscribing the query's sinks (e.g. having
-    /// installed a replacement plan and re-pointed the application).
-    /// Returns the number of nodes removed.
+    /// query's plan from the running graph. Walks every subplan an install
+    /// of `plan` registers (`compile::install_keys`), consumers before what
+    /// they consume, and removes each one's node once no consumer
+    /// subscribes to it anymore — shared subplans survive as long as any
+    /// other query uses them, and nodes no subplan of `plan` names are
+    /// never touched. Pass the variant that was compiled
+    /// ([`InstallReport::chosen`]), after unsubscribing the query's sinks
+    /// (e.g. having installed a replacement plan and re-pointed the
+    /// application). Returns the number of nodes removed.
     pub fn retire(&mut self, plan: &LogicalPlan, graph: &QueryGraph) -> usize {
-        // Top-down over the installed subplans: removing a parent
-        // unsubscribes it from its children, which may free them in turn.
         let mut removed = 0;
-        self.retire_walk(plan, graph, &mut removed);
-        // Sweep physical nodes no subtree of the plan names (the nodes of a
-        // sampled aggregate).
-        removed += graph.collect_unconsumed();
-        // Drop index entries whose nodes the sweep removed.
-        self.installed
-            .retain(|_, handle| !graph.is_removed(handle.node()));
+        for key in install_keys(plan) {
+            let Some(node) = self.installed.get(&key).map(StreamHandle::node) else {
+                continue;
+            };
+            // A removed node is an elided rename's input, freed earlier in the walk.
+            if !graph.is_removed(node) {
+                if graph.subscriber_count(node) > 0 {
+                    continue;
+                }
+                graph.remove_node(node);
+                removed += 1;
+            }
+            self.installed.remove(&key);
+        }
         removed
     }
 
     /// Uninstalls a query live: removes its application sink (which
     /// unsubscribes the query from its result stream) and then
-    /// [`Optimizer::retire`]s every subplan no other query consumes. The
-    /// whole path is safe to call while executors are running — each
-    /// removal bumps the graph's topology epoch, and workers pick the
-    /// shrunken topology up at their next re-plan; shared prefixes keep
-    /// flowing (and keep their warm [`pipes_graph::NodeEstimate`]s)
-    /// because the other subscribers hold them live. Returns the number
-    /// of nodes removed, the sink included.
+    /// [`Optimizer::retire`]s the variant its latest install of `plan`
+    /// compiled. The whole path is safe to call while executors are
+    /// running — each removal bumps the graph's topology epoch, and workers
+    /// pick the shrunken topology up at their next re-plan; shared prefixes
+    /// keep flowing (and keep their warm [`pipes_graph::NodeEstimate`]s)
+    /// because the other subscribers hold them live. Returns the number of
+    /// nodes removed, the sink included.
     pub fn uninstall(&mut self, plan: &LogicalPlan, sink: NodeId, graph: &QueryGraph) -> usize {
         graph.remove_node(sink);
-        1 + self.retire(plan, graph)
-    }
-
-    fn retire_walk(&mut self, plan: &LogicalPlan, graph: &QueryGraph, removed: &mut usize) {
-        if let Some(handle) = self.installed.get(plan) {
-            let node = handle.node();
-            if graph.subscriber_count(node) == 0 && !graph.is_removed(node) {
-                graph.remove_node(node);
-                self.installed.remove(plan);
-                *removed += 1;
-            }
+        let chosen = self.compiled.get_mut(plan).and_then(Vec::pop);
+        if self.compiled.get(plan).is_some_and(Vec::is_empty) {
+            self.compiled.remove(plan);
         }
-        for child in plan.inputs() {
-            self.retire_walk(child, graph, removed);
-        }
-    }
-
-    /// A [`LiveCostSource`] over `snap` with every installed subplan bound
-    /// to its publishing node, so live costing sees the running graph's
-    /// observed rates wherever a candidate plan overlaps installed work.
-    pub fn live_cost_source<'a>(&self, snap: &'a MetaSnapshot) -> LiveCostSource<'a> {
-        let mut live = LiveCostSource::new(snap);
-        for (plan, handle) in &self.installed {
-            live.bind_subplan(plan, handle.node());
-        }
-        live
+        1 + self.retire(chosen.as_ref().unwrap_or(plan), graph)
     }
 
     /// Installs a query into the running `graph`: enumerate variants, pick
@@ -139,35 +130,11 @@ impl Optimizer {
         graph: &QueryGraph,
         catalog: &Catalog,
     ) -> Result<InstallReport, String> {
-        self.install_inner(plan, graph, catalog, None)
-    }
-
-    /// Like [`Optimizer::install`], but costs every candidate variant
-    /// against the running graph's live metadata snapshot (installed
-    /// subplans costed at observed rates) instead of static catalog hints.
-    pub fn install_with_meta(
-        &mut self,
-        plan: &LogicalPlan,
-        graph: &QueryGraph,
-        catalog: &Catalog,
-        snap: &MetaSnapshot,
-    ) -> Result<InstallReport, String> {
-        self.install_inner(plan, graph, catalog, Some(snap))
-    }
-
-    fn install_inner(
-        &mut self,
-        plan: &LogicalPlan,
-        graph: &QueryGraph,
-        catalog: &Catalog,
-        snap: Option<&MetaSnapshot>,
-    ) -> Result<InstallReport, String> {
         // Validate eagerly so errors carry the user's plan, not a variant.
         let schema = output_schema(plan, catalog)?;
 
         let variants = rules::enumerate(plan, catalog);
         let variants_considered = variants.len();
-        let live = snap.map(|snap| self.live_cost_source(snap));
         let mut best: Option<(LogicalPlan, PlanEstimate)> = None;
         for v in variants {
             // A variant must still be valid (rules preserve this; verify).
@@ -176,10 +143,7 @@ impl Optimizer {
             }
             let mut sunk = HashSet::new();
             self.sunk(&v, &mut sunk);
-            let est = match &live {
-                Some(live) => estimate_live(&v, catalog, &sunk, live),
-                None => estimate_with_sunk(&v, catalog, &sunk),
-            };
+            let est = estimate_with_sunk(&v, catalog, &sunk);
             let better = match &best {
                 None => true,
                 Some((_, b)) => est.cost < b.cost,
@@ -193,6 +157,10 @@ impl Optimizer {
         let mut ctx = CompileContext::new(graph, catalog, &mut self.installed);
         let handle = compile(&chosen, &mut ctx)?;
         let (created, reused) = (ctx.created, ctx.reused);
+        self.compiled
+            .entry(plan.clone())
+            .or_default()
+            .push(chosen.clone());
         Ok(InstallReport {
             handle,
             schema,
@@ -212,6 +180,7 @@ mod tests {
     use crate::plan::WindowSpec;
     use crate::value::{Schema, Value};
     use pipes_graph::io::{CollectSink, VecSource};
+    use pipes_graph::NodeKind;
     use pipes_time::{Duration, Element, Timestamp};
 
     fn catalog() -> Catalog {
@@ -502,6 +471,14 @@ mod tests {
             .collect()
     }
 
+    /// Live nodes, sinks aside, that nothing consumes.
+    fn orphans(graph: &QueryGraph) -> usize {
+        (graph.infos().into_iter())
+            .filter(|i| !i.removed && i.kind != NodeKind::Sink)
+            .filter(|i| graph.subscriber_count(i.id) == 0)
+            .count()
+    }
+
     #[test]
     fn every_query_and_its_twin_share_in_both_orders_and_uninstall_cleanly() {
         for grouped in [false, true] {
@@ -543,7 +520,7 @@ mod tests {
                     }
                     let (sink, _) = sinks[gone].take().unwrap();
                     opt.uninstall(plans[gone], sink, &graph);
-                    assert_eq!(graph.collect_unconsumed(), 0, "orphans survived");
+                    assert_eq!(orphans(&graph), 0, "orphans survived");
                     if gone == 0 {
                         assert!(
                             names(&graph).iter().all(|n| !n.contains("sampled")),

@@ -149,11 +149,6 @@ pub enum LogicalPlan {
         /// Sampling period.
         period: Duration,
     },
-    /// Interval coalescing (rate reduction; inserted by the optimizer).
-    Coalesce {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-    },
 }
 
 impl LogicalPlan {
@@ -167,8 +162,7 @@ impl LogicalPlan {
             | LogicalPlan::RelationJoin { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Distinct { input }
-            | LogicalPlan::Every { input, .. }
-            | LogicalPlan::Coalesce { input } => vec![input],
+            | LogicalPlan::Every { input, .. } => vec![input],
             LogicalPlan::Join { left, right, .. } | LogicalPlan::Difference { left, right } => {
                 vec![left, right]
             }
@@ -211,7 +205,6 @@ impl LogicalPlan {
             LogicalPlan::Union { inputs } => format!("Union x{}", inputs.len()),
             LogicalPlan::Difference { .. } => "Difference".into(),
             LogicalPlan::Every { period, .. } => format!("Every {period}"),
-            LogicalPlan::Coalesce { .. } => "Coalesce".into(),
         }
     }
 

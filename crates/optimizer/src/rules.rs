@@ -13,9 +13,7 @@
 //!   below the join,
 //! * **merge** — adjacent filters re-merge (canonicalization),
 //! * **commute-join** — joins are symmetric up to column order; the variant
-//!   keeps the output schema by re-projecting,
-//! * **coalesce-after-aggregate** — inserts the rate-reducing coalesce
-//!   operator above aggregates (a PIPES-specific variant).
+//!   keeps the output schema by re-projecting.
 
 use crate::catalog::Catalog;
 use crate::compile::output_schema;
@@ -174,18 +172,6 @@ pub fn commute_joins(plan: &LogicalPlan, catalog: &Catalog) -> LogicalPlan {
     plan
 }
 
-/// Inserts a coalesce above every aggregate (rate reduction at the cost of
-/// latency).
-pub fn coalesce_aggregates(plan: &LogicalPlan) -> LogicalPlan {
-    let plan = map_children(plan, &coalesce_aggregates);
-    if matches!(plan, LogicalPlan::Aggregate { .. }) {
-        return LogicalPlan::Coalesce {
-            input: Box::new(plan),
-        };
-    }
-    plan
-}
-
 /// Rebuilds a node with children mapped through `f`.
 fn map_children(plan: &LogicalPlan, f: &impl Fn(&LogicalPlan) -> LogicalPlan) -> LogicalPlan {
     use LogicalPlan::*;
@@ -246,9 +232,6 @@ fn map_children(plan: &LogicalPlan, f: &impl Fn(&LogicalPlan) -> LogicalPlan) ->
             input: Box::new(f(input)),
             period: *period,
         },
-        Coalesce { input } => Coalesce {
-            input: Box::new(f(input)),
-        },
     }
 }
 
@@ -257,8 +240,7 @@ fn map_children(plan: &LogicalPlan, f: &impl Fn(&LogicalPlan) -> LogicalPlan) ->
 pub fn enumerate(plan: &LogicalPlan, catalog: &Catalog) -> Vec<LogicalPlan> {
     let canonical = merge_filters(&push_filters(&split_filters(plan), catalog));
     let commuted = commute_joins(&canonical, catalog);
-    let coalesced = coalesce_aggregates(&canonical);
-    let candidates = [plan.clone(), canonical, commuted, coalesced];
+    let candidates = [plan.clone(), canonical, commuted];
     let mut variants = Vec::new();
     for p in candidates {
         if !variants.contains(&p) {
@@ -403,22 +385,5 @@ mod tests {
         let sigs: HashSet<&LogicalPlan> = variants.iter().collect();
         assert_eq!(sigs.len(), variants.len(), "variants must be distinct");
         assert!(sigs.contains(&plan));
-    }
-
-    #[test]
-    fn coalesce_inserted_above_aggregates() {
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(stream("s")),
-            group_by: vec![],
-            aggs: vec![(
-                crate::plan::AggSpec {
-                    func: crate::plan::AggFunc::Count,
-                    arg: Expr::lit(0i64),
-                },
-                "cnt".into(),
-            )],
-        };
-        let with = coalesce_aggregates(&plan);
-        assert!(matches!(with, LogicalPlan::Coalesce { .. }));
     }
 }

@@ -154,11 +154,6 @@ fn write_plan(plan: &LogicalPlan, out: &mut String) {
             write_plan(input, out);
             out.push(')');
         }
-        LogicalPlan::Coalesce { input } => {
-            out.push_str("(coalesce ");
-            write_plan(input, out);
-            out.push(')');
-        }
     }
 }
 
@@ -432,9 +427,6 @@ fn parse_plan(s: &SExp) -> Result<LogicalPlan, String> {
             period: Duration::from_ticks(parse_u64(&items[1])?),
             input: Box::new(parse_plan(&items[2])?),
         }),
-        "coalesce" => Ok(LogicalPlan::Coalesce {
-            input: Box::new(parse_plan(&items[1])?),
-        }),
         other => Err(format!("unknown plan form '{other}'")),
     }
 }
@@ -546,28 +538,26 @@ mod tests {
         };
         roundtrip(&LogicalPlan::Every {
             period: Duration::from_ticks(100),
-            input: Box::new(LogicalPlan::Coalesce {
-                input: Box::new(LogicalPlan::Aggregate {
-                    group_by: vec![(Expr::col("k"), "k".into())],
-                    aggs: vec![
-                        (
-                            AggSpec {
-                                func: AggFunc::Max,
-                                arg: Expr::col("v"),
-                            },
-                            "m".into(),
-                        ),
-                        (
-                            AggSpec {
-                                func: AggFunc::Count,
-                                arg: Expr::lit(0i64),
-                            },
-                            "c".into(),
-                        ),
-                    ],
-                    input: Box::new(LogicalPlan::Distinct {
-                        input: Box::new(base.clone()),
-                    }),
+            input: Box::new(LogicalPlan::Aggregate {
+                group_by: vec![(Expr::col("k"), "k".into())],
+                aggs: vec![
+                    (
+                        AggSpec {
+                            func: AggFunc::Max,
+                            arg: Expr::col("v"),
+                        },
+                        "m".into(),
+                    ),
+                    (
+                        AggSpec {
+                            func: AggFunc::Count,
+                            arg: Expr::lit(0i64),
+                        },
+                        "c".into(),
+                    ),
+                ],
+                input: Box::new(LogicalPlan::Distinct {
+                    input: Box::new(base.clone()),
                 }),
             }),
         });

@@ -1,6 +1,6 @@
 //! Property tests for the sampled window aggregate that `compile` builds
 //! for `EVERY` over an aggregate: `Every(p)` over `Project`/`Filter` over
-//! an optional `Coalesce` over an `Aggregate` of a `RANGE R` window, with
+//! an `Aggregate` of a `RANGE R` window, with
 //! `⌈R/p⌉ ≤ TREE_CONVERT_WIDTH`, runs as those stateless nodes over the
 //! aggregate on the grid layout.
 //!
@@ -42,7 +42,6 @@ struct Case {
     period: u64,
     grouped: bool,
     having: bool,
-    coalesce: bool,
     /// The select list only renames the aggregate's columns.
     renames: bool,
 }
@@ -125,11 +124,6 @@ fn logical_plan(c: &Case) -> LogicalPlan {
         group_by,
         aggs: calls(),
     };
-    if c.coalesce {
-        plan = LogicalPlan::Coalesce {
-            input: Box::new(plan),
-        };
-    }
     if c.having {
         plan = LogicalPlan::Filter {
             input: Box::new(plan),
@@ -389,19 +383,15 @@ fn arb_case() -> impl Strategy<Value = Case> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
     )
-        .prop_map(
-            |(rows, range, period, grouped, having, coalesce, renames)| Case {
-                rows,
-                range,
-                period,
-                grouped,
-                having,
-                coalesce,
-                renames,
-            },
-        )
+        .prop_map(|(rows, range, period, grouped, having, renames)| Case {
+            rows,
+            range,
+            period,
+            grouped,
+            having,
+            renames,
+        })
 }
 
 fn arb_sched() -> impl Strategy<Value = Vec<usize>> {
@@ -429,7 +419,6 @@ fn case(rows: Vec<Element<Tuple>>, range: u64, period: u64, grouped: bool) -> Ca
         period,
         grouped,
         having: false,
-        coalesce: true,
         renames: false,
     }
 }
@@ -524,7 +513,7 @@ proptest! {
         warm in 0usize..6,
         widen_to in 2usize..4,
     ) {
-        let c = Case { grouped: true, coalesce: false, period: c.period.max(c.range.div_ceil(48)), ..c };
+        let c = Case { grouped: true, period: c.period.max(c.range.div_ceil(48)), ..c };
         prop_assert!(c.sampled());
         let (_, want) = run_compiled(&c, None, &sched);
         let (graph, src, out) = keyed_sampled(&c);

@@ -30,6 +30,13 @@ if grep -rnE 'fn signature|HashMap<String, StreamHandle' crates/optimizer/src; t
     exit 1
 fi
 
+# A whole-graph sweep of unconsumed nodes removed other queries' nodes on uninstall.
+echo "==> uninstall retires only what the install compiled; no coalesce variant"
+if grep -rnE 'collect_unconsumed|LogicalPlan::Coalesce' crates/graph/src crates/optimizer/src; then
+    echo "    the unconsumed-node sweep or the coalesce plan variant is back" >&2
+    exit 1
+fi
+
 # A second truth table (`eval(..).truthy()`) dropped the rows of `TRUE OR NULL`.
 echo "==> predicates go through BoundExpr::test, the one three-valued truth table"
 if grep -rnE 'eval\(.*\)\.truthy\(\)' crates/optimizer/src; then

@@ -8,12 +8,14 @@
 //!   `TREE_CONVERT_WIDTH` partials. Read from the `agg.finalize`
 //!   flight-recorder instants, whose third argument is the tree-layout
 //!   flag.
-//! * With `EVERY` (NEXMark q3 and q4, FSP q1, q3 and q4) the aggregate is
-//!   sampled on the grid inside the aggregate and publishes finished rows:
-//!   the compiled plans hold no `every[…]`, `coalesce` or flatten node,
-//!   and no `project` either — each of their select lists only renames
-//!   the aggregate's columns (`tests/cql_select_lists.rs` covers one that
-//!   does not).
+//! * With `EVERY` (NEXMark q3, q4 and q7, FSP q1, q3 and q4) the aggregate
+//!   is sampled on the grid inside the aggregate and publishes finished
+//!   rows: the compiled plans hold no `every[…]`, `coalesce` or flatten
+//!   node, and no `project` either — each of their select lists only
+//!   renames the aggregate's columns (`tests/cql_select_lists.rs` covers
+//!   one that does not). q7 aggregates a join, whose rows live at most as
+//!   long as the shorter of its two windows; on the grid it gives the same
+//!   rows per instant as `every[…]` over the unsampled aggregate.
 //!
 //! Lives in its own test binary because it inspects the process-global
 //! trace buffer.
@@ -79,6 +81,7 @@ fn every_window_query_compiles_onto_the_grid() {
     let cases = [
         (&nexmark, queries::q3_highest_bid_10min()),
         (&nexmark, queries::q4_hot_items()),
+        (&nexmark, queries::q7_avg_price_per_category()),
         (&fsp, traffic_queries::q1_hov_avg_speed_cql()),
         (&fsp, traffic_queries::q3_section_flow_cql()),
         (&fsp, traffic_queries::q4_truck_share_cql()),
@@ -99,4 +102,46 @@ fn every_window_query_compiles_onto_the_grid() {
             "{sql}: no sampled aggregate: {names:?}"
         );
     }
+}
+
+/// Each row of `out` with its interval, sorted: the multiset of rows per
+/// grid instant.
+fn per_instant(out: &pipes::graph::io::Collected<Tuple>) -> Vec<(TimeInterval, Tuple)> {
+    let mut rows: Vec<_> = (out.lock().iter())
+        .map(|e| (e.interval, e.payload.clone()))
+        .collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn q7_on_the_grid_matches_every_over_its_aggregate() {
+    let catalog = nexmark_catalog();
+    let q7 = queries::q7_avg_price_per_category();
+    let twin = q7.replace(" EVERY 2 MINUTES", "");
+    assert_ne!(twin, q7);
+    // Installed after its un-`EVERY` twin, q7 reuses the twin's aggregate
+    // and samples it with `every[…]`; installed alone, it runs on the grid.
+    let run = |sqls: &[&str]| {
+        let graph = QueryGraph::new();
+        let mut optimizer = Optimizer::new();
+        let mut out = None;
+        for sql in sqls {
+            let plan = compile_cql(sql, &catalog).unwrap();
+            let r = optimizer.install(&plan, &graph, &catalog).unwrap();
+            let (sink, buf) = CollectSink::new();
+            graph.add_sink("sink", sink, &r.handle);
+            out = Some(buf);
+        }
+        let names: Vec<String> = graph.infos().into_iter().map(|i| i.name).collect();
+        graph.run_to_completion(256);
+        (names, per_instant(&out.unwrap()))
+    };
+    let (shared, sampled) = run(&[&twin, q7]);
+    let (alone, gridded) = run(&[q7]);
+    assert!(shared.iter().any(|n| n.starts_with("every[")), "{shared:?}");
+    assert!(shared.iter().all(|n| !n.contains("sampled")), "{shared:?}");
+    assert!(alone.iter().all(|n| !n.starts_with("every[")), "{alone:?}");
+    assert!(!gridded.is_empty(), "q7 delivered nothing");
+    assert_eq!(gridded, sampled);
 }

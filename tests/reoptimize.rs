@@ -111,3 +111,117 @@ fn retire_keeps_shared_subplans_alive() {
     graph.run_to_completion(64);
     assert!(!buf2.lock().is_empty(), "survivor still gets data");
 }
+
+/// Live nodes of `graph`.
+fn live(graph: &QueryGraph) -> Vec<String> {
+    (graph.infos().into_iter())
+        .filter(|i| !i.removed)
+        .map(|i| i.name)
+        .collect()
+}
+
+/// Steps every node a few times.
+fn step_a_little(graph: &QueryGraph) {
+    for _ in 0..3 {
+        for id in graph.node_ids().collect::<Vec<_>>() {
+            graph.step_node(id, 16);
+        }
+    }
+}
+
+/// Uninstalling one query removes only nodes of its own plan: another
+/// query's nodes stay even while nothing consumes them yet.
+#[test]
+fn uninstall_leaves_an_installed_query_that_has_no_sink_yet() {
+    let cat = catalog();
+    let graph = QueryGraph::new();
+    let mut optimizer = Optimizer::new();
+    let q1 = compile_cql(nexmark::queries::q1_currency_conversion(), &cat).unwrap();
+    let q2 = compile_cql(nexmark::queries::q2_selection(), &cat).unwrap();
+    let r1 = optimizer.install(&q1, &graph, &cat).unwrap();
+    let (sink, _) = CollectSink::new();
+    let s1 = graph.add_sink("q1", sink, &r1.handle);
+    step_a_little(&graph);
+
+    // q2 is installed (sharing the bid scan) but its sink is not attached.
+    let r2 = optimizer.install(&q2, &graph, &cat).unwrap();
+    assert_eq!(
+        optimizer.uninstall(&q1, s1, &graph),
+        2,
+        "q1's sink and project"
+    );
+    assert!(
+        !graph.is_removed(r2.handle.node()),
+        "q2's result: {:?}",
+        live(&graph)
+    );
+    assert_eq!(live(&graph).len(), 1 + r2.created, "bid and q2's nodes");
+
+    // q2 still runs: attached now, it sees every bid that follows.
+    let (sink, out) = CollectSink::new();
+    graph.add_sink("q2", sink, &r2.handle);
+    graph.run_to_completion(64);
+    assert!(!out.lock().is_empty(), "q2 delivered nothing");
+}
+
+/// A node no subplan of the uninstalled query names is never removed.
+#[test]
+fn uninstall_leaves_an_unrelated_source_without_a_consumer() {
+    let cat = catalog();
+    let graph = QueryGraph::new();
+    let mut optimizer = Optimizer::new();
+    let idle = graph.add_source("idle", VecSource::<Tuple>::new(Vec::new()));
+    let q = compile_cql(nexmark::queries::q2_selection(), &cat).unwrap();
+    let r = optimizer.install(&q, &graph, &cat).unwrap();
+    let (sink, _) = CollectSink::new();
+    let s = graph.add_sink("q", sink, &r.handle);
+    step_a_little(&graph);
+
+    optimizer.uninstall(&q, s, &graph);
+    assert!(
+        !graph.is_removed(idle.node()),
+        "the idle source was removed"
+    );
+    assert_eq!(live(&graph), vec!["idle".to_string()]);
+    assert_eq!(optimizer.installed_count(), 0);
+}
+
+/// Uninstall finds every node its install built: those of a variant that
+/// differs from the user's plan (a pushed filter, a commuted join) and a
+/// sampled aggregate's intermediate nodes, which no subplan names.
+#[test]
+fn uninstall_removes_every_node_of_each_canned_query() {
+    use pipes::traffic::{self, generator::FspConfig, queries as fsp};
+    let bids = catalog();
+    let mut cars = Catalog::new();
+    traffic::register(&mut cars, FspConfig::default());
+    let mut cases: Vec<(&Catalog, String, LogicalPlan)> = (nexmark::queries::all().into_iter())
+        .map(|(name, sql)| (&bids, name.to_string(), compile_cql(sql, &bids).unwrap()))
+        .collect();
+    for sql in [
+        fsp::q1_hov_avg_speed_cql(),
+        fsp::q3_section_flow_cql(),
+        fsp::q4_truck_share_cql(),
+    ] {
+        cases.push((&cars, sql.to_string(), compile_cql(sql, &cars).unwrap()));
+    }
+    cases.push((&cars, "FSP q1 plan".into(), fsp::q1_hov_avg_speed_plan()));
+    let q2 = fsp::q2_persistent_slowdown_plan(0, 40.0);
+    cases.push((&cars, "FSP q2 plan".into(), q2));
+
+    let mut differs = 0;
+    for (cat, name, plan) in cases {
+        let graph = QueryGraph::new();
+        let mut optimizer = Optimizer::new();
+        let r = optimizer.install(&plan, &graph, cat).unwrap();
+        differs += usize::from(r.chosen != plan);
+        let (sink, _) = CollectSink::new();
+        let s = graph.add_sink("sink", sink, &r.handle);
+        step_a_little(&graph);
+        let before = live(&graph).len();
+        assert_eq!(optimizer.uninstall(&plan, s, &graph), before, "{name}");
+        assert_eq!(live(&graph), Vec::<String>::new(), "{name}");
+        assert_eq!(optimizer.installed_count(), 0, "{name}");
+    }
+    assert!(differs > 0, "no installed variant differs from its plan");
+}
